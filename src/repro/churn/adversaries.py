@@ -216,7 +216,8 @@ class ChurnAdversary(Adversary):
 
 def load_churn_ops(path: str | Path) -> list[list[Op]]:
     """Parse a JSONL churn schedule: one line per round, each line a JSON
-    array of ``["delete", victim]`` / ``["add", node, [targets...]]`` ops.
+    array of ``["delete", victim]`` / ``["add", node, [targets...]]`` ops,
+    every node an int or a string.
 
     Blank lines are skipped; anything else malformed raises
     :class:`ConfigurationError` naming the offending line (fail fast at
@@ -251,19 +252,30 @@ def load_churn_ops(path: str | Path) -> list[list[Op]]:
                 and len(op) == 2
                 and op[0] == "delete"
             ):
-                ops.append(("delete", op[1]))
+                parsed = ("delete", op[1])
+                labels = [op[1]]
             elif (
                 isinstance(op, list)
                 and len(op) == 3
                 and op[0] == "add"
                 and isinstance(op[2], list)
             ):
-                ops.append(("add", op[1], tuple(op[2])))
+                parsed = ("add", op[1], tuple(op[2]))
+                labels = [op[1], *op[2]]
             else:
                 raise ConfigurationError(
                     f"{path}:{lineno}: malformed churn op {op!r} "
                     '(want ["delete", victim] or ["add", node, [targets]])'
                 )
+            # Only ints and strings: 1.0 or true would alias node 1 on
+            # one backend and miss it on another.
+            for u in labels:
+                if type(u) not in (int, str):
+                    raise ConfigurationError(
+                        f"{path}:{lineno}: churn op {op!r} names {u!r}; "
+                        "nodes must be ints or strings"
+                    )
+            ops.append(parsed)
         rounds.append(ops)
     return rounds
 

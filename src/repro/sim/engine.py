@@ -17,12 +17,6 @@ module is that loop, once, for every entry point in the package:
   single-victim rounds) → metrics until a stop condition, and returns a
   :class:`SimulationResult`.
 
-The legacy entry points :func:`~repro.sim.simulator.run_simulation` and
-:func:`~repro.sim.simulator.run_wave_simulation` are thin deprecated
-shims over this function and produce byte-identical results
-(differential-tested in ``tests/sim/test_campaign_engine.py`` against the
-pre-engine loops preserved in ``tests/sim/_seed_simulator.py``).
-
 Round accounting: each wave is deduplicated once *before* deletion (in
 first-appearance order), so ``result.deletions`` counts exactly the nodes
 that were removed; ``result.values["waves"]`` counts rounds for batch
@@ -201,16 +195,20 @@ def run_campaign(
             ledger=ledger,
         )
 
+    rounds = deletions = 0
+    pending_round = None
     if (
         recorder is None
         and not metrics
         and not keep_events
         and not keep_network
     ):
-        # Scalar-only campaigns on the array backend can fuse the whole
-        # round loop into one kernel (imported lazily — object-backend
-        # campaigns never pay for it). Eligibility is narrow and
-        # differential-tested; see :mod:`repro.sim.fastpath`.
+        # Scalar-only DASH campaigns on the array backend fuse the round
+        # loop into one kernel (imported lazily — object-backend
+        # campaigns never pay for it); see :mod:`repro.sim.fastpath`.
+        # The kernel either finishes the campaign or stops at a churn
+        # round that inserts, handing back repaired state, its counters
+        # and that already-chosen round, which the loop below runs first.
         from repro.sim import fastpath
 
         if fastpath.supports(
@@ -221,45 +219,16 @@ def run_campaign(
             keep_events=keep_events,
             keep_network=keep_network,
         ):
-            if mixed_rounds:
-                # Churn: fuse the delete-only prefix. The kernel either
-                # finishes the campaign or bails at the first insertion
-                # round with repaired state, the surviving counters, and
-                # the already-chosen round — which the generic loop below
-                # then executes first.
-                fused_result, handoff = fastpath.run_fused_churn(
-                    network,
-                    adversary,
-                    stop_alive=stop_alive,
-                    max_rounds=max_rounds,
-                    max_deletions=max_deletions,
-                )
-                if fused_result is not None:
-                    return fused_result
-                fused_rounds, fused_deletions, pending_round = handoff
-                return _drive_campaign(
-                    network=network,
-                    adversary=adversary,
-                    metrics=metrics,
-                    batch_rounds=batch_rounds,
-                    mixed_rounds=mixed_rounds,
-                    stop_alive=stop_alive,
-                    max_rounds=max_rounds,
-                    max_deletions=max_deletions,
-                    rounds=fused_rounds,
-                    deletions=fused_deletions,
-                    keep_events=keep_events,
-                    keep_network=keep_network,
-                    recorder=recorder,
-                    pending_round=pending_round,
-                )
-            return fastpath.run_fused(
+            result, handoff = fastpath.run_fused(
                 network,
                 adversary,
                 stop_alive=stop_alive,
                 max_rounds=max_rounds,
                 max_deletions=max_deletions,
             )
+            if result is not None:
+                return result
+            rounds, deletions, pending_round = handoff
 
     return _drive_campaign(
         network=network,
@@ -270,11 +239,12 @@ def run_campaign(
         stop_alive=stop_alive,
         max_rounds=max_rounds,
         max_deletions=max_deletions,
-        rounds=0,
-        deletions=0,
+        rounds=rounds,
+        deletions=deletions,
         keep_events=keep_events,
         keep_network=keep_network,
         recorder=recorder,
+        pending_round=pending_round,
     )
 
 
@@ -330,11 +300,10 @@ def _drive_campaign(
     :func:`repro.recovery.checkpoint.resume_campaign` enters with a
     network restored mid-campaign and the surviving round/deletion
     counters — byte-identical continuation falls out of sharing this one
-    loop rather than approximating it. A fused-churn bailout
-    (:func:`repro.sim.fastpath.run_fused_churn`) enters with
-    ``pending_round`` — the round the kernel already drew from the
-    adversary but could not execute — which is consumed before the next
-    ``choose_round`` call.
+    loop rather than approximating it. A fused-kernel handoff
+    (:func:`repro.sim.fastpath.run_fused`) enters with ``pending_round``
+    — the round the kernel already drew from the adversary but could not
+    execute — which is consumed before the next ``choose_round`` call.
     """
     while network.num_alive > stop_alive and network.num_alive > 0:
         if max_rounds is not None and rounds >= max_rounds:

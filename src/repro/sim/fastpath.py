@@ -1,4 +1,4 @@
-"""Fused unobservable-mode campaign kernel for the array backend.
+"""Fused unobservable-mode DASH kernel for the array backend.
 
 The generic engine pays, every round, for machinery whose output the
 caller has explicitly declined: ``HealEvent`` construction
@@ -9,7 +9,7 @@ the moments δ changes). When a campaign asks for scalars only —
 ``SimulationResult.initial_n / deletions / final_alive / peak_delta`` —
 all of that work is unobservable.
 
-This module runs such campaigns as one fused loop over the array
+:func:`run_fused` runs such campaigns as one fused loop over the array
 backend's slot stores: G and G′ adjacency are the raw ``ArrayGraph``
 slot lists, the component tracker is three parallel arrays
 (parent/size/label-origin) with inline path-compressed find, and the
@@ -21,25 +21,36 @@ installs is ``initial_ids[origin]``, so one float per slot
 (``rand[origin]``) reconstructs full ID comparisons, with the origin int
 as the lexicographic tie-break.
 
-Exactness: the kernel is differential-tested against the generic path
-(``tests/sim/test_fused_kernel.py``) for identical result scalars AND
-identical adversary RNG state afterwards — it consumes exactly one
-``random.Random.choice`` per round, like
-:class:`~repro.adversary.classic.RandomAttack.choose_target`, and reuses
-(and keeps accurate) the adversary's own sorted survivor list.
+The loop serves two adversary kinds and differs between them only in
+where a round's victims come from:
+
+* :class:`~repro.adversary.classic.RandomAttack` — exactly one
+  ``random.Random.choice`` per round over the adversary's own sorted
+  survivor list, like its ``choose_target``, so the RNG stream and the
+  list stay what the generic engine would leave behind;
+* churn adversaries (``churn``, ``trace-churn``) — the ``delete`` ops of
+  each round from ``choose_round``. The kernel cannot insert (its slot
+  arrays and result accounting assume the construction-time
+  population), so it stops at the first round containing an ``add`` op
+  and hands that already-chosen round back to the generic loop.
 
 Eligibility (:func:`supports`) is deliberately narrow — exactly DASH ×
-RandomAttack × ``ArrayGraph`` with nothing observing intermediate state.
-``batch_fast_path=False`` (the engine's reference switch) or
+those adversaries × ``ArrayGraph`` with nothing observing intermediate
+state. ``batch_fast_path=False`` (the engine's reference switch) or
 ``keep_events=True`` forces the generic path, which is how the
-differential tests obtain the reference side.
+differential tests (``tests/sim/test_fused_kernel.py``) obtain the
+reference side.
 
-After the loop the kernel *repairs* the invariants it bypassed: the
-graphs' cached node/edge counts, the degree/δ indexes (invalidated /
-re-pushed), and ``network.peak_delta``. The component tracker and
-``network.events``/``deleted_nodes`` are NOT maintained — which is why
-eligibility requires ``keep_network=False``: the network object is
-dropped without another observer ever reading it.
+The O(n) kernel arrays are built at the first round that deletes, so a
+campaign whose first round inserts (steady-state churn) hands off with
+no setup or repair cost. Otherwise, on either exit the kernel *repairs*
+what it bypassed: the graphs' cached node/edge counts, the degree/δ
+indexes (invalidated / re-pushed), ``network.peak_delta`` and
+``network.deleted_nodes``, and the random adversary's survivor list. A
+handoff also rebuilds the component tracker from the kernel's arrays;
+a campaign the kernel completes leaves the tracker and
+``network.events`` stale, which is why eligibility requires
+``keep_network=False``.
 """
 
 from __future__ import annotations
@@ -59,10 +70,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import SimulationResult
     from repro.sim.metrics import Metric
 
-__all__ = ["supports", "run_fused", "run_fused_churn"]
+__all__ = ["supports", "run_fused"]
 
-#: campaigns completed by the fused kernel (test observability — the
-#: differential tests assert this moves only for eligible configs)
+#: campaigns the fused kernel completed or ran at least one round of
+#: (test observability — the differential tests assert this moves only
+#: for eligible configs)
 _fused_campaigns = 0
 
 #: above this n, victim draws go through the Fenwick survivor view
@@ -142,9 +154,8 @@ def supports(
     hook the kernel inlines, so only the verbatim classes qualify.
     Churn adversaries qualify too — their rounds dictate victims (no RNG
     draw), their ``choose_round`` never consults the network (which the
-    kernel passes with stale public counters), and the kernel bails back
-    to the generic loop at the first insertion round
-    (:func:`run_fused_churn`).
+    kernel passes with stale public counters), and :func:`run_fused`
+    hands back to the generic loop at the first insertion round.
     """
     graph = network.graph
     if type(adversary) is RandomAttack:
@@ -180,249 +191,21 @@ def supports(
 
 def run_fused(
     network: "SelfHealingNetwork",
-    adversary: RandomAttack,
-    *,
-    stop_alive: int,
-    max_rounds: int | None,
-    max_deletions: int | None,
-) -> "SimulationResult":
-    """Run the whole campaign as one fused loop; return the result.
-
-    Caller contract: ``supports(...)`` returned True, ``adversary.reset``
-    has run, and nothing has been deleted yet.
-    """
-    from repro.sim.engine import SimulationResult
-
-    global _fused_campaigns
-    graph = network.graph
-    healing_graph = network.healing_graph
-    adj = graph._nbrs
-    padj = healing_graph._nbrs
-    n = len(adj)
-    initial_ids = network.initial_ids
-    # label↔origin bijection: initial_ids[u] == (rand[u], u)
-    rand = [initial_ids[u][0] for u in range(n)]
-    init_deg = [len(s) for s in adj]
-    # Union-find over slots; dead slots may serve as representatives
-    # (their label lives on until a merge relabels the component).
-    parent = list(range(n))
-    size = [1] * n
-    lab_origin = list(range(n))
-    peak_delta = network.peak_delta
-
-    # The adversary's own state IS the kernel's: draws come from its RNG
-    # (one choice() per round, like choose_target) and victims leave its
-    # sorted survivor list, which choose_target would otherwise pop
-    # lazily on the next call. Above the threshold the list is swapped
-    # for the Fenwick view (same draws, same RNG stream, no O(n) pops)
-    # and rebuilt from the slot store on exit.
-    choice = adversary._rng.choice
-    survivors = adversary._alive
-    use_tree = n >= _FENWICK_THRESHOLD
-    if use_tree:
-        view = _FenwickAliveView(n)
-        draw_pool = view
-        kill = view.remove
-    else:
-        draw_pool = survivors
-
-        def kill(v: int) -> None:
-            survivors.pop(bisect_left(survivors, v))
-
-    classes: dict[int, int] = {}
-    cget = classes.get
-    cclear = classes.clear
-    cvalues = classes.values
-
-    n_alive = n
-    rounds = 0
-    while n_alive > stop_alive:
-        if max_rounds is not None and rounds >= max_rounds:
-            break
-        if max_deletions is not None and rounds >= max_deletions:
-            break
-        v = choice(draw_pool)
-
-        # find(v) with path compression; decrement its component.
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        x = v
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        vlo = lab_origin[root]
-        s = size[root] - 1
-        size[root] = s
-        old_root = root if s else -1
-
-        # Delete v from G and G′ (grab its neighbor sets first).
-        g_nbrs = adj[v]
-        adj[v] = None
-        for w in g_nbrs:
-            adj[w].discard(v)
-        gp = padj[v]
-        padj[v] = None
-        for w in gp:
-            padj[w].discard(v)
-        n_alive -= 1
-        rounds += 1
-        kill(v)
-
-        # UN(v,G): one min-initial-ID representative per foreign class.
-        # E′ ⊆ E, so every G′-neighbor is also in g_nbrs — skipping
-        # ``w in gp`` keeps UN ∩ N(v,G′) = ∅ exactly like the snapshot.
-        cclear()
-        for w in g_nbrs:
-            if w in gp:
-                continue
-            r = parent[w]
-            if parent[r] != r:
-                while parent[r] != r:
-                    r = parent[r]
-                x = w
-                while parent[x] != r:
-                    parent[x], x = r, parent[x]
-            lo = lab_origin[r]
-            if lo != vlo:
-                best = cget(lo)
-                if best is None or rand[w] < rand[best] or (
-                    rand[w] == rand[best] and w < best
-                ):
-                    classes[lo] = w
-        k = len(classes) + len(gp)
-        if k < 2:
-            continue
-
-        # DASH layout: ascending (δ, initial ID). Every participant lost
-        # its edge to v above, so pre-round δ = len(adj[u]) + 1 − deg₀.
-        participants = list(cvalues())
-        participants.extend(gp)
-        if k == 2:
-            a, b = participants
-            if (len(adj[a]) + 1 - init_deg[a], rand[a], a) <= (
-                len(adj[b]) + 1 - init_deg[b], rand[b], b
-            ):
-                ordered = participants
-            else:
-                ordered = [b, a]
-        else:
-            ordered = sorted(
-                participants,
-                key=lambda u: (len(adj[u]) + 1 - init_deg[u], rand[u], u),
-            )
-
-        # Complete binary tree in heap order; peak δ can only move at an
-        # edge actually added to G, at its two endpoints, right now.
-        for i in range(1, k):
-            a = ordered[(i - 1) >> 1]
-            b = ordered[i]
-            la = adj[a]
-            if b not in la:
-                la.add(b)
-                adj[b].add(a)
-                d = len(la) - init_deg[a]
-                if d > peak_delta:
-                    peak_delta = d
-                d = len(adj[b]) - init_deg[b]
-                if d > peak_delta:
-                    peak_delta = d
-            padj[a].add(b)
-            padj[b].add(a)
-
-        # MINID propagation (Algorithm 1, step 5): union all touched
-        # components; the survivor root takes the minimum class label.
-        roots = []
-        if gp and old_root >= 0:
-            roots.append(old_root)
-        for u in cvalues():
-            r = parent[u]
-            while parent[r] != r:
-                r = parent[r]
-            if r not in roots:
-                roots.append(r)
-        if len(roots) > 1:
-            fo = lab_origin[roots[0]]
-            big = roots[0]
-            bl = size[big]
-            for r in roots[1:]:
-                o = lab_origin[r]
-                if rand[o] < rand[fo] or (rand[o] == rand[fo] and o < fo):
-                    fo = o
-                L = size[r]
-                if L > bl:
-                    big = r
-                    bl = L
-            tot = 0
-            for r in roots:
-                tot += size[r]
-                if r != big:
-                    parent[r] = big
-            size[big] = tot
-            lab_origin[big] = fo
-
-    # Repair what the fused loop bypassed, so the graphs and the
-    # adversary leave this function with accurate public state.
-    adversary._last = None
-    if use_tree:
-        adversary._alive = [
-            u for u, s in enumerate(adj) if s is not None
-        ]
-        survivors = adversary._alive
-    graph._n_alive = n_alive
-    graph._num_edges = sum(len(s) for s in adj if s is not None) // 2
-    graph._deg_index = None
-    healing_graph._n_alive = n_alive
-    healing_graph._num_edges = (
-        sum(len(s) for s in padj if s is not None) // 2
-    )
-    healing_graph._deg_index = None
-    network.peak_delta = peak_delta
-    # Survivors' δ moved without the mutation stream firing: re-push
-    # current values (stale lower/higher entries self-invalidate against
-    # the index's oracle).
-    delta_index = network._delta_index
-    for u in survivors:
-        delta_index.push(u, len(adj[u]) - init_deg[u])
-
-    _fused_campaigns += 1
-    return SimulationResult(
-        initial_n=network.initial_n,
-        deletions=rounds,
-        final_alive=n_alive,
-        peak_delta=peak_delta,
-        values={},
-        events=None,
-        network=None,
-    )
-
-
-def run_fused_churn(
-    network: "SelfHealingNetwork",
-    adversary: "ChurnAdversary | TraceChurnAdversary",
+    adversary: "RandomAttack | ChurnAdversary | TraceChurnAdversary",
     *,
     stop_alive: int,
     max_rounds: int | None,
     max_deletions: int | None,
 ) -> tuple["SimulationResult | None", tuple[int, int, object] | None]:
-    """Fuse the delete-only prefix of a churn campaign.
-
-    Churn rounds dictate victims, so each deletion runs the same fused
-    delete+heal body as :func:`run_fused` minus the RNG draw. The kernel
-    cannot execute insertions (its slot arrays and the result accounting
-    assume the construction-time population), so at the first round
-    containing an ``add`` op it *bails out*: repairs every invariant it
-    bypassed — graph node/edge counters, degree/δ indexes, ``peak_delta``,
-    ``deleted_nodes``, and the component tracker (rebuilt from the kernel
-    arrays via :meth:`ArrayComponentTracker.rebuild_from_fused
-    <repro.core.components_array.ArrayComponentTracker.rebuild_from_fused>`)
-    — and hands the already-chosen round back to the generic loop.
+    """Run the campaign as one fused loop, up to its first insertion.
 
     Returns ``(result, None)`` when the kernel ran the whole campaign, or
-    ``(None, (rounds, deletions, pending_round))`` on bailout; the caller
-    resumes :func:`~repro.sim.engine._drive_campaign` with those counters
-    and the pending round. The O(n) kernel arrays are built lazily on the
-    first delete-only round, so a campaign whose very first round inserts
-    (steady-state churn) bails with zero setup or repair cost.
+    ``(None, (rounds, deletions, pending_round))`` when a churn round
+    inserts; the caller resumes :func:`~repro.sim.engine._drive_campaign`
+    with those counters and executes the pending round first.
+
+    Caller contract: ``supports(...)`` returned True, ``adversary.reset``
+    has run, and nothing has been deleted yet.
     """
     from repro.sim.engine import SimulationResult, _normalize_churn_ops
 
@@ -432,7 +215,24 @@ def run_fused_churn(
     adj = graph._nbrs
     padj = healing_graph._nbrs
     n = len(adj)
-    name = adversary.name
+
+    # RandomAttack's state IS the kernel's: draws come from its RNG (one
+    # choice() per round, like choose_target) over its sorted survivor
+    # list, and each victim leaves that list at once (choose_target
+    # would pop it lazily on the next call). Above the threshold the
+    # list is swapped for the Fenwick view (same draws, same RNG stream,
+    # no O(n) pops); the repair rebuilds it from the slot store.
+    random_attack = type(adversary) is RandomAttack
+    if random_attack:
+        choice = adversary._rng.choice
+        if n >= _FENWICK_THRESHOLD:
+            pool = _FenwickAliveView(n)
+            kill = pool.remove
+        else:
+            pool = survivors = adversary._alive
+
+            def kill(v: int) -> None:
+                survivors.pop(bisect_left(survivors, v))
 
     armed = False
     rand: list[float] = []
@@ -448,39 +248,45 @@ def run_fused_churn(
     cclear = classes.clear
     cvalues = classes.values
 
-    n_alive = graph.num_nodes
+    n_alive = n
     rounds = 0
-    deletions = 0
     pending = None
     while n_alive > stop_alive:
         if max_rounds is not None and rounds >= max_rounds:
             break
-        if max_deletions is not None and deletions >= max_deletions:
+        if max_deletions is not None and len(victims) >= max_deletions:
             break
-        chosen = adversary.choose_round(network)
-        if not chosen:
-            break
-        ops = _normalize_churn_ops(adversary, chosen)
-        if any(op[0] == "add" for op in ops):
-            pending = chosen
-            break
+        if random_attack:
+            v = choice(pool)
+            kill(v)
+            doomed = (v,)
+        else:
+            chosen = adversary.choose_round(network)
+            if not chosen:
+                break
+            ops = _normalize_churn_ops(adversary, chosen)
+            if any(op[0] == "add" for op in ops):
+                pending = chosen
+                break
+            doomed = [op[1] for op in ops]
         if not armed:
             initial_ids = network.initial_ids
+            # label↔origin bijection: initial_ids[u] == (rand[u], u)
             rand = [initial_ids[u][0] for u in range(n)]
             init_deg = [len(s) for s in adj]
+            # Union-find over slots; dead slots may serve as
+            # representatives (their label lives on until a merge
+            # relabels the component).
             parent = list(range(n))
             size = [1] * n
             lab_origin = list(range(n))
             armed = True
-        for op in ops:
-            v = op[1]
-            if (
-                not isinstance(v, int)
-                or not 0 <= v < n
-                or adj[v] is None
-            ):
+        for v in doomed:
+            # Liveness is checked just in time: a churn round may name a
+            # victim an earlier op of the same round already deleted.
+            if not isinstance(v, int) or not 0 <= v < n or adj[v] is None:
                 raise SimulationError(
-                    f"adversary {name} chose dead node {v!r}"
+                    f"adversary {adversary.name} chose dead node {v!r}"
                 )
 
             # find(v) with path compression; decrement its component.
@@ -508,7 +314,9 @@ def run_fused_churn(
             victims.append(v)
 
             # UN(v,G): one min-initial-ID representative per foreign
-            # class (see run_fused for the invariant arguments).
+            # class. E′ ⊆ E, so every G′-neighbor is also in g_nbrs —
+            # skipping ``w in gp`` keeps UN ∩ N(v,G′) = ∅ exactly like
+            # the snapshot.
             cclear()
             for w in g_nbrs:
                 if w in gp:
@@ -531,7 +339,9 @@ def run_fused_churn(
             if k < 2:
                 continue
 
-            # DASH layout: ascending (δ, initial ID).
+            # DASH layout: ascending (δ, initial ID). Every participant
+            # lost its edge to v above, so pre-round δ = len(adj[u]) + 1
+            # − deg₀.
             participants = list(cvalues())
             participants.extend(gp)
             if k == 2:
@@ -545,12 +355,11 @@ def run_fused_churn(
             else:
                 ordered = sorted(
                     participants,
-                    key=lambda u: (
-                        len(adj[u]) + 1 - init_deg[u], rand[u], u
-                    ),
+                    key=lambda u: (len(adj[u]) + 1 - init_deg[u], rand[u], u),
                 )
 
-            # Complete binary tree in heap order.
+            # Complete binary tree in heap order; peak δ can only move at
+            # an edge actually added to G, at its two endpoints, right now.
             for i in range(1, k):
                 a = ordered[(i - 1) >> 1]
                 b = ordered[i]
@@ -567,7 +376,8 @@ def run_fused_churn(
                 padj[a].add(b)
                 padj[b].add(a)
 
-            # MINID propagation over the touched components.
+            # MINID propagation (Algorithm 1, step 5): union all touched
+            # components; the survivor root takes the minimum class label.
             roots = []
             if gp and old_root >= 0:
                 roots.append(old_root)
@@ -583,9 +393,7 @@ def run_fused_churn(
                 bl = size[big]
                 for r in roots[1:]:
                     o = lab_origin[r]
-                    if rand[o] < rand[fo] or (
-                        rand[o] == rand[fo] and o < fo
-                    ):
+                    if rand[o] < rand[fo] or (rand[o] == rand[fo] and o < fo):
                         fo = o
                     L = size[r]
                     if L > bl:
@@ -599,52 +407,44 @@ def run_fused_churn(
                 size[big] = tot
                 lab_origin[big] = fo
         rounds += 1
-        deletions += len(ops)
 
-    if not armed:
-        # No fused round ran: nothing was mutated, nothing to repair.
+    if armed:
+        # Repair what the fused loop bypassed, so the graphs, the network
+        # and the adversary leave this function with accurate state.
+        alive = [u for u, s in enumerate(adj) if s is not None]
+        graph._n_alive = n_alive
+        graph._num_edges = sum(len(adj[u]) for u in alive) // 2
+        graph._deg_index = None
+        healing_graph._n_alive = n_alive
+        healing_graph._num_edges = sum(len(padj[u]) for u in alive) // 2
+        healing_graph._deg_index = None
+        network.peak_delta = peak_delta
+        network.deleted_nodes.extend(victims)
+        # Survivors' δ moved without the mutation stream firing: re-push
+        # current values (stale lower/higher entries self-invalidate
+        # against the index's oracle).
+        delta_index = network._delta_index
+        for u in alive:
+            delta_index.push(u, len(adj[u]) - init_deg[u])
+        if random_attack:
+            adversary._last = None
+            adversary._alive = alive
         if pending is not None:
-            return None, (rounds, deletions, pending)
-        return SimulationResult(
-            initial_n=network.initial_n,
-            deletions=0,
-            final_alive=n_alive,
-            peak_delta=peak_delta,
-            values={"insertions": 0.0},
-            events=None,
-            network=None,
-        ), None
+            # The generic loop takes over mid-campaign, so the component
+            # tracker must now expose the kernel's state.
+            network.tracker.rebuild_from_fused(parent, lab_origin, alive)
 
-    # Repair what the fused prefix bypassed (both exits): counters, the
-    # degree/δ machinery, and the deletion log.
-    alive = [u for u, s in enumerate(adj) if s is not None]
-    graph._n_alive = n_alive
-    graph._num_edges = sum(len(adj[u]) for u in alive) // 2
-    graph._deg_index = None
-    healing_graph._n_alive = n_alive
-    healing_graph._num_edges = (
-        sum(len(s) for s in padj if s is not None) // 2
+    if armed or pending is None:
+        _fused_campaigns += 1
+    if pending is not None:
+        return None, (rounds, len(victims), pending)
+    result = SimulationResult(
+        initial_n=network.initial_n,
+        deletions=len(victims),
+        final_alive=n_alive,
+        peak_delta=peak_delta,
+        values={} if random_attack else {"insertions": 0.0},
+        events=None,
+        network=None,
     )
-    healing_graph._deg_index = None
-    network.peak_delta = peak_delta
-    network.deleted_nodes.extend(victims)
-    delta_index = network._delta_index
-    for u in alive:
-        delta_index.push(u, len(adj[u]) - init_deg[u])
-
-    _fused_campaigns += 1
-    if pending is None:
-        return SimulationResult(
-            initial_n=network.initial_n,
-            deletions=deletions,
-            final_alive=n_alive,
-            peak_delta=peak_delta,
-            values={"insertions": 0.0},
-            events=None,
-            network=None,
-        ), None
-
-    # Insertion round incoming: the generic loop takes over mid-campaign,
-    # so the component tracker must now expose the kernel's state.
-    network.tracker.rebuild_from_fused(parent, lab_origin, alive)
-    return None, (rounds, deletions, pending)
+    return result, None

@@ -204,6 +204,11 @@ def test_missing_trace_fails_at_construction(tmp_path):
         '[["add", 1]]',              # missing targets
         '[["add", 1, 2]]',           # targets not a list
         '[["rename", 1, [2]]]',      # unknown kind
+        '[["delete", 1.0]]',         # float victim (aliases node 1)
+        '[["add", 500, [1.0]]]',     # float attach target
+        '[["add", [7], [0]]]',       # unhashable node
+        '[["delete", true]]',        # bool victim
+        '[["delete", null]]',        # null victim
     ],
 )
 def test_malformed_trace_lines_fail_fast_with_location(tmp_path, line):

@@ -1,14 +1,13 @@
-"""The pre-engine simulation loops, preserved verbatim for differential
-tests (the PR-4 analogue of ``tests/core/_seed_tracker.py`` and
-``tests/adversary/_scan_adversaries.py``).
+"""The pre-engine simulation loops, preserved verbatim as the reference
+implementation for differential tests (the analogue of
+``tests/core/_seed_tracker.py`` and ``tests/adversary/_scan_adversaries.py``).
 
-These are the bodies of ``run_simulation`` and ``run_wave_simulation``
-exactly as they stood before both became shims over
-:func:`repro.sim.engine.run_campaign`.
-``tests/sim/test_campaign_engine.py``
-replays identical campaigns through the engine and through these loops
-and asserts byte-identical :class:`HealEvent` streams and
-:class:`SimulationResult` fields.
+These are the single-victim and wave campaign loops exactly as they
+stood before :func:`repro.sim.engine.run_campaign` replaced both.
+``tests/sim/test_campaign_engine.py`` replays identical campaigns
+through the engine (``batch_rounds=False`` / ``batch_rounds=True``) and
+through these loops and asserts byte-identical :class:`HealEvent`
+streams and :class:`SimulationResult` fields.
 
 The one intentional divergence is the wave loop's accounting bug the
 engine fixes: this seed loop hands the *raw* wave (duplicates included)
@@ -29,7 +28,7 @@ from repro.core.network import SelfHealingNetwork
 from repro.errors import ConfigurationError, SimulationError
 from repro.graph.graph import Graph
 from repro.sim.metrics import Metric
-from repro.sim.simulator import SimulationResult
+from repro.sim.engine import SimulationResult
 
 __all__ = ["seed_run_simulation", "seed_run_wave_simulation"]
 
@@ -47,7 +46,7 @@ def seed_run_simulation(
     keep_events: bool = False,
     keep_network: bool = False,
 ) -> SimulationResult:
-    """``run_simulation`` as of PR 3 (pre-engine), verbatim."""
+    """The single-victim campaign loop before the engine, verbatim."""
     if stop_alive < 0:
         raise ConfigurationError(f"stop_alive must be >= 0, got {stop_alive}")
     if max_deletions is not None and max_deletions < 0:
@@ -111,7 +110,7 @@ def seed_run_wave_simulation(
     keep_network: bool = False,
     batch_fast_path: bool = True,
 ) -> SimulationResult:
-    """``run_wave_simulation`` as of PR 3 (pre-engine), verbatim."""
+    """The wave campaign loop before the engine, verbatim."""
     if stop_alive < 0:
         raise ConfigurationError(f"stop_alive must be >= 0, got {stop_alive}")
     if max_waves is not None and max_waves < 0:

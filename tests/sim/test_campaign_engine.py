@@ -1,13 +1,13 @@
 """Differential tests for the unified campaign engine.
 
-The byte-identity contract: :func:`repro.sim.simulator.run_simulation`
-and :func:`repro.sim.simulator.run_wave_simulation` are now thin shims
-over :func:`repro.sim.engine.run_campaign`, and every field of their
-:class:`SimulationResult`\\ s — including the full :class:`HealEvent`
-stream — must match the pre-engine loops preserved verbatim in
-``tests/sim/_seed_simulator.py``, across topologies × healers ×
-adversary shapes. Plus direct engine-behavior tests: round routing,
-duplicate-wave accounting, the round/node budgets.
+The byte-identity contract: every field of the
+:class:`SimulationResult` that :func:`repro.sim.engine.run_campaign`
+returns — including the full :class:`HealEvent` stream — must match the
+pre-engine loops preserved verbatim in ``tests/sim/_seed_simulator.py``,
+across topologies × healers × adversary shapes, for single-victim rounds
+(``batch_rounds=False``) and wave rounds (``batch_rounds=True``). Plus
+direct engine-behavior tests: round routing, duplicate-wave accounting,
+the round/node budgets.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from repro.graph.generators import (
 )
 from repro.sim.engine import run_campaign
 from repro.sim.metrics import ConnectivityMetric, default_metrics
-from repro.sim.simulator import run_simulation, run_wave_simulation
 
 from tests.sim._seed_simulator import (
     seed_run_simulation,
@@ -54,7 +53,7 @@ def assert_results_identical(a, b):
 
 @pytest.mark.parametrize("topo", sorted(TOPOLOGIES))
 @pytest.mark.parametrize("healer_name", HEALERS_UNDER_TEST)
-class TestShimsMatchSeedLoops:
+class TestEngineMatchesSeedLoops:
     def test_single_victim_full_kill(self, topo, healer_name):
         def kwargs():
             # fresh metric instances per run — metrics are stateful
@@ -64,10 +63,11 @@ class TestShimsMatchSeedLoops:
                 keep_events=True,
             )
 
-        new = run_simulation(
+        new = run_campaign(
             TOPOLOGIES[topo](),
             make_healer(healer_name),
             make_adversary("neighbor-of-max", seed=7),
+            batch_rounds=False,
             **kwargs(),
         )
         old = seed_run_simulation(
@@ -87,10 +87,11 @@ class TestShimsMatchSeedLoops:
                 keep_events=True,
             )
 
-        new = run_wave_simulation(
+        new = run_campaign(
             TOPOLOGIES[topo](),
             make_healer(healer_name),
             RandomWaveAttack(("constant", 5), seed=7),
+            batch_rounds=True,
             **kwargs(),
         )
         old = seed_run_wave_simulation(
@@ -103,14 +104,18 @@ class TestShimsMatchSeedLoops:
         assert new.final_alive == 0
 
     def test_wave_stop_conditions(self, topo, healer_name):
-        for stop_kwargs in ({"stop_alive": 9}, {"max_waves": 3}):
-            new = run_wave_simulation(
+        for engine_stop, seed_stop in (
+            ({"stop_alive": 9}, {"stop_alive": 9}),
+            ({"max_rounds": 3}, {"max_waves": 3}),
+        ):
+            new = run_campaign(
                 TOPOLOGIES[topo](),
                 make_healer(healer_name),
                 RandomWaveAttack(("geometric", 2, 2.0), seed=3),
                 id_seed=1,
                 keep_events=True,
-                **stop_kwargs,
+                batch_rounds=True,
+                **engine_stop,
             )
             old = seed_run_wave_simulation(
                 TOPOLOGIES[topo](),
@@ -118,69 +123,9 @@ class TestShimsMatchSeedLoops:
                 RandomWaveAttack(("geometric", 2, 2.0), seed=3),
                 id_seed=1,
                 keep_events=True,
-                **stop_kwargs,
+                **seed_stop,
             )
             assert_results_identical(new, old)
-
-
-class TestShimsDelegateToEngine:
-    def test_run_simulation_equals_run_campaign(self):
-        shim = run_simulation(
-            preferential_attachment(30, 2, seed=1),
-            make_healer("dash"),
-            make_adversary("random", seed=2),
-            id_seed=3,
-            keep_events=True,
-        )
-        direct = run_campaign(
-            preferential_attachment(30, 2, seed=1),
-            make_healer("dash"),
-            make_adversary("random", seed=2),
-            id_seed=3,
-            keep_events=True,
-        )
-        assert_results_identical(shim, direct)
-
-    def test_run_wave_simulation_equals_run_campaign(self):
-        shim = run_wave_simulation(
-            preferential_attachment(30, 2, seed=1),
-            make_healer("dash"),
-            RandomWaveAttack(("constant", 4), seed=2),
-            id_seed=3,
-            max_waves=4,
-            keep_events=True,
-        )
-        direct = run_campaign(
-            preferential_attachment(30, 2, seed=1),
-            make_healer("dash"),
-            RandomWaveAttack(("constant", 4), seed=2),
-            id_seed=3,
-            max_rounds=4,
-            keep_events=True,
-        )
-        assert_results_identical(shim, direct)
-
-    def test_traversal_path_still_forceable(self):
-        fast = run_campaign(
-            preferential_attachment(40, 2, seed=1),
-            make_healer("dash"),
-            RandomWaveAttack(("constant", 6), seed=2),
-            id_seed=3,
-            keep_events=True,
-            keep_network=True,
-        )
-        slow = run_campaign(
-            preferential_attachment(40, 2, seed=1),
-            make_healer("dash"),
-            RandomWaveAttack(("constant", 6), seed=2),
-            id_seed=3,
-            keep_events=True,
-            keep_network=True,
-            batch_fast_path=False,
-        )
-        assert fast.events == slow.events
-        assert fast.network.tracker.fast_batch_rounds > 0
-        assert slow.network.tracker.fast_batch_rounds == 0
 
 
 class _DuplicateWave(WaveAdversary):
@@ -261,3 +206,25 @@ class TestEngineRoundSemantics:
                 make_healer("dash"),
                 Ghost(("constant", 1)),
             )
+
+    def test_traversal_path_still_forceable(self):
+        fast = run_campaign(
+            preferential_attachment(40, 2, seed=1),
+            make_healer("dash"),
+            RandomWaveAttack(("constant", 6), seed=2),
+            id_seed=3,
+            keep_events=True,
+            keep_network=True,
+        )
+        slow = run_campaign(
+            preferential_attachment(40, 2, seed=1),
+            make_healer("dash"),
+            RandomWaveAttack(("constant", 6), seed=2),
+            id_seed=3,
+            keep_events=True,
+            keep_network=True,
+            batch_fast_path=False,
+        )
+        assert fast.events == slow.events
+        assert fast.network.tracker.fast_batch_rounds > 0
+        assert slow.network.tracker.fast_batch_rounds == 0

@@ -208,13 +208,23 @@ def _run_three_ways(make_adversary, **kw):
     return fused, generic, obj
 
 
-def test_fused_churn_pure_death_completes_in_kernel():
+@pytest.mark.parametrize("kw", CASES, ids=[str(c) for c in CASES])
+def test_fused_churn_pure_death_completes_in_kernel(kw):
     """A churn schedule that never inserts (rate=0) runs start to finish
     inside the kernel — one fused campaign, scalars identical to the
-    generic array path and the object backend."""
+    generic array path and the object backend, under every cap.
+
+    Expiry rounds delete several nodes at once, so ``max_deletions``
+    overshoots by up to one round, exactly as in the generic loop. The
+    counter follows the random-attack rule: a campaign the kernel
+    returns counts, even one it never armed (``max_rounds=0``)."""
     before = fastpath._fused_campaigns
-    _run_three_ways(lambda: ADVERSARIES.make("churn:rate=0.0", seed=6))
+    fused, _, _ = _run_three_ways(
+        lambda: ADVERSARIES.make("churn:rate=0.0", seed=6), **kw
+    )
     assert fastpath._fused_campaigns == before + 1
+    if "max_deletions" in kw:
+        assert fused.deletions > kw["max_deletions"]
 
 
 def test_fused_churn_delete_prefix_then_bailout(tmp_path):
