@@ -359,19 +359,25 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
         ckpt_dir = Path(args.checkpoint_dir)
         recovery["checkpoint_dir"] = ckpt_dir
-        recovery["checkpoint_every"] = args.checkpoint_every or 16
+        recovery["checkpoint_every"] = (
+            16 if args.checkpoint_every is None else args.checkpoint_every
+        )
         recovery["ledger"] = ckpt_dir / "campaign.jsonl"
 
-    result = run_campaign(
-        graph,
-        healer,
-        adversary,
-        id_seed=derive_seed(args.seed, "ids"),
-        metrics=default_metrics() + [ConnectivityMetric()],
-        max_rounds=args.max_waves,
-        max_deletions=args.max_deletions,
-        **recovery,
-    )
+    try:
+        result = run_campaign(
+            graph,
+            healer,
+            adversary,
+            id_seed=derive_seed(args.seed, "ids"),
+            metrics=default_metrics() + [ConnectivityMetric()],
+            max_rounds=args.max_waves,
+            max_deletions=args.max_deletions,
+            **recovery,
+        )
+    except ConfigurationError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     _print_result(result)
     return 0
 

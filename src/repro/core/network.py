@@ -24,6 +24,7 @@ per round, and the δ-seeking adversary needs no node scan.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Iterable
 
 from repro.core.base import (
@@ -34,7 +35,6 @@ from repro.core.base import (
     ReconnectionPlan,
 )
 from repro.core.components import ComponentTracker, NodeId, make_node_ids
-from repro.core.components_array import ArrayComponentTracker
 from repro.errors import HealingError, NodeNotFoundError, SimulationError
 from repro.graph.degree_index import DegreeIndex
 from repro.graph.forest import is_forest
@@ -149,16 +149,28 @@ class SelfHealingNetwork:
         )
         # G′ never pays degree-index bookkeeping: nothing queries its
         # degree extremes, so its lazy index is simply never built. It
-        # shares G's backend (same class), and an array-backend graph
-        # gets the array tracker — both are byte-identical drop-ins, so
-        # nothing else in this class cares which backend runs.
+        # shares G's backend (same class); the component tracker is the
+        # same on both backends and is built on first use (see tracker).
         self.healing_graph = type(graph)(graph.nodes())
-        tracker_cls = (
-            ArrayComponentTracker
-            if getattr(graph, "backend", "object") == "array"
-            else ComponentTracker
-        )
-        self.tracker = tracker_cls(
+        self.deleted_nodes: list[Node] = []
+        #: nodes that joined after Init (churn insertions), in join order
+        self.inserted_nodes: list[Node] = []
+        self.events: list[HealEvent] = []
+        self.peak_delta: int = 0
+        self.healer.reset()
+
+    @cached_property
+    def tracker(self) -> ComponentTracker:
+        """The MINID component tracker over G′, built on first use.
+
+        Construction reads only ``initial_ids``, which changes only at an
+        insertion, and every round reads the tracker before it inserts,
+        so a late build starts from the same Init-step state an eager one
+        would. The fused kernel (:mod:`repro.sim.fastpath`) keeps its own
+        union-find and reads the tracker only at a churn handoff, so a
+        campaign the kernel completes builds none.
+        """
+        tracker = ComponentTracker(
             graph=self.graph,
             healing_graph=self.healing_graph,
             initial_ids=self.initial_ids,
@@ -168,14 +180,9 @@ class SelfHealingNetwork:
         # configuration. The seed-tracker differential tests swap in a
         # tracker class without lazy labels; duck-type instead of
         # assuming (as with fast_batch_round below).
-        if hasattr(self.tracker, "resolve_labels"):
-            self.tracker.lazy = batch_fast_path
-        self.deleted_nodes: list[Node] = []
-        #: nodes that joined after Init (churn insertions), in join order
-        self.inserted_nodes: list[Node] = []
-        self.events: list[HealEvent] = []
-        self.peak_delta: int = 0
-        self.healer.reset()
+        if hasattr(tracker, "resolve_labels"):
+            tracker.lazy = self.batch_fast_path
+        return tracker
 
     # ------------------------------------------------------------------
     # Per-node state

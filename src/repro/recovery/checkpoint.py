@@ -38,8 +38,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Sequence
 
-from repro.core.components import ComponentTracker, NodeId, make_node_ids
-from repro.core.components_array import ArrayComponentTracker
+from repro.core.components import NodeId, make_node_ids
 from repro.core.network import HealEvent, SelfHealingNetwork
 from repro.errors import CheckpointError, ConfigurationError
 from repro.graph.array_backend import new_graph
@@ -246,11 +245,6 @@ def _decode_graph(
     for a, b in _iter_edge_pairs(payload["edges"]):
         graph.add_edge(a, b)
     return graph
-
-
-def _tracker_cls(backend: str) -> type[ComponentTracker]:
-    """Mirror ``SelfHealingNetwork.__init__``'s backend sniffing."""
-    return ArrayComponentTracker if backend == "array" else ComponentTracker
 
 
 def _graph_nodes(payload: dict) -> list[Node]:
@@ -1028,14 +1022,7 @@ def _restore_network(
     # the sorted table — harmless, nothing orders by it.
     network.inserted_nodes = [u for u, _ in dynamic["extra_initial_ids"]]
     network.healing_graph = healing_graph
-    network.tracker = _tracker_cls(backend)(
-        graph=graph,
-        healing_graph=healing_graph,
-        initial_ids=initial_ids,
-    )
     network.tracker.import_state(dynamic["tracker"])
-    if hasattr(network.tracker, "resolve_labels"):
-        network.tracker.lazy = network.batch_fast_path
     network.deleted_nodes = list(dynamic["deleted_nodes"])
     network.events = (
         [_decode_event(e) for e in dynamic["events"]]
@@ -1044,49 +1031,28 @@ def _restore_network(
     )
     network.peak_delta = dynamic["peak_delta"]
     # NOTE: healer.reset() is deliberately NOT called — the healer's
-    # mid-campaign state arrives via import_state below.
+    # mid-campaign state arrives via import_state in load_checkpoint.
     return network
 
 
 def _initial_network(static: dict, healer: object) -> SelfHealingNetwork:
     """The round-0 network, rebuilt from the static payload alone: the
-    initial adjacency plus IDs/degrees, a fresh tracker, an empty
-    healing graph. Mirrors :class:`SelfHealingNetwork.__init__` exactly
-    except that the healer's post-``reset`` state arrives via
-    ``import_state``."""
-    initial_ids, initial_degree = _static_tables(static)
-    backend = static.get("backend", "object")
+    initial adjacency goes through :class:`SelfHealingNetwork` itself,
+    which re-derives IDs and degrees from the recorded node order and
+    ``id_seed``. Its ``__init__`` resets the healer, so the caller
+    imports the healer's recorded state afterwards."""
     nodes = _static_node_seq(static)
-    graph = new_graph(nodes, backend=backend)
+    graph = new_graph(nodes, backend=static.get("backend", "object"))
     for a, b in _iter_edge_pairs(static["edges"]):
         graph.add_edge(a, b)
-
-    network = SelfHealingNetwork.__new__(SelfHealingNetwork)
-    network.graph = graph
-    network.healer = healer
-    network.check_invariants = static["params"]["check_invariants"]
-    network.batch_fast_path = static["params"]["batch_fast_path"]
-    network.initial_n = static["initial_n"]
-    network.id_seed = static["params"]["id_seed"]
-    network.initial_degree = initial_degree
-    network._delta_index = DegreeIndex(network._delta_of)
-    for u in initial_degree:
-        network._delta_index.push(u, 0)
-    graph.degree_listener = network._on_degree_change
-    network.initial_ids = initial_ids
-    network.inserted_nodes = []
-    network.healing_graph = new_graph(nodes, backend=backend)
-    network.tracker = _tracker_cls(backend)(
-        graph=graph,
-        healing_graph=network.healing_graph,
-        initial_ids=initial_ids,
+    params = static["params"]
+    return SelfHealingNetwork(
+        graph,
+        healer,
+        seed=params["id_seed"],
+        check_invariants=params["check_invariants"],
+        batch_fast_path=params["batch_fast_path"],
     )
-    if hasattr(network.tracker, "resolve_labels"):
-        network.tracker.lazy = network.batch_fast_path
-    network.deleted_nodes = []
-    network.events = []
-    network.peak_delta = 0
-    return network
 
 
 def _read_checkpoint_file(
@@ -1225,7 +1191,6 @@ def load_checkpoint(
     # (replay bypasses the adversary, so its RNG does not advance).
     if healer is None:
         healer = _rebuild_from_provenance(static["healer"], "healer")
-    healer.import_state(base["healer"])
 
     if adversary is None:
         adversary = _rebuild_from_provenance(static["adversary"], "adversary")
@@ -1257,6 +1222,8 @@ def load_checkpoint(
         network = _initial_network(static, healer)
     else:
         network = _restore_network(static, base, healer)
+    # Only now: building the round-0 network resets the healer.
+    healer.import_state(base["healer"])
     _replay_deltas(network, static, chain[1:])
     return RestoredCampaign(
         network=network,

@@ -46,11 +46,14 @@ campaign whose first round inserts (steady-state churn) hands off with
 no setup or repair cost. Otherwise, on either exit the kernel *repairs*
 what it bypassed: the graphs' cached node/edge counts, the degree/δ
 indexes (invalidated / re-pushed), ``network.peak_delta`` and
-``network.deleted_nodes``, and the random adversary's survivor list. A
-handoff also rebuilds the component tracker from the kernel's arrays;
-a campaign the kernel completes leaves the tracker and
-``network.events`` stale, which is why eligibility requires
-``keep_network=False``.
+``network.deleted_nodes``, and the random adversary's survivor list.
+The kernel touches ``network.tracker`` (which the network builds on
+first use) only at a handoff, where
+:meth:`~repro.core.components.ComponentTracker.rebuild_from_fused`
+adopts the kernel's union-find, so a campaign the kernel completes
+builds no component tracker at all. It also leaves ``network.events``
+empty, and a later tracker read would start from Init-step labels,
+which is why eligibility requires ``keep_network=False``.
 """
 
 from __future__ import annotations

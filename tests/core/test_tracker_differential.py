@@ -142,6 +142,7 @@ def test_batch_waves_match_seed_accounting(healer_name, seed):
             net = SelfHealingNetwork(
                 g, HEALERS[healer_name](), seed=seed, check_invariants=check
             )
+            net.tracker  # built on first use: bind tracker_cls here
         rng = random.Random(seed)
         while net.num_alive > 6:
             alive = sorted(net.graph.nodes())
@@ -168,6 +169,7 @@ def test_mixed_single_and_batch_rounds(seed):
         g = preferential_attachment(40, 2, seed=seed)
         with _swapped_tracker(tracker_cls):
             net = SelfHealingNetwork(g, HEALERS["dash"](), seed=seed)
+            net.tracker  # built on first use: bind tracker_cls here
         rng = random.Random(seed)
         while net.num_alive > 5:
             alive = sorted(net.graph.nodes())

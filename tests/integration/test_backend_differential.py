@@ -9,9 +9,9 @@ labels, and the final graphs.
 
 ``keep_events=True`` keeps the array side on the generic engine (the
 fused kernel refuses observed campaigns), so this suite exercises
-ArrayGraph + ArrayComponentTracker under the unmodified network code;
-the fused kernel has its own differential suite in
-``tests/sim/test_fused_kernel.py``.
+ArrayGraph under the unmodified network code and the one component
+tracker both backends share; the fused kernel has its own differential
+suite in ``tests/sim/test_fused_kernel.py``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import pytest
 
 from repro.adversary import ADVERSARIES
-from repro.core.components_array import ArrayComponentTracker
 from repro.core.registry import HEALERS
 from repro.graph.generators import (
     erdos_renyi,
@@ -63,7 +62,7 @@ def assert_identical(obj_result, arr_result):
     assert arr_net.graph == obj_net.graph
     assert arr_net.healing_graph == obj_net.healing_graph
     obj_tr, arr_tr = obj_net.tracker, arr_net.tracker
-    assert type(arr_tr) is ArrayComponentTracker
+    assert type(arr_tr) is type(obj_tr)
     assert arr_tr.id_changes == obj_tr.id_changes
     assert arr_tr.messages_sent == obj_tr.messages_sent
     assert arr_tr.messages_received == obj_tr.messages_received
@@ -131,8 +130,8 @@ def test_churn_backend_differential(healer, schedule):
 
 def test_scripted_churn_with_far_labels_matches():
     """Scripted joins far past the initial label range force genuine
-    amortized-doubling gap growth in the array graph and every tracker
-    slot map; the op stream must still replay byte-identically."""
+    amortized-doubling gap growth in the array graph's slot store; the
+    op stream must still replay byte-identically."""
     from repro.churn.trace import ScriptedChurn
 
     script = [

@@ -14,6 +14,8 @@ import json
 import pytest
 
 from repro.adversary import ADVERSARIES
+from repro.adversary.classic import RandomAttack
+from repro.core.network import SelfHealingNetwork
 from repro.core.registry import HEALERS
 from repro.errors import SimulationError
 from repro.graph.generators import preferential_attachment, random_tree
@@ -133,6 +135,27 @@ def test_fused_engages_only_when_unobserved():
     assert fastpath._fused_campaigns == before + 1
 
 
+def test_fused_campaign_builds_no_tracker():
+    """The kernel keeps its own union-find and the network builds its
+    component tracker on first use, so a fused campaign builds none."""
+    network = SelfHealingNetwork(make("array"), HEALERS.make("dash"), seed=7)
+    adversary = RandomAttack(seed=2)
+    adversary.reset(network)
+    assert fastpath.supports(
+        network,
+        adversary,
+        metrics=(),
+        batch_rounds=False,
+        keep_events=False,
+        keep_network=False,
+    )
+    result, handoff = fastpath.run_fused(
+        network, adversary, stop_alive=0, max_rounds=None, max_deletions=None
+    )
+    assert handoff is None and result.final_alive == 0
+    assert "tracker" not in vars(network)
+
+
 def test_fused_on_tree_topology():
     results = []
     for backend in ("array", "object"):
@@ -246,6 +269,38 @@ def test_fused_churn_delete_prefix_then_bailout(tmp_path):
     assert fused.deletions == 44
     assert fused.insertions == 2
     assert generic.insertions == 2
+
+
+def test_fused_churn_handoff_tracker_matches_generic(tmp_path):
+    """The tracker a handoff leaves behind must expose the labels and
+    components the generic engine reaches over the same delete-only
+    prefix, and agree with G′ connectivity."""
+    rounds = [[["delete", u]] for u in range(0, 80, 2)]
+    rounds.append([["delete", 81], ["delete", 83]])
+    prefix = len(rounds)
+    rounds.append([["add", 500, [101, 103]], ["delete", 101]])
+    path = _schedule(tmp_path, rounds)
+
+    network = SelfHealingNetwork(make("array"), HEALERS.make("dash"), seed=7)
+    adversary = ADVERSARIES.make(f"trace-churn:path={path}")
+    adversary.reset(network)
+    result, handoff = fastpath.run_fused(
+        network, adversary, stop_alive=0, max_rounds=None, max_deletions=None
+    )
+    assert result is None and handoff[:2] == (prefix, prefix + 1)
+
+    generic = run(
+        make("array"),
+        ADVERSARIES.make(f"trace-churn:path={path}"),
+        max_rounds=prefix,
+        keep_events=True,
+        keep_network=True,
+    )
+    assert generic.deletions == prefix + 1
+    reference = generic.network.tracker
+    assert network.tracker.labels() == reference.labels()
+    assert network.tracker.components() == reference.components()
+    network.tracker.check_consistency()
 
 
 def test_fused_churn_first_round_insertion_bails_unarmed(tmp_path):

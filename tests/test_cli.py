@@ -96,6 +96,36 @@ class TestCommands:
         assert rc == 2
         assert "--max-deletions" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ["--adversary", "random", "--max-deletions", "-1"],
+                "max_deletions must be >= 0, got -1",
+            ),
+            (
+                ["--adversary", "random-wave", "--max-waves", "-1"],
+                "max_rounds must be >= 0, got -1",
+            ),
+            (
+                ["--checkpoint-every", "-3"],
+                "checkpoint_every must be >= 1, got -3",
+            ),
+            (
+                ["--checkpoint-every", "0"],
+                "checkpoint_every must be >= 1, got 0",
+            ),
+        ],
+    )
+    def test_simulate_bad_cap_or_cadence_exits_2(
+        self, capsys, tmp_path, argv, message
+    ):
+        if "--checkpoint-every" in argv:
+            argv = argv + ["--checkpoint-dir", str(tmp_path / "state")]
+        rc = main(["simulate", "--n", "20", *argv])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
     def test_simulate_adversary_spec_string(self, capsys):
         rc = main(
             [
