@@ -261,9 +261,10 @@ def test_campaign_churn_pa100000(bench_recorder):
 def test_campaign_churn_array_pa1000000(bench_recorder):
     """Acceptance workload: n=1,000,000 steady-state churn on the array
     backend under DASH, inside a 300 s budget — the scale the fail-fast
-    guard used to wall off from churn entirely. Steady-state rounds mix
-    arrivals in from the start, so this runs the honest generic engine
-    end to end on grown slot maps (~330k mixed ops over n/24 rounds)."""
+    guard used to wall off from churn entirely. ``_run_churn_campaign``
+    keeps the network (``keep_network=True``) to read its tracker, so
+    this runs the honest generic engine end to end on grown slot maps
+    (~330k mixed ops over n/24 rounds), not the fused kernel."""
     n = 1_000_000
     seconds, ops, res = _run_churn_campaign(
         n, healer="dash", backend="array", rounds=n // 24

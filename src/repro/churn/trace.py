@@ -48,11 +48,16 @@ __all__ = [
 
 
 def _decode_op(op) -> tuple:
-    """JSON-style op (list or tuple) → the engine's tuple form."""
+    """JSON-style op (list or tuple) → the engine's tuple form; an add's
+    targets must be a list or tuple too."""
     if isinstance(op, (list, tuple)):
         if len(op) == 2 and op[0] == "delete":
             return ("delete", op[1])
-        if len(op) == 3 and op[0] == "add":
+        if (
+            len(op) == 3
+            and op[0] == "add"
+            and isinstance(op[2], (list, tuple))
+        ):
             return ("add", op[1], tuple(op[2]))
     raise SimulationError(f"malformed churn op {op!r}")
 

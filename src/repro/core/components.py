@@ -541,41 +541,6 @@ class ComponentTracker:
             if u not in self._parent:
                 self._parent[u] = u
 
-    def rebuild_from_fused(
-        self, parent: list[int], lab_origin: list[int], alive: list[int]
-    ) -> None:
-        """Adopt a fused kernel's union-find state (churn handoff).
-
-        :mod:`repro.sim.fastpath` ran a delete-only prefix on slot lists
-        over nodes ``0..n-1``: ``parent`` is its union-find forest and
-        ``lab_origin[r]`` names the node whose initial ID labels root
-        ``r``. Afterwards the tracker exposes the same partition of the
-        ``alive`` nodes under the same labels, and every slot stays in
-        the forest (tombstones included), so re-adding a dead label is
-        refused as usual. Tree shape and the accounting counters are
-        not reproduced: fusion requires ``keep_network=False`` and no
-        metrics or recorder, so neither is observable.
-        """
-        members: dict[Node, set[Node]] = {}
-        for u in alive:
-            r = u
-            while parent[r] != r:
-                r = parent[r]
-            x = u
-            while parent[x] != r:
-                parent[x], x = r, parent[x]
-            s = members.get(r)
-            if s is None:
-                members[r] = {u}
-            else:
-                s.add(u)
-        initial_ids = self.initial_ids
-        self._parent = dict(enumerate(parent))
-        self._root_label = {r: initial_ids[lab_origin[r]] for r in members}
-        self._label_root = {lbl: r for r, lbl in self._root_label.items()}
-        self._root_members = members
-        self._dirty_roots = set()
-
     # ------------------------------------------------------------------
     # The deletion+heal round
     # ------------------------------------------------------------------

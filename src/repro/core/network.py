@@ -167,8 +167,8 @@ class SelfHealingNetwork:
         insertion, and every round reads the tracker before it inserts,
         so a late build starts from the same Init-step state an eager one
         would. The fused kernel (:mod:`repro.sim.fastpath`) keeps its own
-        union-find and reads the tracker only at a churn handoff, so a
-        campaign the kernel completes builds none.
+        union-find and never reads the tracker, so a fused campaign,
+        churn joins included, builds none.
         """
         tracker = ComponentTracker(
             graph=self.graph,
@@ -420,6 +420,29 @@ class SelfHealingNetwork:
         rng = make_rng(derive_seed(self.id_seed, "insert", node))
         return (rng.random(), node)
 
+    def _join_targets(
+        self, node: Node, attach_targets: Iterable[Node]
+    ) -> tuple[Node, ...]:
+        """Check one join and return its distinct attach targets, in
+        announcement order. The one set of join checks both DASH engines
+        (:meth:`insert_and_heal` and :mod:`repro.sim.fastpath`) run."""
+        if self.graph.has_node(node):
+            raise SimulationError(f"cannot insert {node!r}: already present")
+        if node in self.initial_ids:
+            raise SimulationError(
+                f"cannot insert {node!r}: label was already used this "
+                "campaign (inserted nodes need fresh labels)"
+            )
+        targets: list[Node] = []
+        seen: set[Node] = set()
+        for t in attach_targets:
+            if not self.graph.has_node(t):
+                raise NodeNotFoundError(t)
+            if t not in seen:
+                seen.add(t)
+                targets.append(t)
+        return tuple(targets)
+
     def _validate_insertion_plan(
         self, snapshot: InsertionSnapshot, plan: InsertionPlan
     ) -> None:
@@ -465,23 +488,7 @@ class SelfHealingNetwork:
         Returns the :class:`HealEvent` (``action="insert"``); also
         appends it to ``self.events``.
         """
-        if self.graph.has_node(node):
-            raise SimulationError(f"cannot insert {node!r}: already present")
-        if node in self.initial_ids:
-            raise SimulationError(
-                f"cannot insert {node!r}: label was already used this "
-                "campaign (inserted nodes need fresh labels)"
-            )
-        targets: list[Node] = []
-        seen: set[Node] = set()
-        for t in attach_targets:
-            if not self.graph.has_node(t):
-                raise NodeNotFoundError(t)
-            if t not in seen:
-                seen.add(t)
-                targets.append(t)
-        target_tuple = tuple(targets)
-
+        target_tuple = self._join_targets(node, attach_targets)
         node_id = self._insertion_id(node)
         degree = self.graph.degrees_of(target_tuple)
         initial_degree = self.initial_degree

@@ -195,8 +195,6 @@ def run_campaign(
             ledger=ledger,
         )
 
-    rounds = deletions = 0
-    pending_round = None
     if (
         recorder is None
         and not metrics
@@ -206,9 +204,6 @@ def run_campaign(
         # Scalar-only DASH campaigns on the array backend fuse the round
         # loop into one kernel (imported lazily — object-backend
         # campaigns never pay for it); see :mod:`repro.sim.fastpath`.
-        # The kernel either finishes the campaign or stops at a churn
-        # round that inserts, handing back repaired state, its counters
-        # and that already-chosen round, which the loop below runs first.
         from repro.sim import fastpath
 
         if fastpath.supports(
@@ -219,16 +214,13 @@ def run_campaign(
             keep_events=keep_events,
             keep_network=keep_network,
         ):
-            result, handoff = fastpath.run_fused(
+            return fastpath.run_fused(
                 network,
                 adversary,
                 stop_alive=stop_alive,
                 max_rounds=max_rounds,
                 max_deletions=max_deletions,
             )
-            if result is not None:
-                return result
-            rounds, deletions, pending_round = handoff
 
     return _drive_campaign(
         network=network,
@@ -239,20 +231,17 @@ def run_campaign(
         stop_alive=stop_alive,
         max_rounds=max_rounds,
         max_deletions=max_deletions,
-        rounds=rounds,
-        deletions=deletions,
         keep_events=keep_events,
         keep_network=keep_network,
         recorder=recorder,
-        pending_round=pending_round,
     )
 
 
 def _normalize_churn_ops(adversary: Adversary, chosen) -> list[tuple]:
     """Validate one mixed round's operation list.
 
-    Each op is ``("add", node, attach_targets)`` or ``("delete",
-    victim)`` (lists accepted — trace-backed adversaries read JSON).
+    Each op is ``("add", node, targets)`` or ``("delete", victim)``, ops
+    and targets as tuples or lists (trace-backed adversaries read JSON).
     Liveness is checked just-in-time by the executor, not here: a round
     may legally add a node and delete it later in the same round.
     """
@@ -266,12 +255,16 @@ def _normalize_churn_ops(adversary: Adversary, chosen) -> list[tuple]:
         kind = op[0]
         if kind == "delete" and len(op) == 2:
             ops.append(("delete", op[1]))
-        elif kind == "add" and len(op) == 3:
+        elif (
+            kind == "add"
+            and len(op) == 3
+            and isinstance(op[2], (list, tuple))
+        ):
             ops.append(("add", op[1], tuple(op[2])))
         else:
             raise SimulationError(
                 f"adversary {adversary.name} yielded malformed churn "
-                f"op {op!r} (want ('add', node, targets) or "
+                f"op {op!r} (want ('add', node, [targets]) or "
                 "('delete', victim))"
             )
     return ops
@@ -287,12 +280,11 @@ def _drive_campaign(
     stop_alive: int,
     max_rounds: int | None,
     max_deletions: int | None,
-    rounds: int,
-    deletions: int,
+    rounds: int = 0,
+    deletions: int = 0,
     keep_events: bool,
     keep_network: bool,
     recorder: "CampaignRecorder | None" = None,
-    pending_round=None,
 ) -> SimulationResult:
     """The campaign loop proper, on an already-initialized network.
 
@@ -300,20 +292,14 @@ def _drive_campaign(
     :func:`repro.recovery.checkpoint.resume_campaign` enters with a
     network restored mid-campaign and the surviving round/deletion
     counters — byte-identical continuation falls out of sharing this one
-    loop rather than approximating it. A fused-kernel handoff
-    (:func:`repro.sim.fastpath.run_fused`) enters with ``pending_round``
-    — the round the kernel already drew from the adversary but could not
-    execute — which is consumed before the next ``choose_round`` call.
+    loop rather than approximating it.
     """
     while network.num_alive > stop_alive and network.num_alive > 0:
         if max_rounds is not None and rounds >= max_rounds:
             break
         if max_deletions is not None and deletions >= max_deletions:
             break
-        if pending_round is not None:
-            chosen, pending_round = pending_round, None
-        else:
-            chosen = adversary.choose_round(network)
+        chosen = adversary.choose_round(network)
         if not chosen:
             break
         if mixed_rounds:

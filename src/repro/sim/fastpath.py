@@ -5,9 +5,9 @@ caller has explicitly declined: ``HealEvent`` construction
 (``keep_events=False``), component member lists and message accounting
 (no metrics, no recorder), and per-mutation degree/δ index upkeep (the
 result only reports the *peak* δ, which the kernel can track directly at
-the moments δ changes). When a campaign asks for scalars only —
-``SimulationResult.initial_n / deletions / final_alive / peak_delta`` —
-all of that work is unobservable.
+the moments δ changes). When a campaign asks for scalars only — the
+result's ``initial_n``, ``deletions``, ``insertions``, ``final_alive``
+and ``peak_delta`` — all of that work is unobservable.
 
 :func:`run_fused` runs such campaigns as one fused loop over the array
 backend's slot stores: G and G′ adjacency are the raw ``ArrayGraph``
@@ -22,17 +22,18 @@ installs is ``initial_ids[origin]``, so one float per slot
 as the lexicographic tie-break.
 
 The loop serves two adversary kinds and differs between them only in
-where a round's victims come from:
+where a round's ops come from:
 
 * :class:`~repro.adversary.classic.RandomAttack` — exactly one
   ``random.Random.choice`` per round over the adversary's own sorted
   survivor list, like its ``choose_target``, so the RNG stream and the
   list stay what the generic engine would leave behind;
-* churn adversaries (``churn``, ``trace-churn``) — the ``delete`` ops of
-  each round from ``choose_round``. The kernel cannot insert (its slot
-  arrays and result accounting assume the construction-time
-  population), so it stops at the first round containing an ``add`` op
-  and hands that already-chosen round back to the generic loop.
+* churn adversaries (``churn``, ``trace-churn``) — each round's ops
+  from ``choose_round``, in order. A join is DASH's inherited
+  :meth:`~repro.core.base.Healer.insertion_plan` — one δ-neutral G edge
+  per distinct target, nothing in G′, a singleton component — so the
+  kernel runs it on the slot lists too, after the join checks
+  :meth:`~repro.core.network.SelfHealingNetwork.insert_and_heal` runs.
 
 Eligibility (:func:`supports`) is deliberately narrow — exactly DASH ×
 those adversaries × ``ArrayGraph`` with nothing observing intermediate
@@ -41,19 +42,15 @@ state. ``batch_fast_path=False`` (the engine's reference switch) or
 differential tests (``tests/sim/test_fused_kernel.py``) obtain the
 reference side.
 
-The O(n) kernel arrays are built at the first round that deletes, so a
-campaign whose first round inserts (steady-state churn) hands off with
-no setup or repair cost. Otherwise, on either exit the kernel *repairs*
-what it bypassed: the graphs' cached node/edge counts, the degree/δ
-indexes (invalidated / re-pushed), ``network.peak_delta`` and
+Every campaign the kernel accepts runs to the end inside it. On exit it
+*repairs* what it bypassed: the graphs' cached node/edge counts, the
+degree/δ indexes (invalidated / re-pushed), ``network.peak_delta`` and
 ``network.deleted_nodes``, and the random adversary's survivor list.
-The kernel touches ``network.tracker`` (which the network builds on
-first use) only at a handoff, where
-:meth:`~repro.core.components.ComponentTracker.rebuild_from_fused`
-adopts the kernel's union-find, so a campaign the kernel completes
-builds no component tracker at all. It also leaves ``network.events``
-empty, and a later tracker read would start from Init-step labels,
-which is why eligibility requires ``keep_network=False``.
+It never touches ``network.tracker`` (which the network builds on first
+use), so a fused campaign builds no component tracker at all. It also
+leaves ``network.events`` empty, and a later tracker read would start
+from Init-step labels, which is why eligibility requires
+``keep_network=False``.
 """
 
 from __future__ import annotations
@@ -75,9 +72,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["supports", "run_fused"]
 
-#: campaigns the fused kernel completed or ran at least one round of
-#: (test observability — the differential tests assert this moves only
-#: for eligible configs)
+#: calls of :func:`run_fused` (test observability — the differential
+#: tests assert this moves only for eligible configs)
 _fused_campaigns = 0
 
 #: above this n, victim draws go through the Fenwick survivor view
@@ -86,6 +82,12 @@ _fused_campaigns = 0
 #: answers rank-select in O(log n). Below it, the C-speed list wins.
 #: Module-level so the differential tests can force the tree at small n.
 _FENWICK_THRESHOLD = 1 << 17
+
+
+class _Join(tuple):
+    """A churn join ``(node, targets)``; no victim can pass for one."""
+
+    __slots__ = ()
 
 
 class _FenwickAliveView:
@@ -158,7 +160,7 @@ def supports(
     Churn adversaries qualify too — their rounds dictate victims (no RNG
     draw), their ``choose_round`` never consults the network (which the
     kernel passes with stale public counters), and :func:`run_fused`
-    hands back to the generic loop at the first insertion round.
+    executes their joins itself.
     """
     graph = network.graph
     if type(adversary) is RandomAttack:
@@ -199,13 +201,8 @@ def run_fused(
     stop_alive: int,
     max_rounds: int | None,
     max_deletions: int | None,
-) -> tuple["SimulationResult | None", tuple[int, int, object] | None]:
-    """Run the campaign as one fused loop, up to its first insertion.
-
-    Returns ``(result, None)`` when the kernel ran the whole campaign, or
-    ``(None, (rounds, deletions, pending_round))`` when a churn round
-    inserts; the caller resumes :func:`~repro.sim.engine._drive_campaign`
-    with those counters and executes the pending round first.
+) -> "SimulationResult":
+    """Run the whole campaign as one fused loop.
 
     Caller contract: ``supports(...)`` returned True, ``adversary.reset``
     has run, and nothing has been deleted yet.
@@ -213,11 +210,14 @@ def run_fused(
     from repro.sim.engine import SimulationResult, _normalize_churn_ops
 
     global _fused_campaigns
+    _fused_campaigns += 1
     graph = network.graph
     healing_graph = network.healing_graph
     adj = graph._nbrs
     padj = healing_graph._nbrs
     n = len(adj)
+    initial_ids = network.initial_ids
+    initial_degree = network.initial_degree
 
     # RandomAttack's state IS the kernel's: draws come from its RNG (one
     # choice() per round, like choose_target) over its sorted survivor
@@ -237,12 +237,14 @@ def run_fused(
             def kill(v: int) -> None:
                 survivors.pop(bisect_left(survivors, v))
 
-    armed = False
-    rand: list[float] = []
-    init_deg: list[int] = []
-    parent: list[int] = []
-    size: list[int] = []
-    lab_origin: list[int] = []
+    # label↔origin bijection: initial_ids[u] == (rand[u], u)
+    rand = [initial_ids[u][0] for u in range(n)]
+    init_deg = [len(s) for s in adj]
+    # Union-find over slots; dead slots may serve as representatives
+    # (their label lives on until a merge relabels the component).
+    parent = list(range(n))
+    size = [1] * n
+    lab_origin = list(range(n))
     peak_delta = network.peak_delta
     victims: list[int] = []
 
@@ -253,7 +255,6 @@ def run_fused(
 
     n_alive = n
     rounds = 0
-    pending = None
     while n_alive > stop_alive:
         if max_rounds is not None and rounds >= max_rounds:
             break
@@ -267,30 +268,46 @@ def run_fused(
             chosen = adversary.choose_round(network)
             if not chosen:
                 break
-            ops = _normalize_churn_ops(adversary, chosen)
-            if any(op[0] == "add" for op in ops):
-                pending = chosen
-                break
-            doomed = [op[1] for op in ops]
-        if not armed:
-            initial_ids = network.initial_ids
-            # label↔origin bijection: initial_ids[u] == (rand[u], u)
-            rand = [initial_ids[u][0] for u in range(n)]
-            init_deg = [len(s) for s in adj]
-            # Union-find over slots; dead slots may serve as
-            # representatives (their label lives on until a merge
-            # relabels the component).
-            parent = list(range(n))
-            size = [1] * n
-            lab_origin = list(range(n))
-            armed = True
+            doomed = [
+                op[1] if op[0] == "delete" else _Join(op[1:])
+                for op in _normalize_churn_ops(adversary, chosen)
+            ]
         for v in doomed:
             # Liveness is checked just in time: a churn round may name a
             # victim an earlier op of the same round already deleted.
+            # Joins fail this check too, so deletions pay nothing for
+            # them.
             if not isinstance(v, int) or not 0 <= v < n or adj[v] is None:
-                raise SimulationError(
-                    f"adversary {adversary.name} chose dead node {v!r}"
-                )
+                if type(v) is not _Join:
+                    raise SimulationError(
+                        f"adversary {adversary.name} chose dead node {v!r}"
+                    )
+                node, targets = v
+                targets = network._join_targets(node, targets)
+                node_id = network._insertion_id(node)
+                # ArrayGraph grows both slot stores; the slot lists
+                # follow, and the joiner is a singleton component.
+                graph.add_node(node)
+                healing_graph.add_node(node)
+                for slots in (rand, init_deg, parent, size, lab_origin):
+                    slots.extend([0] * (len(adj) - n))
+                n = len(adj)
+                initial_ids[node] = node_id
+                rand[node] = node_id[0]
+                parent[node] = lab_origin[node] = node
+                size[node] = 1
+                network.inserted_nodes.append(node)
+                # One G edge per target; both baselines absorb it, so
+                # every δ stays put (insert_and_heal's δ-neutrality).
+                joined = adj[node]
+                for t in targets:
+                    joined.add(t)
+                    adj[t].add(node)
+                    init_deg[t] += 1
+                    initial_degree[t] += 1
+                init_deg[node] = initial_degree[node] = len(targets)
+                n_alive += 1
+                continue
 
             # find(v) with path compression; decrement its component.
             root = v
@@ -411,43 +428,35 @@ def run_fused(
                 lab_origin[big] = fo
         rounds += 1
 
-    if armed:
-        # Repair what the fused loop bypassed, so the graphs, the network
-        # and the adversary leave this function with accurate state.
-        alive = [u for u, s in enumerate(adj) if s is not None]
-        graph._n_alive = n_alive
-        graph._num_edges = sum(len(adj[u]) for u in alive) // 2
-        graph._deg_index = None
-        healing_graph._n_alive = n_alive
-        healing_graph._num_edges = sum(len(padj[u]) for u in alive) // 2
-        healing_graph._deg_index = None
-        network.peak_delta = peak_delta
-        network.deleted_nodes.extend(victims)
-        # Survivors' δ moved without the mutation stream firing: re-push
-        # current values (stale lower/higher entries self-invalidate
-        # against the index's oracle).
-        delta_index = network._delta_index
-        for u in alive:
-            delta_index.push(u, len(adj[u]) - init_deg[u])
-        if random_attack:
-            adversary._last = None
-            adversary._alive = alive
-        if pending is not None:
-            # The generic loop takes over mid-campaign, so the component
-            # tracker must now expose the kernel's state.
-            network.tracker.rebuild_from_fused(parent, lab_origin, alive)
+    # Repair what the fused loop bypassed, so the graphs, the network
+    # and the adversary leave this function with accurate state.
+    alive = [u for u, s in enumerate(adj) if s is not None]
+    graph._n_alive = n_alive
+    graph._num_edges = sum(len(adj[u]) for u in alive) // 2
+    graph._deg_index = None
+    healing_graph._n_alive = n_alive
+    healing_graph._num_edges = sum(len(padj[u]) for u in alive) // 2
+    healing_graph._deg_index = None
+    network.peak_delta = peak_delta
+    network.deleted_nodes.extend(victims)
+    # Survivors' δ moved without the mutation stream firing: re-push
+    # current values (stale lower/higher entries self-invalidate
+    # against the index's oracle).
+    delta_index = network._delta_index
+    for u in alive:
+        delta_index.push(u, len(adj[u]) - init_deg[u])
+    if random_attack:
+        adversary._last = None
+        adversary._alive = alive
 
-    if armed or pending is None:
-        _fused_campaigns += 1
-    if pending is not None:
-        return None, (rounds, len(victims), pending)
-    result = SimulationResult(
+    insertions = len(network.inserted_nodes)
+    return SimulationResult(
         initial_n=network.initial_n,
         deletions=len(victims),
         final_alive=n_alive,
         peak_delta=peak_delta,
-        values={} if random_attack else {"insertions": 0.0},
+        values={} if random_attack else {"insertions": float(insertions)},
         events=None,
         network=None,
+        insertions=insertions,
     )
-    return result, None

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.adversary.base import Adversary
 from repro.churn.trace import ScriptedChurn
 from repro.errors import (
     ConfigurationError,
@@ -35,6 +36,29 @@ def _network(healer="dash", n=6, **kwargs):
 # Op protocol
 # ----------------------------------------------------------------------
 
+#: add ops whose targets are not a list or tuple of nodes
+BAD_TARGETS = [
+    ("add", 99, 7),                     # an int is not iterable
+    ("add", 99, "ab"),                  # a str is not a target list
+    ("add", 99, {1: 2}),                # nor is a dict (its keys)
+]
+
+
+class _RawChurn(Adversary):
+    """The smallest mixed-round adversary: one round, one op, no eager
+    decode — so the engine's own _normalize_churn_ops guard fires."""
+
+    mixed_rounds = True
+
+    def __init__(self, op):
+        self._op = op
+
+    def choose_round(self, network):
+        op, self._op = self._op, None
+        return None if op is None else [op]
+
+
+@pytest.mark.parametrize("backend", ["object", "array"])
 @pytest.mark.parametrize(
     "bad_op",
     [
@@ -45,30 +69,19 @@ def _network(healer="dash", n=6, **kwargs):
         ("add", 99, [1], "extra"),      # add is ternary
         ("rename", 1, [2]),             # unknown kind
         42,                             # not even a sequence
+        *BAD_TARGETS,
     ],
 )
-def test_malformed_churn_op_raises(bad_op):
-    # A raw adversary, bypassing ScriptedChurn's eager decode, so the
-    # engine's own _normalize_churn_ops guard is what fires.
-    class Raw(ScriptedChurn):
-        def __init__(self, op):
-            self._op, self._pos = op, 0
-
-        def choose_round(self, network):
-            if self._pos:
-                return None
-            self._pos = 1
-            return [self._op]
-
+def test_malformed_churn_op_raises(bad_op, backend):
+    graph = GENERATORS.make(f"path:backend={backend}", force={"n": 6})
     with pytest.raises(SimulationError, match="malformed churn op"):
-        run_campaign(
-            _path(), HEALERS.make("dash"), Raw(bad_op), id_seed=0,
-        )
+        run_campaign(graph, HEALERS.make("dash"), _RawChurn(bad_op), id_seed=0)
 
 
-def test_scripted_churn_rejects_malformed_ops_eagerly():
+@pytest.mark.parametrize("bad_op", [("rename", 1, [2]), *BAD_TARGETS])
+def test_scripted_churn_rejects_malformed_ops_eagerly(bad_op):
     with pytest.raises(SimulationError, match="malformed churn op"):
-        ScriptedChurn([[("rename", 1, [2])]])
+        ScriptedChurn([[bad_op]])
 
 
 def test_mixed_and_batch_rounds_are_mutually_exclusive():
@@ -187,9 +200,9 @@ def test_duplicate_targets_are_deduped():
 
 def test_fast_path_eligibility_for_mixed_round_adversaries():
     """Exactly the verbatim churn adversary classes may enter the fused
-    kernel (their delete-only prefixes fuse; insertion rounds bail out to
-    the honest loop) — a mixed-round flag on anything else, or a churn
-    subclass, is a protocol mismatch and must be refused."""
+    kernel (which runs their joins and deletions alike) — a mixed-round
+    flag on anything else, or a churn subclass, is a protocol mismatch
+    and must be refused."""
     from repro.adversary.classic import RandomAttack
     from repro.churn.adversaries import ChurnAdversary
     from repro.sim import fastpath

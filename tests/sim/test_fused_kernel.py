@@ -12,12 +12,15 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.adversary import ADVERSARIES
 from repro.adversary.classic import RandomAttack
+from repro.churn.adversaries import ChurnAdversary
 from repro.core.network import SelfHealingNetwork
 from repro.core.registry import HEALERS
-from repro.errors import SimulationError
+from repro.errors import ReproError, SimulationError
 from repro.graph.generators import preferential_attachment, random_tree
 from repro.sim import fastpath
 from repro.sim.engine import run_campaign
@@ -149,10 +152,10 @@ def test_fused_campaign_builds_no_tracker():
         keep_events=False,
         keep_network=False,
     )
-    result, handoff = fastpath.run_fused(
+    result = fastpath.run_fused(
         network, adversary, stop_alive=0, max_rounds=None, max_deletions=None
     )
-    assert handoff is None and result.final_alive == 0
+    assert result.final_alive == 0
     assert "tracker" not in vars(network)
 
 
@@ -201,7 +204,7 @@ def test_fenwick_view_unit():
 
 
 # ----------------------------------------------------------------------
-# Fused churn kernel (delete-only prefixes fuse; insertions bail out)
+# Fused churn kernel (joins and deletions both run inside it)
 # ----------------------------------------------------------------------
 
 def _schedule(tmp_path, rounds):
@@ -222,12 +225,15 @@ def _churn_scalars(result):
 
 
 def _run_three_ways(make_adversary, **kw):
-    """(fused, generic-array, object) results for one churn campaign."""
-    fused = run(make("array"), make_adversary(), **kw)
-    generic = run(make("array"), make_adversary(), keep_events=True, **kw)
-    obj = run(make("object"), make_adversary(), keep_events=True, **kw)
+    """(fused, generic-array, object) results for one churn campaign,
+    whose scalars and final graphs must all agree."""
+    graphs = [make("array"), make("array"), make("object")]
+    fused = run(graphs[0], make_adversary(), **kw)
+    generic = run(graphs[1], make_adversary(), keep_events=True, **kw)
+    obj = run(graphs[2], make_adversary(), keep_events=True, **kw)
     assert _churn_scalars(generic) == _churn_scalars(obj)
     assert _churn_scalars(fused) == _churn_scalars(generic)
+    assert graphs[0] == graphs[1] == graphs[2]
     return fused, generic, obj
 
 
@@ -239,8 +245,8 @@ def test_fused_churn_pure_death_completes_in_kernel(kw):
 
     Expiry rounds delete several nodes at once, so ``max_deletions``
     overshoots by up to one round, exactly as in the generic loop. The
-    counter follows the random-attack rule: a campaign the kernel
-    returns counts, even one it never armed (``max_rounds=0``)."""
+    counter moves once per kernel call, even one that runs no round
+    (``max_rounds=0``)."""
     before = fastpath._fused_campaigns
     fused, _, _ = _run_three_ways(
         lambda: ADVERSARIES.make("churn:rate=0.0", seed=6), **kw
@@ -250,10 +256,32 @@ def test_fused_churn_pure_death_completes_in_kernel(kw):
         assert fused.deletions > kw["max_deletions"]
 
 
-def test_fused_churn_delete_prefix_then_bailout(tmp_path):
-    """A trace with a long delete-only prefix fuses the prefix, bails on
-    the first insertion round, and the generic engine finishes the
-    campaign — byte-identical to never having fused at all."""
+#: lifetimes short enough that joiners merge into components and die
+#: out of them again (the kernel's per-joiner union-find state at work)
+STEADY_CHURN = [
+    "churn:rate=1.5,lifetime=exp,mean=30,rounds=100",
+    "churn:rate=1.5,lifetime=pareto,mean=30,rounds=100",
+]
+
+
+@pytest.mark.parametrize("spec", STEADY_CHURN)
+@pytest.mark.parametrize("kw", CASES, ids=[str(c) for c in CASES])
+def test_fused_steady_churn_runs_in_kernel(spec, kw):
+    """Steady-state churn joins from round one; the whole campaign is
+    one fused run whose scalars equal both generic backends'."""
+    before = fastpath._fused_campaigns
+    fused, _, _ = _run_three_ways(
+        lambda: ADVERSARIES.make(spec, seed=3), **kw
+    )
+    assert fastpath._fused_campaigns == before + 1
+    if kw.get("max_rounds") != 0:
+        assert fused.insertions > 0
+
+
+def test_fused_churn_delete_prefix_then_joins_in_kernel(tmp_path):
+    """A trace with a long delete-only prefix and then joins (one
+    attaching to an earlier joiner, which later dies) runs start to
+    finish in the kernel, byte-identical to the generic engine."""
     rounds = [[["delete", u]] for u in range(40)]
     rounds.append([["delete", 77], ["delete", 78]])
     rounds.append([["add", 500, [100, 101]], ["delete", 100]])
@@ -265,61 +293,89 @@ def test_fused_churn_delete_prefix_then_bailout(tmp_path):
     fused, generic, _ = _run_three_ways(
         lambda: ADVERSARIES.make(f"trace-churn:path={path}")
     )
-    assert fastpath._fused_campaigns == before + 1  # armed, then bailed
+    assert fastpath._fused_campaigns == before + 1
     assert fused.deletions == 44
     assert fused.insertions == 2
     assert generic.insertions == 2
 
 
-def test_fused_churn_handoff_tracker_matches_generic(tmp_path):
-    """The tracker a handoff leaves behind must expose the labels and
-    components the generic engine reaches over the same delete-only
-    prefix, and agree with G′ connectivity."""
-    rounds = [[["delete", u]] for u in range(0, 80, 2)]
-    rounds.append([["delete", 81], ["delete", 83]])
-    prefix = len(rounds)
-    rounds.append([["add", 500, [101, 103]], ["delete", 101]])
-    path = _schedule(tmp_path, rounds)
-
+def _kernel_network(path):
+    """Run a trace through :func:`fastpath.run_fused` directly and return
+    (result, network) so the kernel's final state can be inspected."""
     network = SelfHealingNetwork(make("array"), HEALERS.make("dash"), seed=7)
     adversary = ADVERSARIES.make(f"trace-churn:path={path}")
     adversary.reset(network)
-    result, handoff = fastpath.run_fused(
+    result = fastpath.run_fused(
         network, adversary, stop_alive=0, max_rounds=None, max_deletions=None
     )
-    assert result is None and handoff[:2] == (prefix, prefix + 1)
+    return result, network
 
+
+def test_fused_churn_joins_leave_generic_state(tmp_path):
+    """After joins the kernel's network equals the generic engine's: G,
+    G′, slot-store size, IDs, baselines, the join roster and every δ.
+    The joins cover each way the slot store grows (a gap at 500,
+    doubling at 600, slack slots at 160 and 700, a far label at 10,000,
+    an append at 10,001), repeat a target, and later heal around the
+    joiners."""
+    rounds = [[["delete", u]] for u in range(0, 80, 2)]
+    rounds.append([["delete", 81], ["delete", 83]])
+    rounds.append([["add", 500, [101, 103]], ["delete", 101]])
+    rounds.append([["add", 160, [105]], ["add", 600, [500, 107, 500]]])
+    rounds.append([["add", 700, [600, 160]], ["delete", 105]])
+    rounds.append(
+        [
+            ["add", 10000, [700, 109, 111]],
+            ["add", 10001, [10000]],
+            ["delete", 600],
+        ]
+    )
+    rounds += [[["delete", u]] for u in (700, 109, 500, 113)]
+    path = _schedule(tmp_path, rounds)
+
+    result, network = _kernel_network(path)
     generic = run(
         make("array"),
         ADVERSARIES.make(f"trace-churn:path={path}"),
-        max_rounds=prefix,
         keep_events=True,
         keep_network=True,
     )
-    assert generic.deletions == prefix + 1
-    reference = generic.network.tracker
-    assert network.tracker.labels() == reference.labels()
-    assert network.tracker.components() == reference.components()
-    network.tracker.check_consistency()
+    reference = generic.network
+    assert _churn_scalars(result) == _churn_scalars(generic)
+    assert network.graph == reference.graph
+    assert network.healing_graph == reference.healing_graph
+    assert len(network.graph._nbrs) == len(reference.graph._nbrs) == 10002
+    assert len(network.healing_graph._nbrs) == 10002
+    assert network.graph.num_edges == reference.graph.num_edges
+    assert network.initial_ids == reference.initial_ids
+    assert network.initial_degree == reference.initial_degree
+    assert network.inserted_nodes == reference.inserted_nodes
+    assert network.deleted_nodes == reference.deleted_nodes
+    assert network.deltas() == reference.deltas()
+    network.check_delta_index()
+    network.graph.check_degree_index()
+    assert "tracker" not in vars(network)
 
 
-def test_fused_churn_first_round_insertion_bails_unarmed(tmp_path):
-    """Steady-state churn inserts from round one: the kernel must hand
-    off before building any of its O(n) arrays — no fused campaign is
-    counted, and nothing needs repair."""
+def test_fused_churn_first_round_insertion_fuses(tmp_path):
+    """Steady-state churn inserts from round one: the kernel runs the
+    campaign itself — one fused campaign, no tracker built."""
     path = _schedule(
         tmp_path,
         [[["add", 500, [0]], ["delete", 1]], [["delete", 500]]],
     )
     before = fastpath._fused_campaigns
     _run_three_ways(lambda: ADVERSARIES.make(f"trace-churn:path={path}"))
-    assert fastpath._fused_campaigns == before
+    assert fastpath._fused_campaigns == before + 1
+    _, network = _kernel_network(path)
+    assert network.inserted_nodes == [500]
+    assert "tracker" not in vars(network)
 
 
-def test_fused_churn_bailout_repairs_graph_state(tmp_path):
-    """After an armed bailout the graph the generic engine inherits must
-    have accurate public counters, a consistent degree index, and a
-    valid adjacency — the kernel bypassed all of them live."""
+def test_fused_churn_joins_repair_graph_state(tmp_path):
+    """After joins the graph must have accurate public counters, a
+    consistent degree index, and a valid adjacency — the kernel
+    bypassed all of them live."""
     rounds = [[["delete", u]] for u in range(30)]
     rounds.append([["add", 900, [50, 51]]])
     path = _schedule(tmp_path, rounds)
@@ -332,6 +388,69 @@ def test_fused_churn_bailout_repairs_graph_state(tmp_path):
     from repro.graph.validation import validate_graph
 
     validate_graph(g)
+
+
+JOIN_ERRORS = {
+    "present-node": [[["add", 5, [0]]]],
+    "reused-label": [[["delete", 5]], [["add", 5, [0]]]],
+    "dead-target": [[["delete", 5]], [["add", 500, [0, 5]]]],
+    "str-label": [[["add", "x", [0]]]],
+    "negative-label": [[["add", -4, [0]]]],
+    "add-delete-attach": [
+        [["add", 500, [0]], ["delete", 500], ["add", 501, [1, 500]]]
+    ],
+}
+
+
+@pytest.mark.parametrize("rounds", JOIN_ERRORS.values(), ids=JOIN_ERRORS)
+def test_fused_churn_join_error_parity(tmp_path, rounds):
+    """A bad join raises the same error type and message from the kernel
+    as from the generic loop (array labels must be non-negative ints)."""
+    path = _schedule(tmp_path, rounds)
+    raised = []
+    for kw in ({}, {"keep_events": True}):
+        before = fastpath._fused_campaigns
+        with pytest.raises(ReproError) as exc:
+            run(
+                make("array"),
+                ADVERSARIES.make(f"trace-churn:path={path}"),
+                **kw,
+            )
+        raised.append((type(exc.value), str(exc.value)))
+        assert fastpath._fused_campaigns == before + (not kw)
+    assert raised[0] == raised[1]
+
+
+@settings(max_examples=15)
+@given(
+    rate=st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0]),
+    lifetime=st.sampled_from(["exp", "pareto"]),
+    mean=st.integers(1, 60),
+    attach=st.integers(0, 4),
+    rounds=st.integers(0, 150),
+    seed=st.integers(0, 2**16),
+)
+def test_fused_churn_property(rate, lifetime, mean, attach, rounds, seed):
+    """Any drawn churn campaign: the kernel's scalars and final graphs
+    equal the generic engine's."""
+
+    def adversary():
+        return ChurnAdversary(
+            rate=rate,
+            lifetime=lifetime,
+            mean=mean,
+            attach=attach,
+            rounds=rounds,
+            seed=seed,
+        )
+
+    before = fastpath._fused_campaigns
+    g_fused = make("array")
+    fused = run(g_fused, adversary())
+    assert fastpath._fused_campaigns == before + 1
+    generic = run(make("array"), adversary(), keep_network=True)
+    assert _churn_scalars(fused) == _churn_scalars(generic)
+    assert g_fused == generic.network.graph
 
 
 def test_fused_churn_dead_victim_error_parity(tmp_path):
