@@ -1,4 +1,4 @@
-"""Naive-healer campaign benchmarks (lazy label invalidation).
+"""Naive-healer campaign benchmarks (the tracker's ``lazy`` mode).
 
 PR 1 made component-safe healing O(α), PR 2 indexed the attack side,
 PR 3 generalized the quotient merge to waves — but the paper's baseline
@@ -6,11 +6,11 @@ comparison class (GraphHeal, DeltaOrderedGraphHeal, NoHeal;
 ``component_safe=False``) still paid an honest BFS over the affected
 region every round, the last quadratic path in the codebase. Saia &
 Trehan's own experiments lean on exactly these baselines (Figures 8–10),
-so baseline sweeps should scale like DASH sweeps. Lazy label
-invalidation routes naive rounds through the unsafe quotient merge
-(deferring to the dirty-set only when a plan leaves shattered pieces
-unrepresented — never, for the registered naive healers), so a full-kill
-GraphHeal campaign performs zero traversals.
+so baseline sweeps should scale like DASH sweeps. The lazy tracker
+routes naive rounds through the unsafe quotient merge (falling back to
+the BFS only when a plan leaves shattered pieces unrepresented — never,
+for the registered naive healers), so a full-kill GraphHeal campaign
+performs zero traversals.
 
 This file measures full-kill **random-attack GraphHeal campaigns**
 (preferential attachment m=3) per n against the preserved eager path
@@ -70,7 +70,6 @@ def _run_naive_campaign(
         # The whole point: every naive round is one quotient merge.
         assert tracker.fast_rounds == n
         assert tracker.slow_rounds == 0
-        assert tracker.deferred_rounds == 0
     else:
         assert tracker.slow_rounds == n
     return t.elapsed, res

@@ -50,14 +50,10 @@ def check_component_labels(network: SelfHealingNetwork) -> None:
     """Algorithm 1, step 5: the MINID labels the tracker maintains with
     its O(α) union-find match the true connected components of G′.
 
-    Dirty-aware: an invariant check is a query, so any relabelling the
-    lazy path deferred is resolved first (explicitly here, and again
-    defensively inside the tracker), then the fully-resolved tables are
-    verified. Delegates to
+    Delegates to
     :meth:`~repro.core.components.ComponentTracker.check_consistency`,
     the full-BFS ground-truth check (O(n + m)).
     """
-    network.resolve_labels()
     try:
         network.tracker.check_consistency()
     except SimulationError as exc:

@@ -437,20 +437,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             None if args.retention is None
             else parse_duration(args.retention)
         )
-    except ConfigurationError as exc:
+        service = CampaignService(
+            args.root,
+            max_workers=args.workers,
+            queue_capacity=args.queue_capacity,
+            checkpoint_every=args.checkpoint_every,
+            heartbeat_ttl=args.heartbeat_ttl,
+            retry_policy=RetryPolicy(
+                retries=args.retries, backoff=args.backoff
+            ),
+            retention=retention,
+        )
+    except ValueError as exc:  # ConfigurationError included
         print(exc, file=sys.stderr)
         return 2
-    service = CampaignService(
-        args.root,
-        max_workers=args.workers,
-        queue_capacity=args.queue_capacity,
-        checkpoint_every=args.checkpoint_every,
-        heartbeat_ttl=args.heartbeat_ttl,
-        retry_policy=RetryPolicy(
-            retries=args.retries, backoff=args.backoff
-        ),
-        retention=retention,
-    )
     if args.stdio:
         serve_stdio(service)
         return 0

@@ -151,9 +151,9 @@ class ReconnectionPlan:
     G′-neighbor), which unlocks the component tracker's traversal-free
     merge path unconditionally. Healers that rewire anything else
     (GraphHeal) must leave it ``False``; their rounds still avoid the
-    eager per-round BFS under lazy label invalidation — the tracker
-    applies the same quotient merge whenever the plan covers every
-    G′-neighbor of the deleted node, and defers (dirty-set) otherwise.
+    per-round BFS whenever the plan covers every G′-neighbor of the
+    deleted node (the tracker applies the same quotient merge) and take
+    the BFS otherwise.
     """
 
     #: nodes being rewired, in layout order (root first for trees)

@@ -46,44 +46,35 @@ the quotient graph has one vertex per G′-neighbor-piece of each dead
 tree plus one per surviving participant class, and every quotient class
 becomes one union-find merge.
 
-Lazy label invalidation (non-component-safe plans)
---------------------------------------------------
-Arbitrary healers (GraphHeal adds cycles; NoHeal adds nothing) used to
-force an eager BFS over the whole affected region every round — the last
-quadratic path in full-kill naive-baseline campaigns. With ``lazy=True``
-(the :class:`~repro.core.network.SelfHealingNetwork` default, riding the
-same switch as the batch fast path) a non-component-safe round is
-resolved in one of two traversal-free ways:
+Non-component-safe plans
+------------------------
+Arbitrary healers (GraphHeal adds cycles; NoHeal adds nothing) are not
+component-safe. With ``lazy=True`` (the
+:class:`~repro.core.network.SelfHealingNetwork` default, riding the same
+switch as the batch fast path) such a round still takes the quotient
+merge when the plan's rewires cover every shattered piece of the dead
+tree (``N(v,G′) ⊆ participants``, true for every registered naive
+healer): a participant then stands for its whole recorded class, which
+is exact because the unity check sends anything that would split a
+class to the BFS. Its accounting is byte-identical to the BFS
+(differential-tested).
 
-* **unsafe quotient merge** — when the plan's rewires cover every
-  shattered piece of the dead tree (``N(v,G′) ⊆ participants``, true for
-  every registered naive healer) and each pre-round class lands wholly in
-  one quotient class, the same quotient merge as the component-safe path
-  applies, with accounting byte-identical to the eager BFS
-  (differential-tested); a participant now stands for its whole recorded
-  class even under a non-component-safe plan, which is exact because the
-  unity check defers anything that would split a class;
-* **deferral** — otherwise the touched classes are marked *dirty* (a
-  dirty-set keyed by union-find representatives) and the round returns
-  zero-cost stats. Labels are recomputed on demand: the first query
-  (:meth:`label_of`, :meth:`labels`, :meth:`components`, an invariant
-  check, a metrics probe) or component-safe/batch round that touches
-  pending state triggers :meth:`resolve_labels`, one BFS sweep over the
-  accumulated dirty region routed through the shared apply step —
-  batching consecutive deferred naive rounds into a single relabelling.
+Every other round takes the BFS over the affected region: every
+non-component-safe round under ``lazy=False`` (direct tracker
+construction, and the network's ``batch_fast_path=False`` reference
+configuration), a plan that leaves a piece unrepresented, a merge the
+quotient path declines, and a wave round whose preconditions fail (a
+dead tree shared between victim components, a participant inside
+another victim component's shattered tree, or a plan that leaves one
+pre-round class spread over several quotient classes). The traversal
+recomputes components — including persistent splits, which the paper's
+model never needs but a library must survive — and routes them through
+the same union-find apply step (:meth:`ComponentTracker._apply_rebuild`).
 
-With ``lazy=False`` (direct tracker construction, and the network's
-``batch_fast_path=False`` reference configuration) every
-non-component-safe round takes the preserved eager BFS, and whenever a
-wave round's preconditions fail (a dead tree shared between victim
-components, a participant inside another victim component's shattered
-tree, or a plan that leaves one pre-round class spread over several
-quotient classes) the honest traversal recomputes components — including
-persistent splits, which the paper's model never needs but a library
-must survive — and then routes through the same union-find apply step
-(:meth:`ComponentTracker._apply_rebuild`). ``check_consistency`` stays a
-full-BFS ground-truth check (forcing resolution first), used by tests
-and paranoid-mode runs.
+Every round is settled before it returns, so each :class:`RoundStats`
+charges its own round's ID changes and messages, and ``lazy`` changes
+speed only, never output. ``check_consistency`` is a full-BFS
+ground-truth check, used by tests and paranoid-mode runs.
 """
 
 from __future__ import annotations
@@ -156,10 +147,10 @@ class ComponentTracker:
     graph: Graph
     healing_graph: Graph
     initial_ids: Mapping[Node, NodeId]
-    #: lazy label invalidation: non-component-safe rounds go through the
-    #: unsafe quotient merge or are deferred into the dirty-set instead
-    #: of the eager per-round BFS. Off by default so direct tracker users
-    #: keep the eager reference semantics; the network switches it on
+    #: non-component-safe single-victim rounds whose plan rewires every
+    #: G′-neighbor of the victim take the quotient merge instead of the
+    #: BFS. Both give the same stats; off by default so direct tracker
+    #: users get the BFS reference, and the network switches it on
     #: together with the batch fast path.
     lazy: bool = False
     id_changes: dict[Node, int] = field(init=False)
@@ -169,31 +160,27 @@ class ComponentTracker:
     #: honest BFS fallback (observability for tests and benchmarks)
     fast_batch_rounds: int = field(init=False, default=0)
     slow_batch_rounds: int = field(init=False, default=0)
-    #: single-victim rounds resolved by the quotient merge / the eager
-    #: BFS / lazily deferred (observability for tests and benchmarks)
+    #: single-victim rounds resolved by the quotient merge / the BFS
+    #: (observability for tests and benchmarks)
     fast_rounds: int = field(init=False, default=0)
     slow_rounds: int = field(init=False, default=0)
+    #: always 0: no round is deferred, every round settles before it
+    #: returns. Kept so readers of these counters still find them; not
+    #: exported.
     deferred_rounds: int = field(init=False, default=0)
-    #: dirty-region sweeps performed by :meth:`resolve_labels`, and how
-    #: many of them uncovered a genuine component split (deferred rounds
-    #: report ``split=False``; this is where a deferred split surfaces)
     lazy_resolutions: int = field(init=False, default=0)
-    resolved_splits: int = field(init=False, default=0)
     #: churn insertions processed via :meth:`insert_round`
     insert_rounds: int = field(init=False, default=0)
     _parent: dict[Node, Node] = field(init=False, repr=False)
     _root_label: dict[Node, NodeId] = field(init=False, repr=False)
     _root_members: dict[Node, set[Node]] = field(init=False, repr=False)
     _label_root: dict[NodeId, Node] = field(init=False, repr=False)
-    #: class roots whose recorded structure is pending a lazy resolution
-    _dirty_roots: set[Node] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._parent = {u: u for u in self.initial_ids}
         self._root_label = dict(self.initial_ids)
         self._root_members = {u: {u} for u in self.initial_ids}
         self._label_root = {iid: u for u, iid in self.initial_ids.items()}
-        self._dirty_roots = set()
         self.id_changes = {u: 0 for u in self.initial_ids}
         self.messages_sent = {u: 0 for u in self.initial_ids}
         self.messages_received = {u: 0 for u in self.initial_ids}
@@ -212,49 +199,39 @@ class ComponentTracker:
         return root
 
     # ------------------------------------------------------------------
-    # Queries (all dirty-aware: a query that touches pending lazy state
-    # forces resolution first, so stale labels are never observable)
+    # Queries
     # ------------------------------------------------------------------
-    def _resolved_root(self, node: Node) -> Node:
-        """Class root of ``node`` with pending lazy state settled (one
-        sweep iff the root is dirty). Raises if ``node`` was never
-        tracked; tombstone validation stays with the caller."""
+    def _live_root(self, node: Node) -> Node:
+        """Class root of the live ``node``; raises if it is untracked or
+        deleted."""
         try:
             root = self._find(node)
         except KeyError:
             raise SimulationError(f"node {node!r} is not tracked") from None
-        if self._dirty_roots and root in self._dirty_roots:
-            self._resolve_dirty()
-            root = self._find(node)
-        return root
-
-    def label_of(self, node: Node) -> NodeId:
-        root = self._resolved_root(node)
         members = self._root_members.get(root)
         if members is None or node not in members:
             # A deleted node's tombstone still chains to a live root;
             # querying it must fail loudly, not leak the survivors' label.
             raise SimulationError(f"node {node!r} is not tracked")
-        return self._root_label[root]
+        return root
+
+    def label_of(self, node: Node) -> NodeId:
+        return self._root_label[self._live_root(node)]
 
     def labels_of(self, nodes: Iterable[Node]) -> dict[Node, NodeId]:
         """Bulk :meth:`label_of` — one dict build, skipping per-call
         dispatch on the snapshot hot path (every round labels the whole
-        deleted neighborhood; :meth:`_resolved_root` is inlined here for
-        the same reason)."""
+        deleted neighborhood; :meth:`_live_root` is inlined here for the
+        same reason)."""
         find = self._find
         root_label = self._root_label
         root_members = self._root_members
-        dirty = self._dirty_roots
         out: dict[Node, NodeId] = {}
         for u in nodes:
             try:
                 root = find(u)
             except KeyError:
                 raise SimulationError(f"node {u!r} is not tracked") from None
-            if dirty and root in dirty:
-                self._resolve_dirty()
-                root = find(u)
             members = root_members.get(root)
             if members is None or u not in members:
                 raise SimulationError(f"node {u!r} is not tracked")
@@ -263,23 +240,16 @@ class ComponentTracker:
 
     def component_members(self, node: Node) -> frozenset[Node]:
         """All nodes sharing ``node``'s component label (i.e. its G′ component)."""
-        root = self._resolved_root(node)
-        members = self._root_members.get(root)
-        if members is None or node not in members:
-            raise SimulationError(f"node {node!r} is not tracked")
-        return frozenset(members)
+        return frozenset(self._root_members[self._live_root(node)])
 
     def num_components(self) -> int:
-        self.resolve_labels()
         return len(self._root_members)
 
     def total_messages(self) -> int:
-        self.resolve_labels()
         return sum(self.messages_sent.values())
 
     def labels(self) -> dict[Node, NodeId]:
         """Snapshot of every live node's component label. O(n)."""
-        self.resolve_labels()
         return {
             u: self._root_label[root]
             for root, mem in self._root_members.items()
@@ -288,44 +258,10 @@ class ComponentTracker:
 
     def components(self) -> dict[NodeId, frozenset[Node]]:
         """Snapshot {label: member set} of every live component. O(n)."""
-        self.resolve_labels()
         return {
             self._root_label[root]: frozenset(mem)
             for root, mem in self._root_members.items()
         }
-
-    # ------------------------------------------------------------------
-    # Lazy resolution
-    # ------------------------------------------------------------------
-    def resolve_labels(self) -> None:
-        """Settle any pending lazy relabelling (no-op when clean).
-
-        The on-demand half of lazy label invalidation: one BFS over the
-        union of all dirty classes, routed through the shared union-find
-        apply step. Merges adopt the minimum pre-deferral label; genuine
-        splits relabel each piece by minimum initial ID — and the batched
-        relabelling is charged to the id-change/message counters here,
-        amortizing consecutive deferred naive-healer rounds into a single
-        sweep.
-        """
-        if self._dirty_roots:
-            self._resolve_dirty()
-
-    def _resolve_dirty(self) -> None:
-        roots = [r for r in self._dirty_roots if r in self._root_members]
-        self._dirty_roots.clear()
-        self.lazy_resolutions += 1
-        if not roots:
-            return
-        affected, old_label = self._region_of(roots)
-        groups, group_labels = self._bfs_groups(affected, old_label)
-        claims: dict[NodeId, int] = {}
-        for labels in group_labels:
-            for lbl in labels:
-                claims[lbl] = claims.get(lbl, 0) + 1
-        if any(c > 1 for c in claims.values()):
-            self.resolved_splits += 1
-        self._apply_rebuild(groups, group_labels, old_label)
 
     def add_node(self, node: Node, node_id: NodeId) -> None:
         """Register ``node`` as a fresh singleton component (the network
@@ -361,11 +297,8 @@ class ComponentTracker:
     _SCALARS = (
         "fast_rounds",
         "slow_rounds",
-        "deferred_rounds",
         "fast_batch_rounds",
         "slow_batch_rounds",
-        "lazy_resolutions",
-        "resolved_splits",
         "insert_rounds",
     )
 
@@ -381,12 +314,6 @@ class ComponentTracker:
 
     def export_state(self) -> dict:
         """Serialize all dynamic state to a JSON-ready dict.
-
-        The export is taken *as-is* — pending lazy relabelling stays
-        pending, so a deferred-round batch resolves after resume exactly
-        when (and as cheaply as) it would have in the uninterrupted run;
-        forcing resolution here would split one batched sweep into two
-        and change the message accounting.
 
         The union-find forest is exported flattened: each class as
         ``[root, label, members]`` (the root may be a deleted tombstone —
@@ -423,7 +350,6 @@ class ComponentTracker:
         )
         state: dict = {
             "classes": classes,
-            "dirty_roots": sort_nodes(self._dirty_roots),
             "extra_counter_nodes": [check(u) for u in extra_ids],
         }
         for name in ("id_changes", "messages_sent", "messages_received"):
@@ -450,7 +376,16 @@ class ComponentTracker:
         constructed tracker (same ``graph``/``healing_graph``/
         ``initial_ids``). Raises :class:`~repro.errors.CheckpointError`
         on structural corruption (duplicate labels, overlapping
-        classes)."""
+        classes). Older trackers could defer a round's relabelling and
+        exported it as ``dirty_roots``: an empty list (all any registered
+        healer ever wrote) imports, a non-empty one raises, since every
+        round must now be settled."""
+        if state.get("dirty_roots"):
+            raise CheckpointError(
+                "tracker state has pending deferred relabelling "
+                f"(dirty_roots={state['dirty_roots']!r}); every round "
+                "must be settled, so this checkpoint cannot be resumed"
+            )
         parent: dict[Node, Node] = {}
         root_label: dict[Node, NodeId] = {}
         root_members: dict[Node, set[Node]] = {}
@@ -484,7 +419,6 @@ class ComponentTracker:
         self._root_label = root_label
         self._root_members = root_members
         self._label_root = label_root
-        self._dirty_roots = set(state["dirty_roots"])
         for name in ("id_changes", "messages_sent", "messages_received"):
             counter = {u: 0 for u in self.initial_ids}
             for u in state["extra_counter_nodes"]:
@@ -525,7 +459,6 @@ class ComponentTracker:
         self._root_label = {}
         self._root_members = {}
         self._label_root = {}
-        self._dirty_roots.clear()  # canonical relabel supersedes deferrals
         for comp in connected_components(self.healing_graph):
             members = set(comp)
             root = next(iter(members))
@@ -560,75 +493,19 @@ class ComponentTracker:
         ``UN(v,G) ∪ N(v,G′)`` — one representative per pre-round component
         plus every G′-neighbor of the deleted node — enabling the
         traversal-free union-find merge path. The caller (the healer, via
-        the plan) vouches for this. Non-component-safe rounds take the
-        eager BFS, unless :attr:`lazy` is set — then they go through
-        :meth:`_lazy_round` (unsafe quotient merge or dirty-set deferral)
-        and never traverse.
+        the plan) vouches for this. Under :attr:`lazy` a
+        non-component-safe plan that rewires every G′-neighbor (true for
+        every registered naive healer: GraphHeal rewires all G-neighbors
+        ⊇ G′-neighbors, NoHeal's G′ has no edges at all) takes the same
+        merge. Every other round, and every merge :meth:`_fast_round`
+        declines, takes the BFS; either way the stats are exact for this
+        round.
         """
-        if component_safe and self._dirty_roots:
-            # A component-safe plan's participant classes must be true G′
-            # components; settle pending lazy relabelling first. (The
-            # caller's ``deleted_label`` came from a dirty-aware query,
-            # so it already reflects any resolution this triggers.)
-            self._resolve_dirty()
         # Remove the deleted node from its component's membership.
         self.remove_node(deleted, deleted_label)
 
-        if component_safe:
-            stats = self._fast_round(
-                deleted, deleted_label, participants, gprime_neighbors,
-                plan_edges,
-            )
-            if stats is not None:
-                self.fast_rounds += 1
-                return stats
-        elif self.lazy:
-            return self._lazy_round(
-                deleted, deleted_label, participants, gprime_neighbors,
-                plan_edges,
-            )
-
-        self.slow_rounds += 1
-        groups, group_labels, old_label, split = self._slow_groups(
-            deleted_label, participants
-        )
-        merged_labels: set[NodeId] = set()
-        for labels in group_labels:
-            merged_labels |= labels
-        changes, msgs = self._apply_rebuild(groups, group_labels, old_label)
-        return RoundStats(
-            deleted=deleted,
-            id_changes=changes,
-            messages_sent=msgs,
-            components_merged=len(merged_labels),
-            components_after=len(groups),
-            largest_component=max((len(g) for g in groups), default=0),
-            split=split,
-        )
-
-    def _lazy_round(
-        self,
-        deleted: Node,
-        deleted_label: NodeId,
-        participants: Sequence[Node],
-        gprime_neighbors: frozenset[Node],
-        plan_edges: Sequence[tuple[Node, Node]],
-    ) -> RoundStats:
-        """Non-component-safe round under lazy labels — never traverses.
-
-        When the plan's rewires cover every shattered piece of the dead
-        tree (every G′-neighbor of the deleted node participates — true
-        for every registered naive healer: GraphHeal rewires all
-        G-neighbors ⊇ G′-neighbors, NoHeal's G′ has no edges at all) the
-        unsafe quotient merge resolves the round exactly, byte-identical
-        to the eager BFS. Otherwise the touched classes are marked dirty
-        and resolution is deferred to the next query or trusted round:
-        the round reports zero-cost stats (``split=False`` — a genuine
-        split surfaces at resolution time), and the batched relabelling
-        is charged by :meth:`resolve_labels`'s single sweep.
-        """
-        if not gprime_neighbors or gprime_neighbors.issubset(
-            set(participants)
+        if component_safe or (
+            self.lazy and gprime_neighbors.issubset(participants)
         ):
             stats = self._fast_round(
                 deleted, deleted_label, participants, gprime_neighbors,
@@ -637,19 +514,9 @@ class ComponentTracker:
             if stats is not None:
                 self.fast_rounds += 1
                 return stats
-        self._dirty_roots.update(
-            self._collect_roots((deleted_label,), participants)
-        )
-        self.deferred_rounds += 1
-        return RoundStats(
-            deleted=deleted,
-            id_changes=0,
-            messages_sent=0,
-            components_merged=0,
-            components_after=0,
-            largest_component=0,
-            split=False,
-        )
+
+        self.slow_rounds += 1
+        return self._bfs_round(deleted, (deleted_label,), participants)
 
     def remove_node(self, node: Node, expected_label: NodeId) -> None:
         """Drop ``node`` from the membership tables (it was deleted).
@@ -695,11 +562,8 @@ class ComponentTracker:
         class over ``{node} ∪ heal-edge endpoints``, routed through the
         same MINID merge-and-charge step as every deletion round (so the
         accounting semantics are shared, not reimplemented). With no heal
-        edges the node stays an isolated singleton component. Pending
-        lazy relabelling is settled first: the merge consults recorded
-        member sets, which must match G′ connectivity.
+        edges the node stays an isolated singleton component.
         """
-        self.resolve_labels()
         self.add_node(node, node_id)
 
         reps: list[Node] = [node]
@@ -754,33 +618,10 @@ class ComponentTracker:
         This method BFSes the affected region of G′ and routes the result
         through the same union-find apply step as every other round; it
         is the ground-truth slow path that :meth:`fast_batch_round` falls
-        back to (and is differential-tested against). Forces resolution
-        of any pending lazy region first, so the pre-round labels the
-        charges are attributed against are never stale.
+        back to (and is differential-tested against).
         """
-        self.resolve_labels()
         self.slow_batch_rounds += 1
-        roots = self._collect_roots(affected_labels, participants)
-        affected, old_label = self._region_of(roots)
-        groups, group_labels = self._bfs_groups(affected, old_label)
-
-        merged_labels: set[NodeId] = set()
-        claims: dict[NodeId, int] = {}
-        for labels in group_labels:
-            merged_labels |= labels
-            for lbl in labels:
-                claims[lbl] = claims.get(lbl, 0) + 1
-        split = any(c > 1 for c in claims.values())
-        changes, msgs = self._apply_rebuild(groups, group_labels, old_label)
-        return RoundStats(
-            deleted=None,
-            id_changes=changes,
-            messages_sent=msgs,
-            components_merged=len(merged_labels),
-            components_after=len(groups),
-            largest_component=max((len(g) for g in groups), default=0),
-            split=split,
-        )
+        return self._bfs_round(None, affected_labels, participants)
 
     def fast_batch_round(
         self,
@@ -790,7 +631,7 @@ class ComponentTracker:
         foreign_labels: frozenset[NodeId] | set[NodeId] = frozenset(),
     ) -> RoundStats | None:
         """Traversal-free :meth:`batch_round` for component-safe wave
-        heals; returns ``None`` to defer to the honest BFS path.
+        heals; returns ``None`` to hand the round to the honest BFS path.
 
         Multi-victim generalization of :meth:`_fast_round`'s quotient
         merge. The victims of one G-victim-component are already removed;
@@ -812,8 +653,8 @@ class ComponentTracker:
         affected region, so the components-merged/after accounting must
         see it), but is never traversed.
 
-        Defers to the slow path whenever the quotient structure cannot be
-        trusted without a traversal:
+        Hands the round to the slow path whenever the quotient structure
+        cannot be trusted without a traversal:
 
         * a dead tree is shared with another victim component and not yet
           recomputed (``affected_labels ∩ foreign_labels``, or the caller
@@ -830,9 +671,8 @@ class ComponentTracker:
         Like :meth:`_fast_round`, also serves non-component-safe wave
         plans (the caller vouches that every G′-neighbor of the victims
         participates, so every piece of every owned dead tree is
-        represented); forces resolution of any pending lazy region first.
+        represented).
         """
-        self.resolve_labels()
         if affected_labels & foreign_labels:
             return None
 
@@ -1007,9 +847,9 @@ class ComponentTracker:
         gprime_neighbors: frozenset[Node],
         plan_edges: Sequence[tuple[Node, Node]],
     ) -> RoundStats | None:
-        """Merge classes along the plan edges; returns None to defer
-        (slow path / lazy deferral) when the quotient structure cannot be
-        trusted without a traversal.
+        """Merge classes along the plan edges; returns None to hand the
+        round to the BFS when the quotient structure cannot be trusted
+        without a traversal.
 
         Quotient vertices: each G′-neighbor of the deleted node stands for
         the piece of the deleted node's tree that contains it; each other
@@ -1020,14 +860,13 @@ class ComponentTracker:
 
         Serves component-safe plans and — under :attr:`lazy` —
         non-component-safe plans whose G′-neighbors all participate.
-        Defers when a persistent class would be spread over more than one
-        quotient class (for the dead tree that is the classic piece-unity
-        condition: attributing members to individual pieces needs a real
-        traversal; for a surviving class it guards non-component-safe
-        plans that name one class twice and then split it), when a
-        participant is untracked or dead (the eager path's region logic
-        handles those honestly), or when a participant sits in a pending
-        dirty region (its recorded member set cannot be trusted).
+        Declines when a persistent class would be spread over more than
+        one quotient class (for the dead tree that is the classic
+        piece-unity condition: attributing members to individual pieces
+        needs a real traversal; for a surviving class it guards
+        non-component-safe plans that name one class twice and then
+        split it), or when a participant is untracked or dead (the BFS's
+        region logic handles those honestly).
         """
         parent: dict[Node, Node] = {u: u for u in participants}
 
@@ -1043,7 +882,6 @@ class ComponentTracker:
                 parent[ra] = rb
 
         old_root = self._label_root.get(deleted_label)
-        dirty = self._dirty_roots
         root_members = self._root_members
 
         # Persistent class of each participant (G′-neighbors map to the
@@ -1062,8 +900,6 @@ class ComponentTracker:
                 members = root_members.get(r)
                 if members is None or u not in members:
                     return None  # dead participant (tombstone)
-            if dirty and r in dirty:
-                return None  # pending lazy region: structure unknown
             proot[u] = r
 
         # Unity check: every persistent class must land wholly inside one
@@ -1102,7 +938,7 @@ class ComponentTracker:
             split=False,
         )
 
-    def _charge_members(self, members: set[Node]) -> int:
+    def _charge_members(self, members: Iterable[Node]) -> int:
         """Charge an ID change (and per-G-neighbor announcements) to every
         node in ``members``; returns the messages sent."""
         graph = self.graph
@@ -1186,20 +1022,30 @@ class ComponentTracker:
             group_labels.append(labels)
         return groups, group_labels
 
-    def _slow_groups(
-        self, deleted_label: NodeId, participants: Sequence[Node]
-    ) -> tuple[list[set[Node]], list[set[NodeId]], dict[Node, NodeId], bool]:
-        """Recompute components of the affected region by BFS on G′."""
-        roots = self._collect_roots((deleted_label,), participants)
+    def _bfs_round(
+        self,
+        deleted: Node,
+        labels: Iterable[NodeId],
+        participants: Sequence[Node],
+    ) -> RoundStats:
+        """Settle a round by BFS over the affected region of G′ — every
+        class named by ``labels`` or owning a participant — and apply
+        the true components through :meth:`_apply_rebuild`."""
+        roots = self._collect_roots(labels, participants)
         affected, old_label = self._region_of(roots)
         groups, group_labels = self._bfs_groups(affected, old_label)
-        # The heal failed to re-merge the deleted node's component iff its
-        # old label survives in more than one resulting group (labels are
-        # unique, so label membership equals old-member intersection).
-        groups_with_old = sum(
-            1 for labels in group_labels if deleted_label in labels
+        changes, msgs, split = self._apply_rebuild(
+            groups, group_labels, old_label
         )
-        return groups, group_labels, old_label, groups_with_old > 1
+        return RoundStats(
+            deleted=deleted,
+            id_changes=changes,
+            messages_sent=msgs,
+            components_merged=len(set().union(*group_labels)),
+            components_after=len(groups),
+            largest_component=max((len(g) for g in groups), default=0),
+            split=split,
+        )
 
     # ------------------------------------------------------------------
     # Relabelling + message accounting (slow/batch apply step)
@@ -1209,9 +1055,10 @@ class ComponentTracker:
         groups: list[set[Node]],
         group_labels: list[set[NodeId]],
         old_label: dict[Node, NodeId],
-    ) -> tuple[int, int]:
+    ) -> tuple[int, int, bool]:
         """Rebuild the union-find classes for ``groups`` and charge
-        ID-change messages.
+        ID-change messages; returns ``(id_changes, messages_sent,
+        split)``.
 
         Merge semantics follow the paper: the new label is the minimum of
         the labels being merged (MINID), even when the ID's originating
@@ -1220,7 +1067,9 @@ class ComponentTracker:
         its own members, which preserves global label uniqueness. Splits
         are detected from the per-group label sets collected during the
         BFS — a pre-round label claimed by more than one group — without
-        rescanning any group.
+        rescanning any group. In a single-victim round only the victim's
+        class can split (every other class lost no G′ edge), so ``split``
+        is exactly "the heal failed to re-merge the victim's component".
         """
         claims: dict[NodeId, int] = {}
         for labels in group_labels:
@@ -1229,29 +1078,22 @@ class ComponentTracker:
 
         total_changes = 0
         total_msgs = 0
+        split = False
         consumed: set[NodeId] = set()
         assignments: list[tuple[NodeId, set[Node]]] = []
-        graph = self.graph
         for g, labels in zip(groups, group_labels):
             if not g:
                 continue
             if any(claims[lbl] > 1 for lbl in labels):
+                split = True
                 final = min(self.initial_ids[u] for u in g)
             else:
                 final = min(labels)
             consumed |= labels
             assignments.append((final, g))
-            for u in g:
-                if old_label[u] != final:
-                    self.id_changes[u] += 1
-                    total_changes += 1
-                    if graph.has_node(u):
-                        nbrs = graph.neighbors_view(u)
-                        deg = len(nbrs)
-                        self.messages_sent[u] += deg
-                        total_msgs += deg
-                        for w in nbrs:
-                            self.messages_received[w] += 1
+            changers = [u for u in g if old_label[u] != final]
+            total_changes += len(changers)
+            total_msgs += self._charge_members(changers)
 
         # Tear down the consumed classes, then install the new ones.
         for lbl in consumed:
@@ -1271,7 +1113,7 @@ class ComponentTracker:
             self._root_members[root] = g
             self._root_label[root] = final
             self._label_root[final] = root
-        return total_changes, total_msgs
+        return total_changes, total_msgs, split
 
     # ------------------------------------------------------------------
     # Verification hook (tests / paranoid mode)
@@ -1280,12 +1122,8 @@ class ComponentTracker:
         """Verify the union-find tables against BFS ground truth: member
         sets partition the live nodes, the label↔root indexes agree, and
         the tracked components match the true connected components of G′.
-        Dirty-aware: forces resolution of any pending lazy region first
-        (an invariant check is a query). O(n + m); for tests and paranoid
-        runs."""
+        O(n + m); for tests and paranoid runs."""
         from repro.graph.traversal import connected_components
-
-        self.resolve_labels()
 
         seen: set[Node] = set()
         for root, mem in self._root_members.items():

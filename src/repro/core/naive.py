@@ -28,8 +28,8 @@ We additionally implement:
 Performance: the non-component-safe healers here (GraphHeal,
 DeltaOrderedGraphHeal, NoHeal) used to force an honest BFS over the
 affected region every round — O(region) per round, quadratic full-kill
-campaigns once the healed blob grows. Under the tracker's lazy label
-invalidation (the network default) their rounds resolve through the same
+campaigns once the healed blob grows. Under the tracker's ``lazy`` mode
+(the network default) their rounds resolve through the same
 traversal-free quotient merge as the component-safe healers: GraphHeal's
 rewire-everyone trees cover every shattered piece of the dead G′ tree,
 and NoHeal's G′ never has edges, so baseline sweeps now scale like DASH

@@ -49,18 +49,8 @@ Node = Hashable
 
 @dataclass(frozen=True)
 class HealEvent:
-    """Everything observable about one deletion+heal round.
-
-    Accounting caveat: a non-component-safe round that the lazy tracker
-    *defers* (possible only for custom healers whose plan leaves some
-    G′-neighbor of the victim unrewired — never for the registered
-    healers) reports ``id_changes=0``, ``messages_sent=0`` and
-    ``split=False`` here; its batched relabelling is charged to the
-    tracker's per-node counters at resolution time, and a split
-    uncovered then increments
-    :attr:`~repro.core.components.ComponentTracker.resolved_splits`.
-    Force ``batch_fast_path=False`` for per-round-exact events under
-    such healers.
+    """Everything observable about one deletion+heal round, charged to
+    that round: the ID changes and messages are the ones its heal caused.
     """
 
     step: int
@@ -101,14 +91,14 @@ class SelfHealingNetwork:
         for tests, not sweeps.
     batch_fast_path:
         When True (default), :meth:`delete_batch_and_heal` resolves wave
-        heals with the tracker's traversal-free quotient merge, and the
-        tracker runs with lazy label invalidation — non-component-safe
-        single-victim rounds (GraphHeal and friends) go through the
-        unsafe quotient merge or are deferred into the dirty-set instead
-        of paying an eager per-round BFS. When False every
+        heals with the tracker's traversal-free quotient merge, and
+        non-component-safe single-victim rounds (GraphHeal and friends)
+        whose plan rewires every G′-neighbor of the victim take the same
+        merge instead of a per-round BFS. When False every
         non-component-safe or wave round takes the honest BFS path (the
-        byte-identical eager reference the differential tests and
-        benchmarks compare against).
+        eager reference the differential tests and benchmarks compare
+        against). The switch changes speed only: events and accounting
+        are byte-identical either way.
     """
 
     def __init__(
@@ -175,13 +165,10 @@ class SelfHealingNetwork:
             healing_graph=self.healing_graph,
             initial_ids=self.initial_ids,
         )
-        # Lazy label invalidation rides the same switch as the batch fast
-        # path: batch_fast_path=False is the preserved eager reference
-        # configuration. The seed-tracker differential tests swap in a
-        # tracker class without lazy labels; duck-type instead of
-        # assuming (as with fast_batch_round below).
-        if hasattr(tracker, "resolve_labels"):
-            tracker.lazy = self.batch_fast_path
+        # The single-victim quotient merge for non-component-safe plans
+        # rides the same switch as the batch fast path:
+        # batch_fast_path=False is the eager reference configuration.
+        tracker.lazy = self.batch_fast_path
         return tracker
 
     # ------------------------------------------------------------------
@@ -240,14 +227,6 @@ class SelfHealingNetwork:
 
     def label_of(self, node: Node) -> NodeId:
         return self.tracker.label_of(node)
-
-    def resolve_labels(self) -> None:
-        """Settle any pending lazy relabelling in the tracker (no-op for
-        eager trackers and clean state). Metrics probes and campaign
-        finalization call this before reading tracker accounting."""
-        resolve = getattr(self.tracker, "resolve_labels", None)
-        if resolve is not None:
-            resolve()
 
     @property
     def num_alive(self) -> int:

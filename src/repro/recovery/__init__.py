@@ -14,10 +14,10 @@ campaign. Three pieces:
   a killed campaign to a byte-identical :class:`~repro.core.network.HealEvent`
   stream and final metrics (differential-tested in
   ``tests/recovery/``);
-* :mod:`~repro.recovery.ledger` — an append-only, fsync'd JSONL audit
-  log (one record per round: victims, deletions, survivors; plus
-  checkpoint references), the durable breadcrumb trail a crashed
-  campaign is found and resumed from;
+* :mod:`~repro.recovery.ledger` — an append-only JSONL audit log (one
+  flushed record per round: victims, deletions, survivors; plus fsync'd
+  checkpoint references), the breadcrumb trail a crashed campaign is
+  found and resumed from;
 * :mod:`~repro.recovery.faults` — deterministic fault injection
   (seeded in-process crash, genuine SIGKILL, checkpoint truncation)
   used by the recovery tests and the CI chaos leg.
@@ -25,9 +25,7 @@ campaign. Three pieces:
 Determinism is what makes resume a *testable contract* rather than a
 best effort: every stochastic component snapshots its Mersenne-Twister
 state via :func:`repro.utils.rng.rng_state_to_json`, and the tracker
-exports its union-find arrays verbatim — including still-pending lazy
-relabelling, so deferred work resolves after resume exactly as it would
-have in the uninterrupted run.
+exports its union-find arrays verbatim.
 """
 
 from repro.recovery.checkpoint import (

@@ -3,12 +3,14 @@
 A checkpoint directory holds one ``static.json`` (written once per
 campaign: everything immutable — initial IDs and degrees, engine
 parameters, how to rebuild the healer/adversary/metrics) plus a rolling
-window of ``ckpt-r<round>.json`` dynamic snapshots (graph adjacency,
+window of ``ckpt-r<round>.json`` full snapshots (graph adjacency,
 healing edges, the union-find tracker verbatim, component RNG states,
-accumulated metric state). Dynamic files are written atomically
-(temp file → fsync → ``os.replace``), so a crash mid-write can at worst
-leave a stale temp file, never a torn checkpoint; the previous window
-entries are kept as fallback anyway.
+accumulated metric state) and, between them, ``-delta`` records (see
+:data:`FULL_SNAPSHOT_EVERY`). Dynamic files are written atomically
+(temp file → ``os.replace``; full snapshots are fsync'd first), so a
+process crash mid-write can at worst leave a stale temp file, never a
+torn checkpoint; the previous window entries are kept as fallback
+anyway.
 
 The resume contract — differential-tested in ``tests/recovery/`` and
 fuzzed in ``tests/sim/test_campaign_fuzz.py`` — is *byte-identical
@@ -19,9 +21,9 @@ make that possible rather than aspirational:
 
 * every stochastic component freezes its Mersenne-Twister state
   (:func:`repro.utils.rng.rng_state_to_json`), not its seed;
-* the tracker exports its union-find classes *as-is*, pending lazy
-  relabelling included, so deferred work resolves after resume exactly
-  when and how the uninterrupted run would have resolved it;
+* the tracker exports its union-find classes *as-is*, tombstone roots
+  and MINID labels of long-dead nodes included, which a relabelling
+  from G′ connectivity could not reproduce;
 * adversary survivor-list/neighbor caches are dropped on import — they
   are exact-resync optimizations whose rebuild from the live graph is
   byte-identical to the incrementally maintained state.

@@ -1,9 +1,13 @@
-"""Append-only, fsync'd JSONL campaign ledger.
+"""Append-only JSONL campaign ledger.
 
-One file per campaign, one JSON object per line, every line flushed and
-``fsync``'d before :meth:`CampaignLedger.append` returns — so after a
-SIGKILL the ledger holds every completed round up to (at worst) one torn
-final line, which :func:`read_ledger` tolerates. The record stream:
+One file per campaign, one JSON object per line, every line flushed to
+the OS before :meth:`CampaignLedger.append` returns — so after a SIGKILL
+the ledger holds every completed round up to (at worst) one torn final
+line, which :func:`read_ledger` tolerates. The recorder also fsyncs
+the records resume depends on (campaign header, full-checkpoint
+references, end); round and delta-checkpoint records are only flushed,
+so a machine crash can lose the ones since the last full checkpoint.
+The record stream:
 
 ``{"type": "campaign", ...}``
     Header: ledger format version, engine parameters, the checkpoint

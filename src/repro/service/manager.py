@@ -45,6 +45,7 @@ from repro.service.stream import ledger_progress
 from repro.service.worker import (
     DEFAULT_CHECKPOINT_EVERY,
     DEFAULT_HEARTBEAT_TTL,
+    HEARTBEAT_INTERVAL,
     WorkerHandle,
     spawn_worker,
 )
@@ -66,22 +67,35 @@ class CampaignService:
         poll_interval: float = 0.05,
         retention: float | None = None,
     ) -> None:
+        # Settings that can never work fail here, before the root is
+        # touched.
         if max_workers < 1:
             raise ValueError(
                 f"max_workers must be >= 1, got {max_workers}"
             )
+        if checkpoint_every < 1:
+            raise ValueError(
+                f"checkpoint_every must be >= 1, got {checkpoint_every}"
+            )
+        if heartbeat_ttl <= HEARTBEAT_INTERVAL:
+            # Workers touch their heartbeat every HEARTBEAT_INTERVAL
+            # seconds; a TTL no longer than that expires live workers.
+            raise ValueError(
+                f"heartbeat_ttl must be > {HEARTBEAT_INTERVAL} s (the "
+                f"worker heartbeat interval), got {heartbeat_ttl}"
+            )
+        if retention is not None and retention < 0:
+            raise ValueError(
+                f"retention must be >= 0 seconds or None, got {retention}"
+            )
+        self.queue = JobQueue(queue_capacity)
         self.root = Path(root)
         self.store = JobStore(self.root)
-        self.queue = JobQueue(queue_capacity)
         self.max_workers = max_workers
         self.checkpoint_every = checkpoint_every
         self.heartbeat_ttl = heartbeat_ttl
         self.retry_policy = retry_policy or RetryPolicy()
         self.poll_interval = poll_interval
-        if retention is not None and retention < 0:
-            raise ValueError(
-                f"retention must be >= 0 seconds or None, got {retention}"
-            )
         #: age (seconds since last update) after which *terminal* jobs
         #: are pruned from disk by the supervision loop; None keeps them
         #: forever. Live jobs are never pruned regardless of age.

@@ -128,15 +128,23 @@ def run_campaign(
         :attr:`~repro.adversary.base.Adversary.batch_rounds` protocol
         flag — the right choice everywhere outside differential tests.
     checkpoint_every / checkpoint_dir:
-        Write a full-state checkpoint to ``checkpoint_dir`` every
+        Write a checkpoint to ``checkpoint_dir`` every
         ``checkpoint_every`` rounds (plus one at round 0), from which
         :func:`repro.recovery.checkpoint.resume_campaign` continues a
-        killed campaign byte-identically. Requires every participating
-        component to be checkpointable (validated up front).
+        killed campaign byte-identically. Every
+        :data:`~repro.recovery.checkpoint.FULL_SNAPSHOT_EVERY`-th
+        cadence checkpoint (the 8th) is a full, fsync'd snapshot; the
+        seven between are deltas — the victims since the previous
+        checkpoint, replayed through the healer at restore. Requires
+        every participating component to be checkpointable (validated
+        up front).
     ledger:
         A :class:`~repro.recovery.ledger.CampaignLedger` (or a path to
-        open one) receiving an append-only, fsync'd record per round —
-        the durable audit trail resume-from-crash starts from.
+        open one) receiving one append-only record per round — the
+        audit trail resume-from-crash starts from. Round records are
+        flushed, which survives a process kill, but not fsync'd; the
+        campaign header, full-checkpoint references and end record
+        are.
     """
     if stop_alive < 0:
         raise ConfigurationError(f"stop_alive must be >= 0, got {stop_alive}")
@@ -358,10 +366,6 @@ def _drive_campaign(
         if recorder is not None:
             recorder.after_round(rounds, deletions, victims)
 
-    # Metrics probes are queries: settle any lazily-deferred relabelling
-    # so finalize() reads fully-resolved tracker accounting (no-op for
-    # eager trackers and for campaigns that never deferred).
-    network.resolve_labels()
     values: dict[str, float] = {"waves": float(rounds)} if batch_rounds else {}
     if mixed_rounds:
         values["insertions"] = float(len(network.inserted_nodes))

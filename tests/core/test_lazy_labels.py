@@ -1,25 +1,30 @@
-"""Unit tests for lazy label invalidation (the dirty-set tracker mode).
+"""Exact per-round accounting for non-component-safe rounds.
 
-Non-component-safe rounds under ``lazy=True`` either resolve through the
-unsafe quotient merge (exact, byte-identical to the eager BFS) or defer:
-the touched classes go into a dirty-set keyed by union-find
-representatives and the relabelling happens on demand — at the first
-query, invariant check, metrics probe, or trusted (component-safe/batch)
-round — with consecutive deferred rounds batched into one sweep. These
-tests pin that machinery at the tracker level; the campaign-scale
-differential matrix lives in ``test_naive_fast_path.py``.
+Under ``lazy=True`` a non-component-safe round whose plan rewires every
+G′-neighbor of the victim takes the quotient merge; every other round —
+a plan that leaves a shattered piece unrepresented, or one the quotient
+merge declines — takes the BFS. Either way the round is settled before
+it returns: its :class:`~repro.core.components.RoundStats` equal those of
+its ``lazy=False`` twin, a split is reported in the round that caused
+it, and ``lazy`` (the network's ``batch_fast_path``) changes speed only,
+never output. These tests pin that at the tracker and network level;
+the campaign-scale differential matrix lives in
+``test_naive_fast_path.py``.
 """
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.analysis import check_component_labels
+from repro.core.base import empty_plan
 from repro.core.components import ComponentTracker
 from repro.core.network import SelfHealingNetwork
 from repro.core.registry import HEALERS
 from repro.errors import InvariantViolation, SimulationError
-from repro.graph.generators import path_graph
+from repro.graph.generators import path_graph, preferential_attachment
 from repro.graph.graph import Graph
 
 
@@ -38,249 +43,144 @@ def build(nodes, g_edges=(), gp_edges=(), *, lazy=True):
     tracker = ComponentTracker(
         graph=g, healing_graph=gp, initial_ids=ids, lazy=lazy
     )
-    return g, gp, tracker, ids
+    tracker.rebuild_from_healing_graph()
+    return g, gp, tracker
 
 
-def shatter(g, gp, tracker, ids, victim, label):
-    """Delete ``victim`` with a NoHeal-style unsafe empty plan (no
-    participants: every shattered piece is unrepresented → deferral)."""
-    gp_nbrs = frozenset(
-        gp.neighbors(victim) if gp.has_node(victim) else ()
-    )
+def heal_round(
+    g, gp, tracker, victim, participants=(), plan_edges=(), *, safe=False
+):
+    """Delete ``victim`` and apply a plan (non-component-safe unless
+    ``safe``). The defaults are a NoHeal-style empty plan: no
+    participants, so every shattered piece is unrepresented."""
+    label = tracker.label_of(victim)
+    gp_nbrs = frozenset(gp.neighbors(victim) if gp.has_node(victim) else ())
     g.remove_node(victim)
     if gp.has_node(victim):
         gp.remove_node(victim)
+    for a, b in plan_edges:
+        g.add_edge(a, b)
+        gp.add_edge(a, b)
     return tracker.round(
         deleted=victim,
         deleted_label=label,
-        participants=(),
+        participants=tuple(participants),
         gprime_neighbors=gp_nbrs,
-        component_safe=False,
-        plan_edges=(),
+        component_safe=safe,
+        plan_edges=tuple(plan_edges),
     )
 
 
-class TestDeferral:
-    def test_uncovered_pieces_defer_with_zero_cost_stats(self):
-        g, gp, tracker, ids = build(
+class Twins:
+    """A lazy tracker and its ``lazy=False`` twin over the same G/G′."""
+
+    def __init__(self, nodes, g_edges=(), gp_edges=()):
+        self.lazy = build(nodes, g_edges, gp_edges, lazy=True)
+        self.eager = build(nodes, g_edges, gp_edges, lazy=False)
+
+    @property
+    def trackers(self):
+        return self.lazy[2], self.eager[2]
+
+    def round(self, victim, participants=(), plan_edges=(), *, safe=False):
+        """Run one round on both twins; the stats, labels and per-node
+        counters must agree. Returns the stats."""
+        stats = heal_round(
+            *self.lazy, victim, participants, plan_edges, safe=safe
+        )
+        eager_stats = heal_round(
+            *self.eager, victim, participants, plan_edges, safe=safe
+        )
+        assert stats == eager_stats
+        lazy_tr, eager_tr = self.trackers
+        assert lazy_tr.labels() == eager_tr.labels()
+        assert lazy_tr.id_changes == eager_tr.id_changes
+        assert lazy_tr.messages_sent == eager_tr.messages_sent
+        assert lazy_tr.messages_received == eager_tr.messages_received
+        lazy_tr.check_consistency()
+        eager_tr.check_consistency()
+        return stats
+
+
+class TestUncoveredPlans:
+    def test_uncovered_pieces_are_charged_in_their_round(self):
+        twins = Twins(
             [1, 2, 9],
             g_edges=[(9, 1), (9, 2)],
             gp_edges=[(9, 1), (9, 2)],
         )
-        tracker.rebuild_from_healing_graph()
-        stats = shatter(g, gp, tracker, ids, 9, ids[1])
-        assert tracker.deferred_rounds == 1
-        assert tracker.lazy_resolutions == 0
-        assert stats.id_changes == 0
-        assert stats.messages_sent == 0
-        assert not stats.split  # a genuine split surfaces at resolution
+        stats = twins.round(9)
+        assert stats.split
+        # Piece {2} loses the tree's label (1's ID) and takes its own.
+        assert stats.id_changes == 1
+        assert stats.components_after == 2
+        lazy_tr, eager_tr = twins.trackers
+        assert lazy_tr.slow_rounds == 1 and lazy_tr.fast_rounds == 0
+        assert eager_tr.slow_rounds == 1
+        assert lazy_tr.deferred_rounds == 0
+        assert lazy_tr.lazy_resolutions == 0
 
-    def test_eager_tracker_never_defers(self):
-        g, gp, tracker, ids = build(
-            [1, 2, 9],
-            g_edges=[(9, 1), (9, 2)],
-            gp_edges=[(9, 1), (9, 2)],
-            lazy=False,
-        )
-        tracker.rebuild_from_healing_graph()
-        stats = shatter(g, gp, tracker, ids, 9, ids[1])
-        assert tracker.deferred_rounds == 0
-        assert tracker.slow_rounds == 1
-        assert stats.split  # the eager BFS sees the split immediately
-
-    @pytest.mark.parametrize(
-        "query",
-        [
-            lambda tr: tr.label_of(1),
-            lambda tr: tr.labels_of([1, 2]),
-            lambda tr: tr.component_members(2),
-            lambda tr: tr.labels(),
-            lambda tr: tr.components(),
-            lambda tr: tr.num_components(),
-            lambda tr: tr.total_messages(),
-            lambda tr: tr.check_consistency(),
-        ],
-        ids=[
-            "label_of",
-            "labels_of",
-            "component_members",
-            "labels",
-            "components",
-            "num_components",
-            "total_messages",
-            "check_consistency",
-        ],
-    )
-    def test_every_query_forces_resolution(self, query):
-        g, gp, tracker, ids = build(
-            [1, 2, 9],
-            g_edges=[(9, 1), (9, 2)],
-            gp_edges=[(9, 1), (9, 2)],
-        )
-        tracker.rebuild_from_healing_graph()
-        shatter(g, gp, tracker, ids, 9, ids[1])
-        query(tracker)
-        assert tracker.lazy_resolutions == 1
-        tracker.check_consistency()
-        assert tracker.label_of(1) != tracker.label_of(2)
-
-    def test_clean_class_query_does_not_resolve(self):
-        """``label_of`` on a class untouched by any deferral leaves the
-        dirty region pending (per-root dirtiness, not a global flush)."""
-        g, gp, tracker, ids = build(
-            [1, 2, 5, 9],
-            g_edges=[(9, 1), (9, 2), (5, 1)],
-            gp_edges=[(9, 1), (9, 2)],
-        )
-        tracker.rebuild_from_healing_graph()
-        shatter(g, gp, tracker, ids, 9, ids[1])
-        assert tracker.label_of(5) == ids[5]  # 5's singleton is clean
-        assert tracker.lazy_resolutions == 0
-        assert tracker.label_of(1) == ids[1]  # touches the dirty region
-        assert tracker.lazy_resolutions == 1
-
-    def test_batched_resolution_amortizes_consecutive_rounds(self):
-        """Two deferred shatters in two disjoint G′ trees are settled by
-        ONE sweep — the amortization the lazy scheme exists for."""
-        g, gp, tracker, ids = build(
+    def test_consecutive_uncovered_rounds_are_each_charged(self):
+        """Two shatters in two disjoint G′ trees: each round charges its
+        own relabelling, nothing carries over to a later query."""
+        twins = Twins(
             [1, 2, 3, 4, 8, 9],
-            g_edges=[(9, 1), (9, 2), (8, 3), (8, 4)],
+            g_edges=[(9, 1), (9, 2), (8, 3), (8, 4), (2, 3)],
             gp_edges=[(9, 1), (9, 2), (8, 3), (8, 4)],
         )
-        tracker.rebuild_from_healing_graph()
-        shatter(g, gp, tracker, ids, 9, ids[1])
-        shatter(g, gp, tracker, ids, 8, ids[3])
-        assert tracker.deferred_rounds == 2
-        assert tracker.lazy_resolutions == 0
-        labels = tracker.labels()  # one query → one sweep
-        assert tracker.lazy_resolutions == 1
+        first = twins.round(9)
+        second = twins.round(8)
+        assert first.split and second.split
+        assert first.id_changes == second.id_changes == 1
+        # Node 2 announced its new ID to its one surviving neighbor (3),
+        # and node 4 announced to nobody.
+        assert (first.messages_sent, second.messages_sent) == (1, 0)
+        lazy_tr, _ = twins.trackers
+        labels = lazy_tr.labels()
         assert len({labels[u] for u in (1, 2, 3, 4)}) == 4
-        tracker.check_consistency()
 
-    def test_round_touching_dirty_region_joins_it(self):
-        """An unsafe quotient-eligible round whose participants sit in a
-        pending region must defer too (stale member sets cannot be
-        merged wholesale) — the regions coalesce into one sweep."""
-        g, gp, tracker, ids = build(
-            [1, 2, 5, 9],
-            g_edges=[(9, 1), (9, 2), (5, 1)],
-            gp_edges=[(9, 1), (9, 2)],
-        )
-        tracker.rebuild_from_healing_graph()
-        shatter(g, gp, tracker, ids, 9, ids[1])
-        # Delete 5 and "heal" by rewiring its neighbor 1 (inside the
-        # dirty region): GraphHeal-shaped plan, gprime ⊆ participants.
-        g.remove_node(5)
-        gp.remove_node(5)
-        tracker.round(
-            deleted=5,
-            deleted_label=ids[5],
-            participants=(1,),
-            gprime_neighbors=frozenset(),
-            component_safe=False,
-            plan_edges=(),
-        )
-        assert tracker.deferred_rounds == 2
-        tracker.resolve_labels()
-        assert tracker.lazy_resolutions == 1
-        tracker.check_consistency()
-
-    def test_deletion_inside_dirty_region_before_resolution(self):
-        """Members of a pending region may die before the sweep; the
-        resolution only relabels the survivors."""
-        g, gp, tracker, ids = build(
+    def test_deletion_inside_a_split_tree(self):
+        """A survivor of a split dies next round under its new label; the
+        BFS only relabels what is left."""
+        twins = Twins(
             [1, 2, 3, 9],
-            g_edges=[(9, 1), (9, 2), (9, 3)],
-            gp_edges=[(9, 1), (9, 2), (9, 3)],
+            g_edges=[(9, 1), (9, 2), (9, 3), (2, 3)],
+            gp_edges=[(9, 1), (9, 2), (9, 3), (2, 3)],
         )
-        tracker.rebuild_from_healing_graph()
-        shatter(g, gp, tracker, ids, 9, ids[1])
-        shatter(g, gp, tracker, ids, 2, ids[1])  # stale label still valid
-        labels = tracker.labels()
-        assert set(labels) == {1, 3}
-        assert labels[1] != labels[3]
-        tracker.check_consistency()
-
-    def test_component_safe_round_settles_pending_state_first(self):
-        g, gp, tracker, ids = build(
-            [1, 2, 5, 6, 9],
-            g_edges=[(9, 1), (9, 2), (5, 6)],
-            gp_edges=[(9, 1), (9, 2)],
-        )
-        tracker.rebuild_from_healing_graph()
-        shatter(g, gp, tracker, ids, 9, ids[1])
-        # A DASH-style safe round elsewhere: delete 5, reconnect nothing
-        # (6 is its only neighbor → single participant, no edges).
-        g.remove_node(5)
-        gp.remove_node(5)
-        tracker.round(
-            deleted=5,
-            deleted_label=ids[5],
-            participants=(6,),
-            gprime_neighbors=frozenset(),
-            component_safe=True,
-            plan_edges=(),
-        )
-        assert tracker.lazy_resolutions == 1  # resolved before the merge
-        tracker.check_consistency()
-
-    def test_batch_round_settles_pending_state_first(self):
-        g, gp, tracker, ids = build(
-            [1, 2, 9],
-            g_edges=[(9, 1), (9, 2)],
-            gp_edges=[(9, 1), (9, 2)],
-        )
-        tracker.rebuild_from_healing_graph()
-        shatter(g, gp, tracker, ids, 9, ids[1])
-        tracker.batch_round(set(), (), ())
-        assert tracker.lazy_resolutions == 1
-        tracker.check_consistency()
-
-    def test_rebuild_clears_pending_state(self):
-        g, gp, tracker, ids = build(
-            [1, 2, 9],
-            g_edges=[(9, 1), (9, 2)],
-            gp_edges=[(9, 1), (9, 2)],
-        )
-        tracker.rebuild_from_healing_graph()
-        shatter(g, gp, tracker, ids, 9, ids[1])
-        tracker.rebuild_from_healing_graph()
-        assert tracker.lazy_resolutions == 0  # superseded, not swept
-        tracker.check_consistency()
-
-    def test_deferred_split_surfaces_in_resolved_splits(self):
-        """Deferred rounds report ``split=False``; a genuine split found
-        by the sweep is surfaced through ``resolved_splits`` (the event
-        stream cannot be patched retroactively)."""
-        g, gp, tracker, ids = build(
-            [1, 2, 9],
-            g_edges=[(9, 1), (9, 2)],
-            gp_edges=[(9, 1), (9, 2)],
-        )
-        tracker.rebuild_from_healing_graph()
-        stats = shatter(g, gp, tracker, ids, 9, ids[1])
+        stats = twins.round(9)
+        assert stats.split
+        assert stats.id_changes == 2  # piece {2, 3} takes 2's ID
+        lazy_tr, _ = twins.trackers
+        assert lazy_tr.label_of(3) == (0.02, 2)
+        stats = twins.round(2)
         assert not stats.split
-        assert tracker.resolved_splits == 0
-        tracker.resolve_labels()
-        assert tracker.resolved_splits == 1
-        # A merge-only sweep does not count as a split.
-        gp.add_edge(1, 2)
-        g.add_edge(1, 2)
-        tracker._dirty_roots.update(
-            tracker._collect_roots((), (1, 2))
-        )
-        tracker.resolve_labels()
-        assert tracker.resolved_splits == 1
-        tracker.check_consistency()
+        assert stats.id_changes == 0  # MINID keeps the dead node's ID
+        assert set(lazy_tr.labels()) == {1, 3}
 
-    def test_dead_node_query_still_raises_under_lazy(self):
-        g, gp, tracker, ids = build(
+    def test_later_rounds_merge_settled_classes(self):
+        """Right after an uncovered round, a component-safe round and a
+        covering unsafe round both take the quotient merge."""
+        twins = Twins(
+            [1, 2, 5, 6, 7, 9],
+            g_edges=[(9, 1), (9, 2), (5, 6), (7, 1), (7, 2)],
+            gp_edges=[(9, 1), (9, 2)],
+        )
+        assert twins.round(9).split
+        twins.round(5, participants=(6,), safe=True)
+        merged = twins.round(7, participants=(1, 2), plan_edges=[(1, 2)])
+        assert not merged.split
+        assert merged.components_merged == 2
+        lazy_tr, eager_tr = twins.trackers
+        assert lazy_tr.fast_rounds == 2 and lazy_tr.slow_rounds == 1
+        assert eager_tr.fast_rounds == 1 and eager_tr.slow_rounds == 2
+
+    def test_dead_node_query_still_raises(self):
+        g, gp, tracker = build(
             [1, 2, 9],
             g_edges=[(9, 1), (9, 2)],
             gp_edges=[(9, 1), (9, 2)],
         )
-        tracker.rebuild_from_healing_graph()
-        shatter(g, gp, tracker, ids, 9, ids[1])
+        heal_round(g, gp, tracker, 9)
         with pytest.raises(SimulationError):
             tracker.label_of(9)
 
@@ -290,128 +190,96 @@ class TestUnsafeQuotient:
         """A GraphHeal-shaped unsafe round (every G′-neighbor rewired)
         resolves through the quotient merge with stats byte-identical to
         the eager BFS twin."""
+        twins = Twins(
+            [1, 2, 3, 9],
+            g_edges=[(9, 1), (9, 2), (2, 3)],
+            gp_edges=[(9, 1), (9, 2)],
+        )
+        stats = twins.round(9, participants=(1, 2), plan_edges=[(1, 2)])
+        assert not stats.split
+        lazy_tr, eager_tr = twins.trackers
+        assert lazy_tr.fast_rounds == 1 and lazy_tr.slow_rounds == 0
+        assert eager_tr.slow_rounds == 1 and eager_tr.fast_rounds == 0
 
-        def one_round(lazy):
-            g, gp, tracker, ids = build(
-                [1, 2, 3, 9],
-                g_edges=[(9, 1), (9, 2), (2, 3)],
-                gp_edges=[(9, 1), (9, 2)],
-                lazy=lazy,
-            )
-            tracker.rebuild_from_healing_graph()
-            g.remove_node(9)
-            gp.remove_node(9)
-            g.add_edge(1, 2)
-            gp.add_edge(1, 2)
-            stats = tracker.round(
-                deleted=9,
-                deleted_label=ids[1],
-                participants=(1, 2),
-                gprime_neighbors=frozenset({1, 2}),
-                component_safe=False,
-                plan_edges=((1, 2),),
-            )
-            tracker.check_consistency()
-            return stats, tracker
-
-        fast_stats, fast_tr = one_round(lazy=True)
-        slow_stats, slow_tr = one_round(lazy=False)
-        assert fast_stats == slow_stats
-        assert fast_tr.labels() == slow_tr.labels()
-        assert fast_tr.id_changes == slow_tr.id_changes
-        assert fast_tr.messages_sent == slow_tr.messages_sent
-        assert fast_tr.fast_rounds == 1 and fast_tr.deferred_rounds == 0
-        assert slow_tr.slow_rounds == 1 and slow_tr.fast_rounds == 0
-
-    def test_split_plan_defers_instead_of_guessing(self):
+    def test_split_plan_takes_the_bfs(self):
         """An unsafe plan that covers the G′-neighbors but leaves the
         pieces in separate quotient classes cannot be attributed without
-        a traversal → deferral, and the resolution finds the split."""
-        g, gp, tracker, ids = build(
+        a traversal: the quotient merge declines and the BFS reports the
+        split in this round."""
+        twins = Twins(
             [1, 2, 9],
             g_edges=[(9, 1), (9, 2)],
             gp_edges=[(9, 1), (9, 2)],
         )
-        tracker.rebuild_from_healing_graph()
-        g.remove_node(9)
-        gp.remove_node(9)
         # Participants present but no plan edges: two pieces, two classes.
-        tracker.round(
-            deleted=9,
-            deleted_label=ids[1],
-            participants=(1, 2),
-            gprime_neighbors=frozenset({1, 2}),
-            component_safe=False,
-            plan_edges=(),
-        )
-        assert tracker.deferred_rounds == 1
-        assert tracker.label_of(1) != tracker.label_of(2)
-        tracker.check_consistency()
+        stats = twins.round(9, participants=(1, 2))
+        assert stats.split
+        lazy_tr, _ = twins.trackers
+        assert lazy_tr.slow_rounds == 1 and lazy_tr.fast_rounds == 0
+        assert lazy_tr.label_of(1) != lazy_tr.label_of(2)
+
+
+class _FlakyGraphHeal(HEALERS["graph-heal"]):
+    """GraphHeal that drops every third plan (unsafe, empty): the
+    shattered pieces go unrepresented, so those rounds take the BFS."""
+
+    def __init__(self):
+        self._round = 0
+
+    def reset(self):
+        self._round = 0
+
+    def plan(self, snapshot):
+        self._round += 1
+        if self._round % 3 == 0:
+            return empty_plan(snapshot, component_safe=False)
+        return super().plan(snapshot)
+
+
+def _flaky_campaign(make_graph, fast):
+    net = SelfHealingNetwork(
+        make_graph(), _FlakyGraphHeal(), seed=5, batch_fast_path=fast
+    )
+    rng = random.Random(8)
+    while net.num_alive > 2:
+        net.delete_and_heal(rng.choice(sorted(net.graph.nodes())))
+    return net
 
 
 class TestNetworkIntegration:
-    class _FlakyGraphHeal(HEALERS["graph-heal"]):
-        """GraphHeal that drops every third plan (unsafe, empty):
-        shattered pieces go unrepresented → the lazy tracker defers."""
+    @pytest.mark.parametrize(
+        "make_graph",
+        [
+            lambda: path_graph(24),
+            lambda: preferential_attachment(200, 2, seed=1),
+        ],
+        ids=["path24", "pa200"],
+    )
+    def test_fast_path_never_changes_events(self, make_graph):
+        """A custom healer whose plans sometimes leave pieces
+        unrepresented gets the same event stream and per-node accounting
+        with the fast path on and off."""
+        fast_net = _flaky_campaign(make_graph, True)
+        slow_net = _flaky_campaign(make_graph, False)
+        assert fast_net.events == slow_net.events
+        fast_tr, slow_tr = fast_net.tracker, slow_net.tracker
+        assert fast_tr.id_changes == slow_tr.id_changes
+        assert fast_tr.messages_sent == slow_tr.messages_sent
+        assert fast_tr.messages_received == slow_tr.messages_received
+        assert fast_tr.labels() == slow_tr.labels()
+        # Both dispatch arms ran: the dropped plans took the BFS.
+        assert fast_tr.fast_rounds > 0 and fast_tr.slow_rounds > 0
+        fast_tr.check_consistency()
 
-        def __init__(self):
-            self._round = 0
-
-        def reset(self):
-            self._round = 0
-
-        def plan(self, snapshot):
-            self._round += 1
-            if self._round % 3 == 0:
-                from repro.core.base import empty_plan
-
-                return empty_plan(snapshot, component_safe=False)
-            return super().plan(snapshot)
-
-    def _campaign(self, fast):
-        import random
-
-        net = SelfHealingNetwork(
-            path_graph(24),
-            self._FlakyGraphHeal(),
-            seed=5,
-            batch_fast_path=fast,
-        )
-        rng = random.Random(8)
-        while net.num_alive > 2:
-            net.delete_and_heal(rng.choice(sorted(net.graph.nodes())))
-        return net
-
-    def test_network_campaign_defers_and_converges(self):
-        """Through the network, deferred rounds accumulate and resolve on
-        the next label query; the final partition matches the eager twin
-        (labels/charges may differ — deferral batches the relabelling)."""
-        fast_net = self._campaign(True)
-        slow_net = self._campaign(False)
-        assert fast_net.tracker.deferred_rounds > 0
-        assert fast_net.tracker.lazy_resolutions > 0
-        assert slow_net.tracker.deferred_rounds == 0
-        fast_net.tracker.check_consistency()
-        # Identical topology (plans never read labels here) → identical
-        # true G′ partition after resolution.
-        assert fast_net.graph == slow_net.graph
-        assert fast_net.healing_graph == slow_net.healing_graph
-        assert set(fast_net.tracker.components().values()) == set(
-            slow_net.tracker.components().values()
-        )
-
-    def test_invariant_check_is_dirty_aware(self):
-        """``check_component_labels`` forces resolution before verifying
-        (a pending region is not a violation)."""
-        net = SelfHealingNetwork(
-            path_graph(10), self._FlakyGraphHeal(), seed=1
-        )
+    def test_invariant_check_after_uncovered_rounds(self):
+        """``check_component_labels`` holds right after an uncovered
+        round, and a corrupted tracker still fails loudly."""
+        net = SelfHealingNetwork(path_graph(10), _FlakyGraphHeal(), seed=1)
         for victim in (5, 3, 4):
             net.delete_and_heal(victim)
-        assert net.tracker.deferred_rounds > 0
-        check_component_labels(net)  # must not raise
-        assert net.tracker.lazy_resolutions > 0
-        # ... but a genuinely corrupted tracker still fails loudly.
+            check_component_labels(net)
+        assert net.tracker.slow_rounds == 1
+        assert net.events[-1].split
         tracker = net.tracker
         root = next(iter(tracker._root_members))
         tracker._root_label[root] = (2.0, 999)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.components import ComponentTracker
 from repro.errors import CheckpointError, ConfigurationError, SimulatedCrash
 from repro.recovery import (
     Checkpointer,
@@ -95,10 +96,9 @@ class TestByteIdenticalResume:
         _assert_identical(straight, resumed)
 
     def test_resume_mid_lazy_batch_accounting(self, tmp_path):
-        # Wave campaigns on the lazy tracker leave deferred relabelling
-        # pending across rounds; the checkpoint must freeze that
-        # in-flight state, not resolve it (which would split one batched
-        # sweep into two and change the message totals).
+        # Wave campaigns on the lazy tracker mix quotient-merge and BFS
+        # rounds; a resume between them must continue the message
+        # accounting byte-identically.
         straight = _straight("dash", "random-wave", n=80, seed=23)
         resumed = _crash_and_resume(
             "dash", "random-wave", tmp_path, n=80, seed=23,
@@ -316,6 +316,65 @@ class TestCheckpointValidation:
             )
         with pytest.raises(CheckpointError, match="without checkpointing"):
             resume_from_ledger(ledger)
+
+
+class TestTrackerStateCompatibility:
+    """Tracker payloads written before deferral was removed carried a
+    ``dirty_roots`` list (always empty for registered healers) and the
+    ``deferred_rounds``/``lazy_resolutions``/``resolved_splits``
+    counters."""
+
+    @staticmethod
+    def _tracker_pair():
+        graph, healer, adversary, _ = _components(
+            "graph-heal", "random", 40, 7
+        )
+        network = run_campaign(
+            graph,
+            healer,
+            adversary,
+            id_seed=3,
+            max_deletions=12,
+            keep_network=True,
+        ).network
+        fresh = ComponentTracker(
+            graph=network.graph,
+            healing_graph=network.healing_graph,
+            initial_ids=network.initial_ids,
+        )
+        return network.tracker, fresh
+
+    def test_empty_dirty_roots_imports(self):
+        tracker, fresh = self._tracker_pair()
+        state = tracker.export_state()
+        legacy = dict(
+            state,
+            dirty_roots=[],
+            deferred_rounds=0,
+            lazy_resolutions=0,
+            resolved_splits=0,
+        )
+        fresh.import_state(legacy)
+        assert fresh.export_state() == state
+        assert fresh.labels() == tracker.labels()
+        fresh.check_consistency()
+
+    def test_pending_dirty_roots_refused(self):
+        tracker, fresh = self._tracker_pair()
+        state = dict(tracker.export_state(), dirty_roots=[5])
+        with pytest.raises(CheckpointError, match="dirty_roots"):
+            fresh.import_state(state)
+
+    def test_export_has_no_deferral_keys(self):
+        tracker, _ = self._tracker_pair()
+        state = tracker.export_state()
+        for key in (
+            "dirty_roots",
+            "deferred_rounds",
+            "lazy_resolutions",
+            "resolved_splits",
+        ):
+            assert key not in state
 
 
 class TestFaultHelpers:

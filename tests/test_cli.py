@@ -126,6 +126,27 @@ class TestCommands:
         assert rc == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--workers", "0"], "max_workers must be >= 1, got 0"),
+            (["--queue-capacity", "0"], "capacity must be >= 1, got 0"),
+            (
+                ["--checkpoint-every", "0"],
+                "checkpoint_every must be >= 1, got 0",
+            ),
+            (["--heartbeat-ttl", "0"], "heartbeat_ttl must be > 0.2 s"),
+            (["--retries", "-1"], "retries must be >= 0, got -1"),
+            (["--backoff", "-1"], "backoff must be >= 0, got -1"),
+        ],
+    )
+    def test_serve_bad_setting_exits_2(self, capsys, tmp_path, argv, message):
+        root = tmp_path / "svc"
+        rc = main(["serve", "--root", str(root), "--stdio", *argv])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not root.exists()
+
     def test_simulate_adversary_spec_string(self, capsys):
         rc = main(
             [
