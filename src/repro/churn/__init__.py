@@ -5,16 +5,19 @@ sense — nodes joining as well as leaving — lives here:
 
 * :mod:`repro.churn.healers` — Forgiving Tree / Forgiving Graph, the
   churn-native healing strategies (registered in ``HEALERS``);
-* :mod:`repro.churn.adversaries` — the ``churn`` birth/death process and
-  the ``trace-churn`` JSONL replayer (registered in ``ADVERSARIES``);
-* :mod:`repro.churn.trace` — churn-trace record/replay, exposed lazily:
-  it imports the campaign engine, which this package must not pull in at
-  import time (``repro.core.registry`` imports the healers here, and the
-  engine imports the registry — eager import would close that cycle).
+* :mod:`repro.churn.adversaries` — the one churn-op decoder, the
+  ``churn`` birth/death process, and the ``ScriptedChurn`` script with
+  its ``trace-churn`` JSONL loader (registered in ``ADVERSARIES``);
+* :mod:`repro.churn.trace` — trace record/replay for churn and
+  delete-only campaigns alike, exposed lazily: it imports the campaign
+  engine, which this package must not pull in at import time
+  (``repro.core.registry`` imports the healers here, and the engine
+  imports the registry — eager import would close that cycle).
 """
 
 from repro.churn.adversaries import (
     ChurnAdversary,
+    ScriptedChurn,
     TraceChurnAdversary,
     load_churn_ops,
 )
@@ -26,10 +29,10 @@ __all__ = [
     "ChurnAdversary",
     "TraceChurnAdversary",
     "load_churn_ops",
+    "ScriptedChurn",
     # lazily re-exported from repro.churn.trace (see __getattr__)
     "ChurnTrace",
     "ChurnTraceRecorder",
-    "ScriptedChurn",
     "save_churn_trace",
     "load_churn_trace",
     "save_churn_schedule",
@@ -40,7 +43,6 @@ _TRACE_EXPORTS = frozenset(
     {
         "ChurnTrace",
         "ChurnTraceRecorder",
-        "ScriptedChurn",
         "save_churn_trace",
         "load_churn_trace",
         "save_churn_schedule",

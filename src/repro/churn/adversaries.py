@@ -17,6 +17,9 @@ for). Two strategies produce the engine's mixed rounds — ordered
   (``["delete", victim]`` / ``["add", node, [targets...]]``). This is the
   replay half of :mod:`repro.churn.trace`'s record/replay pair and the
   vehicle for healer-swap comparisons (same churn, different healer).
+  It is a :class:`ScriptedChurn` (an in-memory schedule) loaded from the
+  file; every churn op, scripted or yielded, is decoded by
+  :func:`decode_churn_ops`.
 """
 
 from __future__ import annotations
@@ -25,16 +28,23 @@ import json
 import math
 from bisect import bisect_left, insort
 from pathlib import Path
-from typing import TYPE_CHECKING, ClassVar, Hashable, Sequence
+from typing import TYPE_CHECKING, ClassVar, Hashable, Iterable, Sequence
 
 from repro.adversary.base import Adversary
-from repro.errors import ConfigurationError
+from repro.adversary.scripted import ScriptedRounds
+from repro.errors import ConfigurationError, SimulationError
 from repro.utils.rng import make_rng, rng_state_from_json, rng_state_to_json
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.network import SelfHealingNetwork
 
-__all__ = ["ChurnAdversary", "TraceChurnAdversary", "load_churn_ops"]
+__all__ = [
+    "ChurnAdversary",
+    "ScriptedChurn",
+    "TraceChurnAdversary",
+    "decode_churn_ops",
+    "load_churn_ops",
+]
 
 Node = Hashable
 
@@ -214,6 +224,48 @@ class ChurnAdversary(Adversary):
         )
 
 
+def decode_churn_ops(
+    ops: Iterable, *, strict_labels: bool = False
+) -> list[Op]:
+    """One round's churn ops in the engine's tuple form.
+
+    Each op is ``("delete", victim)`` or ``("add", node, targets)``, as a
+    tuple or a JSON list; an add's targets are a list or tuple too.
+    ``strict_labels`` is the rule for scripts from outside the program
+    (:class:`ScriptedChurn`, JSONL files): every node must be an int or
+    a string, since 1.0 or ``True`` would alias node 1 on one backend
+    and miss it on another. Liveness is not checked here: a round may
+    add a node and delete it later in the same round.
+
+    Raises :class:`~repro.errors.SimulationError` naming the first bad op.
+    """
+    decoded: list[Op] = []
+    for op in ops:
+        size = len(op) if isinstance(op, (tuple, list)) else 0
+        if size == 2 and op[0] == "delete":
+            out = ("delete", op[1])
+        elif (
+            size == 3
+            and op[0] == "add"
+            and isinstance(op[2], (tuple, list))
+        ):
+            out = ("add", op[1], tuple(op[2]))
+        else:
+            raise SimulationError(
+                f"malformed churn op {op!r} (want ('add', node, "
+                "[targets]) or ('delete', victim))"
+            )
+        if strict_labels:
+            for u in (out[1], *out[2]) if size == 3 else out[1:]:
+                if type(u) is not int and type(u) is not str:
+                    raise SimulationError(
+                        f"churn op {op!r} names {u!r}; nodes must be ints "
+                        "or strings"
+                    )
+        decoded.append(out)
+    return decoded
+
+
 def load_churn_ops(path: str | Path) -> list[list[Op]]:
     """Parse a JSONL churn schedule: one line per round, each line a JSON
     array of ``["delete", victim]`` / ``["add", node, [targets...]]`` ops,
@@ -245,79 +297,47 @@ def load_churn_ops(path: str | Path) -> list[list[Op]]:
             raise ConfigurationError(
                 f"{path}:{lineno}: expected a JSON array of ops"
             )
-        ops: list[Op] = []
-        for op in raw:
-            if (
-                isinstance(op, list)
-                and len(op) == 2
-                and op[0] == "delete"
-            ):
-                parsed = ("delete", op[1])
-                labels = [op[1]]
-            elif (
-                isinstance(op, list)
-                and len(op) == 3
-                and op[0] == "add"
-                and isinstance(op[2], list)
-            ):
-                parsed = ("add", op[1], tuple(op[2]))
-                labels = [op[1], *op[2]]
-            else:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: malformed churn op {op!r} "
-                    '(want ["delete", victim] or ["add", node, [targets]])'
-                )
-            # Only ints and strings: 1.0 or true would alias node 1 on
-            # one backend and miss it on another.
-            for u in labels:
-                if type(u) not in (int, str):
-                    raise ConfigurationError(
-                        f"{path}:{lineno}: churn op {op!r} names {u!r}; "
-                        "nodes must be ints or strings"
-                    )
-            ops.append(parsed)
-        rounds.append(ops)
+        try:
+            rounds.append(decode_churn_ops(raw, strict_labels=True))
+        except SimulationError as exc:
+            raise ConfigurationError(f"{path}:{lineno}: {exc}") from exc
     return rounds
 
 
-class TraceChurnAdversary(Adversary):
+class ScriptedChurn(ScriptedRounds):
+    """Replay an in-memory churn schedule (a list of op lists) verbatim.
+
+    The churn analogue of :class:`~repro.adversary.scripted.ScriptedAttack`
+    — the replay vehicle for :func:`~repro.churn.trace.replay_churn_trace`
+    and a convenient way to hand-author mixed rounds in tests. Ops come
+    in tuple or JSON-list form and are validated at construction, labels
+    included (see :func:`decode_churn_ops`).
+    """
+
+    name: ClassVar[str] = "scripted-churn"
+    mixed_rounds: ClassVar[bool] = True
+
+    def __init__(self, rounds: Sequence[Sequence]) -> None:
+        super().__init__(
+            [decode_churn_ops(ops, strict_labels=True) for ops in rounds]
+        )
+
+
+class TraceChurnAdversary(ScriptedChurn):
     """Replay a recorded churn schedule from a JSONL file, verbatim.
 
-    The schedule is loaded (and validated) at construction; replays are
-    positionally checkpointable — the cursor is the only state. Pair with
-    :func:`repro.churn.trace.save_churn_trace` to record a stochastic
+    The schedule is loaded (and validated) at construction by
+    :func:`load_churn_ops`; replays are positionally checkpointable —
+    the cursor is the only state. Pair with
+    :func:`repro.churn.trace.save_churn_schedule` to record a stochastic
     run once and re-run it under a different healer.
     """
 
     name: ClassVar[str] = "trace-churn"
-    mixed_rounds: ClassVar[bool] = True
 
     def __init__(self, path: str | Path) -> None:
         self.path = str(path)
-        self._rounds = load_churn_ops(path)
-        self._pos = 0
-
-    def reset(self, network: "SelfHealingNetwork") -> None:
-        super().reset(network)
-        self._pos = 0
-
-    def choose_round(
-        self, network: "SelfHealingNetwork"
-    ) -> Sequence[Op] | None:
-        if self._pos >= len(self._rounds):
-            return None
-        ops = self._rounds[self._pos]
-        self._pos += 1
-        return ops
-
-    def export_state(self) -> dict:
-        state = super().export_state()
-        state["pos"] = self._pos
-        return state
-
-    def import_state(self, state: dict) -> None:
-        super().import_state(state)
-        self._pos = state["pos"]
+        super().__init__(load_churn_ops(path))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TraceChurnAdversary(path={self.path!r})"

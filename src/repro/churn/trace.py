@@ -1,13 +1,13 @@
-"""Churn traces: record, persist, and replay mixed add/delete campaigns.
+"""Campaign traces: record, persist, and replay attack/heal runs.
 
-The churn counterpart of :mod:`repro.sim.trace`. A churn trace pins a
-campaign bit-for-bit — initial graph, node-ID seed, healer name, and the
-realized op schedule (both insertions and deletions) — plus per-event
-fingerprints ``[action, plan_kind, num_edges, id_changes]`` that verify a
-replay, insertions included. Three uses mirror the deletion-only traces:
-reproduce a surprising stochastic-churn run portably, regression-test
-churn healers against golden traces, and compare healers on the
-*identical* churn schedule (``replay_churn_trace(trace,
+A trace pins a campaign bit-for-bit — initial graph, node-ID seed,
+healer name, and the realized op schedule (insertions and deletions) —
+plus per-event fingerprints ``[action, plan_kind, num_edges,
+id_changes]`` that verify a replay. A delete-only campaign is just a
+trace without joins, so the same recorder serves every single-victim or
+churn campaign. Three uses: reproduce a surprising stochastic run
+portably, regression-test healers against golden traces, and compare
+healers on the *identical* schedule (``replay_churn_trace(trace,
 healer_name="forgiving-graph")`` vs the recorded DASH run).
 
 The persisted schedule doubles as the input format of the
@@ -26,9 +26,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, ClassVar, Sequence
+from typing import TYPE_CHECKING
 
-from repro.adversary.base import Adversary
+from repro.churn.adversaries import ScriptedChurn
 from repro.errors import SimulationError
 from repro.graph.graph import Graph
 from repro.sim.metrics import Metric
@@ -39,7 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "ChurnTrace",
     "ChurnTraceRecorder",
-    "ScriptedChurn",
     "save_churn_trace",
     "load_churn_trace",
     "save_churn_schedule",
@@ -47,63 +46,9 @@ __all__ = [
 ]
 
 
-def _decode_op(op) -> tuple:
-    """JSON-style op (list or tuple) → the engine's tuple form; an add's
-    targets must be a list or tuple too."""
-    if isinstance(op, (list, tuple)):
-        if len(op) == 2 and op[0] == "delete":
-            return ("delete", op[1])
-        if (
-            len(op) == 3
-            and op[0] == "add"
-            and isinstance(op[2], (list, tuple))
-        ):
-            return ("add", op[1], tuple(op[2]))
-    raise SimulationError(f"malformed churn op {op!r}")
-
-
-class ScriptedChurn(Adversary):
-    """Replay an in-memory churn schedule (list of op-lists) verbatim.
-
-    The churn analogue of :class:`~repro.adversary.scripted.ScriptedAttack`
-    — the replay vehicle for :func:`replay_churn_trace` and a convenient
-    way to hand-author mixed rounds in tests. Accepts ops in either tuple
-    or JSON-list form.
-    """
-
-    name: ClassVar[str] = "scripted-churn"
-    mixed_rounds: ClassVar[bool] = True
-
-    def __init__(self, rounds: Sequence[Sequence]) -> None:
-        self._rounds = [
-            [_decode_op(op) for op in round_ops] for round_ops in rounds
-        ]
-        self._pos = 0
-
-    def reset(self, network: "SelfHealingNetwork") -> None:
-        super().reset(network)
-        self._pos = 0
-
-    def choose_round(self, network: "SelfHealingNetwork"):
-        if self._pos >= len(self._rounds):
-            return None
-        ops = self._rounds[self._pos]
-        self._pos += 1
-        return ops
-
-    def export_state(self) -> dict:
-        state = super().export_state()
-        state["pos"] = self._pos
-        return state
-
-    def import_state(self, state: dict) -> None:
-        super().import_state(state)
-        self._pos = state["pos"]
-
-
 @dataclass
 class ChurnTrace:
-    """A recorded churn campaign."""
+    """A recorded campaign (a delete-only one has no add ops)."""
 
     healer: str
     id_seed: int

@@ -40,9 +40,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Sequence
 
+from repro.adversary.scripted import ScriptedRounds
 from repro.core.components import NodeId, make_node_ids
 from repro.core.network import HealEvent, SelfHealingNetwork
-from repro.errors import CheckpointError, ConfigurationError
+from repro.errors import CheckpointError, ConfigurationError, SimulationError
 from repro.graph.array_backend import new_graph
 from repro.graph.degree_index import DegreeIndex
 from repro.graph.graph import Graph
@@ -1134,28 +1135,20 @@ def _load_chain(
 
 def _select_checkpoint(
     checkpointer: Checkpointer,
-    checkpoint: str | Path | None,
-    sha_map: Mapping[str, str] | None = None,
+    candidates: Iterable[Path],
+    sha_map: Mapping[str, str] | None,
 ) -> list[tuple[Path, dict]]:
-    """The newest restorable chain (or the explicit target's chain)."""
-    if checkpoint is not None:
-        path = Path(checkpoint)
-        if not path.is_absolute() and not path.exists():
-            path = checkpointer.directory / path
-        return _load_chain(checkpointer, path, sha_map)
-    candidates = checkpointer.list_checkpoints()
-    if not candidates:
-        raise CheckpointError(
-            f"no checkpoints found in {checkpointer.directory}"
-        )
+    """The chain of the first candidate, newest first, whose every link
+    loads; each file of the chosen chain is read once."""
     last_error: CheckpointError | None = None
-    for _, path in reversed(candidates):
+    for path in candidates:
         try:
             return _load_chain(checkpointer, path, sha_map)
         except CheckpointError as exc:
             last_error = exc
     raise CheckpointError(
-        f"no loadable checkpoint in {checkpointer.directory}: {last_error}"
+        f"no intact checkpoint in {checkpointer.directory}"
+        + (f": {last_error}" if last_error is not None else "")
     )
 
 
@@ -1177,14 +1170,35 @@ def load_checkpoint(
     exactly like rebuilt ones.
 
     When the selected checkpoint is a delta record, the full snapshot
-    anchoring its chain is restored first and every delta's victim
-    rounds are replayed through the real healer — determinism makes the
-    replay land on exactly the recorded state (verified against the
+    anchoring its chain is restored first and every delta's recorded
+    rounds are re-executed through the campaign loop — determinism makes
+    the replay land on exactly the recorded state (verified against the
     delta's ``alive``/``peak_delta`` tripwires).
     """
     checkpointer = Checkpointer(checkpoint_dir)
+    if checkpoint is None:
+        candidates = [p for _, p in reversed(checkpointer.list_checkpoints())]
+    else:
+        path = Path(checkpoint)
+        if not path.is_absolute() and not path.exists():
+            path = checkpointer.directory / path
+        candidates = [path]
+    return _restore(
+        checkpointer, candidates, sha_map, healer, adversary, metrics
+    )
+
+
+def _restore(
+    checkpointer: Checkpointer,
+    candidates: Iterable[Path],
+    sha_map: Mapping[str, str] | None,
+    healer: object | None,
+    adversary: object | None,
+    metrics: Sequence[object] | None,
+) -> RestoredCampaign:
+    """:func:`load_checkpoint` from the newest intact candidate."""
     static = checkpointer.read_static()
-    chain = _select_checkpoint(checkpointer, checkpoint, sha_map)
+    chain = _select_checkpoint(checkpointer, candidates, sha_map)
     path, target = chain[-1]
     base = chain[0][1]
 
@@ -1245,39 +1259,46 @@ def _replay_deltas(
     static: dict,
     deltas: Sequence[tuple[Path, dict]],
 ) -> None:
-    """Re-execute the recorded victim rounds on a network restored at
-    the chain's full snapshot. The healer makes its decisions for real —
-    its state, the tracker, the graph, and the event stream all evolve
-    exactly as in the original run; only the adversary is bypassed
-    (its draws are the recorded victims). Metrics do NOT observe
+    """Re-execute each delta's recorded rounds on a network restored at
+    the chain's full snapshot, through the campaign loop itself: a
+    :class:`~repro.adversary.scripted.ScriptedRounds` adversary yields
+    the recorded rounds, and the healer, tracker, graph and event stream
+    evolve exactly as in the original run. Metrics do NOT observe
     replayed rounds: their state is imported from the target delta,
     which keeps fault-injecting exempt metrics from re-firing on
     history."""
-    batch_rounds = static["params"]["batch_rounds"]
-    mixed_rounds = static["params"].get("mixed_rounds", False)
+    from repro.sim.engine import _drive_campaign
+
+    params = static["params"]
+    mixed_rounds = params.get("mixed_rounds", False)
     for delta_path, delta in deltas:
-        for round_victims in delta["victim_rounds"]:
-            victims = [_decode_victim(v) for v in round_victims]
-            if mixed_rounds:
-                # A churn round's ops, in execution order: tagged add
-                # tuples insert (the joiner's ID re-derives from the
-                # network's id_seed, identically to the original run),
-                # bare nodes delete.
-                for v in victims:
-                    if isinstance(v, tuple) and v and v[0] == "add":
-                        network.insert_and_heal(v[1], v[2])
-                    else:
-                        network.delete_and_heal(v)
-            elif batch_rounds:
-                network.delete_batch_and_heal(victims)
-            else:
-                if len(victims) != 1:
-                    raise CheckpointError(
-                        f"delta {delta_path} records a "
-                        f"{len(victims)}-victim round but batch rounds "
-                        "are disabled"
-                    )
-                network.delete_and_heal(victims[0])
+        # A churn round records delete ops as bare victims and add ops
+        # as tagged tuples (the joiner's ID re-derives from the
+        # network's id_seed, identically to the original run).
+        rounds = [
+            [
+                ("delete", v) if mixed_rounds and type(v) is not tuple else v
+                for v in map(_decode_victim, victims)
+            ]
+            for victims in delta["victim_rounds"]
+        ]
+        try:
+            _drive_campaign(
+                network=network,
+                adversary=ScriptedRounds(rounds),
+                metrics=(),
+                batch_rounds=params["batch_rounds"],
+                mixed_rounds=mixed_rounds,
+                stop_alive=0,
+                max_rounds=None,
+                max_deletions=None,
+                keep_events=False,
+                keep_network=False,
+            )
+        except SimulationError as exc:
+            raise CheckpointError(
+                f"delta replay diverged at {delta_path}: {exc}"
+            ) from exc
         if (
             network.num_alive != delta["alive"]
             or network.peak_delta
@@ -1315,8 +1336,6 @@ def resume_campaign(
     writing further snapshots; otherwise the original cadence (or an
     explicit ``checkpoint_every``) continues into the same directory.
     """
-    from repro.sim.engine import _drive_campaign
-
     restored = load_checkpoint(
         checkpoint_dir,
         checkpoint=checkpoint,
@@ -1325,6 +1344,18 @@ def resume_campaign(
         metrics=metrics,
         sha_map=sha_map,
     )
+    return _resume(restored, ledger, checkpoint_every, keep_checkpointing)
+
+
+def _resume(
+    restored: RestoredCampaign,
+    ledger: CampaignLedger | str | Path | None,
+    checkpoint_every: int | None,
+    keep_checkpointing: bool,
+) -> "SimulationResult":
+    """Run a restored campaign to completion (see :func:`resume_campaign`)."""
+    from repro.sim.engine import _drive_campaign
+
     params = restored.params
     every = checkpoint_every
     if every is None and keep_checkpointing:
@@ -1392,7 +1423,6 @@ def resume_from_ledger(
             f"campaign in {ledger_path} ran without checkpointing"
         )
     directory = Path(checkpoint_dir)
-    checkpointer = Checkpointer(directory)
     # Later records win, so a file rewritten after a resume verifies
     # against its newest recorded hash.
     sha_map = {
@@ -1400,29 +1430,15 @@ def resume_from_ledger(
         for r in tail
         if r.get("type") == "checkpoint" and r.get("sha256") is not None
     }
-    chosen: Path | None = None
-    for record in reversed(tail):
-        if record.get("type") != "checkpoint":
-            continue
-        candidate = directory / record["file"]
-        try:
-            _load_chain(checkpointer, candidate, sha_map)
-        except CheckpointError:
-            continue
-        chosen = candidate
-        break
-    if chosen is None:
-        raise CheckpointError(
-            f"ledger {ledger_path} references no intact checkpoint in "
-            f"{directory}"
-        )
-    return resume_campaign(
-        directory,
-        checkpoint=chosen,
-        healer=healer,
-        adversary=adversary,
-        metrics=metrics,
-        ledger=CampaignLedger(ledger_path),
-        keep_checkpointing=keep_checkpointing,
-        sha_map=sha_map,
+    candidates = [
+        directory / r["file"]
+        for r in reversed(tail)
+        if r.get("type") == "checkpoint"
+    ]
+    checkpointer = Checkpointer(directory)
+    restored = _restore(
+        checkpointer, candidates, sha_map, healer, adversary, metrics
+    )
+    return _resume(
+        restored, CampaignLedger(ledger_path), None, keep_checkpointing
     )

@@ -190,6 +190,11 @@ class CampaignRequest:
                 "measure_stretch sweeps cannot run as service jobs "
                 "(StretchMetric is not serializable)"
             )
+        if spec.check_invariants:
+            raise ConfigurationError(
+                "check_invariants sweeps cannot run as service jobs "
+                "(a request has no paranoid mode)"
+            )
         from repro.sim.experiment import expand_tasks
 
         requests = []

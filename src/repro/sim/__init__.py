@@ -23,13 +23,6 @@ from repro.sim.metrics import (
 from repro.sim.parallel import default_jobs, run_tasks
 from repro.sim.results import ResultRow, ResultSet
 from repro.sim.stretch import StretchComputer, StretchReport
-from repro.sim.trace import (
-    Trace,
-    TraceRecorder,
-    load_trace,
-    replay_trace,
-    save_trace,
-)
 
 __all__ = [
     "run_campaign",
@@ -55,9 +48,4 @@ __all__ = [
     "SimulationResult",
     "StretchComputer",
     "StretchReport",
-    "Trace",
-    "TraceRecorder",
-    "load_trace",
-    "replay_trace",
-    "save_trace",
 ]

@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Hashable, Sequence
 
 from repro.adversary.base import Adversary
+from repro.churn.adversaries import decode_churn_ops
 from repro.core.base import Healer
 from repro.core.network import HealEvent, SelfHealingNetwork
 from repro.errors import ConfigurationError, SimulationError
@@ -246,36 +247,15 @@ def run_campaign(
 
 
 def _normalize_churn_ops(adversary: Adversary, chosen) -> list[tuple]:
-    """Validate one mixed round's operation list.
-
-    Each op is ``("add", node, targets)`` or ``("delete", victim)``, ops
-    and targets as tuples or lists (trace-backed adversaries read JSON).
-    Liveness is checked just-in-time by the executor, not here: a round
-    may legally add a node and delete it later in the same round.
-    """
-    ops: list[tuple] = []
-    for op in chosen:
-        if not isinstance(op, (tuple, list)) or not op:
-            raise SimulationError(
-                f"adversary {adversary.name} yielded malformed churn "
-                f"op {op!r}"
-            )
-        kind = op[0]
-        if kind == "delete" and len(op) == 2:
-            ops.append(("delete", op[1]))
-        elif (
-            kind == "add"
-            and len(op) == 3
-            and isinstance(op[2], (list, tuple))
-        ):
-            ops.append(("add", op[1], tuple(op[2])))
-        else:
-            raise SimulationError(
-                f"adversary {adversary.name} yielded malformed churn "
-                f"op {op!r} (want ('add', node, [targets]) or "
-                "('delete', victim))"
-            )
-    return ops
+    """One mixed round's ops, decoded by
+    :func:`~repro.churn.adversaries.decode_churn_ops`; a malformed op
+    names the adversary that yielded it."""
+    try:
+        return decode_churn_ops(chosen)
+    except SimulationError as exc:
+        raise SimulationError(
+            f"adversary {adversary.name} yielded {exc}"
+        ) from None
 
 
 def _drive_campaign(
@@ -296,11 +276,10 @@ def _drive_campaign(
 ) -> SimulationResult:
     """The campaign loop proper, on an already-initialized network.
 
-    :func:`run_campaign` enters here at round 0;
-    :func:`repro.recovery.checkpoint.resume_campaign` enters with a
-    network restored mid-campaign and the surviving round/deletion
-    counters — byte-identical continuation falls out of sharing this one
-    loop rather than approximating it.
+    :func:`run_campaign` enters here at round 0; checkpoint restore
+    enters to replay a delta's recorded rounds, then to continue with
+    the surviving round/deletion counters — byte-identical continuation
+    falls out of sharing this one loop rather than approximating it.
     """
     while network.num_alive > stop_alive and network.num_alive > 0:
         if max_rounds is not None and rounds >= max_rounds:

@@ -149,7 +149,6 @@ def run_tasks(
     retries: int | None = None,
     backoff: float | None = None,
     retry_policy: RetryPolicy | None = None,
-    serial_fallback: bool = True,
 ) -> list[tuple[dict, dict]]:
     """Execute sweep cells, serially or across supervised processes.
 
@@ -183,9 +182,6 @@ def run_tasks(
         preferred spelling (``RetryPolicy.none()`` for fail-fast,
         ``RetryPolicy.immediate()`` for sleep-free tests). Default:
         ``RetryPolicy()`` (2 retries, 0.5 s exponential backoff).
-    serial_fallback:
-        After :data:`_MAX_POOL_REBUILDS` broken pools, finish the
-        remaining cells serially in-process instead of failing them.
 
     Raises
     ------
@@ -256,7 +252,6 @@ def run_tasks(
             jobs=jobs,
             timeout=timeout,
             policy=policy,
-            serial_fallback=serial_fallback,
             completed=completed,
             failures=failures,
             attempt_serial=attempt_serial,
@@ -275,7 +270,6 @@ def _run_supervised_pool(
     jobs: int,
     timeout: float | None,
     policy: RetryPolicy,
-    serial_fallback: bool,
     completed: dict,
     failures: list,
     attempt_serial,
@@ -288,13 +282,24 @@ def _run_supervised_pool(
 
     while pending:
         pool = ProcessPoolExecutor(max_workers=jobs)
-        future_index = {
-            pool.submit(_supervised_cell, tasks[i], worker, timeout): i
-            for i in sorted(pending)
-        }
-        broken = False
+        future_index: dict = {}
+        not_done: set = set()
+
+        def submit(index: int) -> bool:
+            """Queue one cell; False once the pool is broken (a worker
+            may die before every cell is even queued)."""
+            try:
+                future = pool.submit(
+                    _supervised_cell, tasks[index], worker, timeout
+                )
+            except BrokenProcessPool:
+                return False
+            future_index[future] = index
+            not_done.add(future)
+            return True
+
         try:
-            not_done = set(future_index)
+            broken = not all(submit(i) for i in sorted(pending))
             while not_done:
                 done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
                 for future in done:
@@ -326,19 +331,7 @@ def _run_supervised_pool(
                             tick()
                         else:
                             time.sleep(policy.delay(attempts[index]))
-                            if not broken:
-                                try:
-                                    retry = pool.submit(
-                                        _supervised_cell,
-                                        tasks[index],
-                                        worker,
-                                        timeout,
-                                    )
-                                except BrokenProcessPool:
-                                    broken = True
-                                else:
-                                    future_index[retry] = index
-                                    not_done.add(retry)
+                            broken = broken or not submit(index)
                 if broken:
                     break
         finally:
@@ -348,22 +341,7 @@ def _run_supervised_pool(
             break
         rebuilds += 1
         if rebuilds >= _MAX_POOL_REBUILDS:
-            if serial_fallback:
-                for index in sorted(pending):
-                    attempt_serial(index, attempts[index])
-                    tick()
-                pending.clear()
-            else:
-                for index in sorted(pending):
-                    failures.append(
-                        CellFailure(
-                            cell=_cell_id(tasks[index]),
-                            attempts=attempts[index],
-                            error=(
-                                "BrokenProcessPool: worker pool broke "
-                                f"{rebuilds} times; serial fallback disabled"
-                            ),
-                        )
-                    )
-                pending.clear()
+            for index in sorted(pending):
+                attempt_serial(index, attempts[index])
+                tick()
             break

@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.adversary.base import Adversary
-from repro.churn.trace import ScriptedChurn
+from repro.churn import ScriptedChurn
 from repro.errors import (
     ConfigurationError,
     NodeNotFoundError,
@@ -82,6 +82,32 @@ def test_malformed_churn_op_raises(bad_op, backend):
 def test_scripted_churn_rejects_malformed_ops_eagerly(bad_op):
     with pytest.raises(SimulationError, match="malformed churn op"):
         ScriptedChurn([[bad_op]])
+
+
+@pytest.mark.parametrize("backend", ["object", "array"])
+@pytest.mark.parametrize("label", [2.5, 7.0, True])
+@pytest.mark.parametrize(
+    "shape",
+    [
+        lambda u: ("add", u, [0]),      # the joiner
+        lambda u: ("add", 99, [0, u]),  # an attach target
+        lambda u: ("delete", u),        # a victim
+    ],
+    ids=["joiner", "target", "victim"],
+)
+def test_scripted_churn_rejects_non_int_str_labels(shape, label, backend):
+    """2.5 used to join on the object backend and fail mid-campaign on
+    the array one; True aliases node 1. A script obeys the JSONL rule
+    (ints or strings) and fails at construction on either backend."""
+    graph = GENERATORS.make(f"path:backend={backend}", force={"n": 6})
+    with pytest.raises(SimulationError, match="ints or strings"):
+        run_campaign(
+            graph,
+            HEALERS.make("dash"),
+            ScriptedChurn([[("delete", 5)], [shape(label)]]),
+            id_seed=0,
+        )
+    assert graph.num_nodes == 6  # no round ran
 
 
 def test_mixed_and_batch_rounds_are_mutually_exclusive():

@@ -1,8 +1,11 @@
-"""Record/replay tests for churn traces: save/load round-trips,
+"""Record/replay tests for campaign traces: save/load round-trips,
 bit-for-bit replay verification, divergence detection, healer swaps, and
-the JSONL hand-off to the ``trace-churn`` adversary."""
+the JSONL hand-off to the ``trace-churn`` adversary — for a churn
+campaign and for delete-only ones (a trace without joins)."""
 
 from __future__ import annotations
+
+from typing import Callable, NamedTuple
 
 import pytest
 
@@ -17,23 +20,69 @@ from repro.churn.trace import (
 from repro.core.registry import HEALERS
 from repro.errors import SimulationError
 from repro.graph.generators import GENERATORS
+from repro.graph.graph import Graph
 from repro.sim.engine import run_campaign
 
-HEALER = "forgiving-graph"
-SCHEDULE = "churn:rate=1.5,lifetime=exp,mean=5,rounds=20"
+
+def _churn_graph():
+    return GENERATORS.make("erdos_renyi:p=0.2", seed=9, force={"n": 16})
 
 
-def _graph(seed=9):
-    return GENERATORS.make("erdos_renyi:p=0.2", seed=seed, force={"n": 16})
+def _pa_graph_with_isolated_node():
+    graph = GENERATORS.make(
+        "preferential_attachment:m=2", seed=3, force={"n": 60}
+    )
+    graph.add_node(999)  # an isolated node survives the round trip
+    return graph
 
 
-def _record(tmp_path=None):
-    graph = _graph()
-    recorder = ChurnTraceRecorder(graph, HEALER, id_seed=4)
+class Scenario(NamedTuple):
+    graph: Callable[[], Graph]
+    healer: str
+    adversary: str
+    #: the healer a swapped replay runs instead
+    swap_healer: str
+    #: the event actions the campaign produces
+    actions: set[str]
+
+
+SCENARIOS = {
+    "churn": Scenario(
+        _churn_graph,
+        "forgiving-graph",
+        "churn:rate=1.5,lifetime=exp,mean=5,rounds=20",
+        "dash",
+        {"insert", "delete"},
+    ),
+    "random": Scenario(
+        _pa_graph_with_isolated_node,
+        "dash",
+        "random",
+        "graph-heal",
+        {"delete"},
+    ),
+    "neighbor-of-max": Scenario(
+        _pa_graph_with_isolated_node,
+        "dash",
+        "neighbor-of-max",
+        "graph-heal",
+        {"delete"},
+    ),
+}
+
+
+@pytest.fixture(params=SCENARIOS)
+def scenario(request) -> Scenario:
+    return SCENARIOS[request.param]
+
+
+def _record(scenario: Scenario):
+    graph = scenario.graph()
+    recorder = ChurnTraceRecorder(graph, scenario.healer, id_seed=4)
     result = run_campaign(
         graph,
-        HEALERS.make(HEALER),
-        make_adversary(SCHEDULE, seed=6),
+        HEALERS.make(scenario.healer),
+        make_adversary(scenario.adversary, seed=6),
         id_seed=4,
         metrics=[recorder],
         keep_events=True,
@@ -41,13 +90,13 @@ def _record(tmp_path=None):
     return recorder.trace, result
 
 
-def test_recorder_captures_every_event():
-    trace, result = _record()
+def test_recorder_captures_every_event(scenario):
+    trace, result = _record(scenario)
     assert len(trace.schedule) == len(result.events)
     assert len(trace.fingerprints) == len(result.events)
     assert result.values["trace_rounds"] == float(len(result.events))
     actions = {fp[0] for fp in trace.fingerprints}
-    assert actions == {"insert", "delete"}  # a genuinely mixed campaign
+    assert actions == scenario.actions  # mixed, or delete-only
     # Each recorded round carries exactly one op, in event order.
     for round_ops, event in zip(trace.schedule, result.events):
         (op,) = round_ops
@@ -55,11 +104,13 @@ def test_recorder_captures_every_event():
         assert op[0] == kind and op[1] == event.deleted
 
 
-def test_save_load_round_trip(tmp_path):
-    trace, _ = _record()
+def test_save_load_round_trip(tmp_path, scenario):
+    trace, original = _record(scenario)
+    assert trace.initial_graph() == scenario.graph()
     path = save_churn_trace(trace, tmp_path / "t.json")
     loaded = load_churn_trace(path)
     assert loaded == trace
+    assert replay_churn_trace(loaded).events == original.events
 
 
 def test_load_rejects_non_trace_files(tmp_path):
@@ -69,8 +120,8 @@ def test_load_rejects_non_trace_files(tmp_path):
         load_churn_trace(path)
 
 
-def test_replay_reproduces_fingerprints_bit_for_bit():
-    trace, original = _record()
+def test_replay_reproduces_fingerprints_bit_for_bit(scenario):
+    trace, original = _record(scenario)
     replayed = replay_churn_trace(trace)  # raises on any divergence
     assert len(replayed.events) == len(original.events)
     assert replayed.events == original.events
@@ -78,25 +129,25 @@ def test_replay_reproduces_fingerprints_bit_for_bit():
     assert replayed.peak_delta == original.peak_delta
 
 
-def test_replay_detects_tampered_fingerprint():
-    trace, _ = _record()
+def test_replay_detects_tampered_fingerprint(scenario):
+    trace, _ = _record(scenario)
     trace.fingerprints[3][2] += 1  # corrupt one num_edges
     with pytest.raises(SimulationError, match="diverged at round 4"):
         replay_churn_trace(trace)
 
 
-def test_replay_detects_truncated_trace():
-    trace, _ = _record()
+def test_replay_detects_truncated_trace(scenario):
+    trace, _ = _record(scenario)
     trace.fingerprints.pop()
     with pytest.raises(SimulationError, match="events"):
         replay_churn_trace(trace)
 
 
-def test_healer_swap_replays_same_churn():
+def test_healer_swap_replays_same_churn(scenario):
     """The recorded schedule replays against a different healer: same
     ops, same insertion count, no fingerprint check (plans differ)."""
-    trace, original = _record()
-    swapped = replay_churn_trace(trace, healer_name="dash")
+    trace, original = _record(scenario)
+    swapped = replay_churn_trace(trace, healer_name=scenario.swap_healer)
     assert swapped.insertions == original.insertions
     assert swapped.deletions == original.deletions
     assert [e.action for e in swapped.events] == [
@@ -108,15 +159,15 @@ def test_healer_swap_replays_same_churn():
     ]
 
 
-def test_schedule_jsonl_feeds_trace_churn_adversary(tmp_path):
+def test_schedule_jsonl_feeds_trace_churn_adversary(tmp_path, scenario):
     """save_churn_schedule → trace-churn adversary → identical events:
     the on-disk JSONL hand-off loses nothing."""
-    trace, original = _record()
+    trace, original = _record(scenario)
     path = save_churn_schedule(trace, tmp_path / "sched.jsonl")
 
     result = run_campaign(
         trace.initial_graph(),
-        HEALERS.make(HEALER),
+        HEALERS.make(trace.healer),
         make_adversary(f"trace-churn:path={path}"),
         id_seed=trace.id_seed,
         keep_events=True,

@@ -133,7 +133,7 @@ def test_forgiving_graph_bridges_components():
     {joiner, A, B}); FT on the identical join keeps its single edge and
     merges only {joiner, A}. Constructed: two disjoint triangles, one
     join naming a peer on each side."""
-    from repro.churn.trace import ScriptedChurn
+    from repro.churn import ScriptedChurn
     from repro.graph.graph import Graph
 
     def two_triangles():

@@ -132,7 +132,7 @@ def test_scripted_churn_with_far_labels_matches():
     """Scripted joins far past the initial label range force genuine
     amortized-doubling gap growth in the array graph's slot store; the
     op stream must still replay byte-identically."""
-    from repro.churn.trace import ScriptedChurn
+    from repro.churn import ScriptedChurn
 
     script = [
         [("delete", 3)],

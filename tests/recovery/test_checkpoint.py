@@ -478,6 +478,38 @@ class TestDeltaChains:
         ]
         assert marker[0]["file"] == "ckpt-r00000005-delta.json"
 
+    def test_resume_reads_each_chain_file_once(self, tmp_path, monkeypatch):
+        # Crash after round 4 at checkpoint_every=1: the newest chain is
+        # the round-0 init anchor plus four deltas. Choosing it and
+        # restoring it must hash and parse each of its files once.
+        from repro.recovery import checkpoint as checkpoint_mod
+
+        graph, healer, adversary, metrics = _components(
+            "dash", "max-node", 50, 11
+        )
+        ledger = tmp_path / "campaign.jsonl"
+        with pytest.raises(SimulatedCrash):
+            run_campaign(
+                graph, healer, adversary, id_seed=3,
+                metrics=metrics + [CrashAtRound(5)], keep_events=True,
+                checkpoint_every=1, checkpoint_dir=tmp_path / "ck",
+                ledger=ledger,
+            )
+        reads = []
+        read = checkpoint_mod._read_checkpoint_file
+
+        def spy(path, sha_map):
+            reads.append(path.name)
+            return read(path, sha_map)
+
+        monkeypatch.setattr(checkpoint_mod, "_read_checkpoint_file", spy)
+        resumed = resume_from_ledger(ledger)
+        assert sorted(reads) == [
+            "ckpt-r00000000.json",
+            *(f"ckpt-r{r:08d}-delta.json" for r in range(1, 5)),
+        ]
+        _assert_identical(_straight("dash", "max-node"), resumed)
+
     def test_torn_anchor_fails_every_chain(self, tmp_path):
         graph, healer, adversary, metrics = _components(
             "dash", "max-node", 50, 11

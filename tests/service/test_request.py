@@ -164,13 +164,17 @@ class TestExperimentExpansion:
                 else:
                     assert result.values[key] == expected
 
-    def test_stretch_sweeps_rejected(self):
+    @pytest.mark.parametrize("field", ["measure_stretch", "check_invariants"])
+    def test_stretch_sweeps_rejected(self, field):
+        # Neither survives the trip to a worker: StretchMetric does not
+        # serialize and a request has no paranoid mode. Dropping either
+        # silently would run a different sweep than the one asked for.
         spec = ExperimentSpec(
             name="svc-stretch",
             sizes=(24,),
             healers=("dash",),
             repetitions=1,
-            measure_stretch=True,
+            **{field: True},
         )
-        with pytest.raises(ConfigurationError, match="measure_stretch"):
+        with pytest.raises(ConfigurationError, match=field):
             CampaignRequest.from_experiment(spec)

@@ -3,6 +3,7 @@ recovery, per-cell failure reports)."""
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import time
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.errors import SweepExecutionError
+from repro.sim import parallel
 from repro.sim.parallel import (
     CellFailure,
     RetryPolicy,
@@ -60,6 +62,14 @@ def sigkill_once_worker(task):
     sentinel = Path(os.environ["KILL_DIR"]) / "killed"
     if rep == 2 and not sentinel.exists():
         sentinel.touch()
+        os.kill(os.getpid(), signal.SIGKILL)
+    return ok_worker(task)
+
+
+def sigkill_in_pool_worker(task):
+    # Every pool worker dies on its first cell; only the supervisor's
+    # own process (which has no multiprocessing parent) can finish one.
+    if multiprocessing.parent_process() is not None:
         os.kill(os.getpid(), signal.SIGKILL)
     return ok_worker(task)
 
@@ -192,6 +202,32 @@ class TestParallel:
             _tasks(6), jobs=2, worker=sigkill_once_worker, backoff=0.0,
         )
         assert [p["rep"] for p, _ in out] == [0, 1, 2, 3, 4, 5]
+
+    # 4 cells are all queued before a worker dies; 200 usually are not,
+    # so the pool breaks while the supervisor is still submitting.
+    @pytest.mark.parametrize("cells", [4, 200])
+    def test_pools_that_keep_breaking_fall_back_to_serial(
+        self, monkeypatch, cells
+    ):
+        # Every pool breaks; after _MAX_POOL_REBUILDS of them the
+        # surviving cells run in-process, with correct results and no
+        # retry budget charged for the kills.
+        pools = []
+
+        class CountingPool(parallel.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountingPool)
+        out = run_tasks(
+            _tasks(cells),
+            jobs=2,
+            worker=sigkill_in_pool_worker,
+            retry_policy=RetryPolicy.none(),
+        )
+        assert out == [ok_worker(task) for task in _tasks(cells)]
+        assert len(pools) == parallel._MAX_POOL_REBUILDS
 
     @pytest.mark.skipif(
         not hasattr(signal, "SIGALRM"), reason="needs POSIX SIGALRM"
