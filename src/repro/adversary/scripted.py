@@ -1,12 +1,12 @@
-"""Scripted (replay) adversaries.
+"""Scripted (replay) adversary.
 
 Used to (a) reproduce a previously recorded deletion sequence exactly,
 (b) drive tests with handcrafted worst cases, and (c) compare healers on
 *identical* attack sequences (the paper averages over random instances;
 replay removes attack-order variance when isolating healer effects).
 
-:class:`ScriptedRounds` is the one replay of recorded *rounds*: churn
-scripts and checkpoint restore's delta replay both run on it.
+Recorded churn rounds replay through
+:class:`~repro.churn.adversaries.ScriptedChurn`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from repro.errors import AdversaryError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.network import SelfHealingNetwork
 
-__all__ = ["ScriptedAttack", "ScriptedRounds"]
+__all__ = ["ScriptedAttack"]
 
 Node = Hashable
 
@@ -80,35 +80,3 @@ class ScriptedAttack(Adversary):
             f"ScriptedAttack(len={len(self.sequence)}, "
             f"strict={self.strict})"
         )
-
-
-class ScriptedRounds(Adversary):
-    """Yield recorded rounds (victims, or churn ops when mixed) verbatim,
-    one per :meth:`choose_round`. The cursor is the only state, so a
-    replay checkpoints and resumes exactly."""
-
-    name: ClassVar[str] = "scripted-rounds"
-
-    def __init__(self, rounds: Sequence[Sequence]) -> None:
-        self._rounds = list(rounds)
-        self._pos = 0
-
-    def reset(self, network: "SelfHealingNetwork") -> None:
-        super().reset(network)
-        self._pos = 0
-
-    def choose_round(self, network: "SelfHealingNetwork") -> Sequence | None:
-        if self._pos >= len(self._rounds):
-            return None
-        chosen = self._rounds[self._pos]
-        self._pos += 1
-        return chosen
-
-    def export_state(self) -> dict:
-        state = super().export_state()
-        state["pos"] = self._pos
-        return state
-
-    def import_state(self, state: dict) -> None:
-        super().import_state(state)
-        self._pos = state["pos"]

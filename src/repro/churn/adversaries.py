@@ -31,7 +31,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, ClassVar, Hashable, Iterable, Sequence
 
 from repro.adversary.base import Adversary
-from repro.adversary.scripted import ScriptedRounds
 from repro.errors import ConfigurationError, SimulationError
 from repro.utils.rng import make_rng, rng_state_from_json, rng_state_to_json
 
@@ -304,23 +303,46 @@ def load_churn_ops(path: str | Path) -> list[list[Op]]:
     return rounds
 
 
-class ScriptedChurn(ScriptedRounds):
-    """Replay an in-memory churn schedule (a list of op lists) verbatim.
+class ScriptedChurn(Adversary):
+    """Replay an in-memory churn schedule (a list of op lists) verbatim,
+    one round per :meth:`choose_round`.
 
     The churn analogue of :class:`~repro.adversary.scripted.ScriptedAttack`
     — the replay vehicle for :func:`~repro.churn.trace.replay_churn_trace`
     and a convenient way to hand-author mixed rounds in tests. Ops come
     in tuple or JSON-list form and are validated at construction, labels
-    included (see :func:`decode_churn_ops`).
+    included (see :func:`decode_churn_ops`). The cursor is the only
+    state, so a replay checkpoints and resumes exactly.
     """
 
     name: ClassVar[str] = "scripted-churn"
     mixed_rounds: ClassVar[bool] = True
 
     def __init__(self, rounds: Sequence[Sequence]) -> None:
-        super().__init__(
-            [decode_churn_ops(ops, strict_labels=True) for ops in rounds]
-        )
+        self._rounds = [
+            decode_churn_ops(ops, strict_labels=True) for ops in rounds
+        ]
+        self._pos = 0
+
+    def reset(self, network: "SelfHealingNetwork") -> None:
+        super().reset(network)
+        self._pos = 0
+
+    def choose_round(self, network: "SelfHealingNetwork") -> Sequence | None:
+        if self._pos >= len(self._rounds):
+            return None
+        chosen = self._rounds[self._pos]
+        self._pos += 1
+        return chosen
+
+    def export_state(self) -> dict:
+        state = super().export_state()
+        state["pos"] = self._pos
+        return state
+
+    def import_state(self, state: dict) -> None:
+        super().import_state(state)
+        self._pos = state["pos"]
 
 
 class TraceChurnAdversary(ScriptedChurn):

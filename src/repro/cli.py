@@ -25,11 +25,11 @@ Run a wave campaign (footnote 1's simultaneous-failure regime)::
     python -m repro.cli simulate --n 500 --healer dash \
         --adversary "random-wave:size=8,schedule=geometric" --seed 7
 
-Run crash-safe (checkpoint every 8 rounds + append-only ledger), and
-resume after a crash::
+Run crash-safe (a full snapshot every 64 rounds + append-only ledger),
+and resume after a crash::
 
     python -m repro.cli simulate --n 5000 --healer dash \
-        --adversary max-node --checkpoint-every 8 --checkpoint-dir state/
+        --adversary max-node --checkpoint-every 64 --checkpoint-dir state/
     python -m repro.cli resume state/campaign.jsonl
 
 List available components::
@@ -77,6 +77,8 @@ def _backend_names() -> list[str]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.service.worker import DEFAULT_CHECKPOINT_EVERY
+
     parser = argparse.ArgumentParser(
         prog="repro-selfheal",
         description=f"Self-healing network reproduction of: {PAPER}",
@@ -159,7 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--workers", type=int, default=2,
                      help="max concurrent worker processes "
                           "(default %(default)s)")
-    srv.add_argument("--checkpoint-every", type=int, default=4,
+    srv.add_argument("--checkpoint-every", type=int,
+                     default=DEFAULT_CHECKPOINT_EVERY,
                      help="worker checkpoint cadence in rounds "
                           "(default %(default)s)")
     srv.add_argument("--heartbeat-ttl", type=float, default=10.0,
@@ -360,7 +363,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         ckpt_dir = Path(args.checkpoint_dir)
         recovery["checkpoint_dir"] = ckpt_dir
         recovery["checkpoint_every"] = (
-            16 if args.checkpoint_every is None else args.checkpoint_every
+            128 if args.checkpoint_every is None else args.checkpoint_every
         )
         recovery["ledger"] = ckpt_dir / "campaign.jsonl"
 

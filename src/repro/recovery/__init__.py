@@ -5,19 +5,20 @@ subpackage is about the harness surviving *its own* failures — a worker
 SIGKILLed mid-sweep, a machine rebooting halfway through an n=100k
 campaign. Three pieces:
 
-* :mod:`~repro.recovery.checkpoint` — versioned JSON snapshots of the
-  full campaign state (graph, healing graph, union-find tracker,
+* :mod:`~repro.recovery.checkpoint` — versioned, fsync'd JSON snapshots
+  of the full campaign state (graph, healing graph, union-find tracker,
   adversary/healer/metric state, RNG streams) written every N rounds by
   :func:`~repro.sim.engine.run_campaign`, plus
   :func:`~repro.recovery.checkpoint.resume_campaign` /
-  :func:`~repro.recovery.checkpoint.resume_from_ledger`, which continue
-  a killed campaign to a byte-identical :class:`~repro.core.network.HealEvent`
-  stream and final metrics (differential-tested in
-  ``tests/recovery/``);
+  :func:`~repro.recovery.checkpoint.resume_from_ledger`, which restore
+  the newest intact snapshot and re-execute the rounds after it to a
+  byte-identical :class:`~repro.core.network.HealEvent` stream and
+  final metrics (differential-tested in ``tests/recovery/``);
 * :mod:`~repro.recovery.ledger` — an append-only JSONL audit log (one
   flushed record per round: victims, deletions, survivors; plus fsync'd
   checkpoint references), the breadcrumb trail a crashed campaign is
-  found and resumed from;
+  found and resumed from, and the record re-executed rounds must
+  reproduce;
 * :mod:`~repro.recovery.faults` — deterministic fault injection
   (seeded in-process crash, genuine SIGKILL, checkpoint truncation)
   used by the recovery tests and the CI chaos leg.

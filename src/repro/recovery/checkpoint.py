@@ -3,14 +3,18 @@
 A checkpoint directory holds one ``static.json`` (written once per
 campaign: everything immutable — initial IDs and degrees, engine
 parameters, how to rebuild the healer/adversary/metrics) plus a rolling
-window of ``ckpt-r<round>.json`` full snapshots (graph adjacency,
+window of ``ckpt-r<round>.json`` snapshots: the round-0 ``init`` record
+(component states only) and ``full`` snapshots (graph adjacency,
 healing edges, the union-find tracker verbatim, component RNG states,
-accumulated metric state) and, between them, ``-delta`` records (see
-:data:`FULL_SNAPSHOT_EVERY`). Dynamic files are written atomically
-(temp file → ``os.replace``; full snapshots are fsync'd first), so a
-process crash mid-write can at worst leave a stale temp file, never a
-torn checkpoint; the previous window entries are kept as fallback
-anyway.
+accumulated metric state). Every file is written atomically and
+fsync'd (temp file → ``os.replace``), so a process crash mid-write can
+at worst leave a stale temp file, never a torn checkpoint; the previous
+window entries are kept as fallback anyway.
+
+Resume restores the newest intact snapshot and re-executes the rounds
+after it through the campaign loop, with the live adversary and
+metrics. When it starts from the ledger, each re-executed round must
+reproduce the ledger's record of it (victims, deletions, survivors).
 
 The resume contract — differential-tested in ``tests/recovery/`` and
 fuzzed in ``tests/sim/test_campaign_fuzz.py`` — is *byte-identical
@@ -40,10 +44,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Sequence
 
-from repro.adversary.scripted import ScriptedRounds
 from repro.core.components import NodeId, make_node_ids
 from repro.core.network import HealEvent, SelfHealingNetwork
-from repro.errors import CheckpointError, ConfigurationError, SimulationError
+from repro.errors import CheckpointError, ConfigurationError
 from repro.graph.array_backend import new_graph
 from repro.graph.degree_index import DegreeIndex
 from repro.graph.graph import Graph
@@ -60,7 +63,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "CHECKPOINT_VERSION",
-    "FULL_SNAPSHOT_EVERY",
     "Checkpointer",
     "CampaignRecorder",
     "RestoredCampaign",
@@ -75,16 +77,6 @@ CHECKPOINT_VERSION = 1
 STATIC_FILENAME = "static.json"
 _CKPT_PREFIX = "ckpt-r"
 _CKPT_SUFFIX = ".json"
-_DELTA_MARK = "-delta"
-
-#: Every Nth cadence checkpoint is a full snapshot; the ones between are
-#: delta records (victims since the previous checkpoint + the small
-#: component states), replayed through the real healer at restore. Full
-#: snapshots serialize O(n + m) state — graph adjacency, union-find,
-#: counters — which at checkpoint_every=32 costs ~20x the campaign's own
-#: per-window work; deltas are O(deletions per window). The replay a
-#: resume may need is bounded by FULL_SNAPSHOT_EVERY checkpoint windows.
-FULL_SNAPSHOT_EVERY = 8
 
 
 # ----------------------------------------------------------------------
@@ -117,28 +109,18 @@ def _ensure_jsonable(obj: object, where: str) -> object:
     )
 
 
-def _write_json_atomic(
-    path: Path, payload: dict, *, sync: bool = True
-) -> bytes:
-    """Atomic write: temp file in the same directory, ``os.replace``.
+def _write_json_atomic(path: Path, payload: dict) -> bytes:
+    """Atomic, machine-crash durable write: temp file in the same
+    directory, fsync, ``os.replace``, fsync of the directory entry.
     Returns the serialized bytes so callers can hash them without
-    re-reading the file.
-
-    ``sync=True`` additionally fsyncs the file and its directory entry
-    (machine-crash durable). ``sync=False`` stops at the atomic rename:
-    the page cache survives any process death, and a machine crash can
-    at worst tear this one file — which the ledger's sha256 detects,
-    falling back to an older intact snapshot."""
+    re-reading the file."""
     tmp = path.with_name(path.name + ".tmp")
     data = json.dumps(payload, separators=(",", ":")).encode("utf-8")
     with open(tmp, "wb") as fh:
         fh.write(data)
-        if sync:
-            fh.flush()
-            os.fsync(fh.fileno())
+        fh.flush()
+        os.fsync(fh.fileno())
     os.replace(tmp, path)
-    if not sync:
-        return data
     try:
         dir_fd = os.open(path.parent, os.O_RDONLY)
     except OSError:  # pragma: no cover - exotic filesystems
@@ -261,8 +243,8 @@ def _encode_victim(victim: Node) -> object:
 
     A mixed (churn) round's ops arrive as ``("add", node, targets)`` /
     ``("delete", victim)`` tuples; delete ops flatten to the bare victim
-    (indistinguishable from a classic round's victim — replay treats
-    them identically) and add ops become ``{"add": [node, targets]}``.
+    (indistinguishable from a classic round's victim) and add ops become
+    ``{"add": [node, targets]}``.
     Checkpointable nodes are ints/strs, so the tags cannot collide with
     node values.
     """
@@ -463,68 +445,39 @@ class Checkpointer:
             )
         return payload
 
-    def checkpoint_path(
-        self, round_index: int, *, delta: bool = False
-    ) -> Path:
-        mark = _DELTA_MARK if delta else ""
+    def checkpoint_path(self, round_index: int) -> Path:
         return self.directory / (
-            f"{_CKPT_PREFIX}{round_index:08d}{mark}{_CKPT_SUFFIX}"
+            f"{_CKPT_PREFIX}{round_index:08d}{_CKPT_SUFFIX}"
         )
 
-    def write(
-        self,
-        round_index: int,
-        payload: dict,
-        *,
-        sync: bool = True,
-        delta: bool = False,
-    ) -> tuple[Path, str]:
-        """Write one snapshot; returns its path and content sha256
-        (hashed from the serialized bytes, no read-back).
-
-        The recorder fsyncs full snapshots (``sync=True``) so a
-        resumable anchor always survives even a machine crash, and
-        flushes the rolling delta records (``sync=False``) — a torn
-        one fails its ledger sha256 check at resume and selection falls
-        back to an older intact checkpoint, at worst a durable full."""
-        path = self.checkpoint_path(round_index, delta=delta)
-        data = _write_json_atomic(path, payload, sync=sync)
+    def write(self, round_index: int, payload: dict) -> tuple[Path, str]:
+        """Write one snapshot, fsync'd; returns its path and content
+        sha256 (hashed from the serialized bytes, no read-back)."""
+        path = self.checkpoint_path(round_index)
+        data = _write_json_atomic(path, payload)
         self._prune()
         return path, hashlib.sha256(data).hexdigest()
 
     def list_checkpoints(self) -> list[tuple[int, Path]]:
-        """``(round, path)`` pairs, ascending by round (full snapshots
-        and delta records both)."""
+        """``(round, path)`` pairs, ascending by round. Names whose stem
+        is not a round number are skipped — among them the ``-delta``
+        records older versions wrote between full snapshots."""
         found: list[tuple[int, Path]] = []
         for path in self.directory.glob(f"{_CKPT_PREFIX}*{_CKPT_SUFFIX}"):
             stem = path.name[len(_CKPT_PREFIX):-len(_CKPT_SUFFIX)]
-            if stem.endswith(_DELTA_MARK):
-                stem = stem[: -len(_DELTA_MARK)]
             try:
                 found.append((int(stem), path))
             except ValueError:
                 continue
-        return sorted(found, key=lambda rp: (rp[0], rp[1].name))
+        return sorted(found, key=lambda rp: rp[0])
 
     def _prune(self) -> None:
-        """Drop checkpoints older than the ``keep``-th newest full
-        snapshot. Deltas replay from the full snapshot that anchors
-        their chain, so the retention unit is the chain: pruning by raw
-        file count could delete a full that newer deltas still need."""
-        checkpoints = self.list_checkpoints()
-        fulls = [
-            r for r, path in checkpoints
-            if not path.name.endswith(_DELTA_MARK + _CKPT_SUFFIX)
-        ]
-        if len(fulls) <= self.keep:
-            return
-        horizon = sorted(fulls)[-self.keep]
-        for r, path in checkpoints:
-            if r < horizon:
-                try:
-                    path.unlink()
-                except OSError:  # pragma: no cover - racing cleaners
-                    pass
+        """Drop all but the ``keep`` newest snapshots."""
+        for _, path in self.list_checkpoints()[: -self.keep]:
+            try:
+                path.unlink()
+            except OSError:  # pragma: no cover - racing cleaners
+                pass
 
 
 # ----------------------------------------------------------------------
@@ -535,8 +488,8 @@ class CampaignRecorder:
 
     Built by the engine when the caller asks for checkpointing and/or a
     ledger; :meth:`after_round` runs once per completed round and is the
-    only hot-path surface (a ledger append per round, a checkpoint every
-    ``checkpoint_every`` rounds).
+    only hot-path surface (a ledger append per round, a full snapshot
+    every ``checkpoint_every`` rounds).
     """
 
     def __init__(
@@ -550,6 +503,7 @@ class CampaignRecorder:
         checkpoint_every: int | None,
         ledger: CampaignLedger | None,
         owns_ledger: bool,
+        start_degree: dict,
     ) -> None:
         self.network = network
         self.adversary = adversary
@@ -559,17 +513,13 @@ class CampaignRecorder:
         self.checkpoint_every = checkpoint_every
         self.ledger = ledger
         self._owns_ledger = owns_ledger
-        #: the nodes known at campaign start (extras — nodes added
-        #: mid-campaign through the graph API — ride each dynamic
-        #: snapshot instead of the static file)
-        self._static_nodes = frozenset(network.initial_ids)
-        #: delta-chain bookkeeping: the filename new deltas replay from,
-        #: how many deltas the current chain already holds, and the
-        #: victims of every round since the last checkpoint (encoded
-        #: eagerly — they become the next delta's replay script)
-        self._chain_base: str | None = None
-        self._chain_len = 0
-        self._victim_rounds: list[list] = []
+        #: the campaign-start initial-degree table (restore re-derives
+        #: it from ``static.json``); joins add nodes and raise their
+        #: targets' baselines, so full snapshots record every change
+        self._start_degree = start_degree
+        #: ledger round records still to be re-executed, by round — the
+        #: resume tripwire (empty outside a resume from the ledger)
+        self._recorded: dict[int, dict] = {}
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -603,6 +553,7 @@ class CampaignRecorder:
             checkpoint_every=every,
             ledger=ledger_obj,
             owns_ledger=owns,
+            start_degree=dict(network.initial_degree),
         )
         # Header first: every later record (including the round-0
         # checkpoint reference) belongs to this campaign section.
@@ -642,11 +593,15 @@ class CampaignRecorder:
         ledger: CampaignLedger | str | Path | None,
         resumed_round: int,
         checkpoint_file: str,
-        chain_len: int = 0,
+        start_degree: dict,
+        recorded_rounds: Iterable[dict] = (),
     ) -> "CampaignRecorder":
         """A recorder continuing an interrupted campaign: same cadence,
-        same directory, a ``resumed`` marker in the ledger. New deltas
-        chain onto the checkpoint that was resumed from."""
+        same directory, a ``resumed`` marker in the ledger.
+        ``recorded_rounds`` are the ledger's round records after the
+        restored round; each re-executed round must reproduce its
+        record, or :meth:`after_round` raises
+        :class:`~repro.errors.CheckpointError` before appending it."""
         ledger_obj, owns = cls._coerce_ledger(ledger)
         recorder = cls(
             network=network,
@@ -657,18 +612,9 @@ class CampaignRecorder:
             checkpoint_every=checkpoint_every,
             ledger=ledger_obj,
             owns_ledger=owns,
+            start_degree=start_degree,
         )
-        if checkpointer is not None:
-            recorder._chain_base = checkpoint_file
-            recorder._chain_len = chain_len
-            # The restored network's initial_ids already contain any
-            # churn-inserted nodes; __init__'s live-snapshot default
-            # would fold them into the static set and the next full
-            # snapshot would silently drop their IDs/degrees. The static
-            # payload records the true campaign-start node set.
-            recorder._static_nodes = frozenset(
-                _static_node_seq(checkpointer.read_static())
-            )
+        recorder._recorded = {r["round"]: r for r in recorded_rounds}
         if ledger_obj is not None:
             ledger_obj.append(
                 {
@@ -768,14 +714,12 @@ class CampaignRecorder:
 
     def _dynamic_payload(self, rounds: int, deletions: int) -> dict:
         network = self.network
+        start = self._start_degree
+        # Nodes added mid-campaign, and every baseline a join raised.
         extra_ids = [
             [u, _encode_label(network.initial_ids[u])]
             for u in sorted(
-                (
-                    v
-                    for v in network.initial_ids
-                    if v not in self._static_nodes
-                ),
+                (v for v in network.initial_ids if v not in start),
                 key=repr,
             )
         ]
@@ -784,8 +728,8 @@ class CampaignRecorder:
             for u in sorted(
                 (
                     v
-                    for v in network.initial_degree
-                    if v not in self._static_nodes
+                    for v, d in network.initial_degree.items()
+                    if start.get(v) != d
                 ),
                 key=repr,
             )
@@ -830,9 +774,8 @@ class CampaignRecorder:
     def _init_payload(self) -> dict:
         """The round-0 checkpoint: component states only. The network
         side (graph, IDs, degrees, a fresh tracker, an empty healing
-        graph) is reconstructed from the static payload — encoding it
-        again here is exactly the O(n+m) cost delta checkpointing
-        exists to avoid."""
+        graph) is reconstructed from the static payload, so encoding it
+        again here would only repeat the O(n+m) static write."""
         return {
             "version": CHECKPOINT_VERSION,
             "kind": "init",
@@ -850,55 +793,14 @@ class CampaignRecorder:
             ],
         }
 
-    def _delta_payload(self, rounds: int, deletions: int) -> dict:
-        network = self.network
-        return {
-            "version": CHECKPOINT_VERSION,
-            "kind": "delta",
-            "round": rounds,
-            "deletions": deletions,
-            "base": self._chain_base,
-            "chain_len": self._chain_len + 1,
-            "victim_rounds": list(self._victim_rounds),
-            "adversary": _ensure_jsonable(
-                self.adversary.export_state(), "adversary state"
-            ),
-            "metrics": [
-                _ensure_jsonable(m.export_state(), "metric state")
-                for m in _checkpointed_metrics(self.metrics)
-            ],
-            # Replay-divergence tripwires: restore re-executes the
-            # victim rounds through the real healer and must land on
-            # exactly this state.
-            "alive": network.num_alive,
-            "peak_delta": network.peak_delta,
-        }
-
     def _checkpoint(self, rounds: int, deletions: int) -> None:
         assert self.checkpointer is not None
-        delta = (
-            rounds > 0
-            and self._chain_base is not None
-            and self._chain_len < FULL_SNAPSHOT_EVERY - 1
-        )
         if rounds == 0:
             payload = self._init_payload()
-        elif delta:
-            payload = self._delta_payload(rounds, deletions)
         else:
             payload = self._dynamic_payload(rounds, deletions)
-        path, digest = self.checkpointer.write(
-            rounds, payload, sync=not delta, delta=delta
-        )
-        self._chain_base = path.name
-        self._chain_len = self._chain_len + 1 if delta else 0
-        self._victim_rounds.clear()
+        path, digest = self.checkpointer.write(rounds, payload)
         if self.ledger is not None:
-            # Delta records ride the flush tier with their files: after
-            # a machine crash a flushed-only delta may be torn anyway
-            # (the sha check catches it and resume falls back), so an
-            # fsync on its ledger record buys nothing. Init/full records
-            # are the durable resume anchors and stay synced.
             self.ledger.append(
                 {
                     "type": "checkpoint",
@@ -906,8 +808,7 @@ class CampaignRecorder:
                     "kind": payload["kind"],
                     "file": path.name,
                     "sha256": digest,
-                },
-                sync=not delta,
+                }
             )
 
     # -- engine hooks ---------------------------------------------------
@@ -917,30 +818,40 @@ class CampaignRecorder:
         deletions: int,
         victims: Sequence[Node],
     ) -> None:
-        encoded = [_encode_victim(v) for v in victims]
-        if self.checkpointer is not None:
-            self._victim_rounds.append(encoded)
         if self.ledger is not None:
-            # Flush-tier durability: round records are the audit trail,
-            # not the resume chain — resume replays everything after the
-            # last checkpoint anyway, and a flush already survives any
-            # process death. Saving the per-round fsync is what keeps
-            # crash-safe campaigns inside the ≤5% overhead budget.
-            self.ledger.append(
-                {
-                    "type": "round",
-                    "round": rounds,
-                    "victims": encoded,
-                    "deletions": deletions,
-                    "alive": self.network.num_alive,
-                },
-                sync=False,
-            )
+            record = {
+                "type": "round",
+                "round": rounds,
+                "victims": [_encode_victim(v) for v in victims],
+                "deletions": deletions,
+                "alive": self.network.num_alive,
+            }
+            self._check_against_ledger(record)
+            # Flush-tier durability: round records are the audit trail
+            # and the resume tripwire, not what resume restores from,
+            # and a flush already survives any process death. Saving
+            # the per-round fsync is what keeps crash-safe campaigns
+            # inside the ≤5% overhead budget.
+            self.ledger.append(record, sync=False)
         if (
             self.checkpoint_every is not None
             and rounds % self.checkpoint_every == 0
         ):
             self._checkpoint(rounds, deletions)
+
+    def _check_against_ledger(self, record: dict) -> None:
+        """The resume tripwire: a re-executed round must reproduce the
+        ledger's record of it."""
+        expected = self._recorded.pop(record["round"], None)
+        if expected is None:
+            return
+        for key in ("victims", "deletions", "alive"):
+            if expected.get(key) != record[key]:
+                raise CheckpointError(
+                    f"re-executed round {record['round']} diverged from "
+                    f"the ledger: {key}={record[key]!r}, recorded "
+                    f"{expected.get(key)!r}"
+                )
 
     def finish(self, result: "SimulationResult", rounds: int) -> None:
         if self.ledger is not None:
@@ -975,21 +886,25 @@ class RestoredCampaign:
     deletions: int
     checkpoint_path: Path
     checkpointer: Checkpointer
-    #: number of deltas in the chain the restored checkpoint sits on
-    #: (0 = a full snapshot); a resuming recorder continues the chain
-    chain_len: int = 0
+    #: the recorded cadence (``static.json``'s ``checkpoint_every``)
+    checkpoint_every: int | None
+    #: the campaign-start initial-degree table, re-derived from
+    #: ``static.json`` (a resuming recorder diffs snapshots against it)
+    start_degree: dict
 
 
 def _restore_network(
     static: dict, dynamic: dict, healer: object
-) -> SelfHealingNetwork:
+) -> tuple[SelfHealingNetwork, dict]:
     """Rebuild a mid-campaign :class:`SelfHealingNetwork` without running
-    ``__init__`` (which would re-derive IDs and reset every counter)."""
-    initial_ids, initial_degree = _static_tables(static)
+    ``__init__`` (which would re-derive IDs and reset every counter).
+    Also returns the campaign-start degree table it re-derived."""
+    initial_ids, start_degree = _static_tables(static)
     initial_ids.update(
         (u, _decode_label(label))
         for u, label in dynamic["extra_initial_ids"]
     )
+    initial_degree = dict(start_degree)
     initial_degree.update(
         (u, d) for u, d in dynamic["extra_initial_degree"]
     )
@@ -1035,7 +950,7 @@ def _restore_network(
     network.peak_delta = dynamic["peak_delta"]
     # NOTE: healer.reset() is deliberately NOT called — the healer's
     # mid-campaign state arrives via import_state in load_checkpoint.
-    return network
+    return network, start_degree
 
 
 def _initial_network(static: dict, healer: object) -> SelfHealingNetwork:
@@ -1086,7 +1001,12 @@ def _read_checkpoint_file(
     elif kind == "init":
         required = ("round", "healer", "adversary", "metrics")
     else:
-        required = ("round", "base", "victim_rounds", "adversary", "alive")
+        # Older versions wrote "delta" records between full snapshots;
+        # resume falls back to the snapshot their chain started from.
+        raise CheckpointError(
+            f"checkpoint {path} has kind {kind!r}; only full and init "
+            "snapshots restore"
+        )
     for key in required:
         if key not in payload:
             raise CheckpointError(
@@ -1095,55 +1015,16 @@ def _read_checkpoint_file(
     return payload
 
 
-def _load_chain(
-    checkpointer: Checkpointer,
-    path: Path,
-    sha_map: Mapping[str, str] | None = None,
-) -> list[tuple[Path, dict]]:
-    """Resolve a checkpoint into its replay chain, full snapshot first.
-
-    A full (or round-0 init) snapshot is a chain of one. A delta names
-    its ``base`` — another delta or ultimately a full/init anchor — and
-    restoring it means restoring the anchor and replaying every delta's
-    victim rounds in order. Any broken link (missing file, sha
-    mismatch, parse error, cycle, non-monotonic rounds) fails the WHOLE
-    chain: the caller falls back to an older candidate."""
-    chain: list[tuple[Path, dict]] = []
-    seen: set[str] = set()
-    while True:
-        payload = _read_checkpoint_file(path, sha_map)
-        chain.append((path, payload))
-        if payload.get("kind", "full") != "delta":
-            break
-        base = payload["base"]
-        if not isinstance(base, str) or base in seen or len(seen) > 10_000:
-            raise CheckpointError(
-                f"checkpoint {path} has a corrupt delta chain "
-                f"(base={base!r})"
-            )
-        seen.add(base)
-        path = checkpointer.directory / base
-    chain.reverse()
-    rounds = [p["round"] for _, p in chain]
-    if rounds != sorted(rounds) or len(set(rounds)) != len(rounds):
-        raise CheckpointError(
-            f"delta chain of {chain[-1][0]} has non-monotonic rounds "
-            f"{rounds}"
-        )
-    return chain
-
-
 def _select_checkpoint(
     checkpointer: Checkpointer,
     candidates: Iterable[Path],
     sha_map: Mapping[str, str] | None,
-) -> list[tuple[Path, dict]]:
-    """The chain of the first candidate, newest first, whose every link
-    loads; each file of the chosen chain is read once."""
+) -> tuple[Path, dict]:
+    """The first candidate, newest first, that reads intact."""
     last_error: CheckpointError | None = None
     for path in candidates:
         try:
-            return _load_chain(checkpointer, path, sha_map)
+            return path, _read_checkpoint_file(path, sha_map)
         except CheckpointError as exc:
             last_error = exc
     raise CheckpointError(
@@ -1161,19 +1042,14 @@ def load_checkpoint(
     metrics: Sequence[object] | None = None,
     sha_map: Mapping[str, str] | None = None,
 ) -> RestoredCampaign:
-    """Rebuild a campaign from its checkpoint directory.
+    """Rebuild a campaign from its checkpoint directory: the newest
+    snapshot that reads intact, or the named ``checkpoint``.
 
     ``healer``/``adversary``/``metrics`` override provenance-based
     reconstruction — required for components that were built directly
     (no registry spec) from non-serializable arguments. Explicitly
     passed objects receive the checkpointed state via ``import_state``
     exactly like rebuilt ones.
-
-    When the selected checkpoint is a delta record, the full snapshot
-    anchoring its chain is restored first and every delta's recorded
-    rounds are re-executed through the campaign loop — determinism makes
-    the replay land on exactly the recorded state (verified against the
-    delta's ``alive``/``peak_delta`` tripwires).
     """
     checkpointer = Checkpointer(checkpoint_dir)
     if checkpoint is None:
@@ -1196,23 +1072,20 @@ def _restore(
     adversary: object | None,
     metrics: Sequence[object] | None,
 ) -> RestoredCampaign:
-    """:func:`load_checkpoint` from the newest intact candidate."""
+    """:func:`load_checkpoint` from the newest intact candidate. The one
+    read of ``static.json`` per resume: the restored campaign carries
+    on only the cadence and the campaign-start degree table."""
     static = checkpointer.read_static()
-    chain = _select_checkpoint(checkpointer, candidates, sha_map)
-    path, target = chain[-1]
-    base = chain[0][1]
+    path, snapshot = _select_checkpoint(checkpointer, candidates, sha_map)
 
-    # The healer is restored at the chain's full snapshot and evolved by
-    # replay; adversary and metric states were recorded at the target
-    # (replay bypasses the adversary, so its RNG does not advance).
     if healer is None:
         healer = _rebuild_from_provenance(static["healer"], "healer")
 
     if adversary is None:
         adversary = _rebuild_from_provenance(static["adversary"], "adversary")
-    adversary.import_state(target["adversary"])
+    adversary.import_state(snapshot["adversary"])
 
-    metric_states = target["metrics"]
+    metric_states = snapshot["metrics"]
     descriptors = static["metrics"]
     if len(metric_states) != len(descriptors):
         raise CheckpointError(
@@ -1234,82 +1107,25 @@ def _restore(
             for descriptor, state in zip(descriptors, metric_states)
         ]
 
-    if base.get("kind", "full") == "init":
+    if snapshot.get("kind", "full") == "init":
         network = _initial_network(static, healer)
+        start_degree = dict(network.initial_degree)
     else:
-        network = _restore_network(static, base, healer)
+        network, start_degree = _restore_network(static, snapshot, healer)
     # Only now: building the round-0 network resets the healer.
-    healer.import_state(base["healer"])
-    _replay_deltas(network, static, chain[1:])
+    healer.import_state(snapshot["healer"])
     return RestoredCampaign(
         network=network,
         adversary=adversary,
         metrics=rebuilt,
         params=dict(static["params"]),
-        rounds=target["round"],
-        deletions=target["deletions"],
+        rounds=snapshot["round"],
+        deletions=snapshot["deletions"],
         checkpoint_path=path,
         checkpointer=checkpointer,
-        chain_len=target.get("chain_len", 0),
+        checkpoint_every=static.get("checkpoint_every"),
+        start_degree=start_degree,
     )
-
-
-def _replay_deltas(
-    network: SelfHealingNetwork,
-    static: dict,
-    deltas: Sequence[tuple[Path, dict]],
-) -> None:
-    """Re-execute each delta's recorded rounds on a network restored at
-    the chain's full snapshot, through the campaign loop itself: a
-    :class:`~repro.adversary.scripted.ScriptedRounds` adversary yields
-    the recorded rounds, and the healer, tracker, graph and event stream
-    evolve exactly as in the original run. Metrics do NOT observe
-    replayed rounds: their state is imported from the target delta,
-    which keeps fault-injecting exempt metrics from re-firing on
-    history."""
-    from repro.sim.engine import _drive_campaign
-
-    params = static["params"]
-    mixed_rounds = params.get("mixed_rounds", False)
-    for delta_path, delta in deltas:
-        # A churn round records delete ops as bare victims and add ops
-        # as tagged tuples (the joiner's ID re-derives from the
-        # network's id_seed, identically to the original run).
-        rounds = [
-            [
-                ("delete", v) if mixed_rounds and type(v) is not tuple else v
-                for v in map(_decode_victim, victims)
-            ]
-            for victims in delta["victim_rounds"]
-        ]
-        try:
-            _drive_campaign(
-                network=network,
-                adversary=ScriptedRounds(rounds),
-                metrics=(),
-                batch_rounds=params["batch_rounds"],
-                mixed_rounds=mixed_rounds,
-                stop_alive=0,
-                max_rounds=None,
-                max_deletions=None,
-                keep_events=False,
-                keep_network=False,
-            )
-        except SimulationError as exc:
-            raise CheckpointError(
-                f"delta replay diverged at {delta_path}: {exc}"
-            ) from exc
-        if (
-            network.num_alive != delta["alive"]
-            or network.peak_delta
-            != delta.get("peak_delta", network.peak_delta)
-        ):
-            raise CheckpointError(
-                f"delta replay diverged at {delta_path}: got "
-                f"alive={network.num_alive} peak_delta="
-                f"{network.peak_delta}, recorded alive={delta['alive']} "
-                f"peak_delta={delta.get('peak_delta')!r}"
-            )
 
 
 def resume_campaign(
@@ -1330,7 +1146,11 @@ def resume_campaign(
     returned result's final metrics — and, when the campaign ran with
     ``keep_events=True``, its full :class:`HealEvent` stream — match
     what :func:`~repro.sim.engine.run_campaign` would have produced
-    without the crash.
+    without the crash. The rounds after the restored snapshot are
+    re-executed with the live adversary and metrics. Only
+    :func:`resume_from_ledger` checks them against recorded rounds;
+    here ``ledger`` just receives new records, so re-execution runs
+    without a tripwire.
 
     ``keep_checkpointing=False`` runs the tail straight through without
     writing further snapshots; otherwise the original cadence (or an
@@ -1352,6 +1172,7 @@ def _resume(
     ledger: CampaignLedger | str | Path | None,
     checkpoint_every: int | None,
     keep_checkpointing: bool,
+    recorded_rounds: Iterable[dict] = (),
 ) -> "SimulationResult":
     """Run a restored campaign to completion (see :func:`resume_campaign`)."""
     from repro.sim.engine import _drive_campaign
@@ -1359,7 +1180,7 @@ def _resume(
     params = restored.params
     every = checkpoint_every
     if every is None and keep_checkpointing:
-        every = restored.checkpointer.read_static().get("checkpoint_every")
+        every = restored.checkpoint_every
     recorder = None
     if keep_checkpointing or ledger is not None:
         recorder = CampaignRecorder.resume(
@@ -1374,7 +1195,8 @@ def _resume(
             ledger=ledger,
             resumed_round=restored.rounds,
             checkpoint_file=restored.checkpoint_path.name,
-            chain_len=restored.chain_len,
+            start_degree=restored.start_degree,
+            recorded_rounds=recorded_rounds,
         )
     return _drive_campaign(
         network=restored.network,
@@ -1405,11 +1227,13 @@ def resume_from_ledger(
     and resume it, appending further records to the same ledger.
 
     Checkpoint references whose file is missing, fails its recorded
-    SHA-256, or no longer parses — or whose delta chain has any broken
-    link back to its full snapshot — are skipped in favor of the
+    SHA-256, or no longer parses are skipped in favor of the
     next-newest; the ledger is the source of truth for *where* to
     resume, the hashes for *whether* a snapshot survived the crash
-    intact.
+    intact. The rounds the ledger records after the restored snapshot
+    are the tripwire: each re-executed round must reproduce its record
+    (victims, deletions, survivors) or resume raises
+    :class:`~repro.errors.CheckpointError`.
     """
     records = read_ledger(ledger_path)
     header, tail = latest_campaign(records)
@@ -1439,6 +1263,15 @@ def resume_from_ledger(
     restored = _restore(
         checkpointer, candidates, sha_map, healer, adversary, metrics
     )
+    recorded = [
+        r
+        for r in tail
+        if r.get("type") == "round" and r["round"] > restored.rounds
+    ]
     return _resume(
-        restored, CampaignLedger(ledger_path), None, keep_checkpointing
+        restored,
+        CampaignLedger(ledger_path),
+        None,
+        keep_checkpointing,
+        recorded,
     )

@@ -4,10 +4,9 @@ One file per campaign, one JSON object per line, every line flushed to
 the OS before :meth:`CampaignLedger.append` returns — so after a SIGKILL
 the ledger holds every completed round up to (at worst) one torn final
 line, which :func:`read_ledger` tolerates. The recorder also fsyncs
-the records resume depends on (campaign header, full-checkpoint
-references, end); round and delta-checkpoint records are only flushed,
-so a machine crash can lose the ones since the last full checkpoint.
-The record stream:
+the records resume depends on (campaign header, checkpoint references,
+end); round records are only flushed, so a machine crash can lose the
+ones since the last checkpoint. The record stream:
 
 ``{"type": "campaign", ...}``
     Header: ledger format version, engine parameters, the checkpoint
@@ -16,11 +15,14 @@ The record stream:
     One per completed round/wave: who died, cumulative deletions,
     survivors. This is the audit/replay trail — a
     :class:`~repro.adversary.scripted.ScriptedAttack` over the
-    concatenated victims replays the campaign on any healer.
-``{"type": "checkpoint", "round": r, "file": ..., "sha256": ...}``
-    A checkpoint was durably written; the hash lets resume reject a
-    checkpoint torn by a crash mid-write (belt — the atomic
-    write-rename in :mod:`~repro.recovery.checkpoint` is suspenders).
+    concatenated victims replays the campaign on any healer — and the
+    resume tripwire: every round re-executed after the restored
+    snapshot must reproduce its record.
+``{"type": "checkpoint", "round": r, "kind": ..., "file": ..., ...}``
+    A snapshot (``init`` or ``full``) was durably written; its
+    ``sha256`` lets resume reject a checkpoint torn by a crash
+    mid-write (belt — the atomic write-rename in
+    :mod:`~repro.recovery.checkpoint` is suspenders).
 ``{"type": "resumed", "round": r, ...}``
     A resume picked up from the named checkpoint.
 ``{"type": "end", "values": {...}, ...}``

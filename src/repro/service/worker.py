@@ -41,8 +41,9 @@ __all__ = ["HEARTBEAT_INTERVAL", "WorkerHandle", "worker_main"]
 HEARTBEAT_INTERVAL = 0.2
 #: the manager's default patience before declaring a worker dead
 DEFAULT_HEARTBEAT_TTL = 10.0
-#: default checkpoint cadence for service campaigns
-DEFAULT_CHECKPOINT_EVERY = 4
+#: default checkpoint cadence for service campaigns: a full snapshot
+#: every N rounds
+DEFAULT_CHECKPOINT_EVERY = 32
 
 EXIT_OK = 0
 EXIT_FAILED = 1

@@ -129,23 +129,20 @@ def run_campaign(
         :attr:`~repro.adversary.base.Adversary.batch_rounds` protocol
         flag — the right choice everywhere outside differential tests.
     checkpoint_every / checkpoint_dir:
-        Write a checkpoint to ``checkpoint_dir`` every
-        ``checkpoint_every`` rounds (plus one at round 0), from which
-        :func:`repro.recovery.checkpoint.resume_campaign` continues a
-        killed campaign byte-identically. Every
-        :data:`~repro.recovery.checkpoint.FULL_SNAPSHOT_EVERY`-th
-        cadence checkpoint (the 8th) is a full, fsync'd snapshot; the
-        seven between are deltas — the victims since the previous
-        checkpoint, replayed through the healer at restore. Requires
-        every participating component to be checkpointable (validated
-        up front).
+        Write a full, fsync'd snapshot to ``checkpoint_dir`` every
+        ``checkpoint_every`` rounds (plus the round-0 ``init`` record),
+        from which :func:`repro.recovery.checkpoint.resume_campaign`
+        continues a killed campaign byte-identically: it restores the
+        newest intact snapshot and re-executes the rounds after it.
+        Requires every participating component to be checkpointable
+        (validated up front).
     ledger:
         A :class:`~repro.recovery.ledger.CampaignLedger` (or a path to
         open one) receiving one append-only record per round — the
-        audit trail resume-from-crash starts from. Round records are
+        audit trail resume-from-crash starts from, and the tripwire
+        re-executed rounds are checked against. Round records are
         flushed, which survives a process kill, but not fsync'd; the
-        campaign header, full-checkpoint references and end record
-        are.
+        campaign header, checkpoint references and end record are.
     """
     if stop_alive < 0:
         raise ConfigurationError(f"stop_alive must be >= 0, got {stop_alive}")
@@ -276,10 +273,10 @@ def _drive_campaign(
 ) -> SimulationResult:
     """The campaign loop proper, on an already-initialized network.
 
-    :func:`run_campaign` enters here at round 0; checkpoint restore
-    enters to replay a delta's recorded rounds, then to continue with
-    the surviving round/deletion counters — byte-identical continuation
-    falls out of sharing this one loop rather than approximating it.
+    :func:`run_campaign` enters here at round 0; resume enters with a
+    restored snapshot's round/deletion counters and re-executes the
+    rounds after it — byte-identical continuation falls out of sharing
+    this one loop rather than approximating it.
     """
     while network.num_alive > stop_alive and network.num_alive > 0:
         if max_rounds is not None and rounds >= max_rounds:

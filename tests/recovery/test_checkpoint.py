@@ -106,6 +106,24 @@ class TestByteIdenticalResume:
         )
         _assert_identical(straight, resumed)
 
+    @pytest.mark.parametrize("healer", ("dash", "forgiving-tree"))
+    @pytest.mark.parametrize(
+        "adversary", ("churn", "churn:rate=0.5,mean=10")
+    )
+    def test_churn_resume_through_full_snapshot(
+        self, tmp_path, healer, adversary
+    ):
+        # A join raises its targets' degree baselines without healing;
+        # the round-44 full snapshot must carry those raised baselines,
+        # or δ — and with it DASH's (δ, ID) layout order — comes back
+        # wrong after restore.
+        straight = _straight(healer, adversary)
+        resumed = _crash_and_resume(
+            healer, adversary, tmp_path,
+            crash_round=45, checkpoint_every=1,
+        )
+        _assert_identical(straight, resumed)
+
     def test_crash_between_checkpoints_replays_the_gap(self, tmp_path):
         # checkpoint_every=4, crash at round 7: resume restarts from
         # round 4 and must re-derive rounds 5-7 identically.
@@ -246,17 +264,10 @@ class TestResumeSafety:
             graph, healer, adversary, id_seed=1, metrics=metrics,
             checkpoint_every=1, checkpoint_dir=tmp_path / "ck",
         )
-        # 40 rounds at every=1 is 41 snapshots (fulls at rounds 0, 8,
-        # 16, 24, 32, 40; deltas between). The window keeps the 3 newest
-        # fulls — plus every delta chained after the oldest kept full,
-        # since a delta is unrestorable without its anchor.
+        # 40 rounds at every=1 is 41 snapshots; the window keeps the
+        # 3 newest.
         kept = Checkpointer(tmp_path / "ck").list_checkpoints()
-        fulls = [
-            r for r, p in kept if not p.name.endswith("-delta.json")
-        ]
-        assert fulls == [24, 32, 40]
-        assert min(r for r, _ in kept) == 24
-        assert len(kept) == 17  # rounds 24..40 inclusive
+        assert [r for r, _ in kept] == [38, 39, 40]
 
 
 class TestCheckpointValidation:
@@ -402,99 +413,56 @@ class TestFaultHelpers:
             )
 
 
-class TestDeltaChains:
-    """Delta checkpoints: tiny victim-replay records chained onto rare
-    full/init anchors, replayed through the real healer on restore."""
+class TestSnapshotsAndReExecution:
+    """Every cadence checkpoint is a full snapshot; resume restores the
+    newest intact one and re-executes the later rounds, checking each
+    against the ledger."""
 
-    def test_checkpoint_kinds_follow_the_chain_cadence(self, tmp_path):
-        from repro.recovery.checkpoint import FULL_SNAPSHOT_EVERY
+    def _crash(self, tmp_path, *, crash_round, checkpoint_every):
+        graph, healer, adversary, metrics = _components(
+            "dash", "max-node", 50, 11
+        )
+        ledger = tmp_path / "campaign.jsonl"
+        with pytest.raises(SimulatedCrash):
+            run_campaign(
+                graph, healer, adversary, id_seed=3,
+                metrics=metrics + [CrashAtRound(crash_round)],
+                keep_events=True,
+                checkpoint_every=checkpoint_every,
+                checkpoint_dir=tmp_path / "ck",
+                ledger=ledger,
+            )
+        return ledger
 
+    def test_checkpoint_kinds_follow_the_cadence(self, tmp_path):
         graph, healer, adversary, metrics = _components(
             "dash", "max-node", 60, 7
         )
         ledger = tmp_path / "campaign.jsonl"
         run_campaign(
             graph, healer, adversary, id_seed=1, metrics=metrics,
-            checkpoint_every=1, checkpoint_dir=tmp_path / "ck",
+            checkpoint_every=3, checkpoint_dir=tmp_path / "ck",
             ledger=ledger,
         )
-        kinds = [
-            r["kind"]
+        checkpoints = [
+            (r["round"], r["kind"])
             for r in read_ledger(ledger)
             if r.get("type") == "checkpoint"
         ]
-        assert kinds[0] == "init"
-        for i, kind in enumerate(kinds[1:], 1):
-            expected = "delta" if i % FULL_SNAPSHOT_EVERY else "full"
-            assert kind == expected, f"checkpoint {i}: {kind}"
-        # Deltas must actually be cheap: an order of magnitude smaller
-        # than the O(n+m) full they hang off.
-        files = {
-            p.name: p
-            for _, p in Checkpointer(tmp_path / "ck").list_checkpoints()
-        }
-        fulls = [p for p in files.values() if "-delta" not in p.name]
-        deltas = [p for p in files.values() if "-delta" in p.name]
-        assert fulls and deltas
-        assert max(d.stat().st_size for d in deltas) < min(
-            f.stat().st_size for f in fulls
-        )
-
-    def test_resumed_from_checkpoint_is_a_delta(self, tmp_path):
-        # checkpoint_every=2, crash at round 3: the newest checkpoint is
-        # round 2 — the first delta on the init anchor — and resume must
-        # both pick it and reproduce the uninterrupted run exactly.
-        straight = _straight("dash", "max-node")
-        resumed = _crash_and_resume(
-            "dash", "max-node", tmp_path,
-            crash_round=3, checkpoint_every=2,
-        )
-        _assert_identical(straight, resumed)
-        marker = [
-            r
-            for r in read_ledger(tmp_path / "campaign.jsonl")
-            if r.get("type") == "resumed"
+        last = checkpoints[-1][0]
+        assert last >= 30
+        assert checkpoints == [(0, "init")] + [
+            (r, "full") for r in range(3, last + 1, 3)
         ]
-        assert marker and marker[0]["file"].endswith("-delta.json")
 
-    def test_torn_delta_falls_back_along_the_chain(self, tmp_path):
-        straight = _straight("dash", "max-node")
-        graph, healer, adversary, metrics = _components(
-            "dash", "max-node", 50, 11
-        )
-        ledger = tmp_path / "campaign.jsonl"
-        with pytest.raises(SimulatedCrash):
-            run_campaign(
-                graph, healer, adversary, id_seed=3,
-                metrics=metrics + [CrashAtRound(7)], keep_events=True,
-                checkpoint_every=1, checkpoint_dir=tmp_path / "ck",
-                ledger=ledger,
-            )
-        truncate_file(tmp_path / "ck" / "ckpt-r00000006-delta.json")
-        resumed = resume_from_ledger(ledger)
-        _assert_identical(straight, resumed)
-        marker = [
-            r for r in read_ledger(ledger) if r.get("type") == "resumed"
-        ]
-        assert marker[0]["file"] == "ckpt-r00000005-delta.json"
-
-    def test_resume_reads_each_chain_file_once(self, tmp_path, monkeypatch):
-        # Crash after round 4 at checkpoint_every=1: the newest chain is
-        # the round-0 init anchor plus four deltas. Choosing it and
-        # restoring it must hash and parse each of its files once.
+    def test_resume_reads_the_newest_snapshot_once(
+        self, tmp_path, monkeypatch
+    ):
+        # Crash after round 4 at checkpoint_every=1: the newest snapshot
+        # is round 4's full one, and restoring it reads nothing else.
         from repro.recovery import checkpoint as checkpoint_mod
 
-        graph, healer, adversary, metrics = _components(
-            "dash", "max-node", 50, 11
-        )
-        ledger = tmp_path / "campaign.jsonl"
-        with pytest.raises(SimulatedCrash):
-            run_campaign(
-                graph, healer, adversary, id_seed=3,
-                metrics=metrics + [CrashAtRound(5)], keep_events=True,
-                checkpoint_every=1, checkpoint_dir=tmp_path / "ck",
-                ledger=ledger,
-            )
+        ledger = self._crash(tmp_path, crash_round=5, checkpoint_every=1)
         reads = []
         read = checkpoint_mod._read_checkpoint_file
 
@@ -504,51 +472,94 @@ class TestDeltaChains:
 
         monkeypatch.setattr(checkpoint_mod, "_read_checkpoint_file", spy)
         resumed = resume_from_ledger(ledger)
-        assert sorted(reads) == [
-            "ckpt-r00000000.json",
-            *(f"ckpt-r{r:08d}-delta.json" for r in range(1, 5)),
-        ]
+        assert reads == ["ckpt-r00000004.json"]
         _assert_identical(_straight("dash", "max-node"), resumed)
 
-    def test_torn_anchor_fails_every_chain(self, tmp_path):
-        graph, healer, adversary, metrics = _components(
-            "dash", "max-node", 50, 11
-        )
-        ledger = tmp_path / "campaign.jsonl"
-        with pytest.raises(SimulatedCrash):
-            run_campaign(
-                graph, healer, adversary, id_seed=3,
-                metrics=metrics + [CrashAtRound(5)],
-                checkpoint_every=2, checkpoint_dir=tmp_path / "ck",
-                ledger=ledger,
-            )
-        # Every checkpoint so far chains back to the round-0 init
-        # anchor; tearing it must brick them all, loudly.
-        truncate_file(tmp_path / "ck" / "ckpt-r00000000.json")
-        with pytest.raises(CheckpointError, match="no intact checkpoint"):
-            resume_from_ledger(ledger)
+    def test_resume_reads_static_once(self, tmp_path, monkeypatch):
+        ledger = self._crash(tmp_path, crash_round=6, checkpoint_every=4)
+        calls = []
+        read_static = Checkpointer.read_static
+
+        def spy(checkpointer):
+            calls.append(checkpointer.static_path)
+            return read_static(checkpointer)
+
+        monkeypatch.setattr(Checkpointer, "read_static", spy)
+        resumed = resume_from_ledger(ledger)
+        assert len(calls) == 1
+        _assert_identical(_straight("dash", "max-node"), resumed)
 
     def test_replay_divergence_tripwire(self, tmp_path):
         import json as json_mod
 
+        # checkpoint_every=4, crash at round 6: resume restores round 4
+        # and re-executes round 5, which the ledger recorded.
+        ledger = self._crash(tmp_path, crash_round=6, checkpoint_every=4)
+        records = read_ledger(ledger)
+        (target,) = [
+            r
+            for r in records
+            if r.get("type") == "round" and r["round"] == 5
+        ]
+        target["alive"] += 1
+        ledger.write_text(
+            "".join(json_mod.dumps(r) + "\n" for r in records)
+        )
+        with pytest.raises(
+            CheckpointError, match="round 5 diverged from the ledger"
+        ):
+            resume_from_ledger(ledger)
+        # Resuming from the directory alone has no tripwire.
+        resumed = resume_campaign(tmp_path / "ck", keep_checkpointing=False)
+        _assert_identical(_straight("dash", "max-node"), resumed)
+
+    def test_older_delta_records_are_skipped(self, tmp_path):
+        # Older versions wrote "-delta" records between full snapshots.
+        # Rewrite rounds 2 and 4 the way such a version would have left
+        # them: resume must skip both and re-execute from the round-0
+        # init snapshot their chain started from.
+        import hashlib
+        import json as json_mod
+
         from repro.recovery.checkpoint import load_checkpoint
 
-        graph, healer, adversary, metrics = _components(
-            "dash", "max-node", 50, 11
-        )
-        with pytest.raises(SimulatedCrash):
-            run_campaign(
-                graph, healer, adversary, id_seed=3,
-                metrics=metrics + [CrashAtRound(5)],
-                checkpoint_every=2, checkpoint_dir=tmp_path / "ck",
-                ledger=tmp_path / "campaign.jsonl",
+        ledger = self._crash(tmp_path, crash_round=5, checkpoint_every=2)
+        ck = tmp_path / "ck"
+        records = read_ledger(ledger)
+        for record in records:
+            if record.get("type") != "checkpoint" or record["round"] == 0:
+                continue
+            (ck / record["file"]).unlink()
+            name = f"ckpt-r{record['round']:08d}-delta.json"
+            data = json_mod.dumps(
+                {
+                    "version": 1,
+                    "kind": "delta",
+                    "round": record["round"],
+                    "deletions": record["round"],
+                    "base": "ckpt-r00000000.json",
+                    "victim_rounds": [],
+                    "adversary": {},
+                    "metrics": [],
+                    "alive": 0,
+                }
+            ).encode()
+            (ck / name).write_bytes(data)
+            record.update(
+                kind="delta",
+                file=name,
+                sha256=hashlib.sha256(data).hexdigest(),
             )
-        # Corrupt a delta's recorded survivor count but keep it valid
-        # JSON: without the ledger sha to reject it, the replay itself
-        # must notice it did not land on the recorded state.
-        target = tmp_path / "ck" / "ckpt-r00000004-delta.json"
-        payload = json_mod.loads(target.read_text())
-        payload["alive"] += 1
-        target.write_text(json_mod.dumps(payload))
-        with pytest.raises(CheckpointError, match="diverged"):
-            load_checkpoint(tmp_path / "ck", checkpoint=target)
+        ledger.write_text(
+            "".join(json_mod.dumps(r) + "\n" for r in records)
+        )
+        assert [r for r, _ in Checkpointer(ck).list_checkpoints()] == [0]
+        with pytest.raises(CheckpointError, match="kind 'delta'"):
+            load_checkpoint(ck, checkpoint="ckpt-r00000004-delta.json")
+
+        resumed = resume_from_ledger(ledger)
+        _assert_identical(_straight("dash", "max-node"), resumed)
+        marker = [
+            r for r in read_ledger(ledger) if r.get("type") == "resumed"
+        ]
+        assert marker[0]["file"] == "ckpt-r00000000.json"
