@@ -39,12 +39,13 @@ O(α) amortized.
 
 For healers that reconnect exactly ``UN(v,G) ∪ N(v,G′)`` (DASH, SDASH,
 and the component-aware baselines) the merge needs no graph traversal at
-all — both for single deletions (:meth:`ComponentTracker._fast_round`)
-and for multi-victim *batch* super-deletions
-(:meth:`ComponentTracker.fast_batch_round`, footnote 1's wave regime):
-the quotient graph has one vertex per G′-neighbor-piece of each dead
-tree plus one per surviving participant class, and every quotient class
-becomes one union-find merge.
+all. Footnote 1 treats a round as any number of simultaneous removals,
+so a single deletion is a wave of one: single-victim rounds
+(:meth:`ComponentTracker.round`) and multi-victim *batch*
+super-deletions (:meth:`ComponentTracker.fast_batch_round`) run one
+quotient merge. The quotient graph has one vertex per
+G′-neighbor-piece of each dead tree plus one per surviving participant
+class, and every quotient class becomes one union-find merge.
 
 Non-component-safe plans
 ------------------------
@@ -106,7 +107,6 @@ def make_node_ids(nodes: Iterable[Node], rng) -> dict[Node, NodeId]:
 class RoundStats:
     """Cost accounting for one deletion+heal round."""
 
-    deleted: Node
     #: number of nodes whose component ID changed this round
     id_changes: int
     #: total ID-announcement messages sent this round (Σ deg of changers)
@@ -115,8 +115,6 @@ class RoundStats:
     components_merged: int
     #: number of components the affected region forms after healing
     components_after: int
-    #: size of the largest resulting affected component
-    largest_component: int
     #: True when the healer failed to re-merge the deleted node's component
     split: bool
 
@@ -497,26 +495,28 @@ class ComponentTracker:
         non-component-safe plan that rewires every G′-neighbor (true for
         every registered naive healer: GraphHeal rewires all G-neighbors
         ⊇ G′-neighbors, NoHeal's G′ has no edges at all) takes the same
-        merge. Every other round, and every merge :meth:`_fast_round`
+        merge.
+
+        The merge is the wave merge of :meth:`fast_batch_round` with the
+        victim's label as the only dead label and no foreign labels: once
+        the victim is removed, every G′-neighbor's class root is the
+        victim's class root, so each one stands for its piece of the
+        dead tree. Every other round, and every merge the quotient path
         declines, takes the BFS; either way the stats are exact for this
         round.
         """
-        # Remove the deleted node from its component's membership.
         self.remove_node(deleted, deleted_label)
-
+        dead_labels = {deleted_label}
         if component_safe or (
             self.lazy and gprime_neighbors.issubset(participants)
         ):
-            stats = self._fast_round(
-                deleted, deleted_label, participants, gprime_neighbors,
-                plan_edges,
-            )
+            stats = self._quotient_round(dead_labels, participants, plan_edges)
             if stats is not None:
                 self.fast_rounds += 1
                 return stats
 
         self.slow_rounds += 1
-        return self._bfs_round(deleted, (deleted_label,), participants)
+        return self._bfs_round(dead_labels, participants)
 
     def remove_node(self, node: Node, expected_label: NodeId) -> None:
         """Drop ``node`` from the membership tables (it was deleted).
@@ -587,18 +587,15 @@ class ComponentTracker:
             total_changes,
             total_msgs,
             components_after,
-            largest,
             merged_label_set,
         ) = self._merge_quotient_classes({node: reps}, proot)
 
         self.insert_rounds += 1
         return RoundStats(
-            deleted=node,
             id_changes=total_changes,
             messages_sent=total_msgs,
             components_merged=len(merged_label_set),
             components_after=components_after,
-            largest_component=largest,
             split=False,
         )
 
@@ -621,7 +618,7 @@ class ComponentTracker:
         back to (and is differential-tested against).
         """
         self.slow_batch_rounds += 1
-        return self._bfs_round(None, affected_labels, participants)
+        return self._bfs_round(affected_labels, participants)
 
     def fast_batch_round(
         self,
@@ -633,25 +630,15 @@ class ComponentTracker:
         """Traversal-free :meth:`batch_round` for component-safe wave
         heals; returns ``None`` to hand the round to the honest BFS path.
 
-        Multi-victim generalization of :meth:`_fast_round`'s quotient
-        merge. The victims of one G-victim-component are already removed;
-        each dead tree named by ``affected_labels`` is shattered into
-        pieces, and every piece is G′-adjacent to a victim, so it is
-        represented among ``participants`` by at least one surviving
-        G′-neighbor — provided every victim of that tree belongs to
-        *this* victim component (the caller vouches for that; dead trees
-        shared between victim components must go through the traversal
-        until one honest round has recomputed their pieces). Quotient
-        vertices are the participants themselves (one per
-        G′-neighbor-piece of a dead tree, one per surviving class rep);
-        plan edges connect them, and each quotient class becomes one
-        union-find merge that relabels (and charges messages to) only the
-        members of classes whose label loses, exactly as in the
-        single-victim case. A still-live class named by an affected label
-        that no participant maps to is counted like the single-victim
-        path's untouched old component (it sits in the slow path's
-        affected region, so the components-merged/after accounting must
-        see it), but is never traversed.
+        The victims of one G-victim-component are already removed; each
+        dead tree named by ``affected_labels`` is shattered into pieces,
+        and every piece is G′-adjacent to a victim, so it is represented
+        among ``participants`` by at least one surviving G′-neighbor —
+        provided every victim of that tree belongs to *this* victim
+        component (the caller vouches for that; dead trees shared between
+        victim components must go through the traversal until one honest
+        round has recomputed their pieces). The merge itself is the one
+        every single-victim :meth:`round` runs, a wave of one.
 
         Hands the round to the slow path whenever the quotient structure
         cannot be trusted without a traversal:
@@ -668,12 +655,41 @@ class ComponentTracker:
           quotient class — attributing members to individual pieces then
           needs a real traversal.
 
-        Like :meth:`_fast_round`, also serves non-component-safe wave
-        plans (the caller vouches that every G′-neighbor of the victims
-        participates, so every piece of every owned dead tree is
-        represented).
+        Also serves non-component-safe wave plans (the caller vouches
+        that every G′-neighbor of the victims participates, so every
+        piece of every owned dead tree is represented).
         """
-        if affected_labels & foreign_labels:
+        stats = self._quotient_round(
+            affected_labels, participants, plan_edges, foreign_labels
+        )
+        if stats is not None:
+            self.fast_batch_rounds += 1
+        return stats
+
+    # ------------------------------------------------------------------
+    # Fast path: merge union-find classes without touching their members
+    # ------------------------------------------------------------------
+    def _quotient_round(
+        self,
+        affected_labels: set[NodeId],
+        participants: Sequence[Node],
+        plan_edges: Sequence[tuple[Node, Node]],
+        foreign_labels: frozenset[NodeId] | set[NodeId] = frozenset(),
+    ) -> RoundStats | None:
+        """The quotient merge of every single-victim and wave round;
+        ``None`` hands the round to the BFS (see
+        :meth:`fast_batch_round` for when).
+
+        Quotient vertices are the participants themselves (one per
+        G′-neighbor-piece of a dead tree, one per surviving class rep);
+        plan edges connect them, and each quotient class becomes one
+        union-find merge that relabels (and charges messages to) only the
+        members of classes whose label loses. A still-live class named by
+        an affected label that no participant maps to sits in the BFS's
+        affected region, so it is counted in the components-merged/after
+        accounting, but is never traversed.
+        """
+        if not foreign_labels.isdisjoint(affected_labels):
             return None
 
         # Quotient union-find over the participants, merged by plan edges.
@@ -690,8 +706,9 @@ class ComponentTracker:
             if ra != rb:
                 parent[ra] = rb
 
-        # Persistent class of each participant; bail out on shattered
-        # foreign trees (their recorded member sets are stale).
+        # Persistent class of each participant; bail out on untracked or
+        # dead participants and on shattered foreign trees (their
+        # recorded member sets are stale).
         proot: dict[Node, Node] = {}
         root_members = self._root_members
         root_label = self._root_label
@@ -708,7 +725,7 @@ class ComponentTracker:
             proot[u] = r
 
         # Piece-unity check: every persistent class must land wholly in
-        # one quotient class (a shattered own tree has one quotient
+        # one quotient class (a shattered dead tree has one quotient
         # vertex per piece; an intact class may be multiply represented
         # after earlier relabels in the same wave).
         classes: dict[Node, list[Node]] = {}
@@ -716,68 +733,49 @@ class ComponentTracker:
         for u in participants:
             q = find(u)
             classes.setdefault(q, []).append(u)
-            r = proot[u]
-            prev = owner.setdefault(r, q)
-            if prev != q:
+            if owner.setdefault(proot[u], q) != q:
                 return None
 
-        # A dead tree's class that survived earlier rounds untouched by
-        # this plan: counted (the slow path's region includes it via its
-        # label) but never traversed or relabelled.
-        untouched = 0
-        largest_untouched = 0
+        # A dead tree's class that survived earlier rounds of the wave
+        # untouched by this plan: counted (the BFS's region includes it
+        # via its label) but never traversed or relabelled.
         untouched_labels: set[NodeId] = set()
         for lbl in affected_labels:
             r = self._label_root.get(lbl)
             if r is not None and r not in owner:
-                untouched += 1
                 untouched_labels.add(lbl)
-                largest_untouched = max(
-                    largest_untouched, len(root_members[r])
-                )
 
         (
             total_changes,
             total_msgs,
             components_after,
-            largest,
             merged_label_set,
         ) = self._merge_quotient_classes(classes, proot)
-        components_after += untouched
-        largest = max(largest, largest_untouched)
         merged_label_set |= untouched_labels
-
-        self.fast_batch_rounds += 1
         return RoundStats(
-            deleted=None,
             id_changes=total_changes,
             messages_sent=total_msgs,
             components_merged=len(merged_label_set),
-            components_after=components_after,
-            largest_component=largest,
+            components_after=components_after + len(untouched_labels),
             split=False,
         )
 
-    # ------------------------------------------------------------------
-    # Fast path: merge union-find classes without touching their members
-    # ------------------------------------------------------------------
     def _merge_quotient_classes(
         self,
         classes: dict[Node, list[Node]],
         proot: Mapping[Node, Node],
-    ) -> tuple[int, int, int, int, set[NodeId]]:
+    ) -> tuple[int, int, int, set[NodeId]]:
         """Apply one union-find merge per quotient class.
 
         ``classes`` maps each quotient root to its participant reps (in
         participant order); ``proot`` maps each participant to its
-        persistent class root (a participant without an entry stands for
-        a class that died with the victims and is skipped). Each merge
-        adopts the minimum label and relabels (and charges messages to)
-        only members of classes whose label loses; member sets union
-        small-into-large. Returns ``(id_changes, messages_sent,
-        components_after, largest_component, merged_labels)``.
+        persistent class root. Each merge adopts the minimum label and
+        relabels (and charges messages to) only members of classes whose
+        label loses; member sets union small-into-large. Returns
+        ``(id_changes, messages_sent, components_after,
+        merged_labels)``.
 
-        Shared by :meth:`_fast_round` and :meth:`fast_batch_round`: the
+        Shared by :meth:`_quotient_round` and :meth:`insert_round`: the
         accounting must stay byte-identical to the eager BFS on both
         paths, so there is exactly one copy of the merge-and-charge
         loop.
@@ -787,7 +785,6 @@ class ComponentTracker:
         total_changes = 0
         total_msgs = 0
         components_after = 0
-        largest = 0
         merged_label_set: set[NodeId] = set()
 
         for reps in classes.values():
@@ -795,20 +792,14 @@ class ComponentTracker:
             roots: list[Node] = []
             seen_roots: set[Node] = set()
             for u in reps:
-                r = proot.get(u)
-                if r is None:
-                    continue
+                r = proot[u]
                 if r not in seen_roots:
                     seen_roots.add(r)
                     roots.append(r)
-            if not roots:
-                continue
             components_after += 1
             for r in roots:
                 merged_label_set.add(root_label[r])
-
             if len(roots) == 1:
-                largest = max(largest, len(root_members[roots[0]]))
                 continue
 
             final = min(root_label[r] for r in roots)
@@ -829,114 +820,8 @@ class ComponentTracker:
                     del root_label[r]
             root_label[big] = final
             self._label_root[final] = big
-            largest = max(largest, len(big_set))
 
-        return (
-            total_changes,
-            total_msgs,
-            components_after,
-            largest,
-            merged_label_set,
-        )
-
-    def _fast_round(
-        self,
-        deleted: Node,
-        deleted_label: NodeId,
-        participants: Sequence[Node],
-        gprime_neighbors: frozenset[Node],
-        plan_edges: Sequence[tuple[Node, Node]],
-    ) -> RoundStats | None:
-        """Merge classes along the plan edges; returns None to hand the
-        round to the BFS when the quotient structure cannot be trusted
-        without a traversal.
-
-        Quotient vertices: each G′-neighbor of the deleted node stands for
-        the piece of the deleted node's tree that contains it; each other
-        participant stands for its whole pre-round class. The plan edges
-        connect quotient vertices; each resulting quotient class becomes
-        one union-find merge, relabelling (and charging messages to) only
-        members of classes whose label differs from the merged minimum.
-
-        Serves component-safe plans and — under :attr:`lazy` —
-        non-component-safe plans whose G′-neighbors all participate.
-        Declines when a persistent class would be spread over more than
-        one quotient class (for the dead tree that is the classic
-        piece-unity condition: attributing members to individual pieces
-        needs a real traversal; for a surviving class it guards
-        non-component-safe plans that name one class twice and then
-        split it), or when a participant is untracked or dead (the BFS's
-        region logic handles those honestly).
-        """
-        parent: dict[Node, Node] = {u: u for u in participants}
-
-        def find(x: Node) -> Node:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in plan_edges:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
-        old_root = self._label_root.get(deleted_label)
-        root_members = self._root_members
-
-        # Persistent class of each participant (G′-neighbors map to the
-        # deleted node's tree, i.e. their piece's pre-round class).
-        proot: dict[Node, Node] = {}
-        for u in parent:
-            if u in gprime_neighbors:
-                r = old_root
-                if r is None:
-                    continue  # the deleted node's tree died with it
-            else:
-                try:
-                    r = self._find(u)
-                except KeyError:
-                    return None  # untracked participant
-                members = root_members.get(r)
-                if members is None or u not in members:
-                    return None  # dead participant (tombstone)
-            proot[u] = r
-
-        # Unity check: every persistent class must land wholly inside one
-        # quotient class, else member attribution needs a traversal.
-        classes: dict[Node, list[Node]] = {}
-        owner: dict[Node, Node] = {}
-        for u in participants:
-            q = find(u)
-            classes.setdefault(q, []).append(u)
-            r = proot.get(u)
-            if r is not None and owner.setdefault(r, q) != q:
-                return None
-
-        (
-            total_changes,
-            total_msgs,
-            components_after,
-            largest,
-            merged_label_set,
-        ) = self._merge_quotient_classes(classes, proot)
-
-        if old_root is not None and old_root not in owner:
-            # The deleted node's former tree is untouched by this round
-            # (it had no G′-neighbor among the participants).
-            components_after += 1
-            merged_label_set.add(deleted_label)
-            largest = max(largest, len(root_members[old_root]))
-
-        return RoundStats(
-            deleted=deleted,
-            id_changes=total_changes,
-            messages_sent=total_msgs,
-            components_merged=len(merged_label_set),
-            components_after=components_after,
-            largest_component=largest,
-            split=False,
-        )
+        return total_changes, total_msgs, components_after, merged_label_set
 
     def _charge_members(self, members: Iterable[Node]) -> int:
         """Charge an ID change (and per-G-neighbor announcements) to every
@@ -1023,10 +908,7 @@ class ComponentTracker:
         return groups, group_labels
 
     def _bfs_round(
-        self,
-        deleted: Node,
-        labels: Iterable[NodeId],
-        participants: Sequence[Node],
+        self, labels: Iterable[NodeId], participants: Sequence[Node]
     ) -> RoundStats:
         """Settle a round by BFS over the affected region of G′ — every
         class named by ``labels`` or owning a participant — and apply
@@ -1038,12 +920,10 @@ class ComponentTracker:
             groups, group_labels, old_label
         )
         return RoundStats(
-            deleted=deleted,
             id_changes=changes,
             messages_sent=msgs,
             components_merged=len(set().union(*group_labels)),
             components_after=len(groups),
-            largest_component=max((len(g) for g in groups), default=0),
             split=split,
         )
 

@@ -34,7 +34,12 @@ from repro.core.base import (
     NeighborhoodSnapshot,
     ReconnectionPlan,
 )
-from repro.core.components import ComponentTracker, NodeId, make_node_ids
+from repro.core.components import (
+    ComponentTracker,
+    NodeId,
+    RoundStats,
+    make_node_ids,
+)
 from repro.errors import HealingError, NodeNotFoundError, SimulationError
 from repro.graph.degree_index import DegreeIndex
 from repro.graph.forest import is_forest
@@ -86,9 +91,9 @@ class SelfHealingNetwork:
         Seed for the random node IDs of Algorithm 1's Init step.
     check_invariants:
         Paranoid mode: after every round, validate graph symmetry, the
-        component tracker against ground truth, and (for component-safe
-        healers) the Lemma 1 forest invariant. O(n+m) per round — meant
-        for tests, not sweeps.
+        component tracker against ground truth, the degree and δ indexes,
+        G′ ⊆ G, and (for component-safe single-victim rounds) the Lemma 1
+        forest invariant. O(n+m) per round — meant for tests, not sweeps.
     batch_fast_path:
         When True (default), :meth:`delete_batch_and_heal` resolves wave
         heals with the tracker's traversal-free quotient merge, and
@@ -334,35 +339,64 @@ class SelfHealingNetwork:
         # Healing: the neighbors react.
         plan = self.healer.plan(snapshot)
         self._validate_plan(snapshot, plan)
-        added = 0
-        for a, b in plan.edges:
-            if self.graph.add_edge(a, b):
-                added += 1
-            self.healing_graph.add_edge(a, b)
+        participants = tuple(plan.participants)
+        added = self._apply_plan(plan.edges, plan.edges)
 
         # Component-ID propagation + message accounting.
         stats = self.tracker.round(
             deleted=node,
             deleted_label=snapshot.deleted_label,
-            participants=tuple(plan.participants),
+            participants=participants,
             gprime_neighbors=snapshot.gprime_neighbors,
             component_safe=plan.component_safe,
             plan_edges=plan.edges,
         )
+        event = self._record(node, plan, participants, added, stats)
+        if self.check_invariants:
+            self._check_invariants(forest=plan.component_safe)
+        return event
 
+    def _apply_plan(
+        self,
+        edges: Iterable[tuple[Node, Node]],
+        heal_edges: Iterable[tuple[Node, Node]],
+    ) -> int:
+        """Add ``edges`` to G and ``heal_edges`` to G′ (a deletion plan's
+        edges are its heal edges); returns how many of ``edges`` were new
+        in G."""
+        added = 0
+        for a, b in edges:
+            if self.graph.add_edge(a, b):
+                added += 1
+        for a, b in heal_edges:
+            self.healing_graph.add_edge(a, b)
+        return added
+
+    def _record(
+        self,
+        deleted: Node,
+        plan: ReconnectionPlan | InsertionPlan,
+        participants: tuple[Node, ...],
+        added: int,
+        stats: RoundStats,
+        action: str = "delete",
+    ) -> HealEvent:
+        """Close a round: probe the running δ peak, then append and
+        return the round's :class:`HealEvent`."""
         # Running max degree increase: one O(1) probe of the δ-bucket
-        # index. δ only moves at degree mutations, all of which pass
-        # through the index, so sampling the current maximum once per
-        # round observes every peak the old per-neighbor scan did.
+        # index, once per round after its edges land. δ only moves at
+        # degree mutations, all of which pass through the index.
         d = self._delta_index.max_key(default=0)
         if d > self.peak_delta:
             self.peak_delta = d
-
+        steps = (
+            self.inserted_nodes if action == "insert" else self.deleted_nodes
+        )
         event = HealEvent(
-            step=len(self.deleted_nodes),
-            deleted=node,
+            step=len(steps),
+            deleted=deleted,
             plan_kind=plan.kind,
-            participants=tuple(plan.participants),
+            participants=participants,
             new_edges=tuple(plan.edges),
             edges_added_to_g=added,
             id_changes=stats.id_changes,
@@ -370,11 +404,9 @@ class SelfHealingNetwork:
             components_merged=stats.components_merged,
             components_after=stats.components_after,
             split=stats.split,
+            action=action,
         )
         self.events.append(event)
-
-        if self.check_invariants:
-            self._check_invariants(plan)
         return event
 
     def delete_and_heal_many(self, nodes: Iterable[Node]) -> list[HealEvent]:
@@ -485,23 +517,22 @@ class SelfHealingNetwork:
 
         # The join: node enters both G and G′ (G′ membership keeps the
         # tracker's classes ≡ components-of-G′ invariant — a singleton
-        # is a component too), then the granted edges land in G. Each
-        # accepted edge bumps both endpoints' baselines (δ-neutrality);
-        # the joiner's baseline is simply its full post-join degree.
+        # is a component too), then the granted edges land in G. The
+        # joiner is fresh, so each distinct target on a plan edge gained
+        # exactly one new edge and its baseline absorbs it
+        # (δ-neutrality); the joiner's baseline is simply its full
+        # post-join degree.
         self.graph.add_node(node)
         self.healing_graph.add_node(node)
         self.initial_ids[node] = node_id
         self.inserted_nodes.append(node)
-        added = 0
+        added = self._apply_plan(plan.edges, plan.heal_edges)
         touched: set[Node] = {node}
         for a, b in plan.edges:
-            if self.graph.add_edge(a, b):
-                added += 1
-                other = b if a == node else a
+            other = b if a == node else a
+            if other not in touched:
                 initial_degree[other] += 1
                 touched.add(other)
-        for a, b in plan.heal_edges:
-            self.healing_graph.add_edge(a, b)
         initial_degree[node] = self.graph.degree(node)
         for u in touched:
             self._delta_index.push(
@@ -511,41 +542,9 @@ class SelfHealingNetwork:
         # Component bookkeeping: register the joiner and merge it with
         # the G′ components its heal edges touch (MINID semantics).
         stats = self.tracker.insert_round(node, node_id, plan.heal_edges)
-
-        d = self._delta_index.max_key(default=0)
-        if d > self.peak_delta:
-            self.peak_delta = d
-
-        event = HealEvent(
-            step=len(self.inserted_nodes),
-            deleted=node,
-            plan_kind=plan.kind,
-            participants=target_tuple,
-            new_edges=tuple(plan.edges),
-            edges_added_to_g=added,
-            id_changes=stats.id_changes,
-            messages_sent=stats.messages_sent,
-            components_merged=stats.components_merged,
-            components_after=stats.components_after,
-            split=stats.split,
-            action="insert",
-        )
-        self.events.append(event)
-
+        event = self._record(node, plan, target_tuple, added, stats, "insert")
         if self.check_invariants:
-            validate_graph(self.graph)
-            validate_graph(self.healing_graph)
-            self.tracker.check_consistency()
-            self.graph.check_degree_index()
-            self.check_delta_index()
-            for u in self.healing_graph.nodes():
-                if not self.graph.has_node(u):
-                    raise SimulationError(f"G' node {u!r} missing from G")
-            for a, b in self.healing_graph.edges():
-                if not self.graph.has_edge(a, b):
-                    raise SimulationError(
-                        f"E' edge ({a!r},{b!r}) missing from E"
-                    )
+            self._check_invariants(forest=False)
         return event
 
     # ------------------------------------------------------------------
@@ -577,8 +576,8 @@ class SelfHealingNetwork:
         Fast/slow path split: a victim-component round is resolved by the
         tracker's traversal-free quotient merge
         (:meth:`~repro.core.components.ComponentTracker.fast_batch_round`
-        — O(participants · α + #ID-changers), the wave analogue of the
-        single-deletion fast path) whenever its plan is component-safe
+        — O(participants · α + #ID-changers), the merge every
+        single-deletion round runs) whenever its plan is component-safe
         *or* rewires every G′-neighbor of the victims (so every piece of
         every owned dead tree is represented — true for GraphHeal-style
         rewire-everyone plans and vacuously for NoHeal), and none of its
@@ -593,8 +592,9 @@ class SelfHealingNetwork:
         tracker accounting; ``batch_fast_path=False`` forces the slow
         path everywhere.
 
-        Returns one :class:`HealEvent` per victim component, in ascending
-        order of the component's minimum node label.
+        Returns one :class:`HealEvent` per victim component, sorted by the
+        ``repr`` of the component's minimum node label: victims ``2`` and
+        ``11`` heal ``[11]`` first (``"11" < "2"``).
         """
         from repro.graph.traversal import induced_components
 
@@ -614,7 +614,6 @@ class SelfHealingNetwork:
         # Capture each component's boundary before any mutation.
         infos = []
         for comp in comps:
-            comp_set = set(comp)
             g_nbrs: set[Node] = set()
             gp_nbrs: set[Node] = set()
             dead_labels: set[NodeId] = set()
@@ -686,11 +685,8 @@ class SelfHealingNetwork:
 
             plan = self.healer.plan(snapshot)
             self._validate_plan(snapshot, plan)
-            added = 0
-            for a, b in plan.edges:
-                if self.graph.add_edge(a, b):
-                    added += 1
-                self.healing_graph.add_edge(a, b)
+            participants = tuple(plan.participants)
+            added = self._apply_plan(plan.edges, plan.edges)
 
             # Fast-eligible: the plan is component-safe or covers every
             # G′-neighbor (every shattered piece represented), and every
@@ -700,61 +696,46 @@ class SelfHealingNetwork:
             # shattered foreign tree are caught by the tracker.
             stats = None
             if fast_batch is not None and (
-                plan.component_safe or gp_nbrs <= set(plan.participants)
+                plan.component_safe or gp_nbrs <= set(participants)
             ) and all(
                 label_claims[lbl] == 1 or lbl in resolved
                 for lbl in dead_labels
             ):
                 stats = fast_batch(
                     set(dead_labels),
-                    tuple(plan.participants),
+                    participants,
                     plan.edges,
                     all_dead_labels - resolved - dead_labels,
                 )
             if stats is None:
                 stats = self.tracker.batch_round(
                     affected_labels=set(dead_labels),
-                    participants=tuple(plan.participants),
+                    participants=participants,
                     plan_edges=plan.edges,
                 )
             resolved |= dead_labels
-            d = self._delta_index.max_key(default=0)
-            if d > self.peak_delta:
-                self.peak_delta = d
-            event = HealEvent(
-                step=len(self.deleted_nodes),
-                deleted=super_node,
-                plan_kind=plan.kind,
-                participants=tuple(plan.participants),
-                new_edges=tuple(plan.edges),
-                edges_added_to_g=added,
-                id_changes=stats.id_changes,
-                messages_sent=stats.messages_sent,
-                components_merged=stats.components_merged,
-                components_after=stats.components_after,
-                split=stats.split,
+            events.append(
+                self._record(super_node, plan, participants, added, stats)
             )
-            self.events.append(event)
-            events.append(event)
 
         if self.check_invariants:
-            validate_graph(self.graph)
-            validate_graph(self.healing_graph)
-            self.tracker.check_consistency()
-            self.graph.check_degree_index()
-            self.check_delta_index()
+            self._check_invariants(forest=False)
         return events
 
     # ------------------------------------------------------------------
     # Paranoid checks
     # ------------------------------------------------------------------
-    def _check_invariants(self, plan: ReconnectionPlan) -> None:
+    def _check_invariants(self, *, forest: bool) -> None:
+        """Paranoid mode's checks after a round: graph symmetry, tracker
+        ground truth, the degree and δ indexes, G′ ⊆ G, and with
+        ``forest`` (component-safe single-victim rounds only: wave heals
+        may leave cycles) the Lemma 1 forest invariant."""
         validate_graph(self.graph)
         validate_graph(self.healing_graph)
         self.tracker.check_consistency()
         self.graph.check_degree_index()
         self.check_delta_index()
-        if plan.component_safe and not is_forest(self.healing_graph):
+        if forest and not is_forest(self.healing_graph):
             raise SimulationError(
                 "Lemma 1 violated: healing graph has a cycle under a "
                 f"component-safe healer ({self.healer.name})"

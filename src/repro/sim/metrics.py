@@ -188,9 +188,10 @@ class ConnectivityMetric(Metric):
     def finalize(self, network: "SelfHealingNetwork") -> dict[str, float]:
         if self.first_disconnect is None and not is_connected(network.graph):
             self.first_disconnect = self._round
+        first = self.first_disconnect
         return {
-            "always_connected": 1.0 if self.first_disconnect is None else 0.0,
-            "first_disconnect_step": float(self.first_disconnect or -1),
+            "always_connected": 1.0 if first is None else 0.0,
+            "first_disconnect_step": -1.0 if first is None else float(first),
         }
 
 

@@ -59,6 +59,17 @@ class TestBasics:
         assert len(events) == 2
         assert is_connected(net.graph)
 
+    def test_components_heal_in_repr_order(self):
+        """Victim components heal sorted by the ``repr`` of their minimum
+        label, not by the label itself: 11 before 2."""
+        net = SelfHealingNetwork(path_graph(14), Dash(), seed=0)
+        events = net.delete_batch_and_heal([2, 11])
+        assert [e.deleted for e in events] == [
+            frozenset({11}),
+            frozenset({2}),
+        ]
+        assert [e.step for e in events] == [2, 2]
+
 
 class TestConnectivityRestoration:
     def test_path_interleaved_victims(self):

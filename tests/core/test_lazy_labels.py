@@ -19,7 +19,7 @@ import random
 import pytest
 
 from repro.analysis import check_component_labels
-from repro.core.base import empty_plan
+from repro.core.base import ReconnectionPlan, empty_plan
 from repro.core.components import ComponentTracker
 from repro.core.network import SelfHealingNetwork
 from repro.core.registry import HEALERS
@@ -232,43 +232,86 @@ class _FlakyGraphHeal(HEALERS["graph-heal"]):
     def plan(self, snapshot):
         self._round += 1
         if self._round % 3 == 0:
-            return empty_plan(snapshot, component_safe=False)
+            return self._third_plan(snapshot)
         return super().plan(snapshot)
 
+    def _third_plan(self, snapshot):
+        return empty_plan(snapshot, component_safe=False)
 
-def _flaky_campaign(make_graph, fast):
+
+class _EdgelessGraphHeal(_FlakyGraphHeal):
+    """GraphHeal whose every third plan (unsafe) rewires every neighbor
+    but adds no edge: every piece is represented, so the round reaches
+    the quotient merge, and the merge's piece-unity check must send it
+    to the BFS whenever two pieces of one tree stay apart."""
+
+    def _third_plan(self, snapshot):
+        return ReconnectionPlan(
+            participants=tuple(sorted(snapshot.g_neighbors, key=repr)),
+            edges=(),
+            kind="none",
+        )
+
+
+_GRAPHS = {
+    "path24": lambda: path_graph(24),
+    "pa200": lambda: preferential_attachment(200, 2, seed=1),
+}
+
+
+def _flaky_campaign(graph, healer, wave, fast):
+    """Delete down to two survivors, one victim or a wave of up to four
+    per round."""
     net = SelfHealingNetwork(
-        make_graph(), _FlakyGraphHeal(), seed=5, batch_fast_path=fast
+        _GRAPHS[graph](), healer(), seed=5, batch_fast_path=fast
     )
     rng = random.Random(8)
     while net.num_alive > 2:
-        net.delete_and_heal(rng.choice(sorted(net.graph.nodes())))
+        nodes = sorted(net.graph.nodes())
+        if wave:
+            size = min(rng.randint(1, 4), len(nodes) - 2)
+            net.delete_batch_and_heal(rng.sample(nodes, size))
+        else:
+            net.delete_and_heal(rng.choice(nodes))
     return net
 
 
 class TestNetworkIntegration:
     @pytest.mark.parametrize(
-        "make_graph",
+        "graph,healer,wave",
         [
-            lambda: path_graph(24),
-            lambda: preferential_attachment(200, 2, seed=1),
+            pytest.param("path24", _FlakyGraphHeal, False, id="path24"),
+            pytest.param("pa200", _FlakyGraphHeal, False, id="pa200"),
+            pytest.param(
+                "pa200", _EdgelessGraphHeal, False, id="pa200-edgeless"
+            ),
+            pytest.param(
+                "pa200", _EdgelessGraphHeal, True, id="pa200-edgeless-wave"
+            ),
         ],
-        ids=["path24", "pa200"],
     )
-    def test_fast_path_never_changes_events(self, make_graph):
+    def test_fast_path_never_changes_events(self, graph, healer, wave):
         """A custom healer whose plans sometimes leave pieces
-        unrepresented gets the same event stream and per-node accounting
-        with the fast path on and off."""
-        fast_net = _flaky_campaign(make_graph, True)
-        slow_net = _flaky_campaign(make_graph, False)
+        unrepresented, or represent them without joining them, gets the
+        same event stream and per-node accounting with the fast path on
+        and off, in single-victim and wave rounds. The edgeless plans
+        reach the quotient merge, whose piece-unity check must decline
+        them."""
+        fast_net = _flaky_campaign(graph, healer, wave, True)
+        slow_net = _flaky_campaign(graph, healer, wave, False)
         assert fast_net.events == slow_net.events
         fast_tr, slow_tr = fast_net.tracker, slow_net.tracker
         assert fast_tr.id_changes == slow_tr.id_changes
         assert fast_tr.messages_sent == slow_tr.messages_sent
         assert fast_tr.messages_received == slow_tr.messages_received
         assert fast_tr.labels() == slow_tr.labels()
-        # Both dispatch arms ran: the dropped plans took the BFS.
-        assert fast_tr.fast_rounds > 0 and fast_tr.slow_rounds > 0
+        # Both dispatch arms ran: the dropped or edgeless plans took the
+        # BFS.
+        if wave:
+            assert fast_tr.fast_batch_rounds > 0
+            assert fast_tr.slow_batch_rounds > 0
+        else:
+            assert fast_tr.fast_rounds > 0 and fast_tr.slow_rounds > 0
         fast_tr.check_consistency()
 
     def test_invariant_check_after_uncovered_rounds(self):

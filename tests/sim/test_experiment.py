@@ -9,6 +9,7 @@ from repro.adversary import ADVERSARIES
 from repro.core.registry import make_healer
 from repro.errors import ConfigurationError
 from repro.graph.generators import GENERATORS
+from repro.recovery.ledger import read_ledger
 from repro.sim.experiment import (
     ExperimentSpec,
     expand_tasks,
@@ -295,3 +296,44 @@ class TestExtraMetrics:
         rs = run_experiment(spec)
         for row in rs.rows:
             assert "first_collapse_step" in row.values
+
+
+class TestCrashSafeSweep:
+    def test_recovery_dir_layout_and_rows(self, tmp_path):
+        """Each cell of a crash-safe sweep gets its own ledger and
+        checkpoint directory, named from the sanitized spec name and
+        healer spec string, and crash safety changes no row: every
+        ledger's end record holds exactly its cell's row."""
+        spec = tiny_spec(
+            name="crash safe",
+            sizes=(12,),
+            healers=("dash", "degree-bounded:max_increase=3"),
+        )
+        plain = run_experiment(spec)
+        safe = run_experiment(
+            spec.with_overrides(
+                recovery_dir=str(tmp_path), checkpoint_every=3
+            )
+        )
+        assert [(r.params, r.values) for r in safe.rows] == [
+            (r.params, r.values) for r in plain.rows
+        ]
+        dirnames = {
+            "dash": "dash",
+            "degree-bounded:max_increase=3": "degree-bounded_max_increase_3",
+        }
+        cells = set()
+        for row in safe.rows:
+            healer, rep = dirnames[row.params["healer"]], row.params["rep"]
+            cell = tmp_path / "crash_safe" / f"n12-{healer}-r{rep}"
+            cells.add(cell)
+            assert (cell / "checkpoints" / "static.json").is_file()
+            records = read_ledger(cell / "campaign.jsonl")
+            (end,) = [r for r in records if r["type"] == "end"]
+            assert {
+                **end["values"],
+                "deletions": float(end["deletions"]),
+                "final_alive": float(end["final_alive"]),
+            } == row.values
+        assert len(cells) == 4
+        assert set((tmp_path / "crash_safe").iterdir()) == cells

@@ -7,6 +7,7 @@ from repro.adversary import RandomAttack, ScriptedAttack
 from repro.core.dash import Dash
 from repro.core.naive import GraphHeal, NoHeal
 from repro.graph.generators import preferential_attachment, star_graph
+from repro.graph.graph import Graph
 from repro.sim.metrics import (
     ComponentMetric,
     ConnectivityMetric,
@@ -87,6 +88,20 @@ class TestConnectivityMetric:
             g, NoHeal(), ScriptedAttack([0]), [ConnectivityMetric(period=10)]
         )
         assert res["always_connected"] == 0.0
+
+    def test_disconnected_at_step_zero(self):
+        """A graph that starts disconnected fails at step 0, which must
+        not read as the "never disconnected" sentinel -1."""
+        g = Graph.from_edges([(0, 1), (2, 3)])
+        res = run_with(
+            g,
+            Dash(),
+            RandomAttack(seed=0),
+            [ConnectivityMetric()],
+            max_deletions=0,
+        )
+        assert res["always_connected"] == 0.0
+        assert res["first_disconnect_step"] == 0.0
 
 
 class TestComponentMetric:
