@@ -1,4 +1,4 @@
-"""Naive-healer campaign benchmarks (the tracker's ``lazy`` mode).
+"""Naive-healer campaign benchmarks (the unsafe quotient merge).
 
 PR 1 made component-safe healing O(α), PR 2 indexed the attack side,
 PR 3 generalized the quotient merge to waves — but the paper's baseline
@@ -6,21 +6,22 @@ comparison class (GraphHeal, DeltaOrderedGraphHeal, NoHeal;
 ``component_safe=False``) still paid an honest BFS over the affected
 region every round, the last quadratic path in the codebase. Saia &
 Trehan's own experiments lean on exactly these baselines (Figures 8–10),
-so baseline sweeps should scale like DASH sweeps. The lazy tracker
-routes naive rounds through the unsafe quotient merge (falling back to
-the BFS only when a plan leaves shattered pieces unrepresented — never,
-for the registered naive healers), so a full-kill GraphHeal campaign
-performs zero traversals.
+so baseline sweeps should scale like DASH sweeps. The tracker routes
+naive rounds through the unsafe quotient merge (falling back to the BFS
+only when a plan leaves shattered pieces unrepresented — never, for the
+registered naive healers), so a full-kill GraphHeal campaign performs
+zero traversals.
 
 This file measures full-kill **random-attack GraphHeal campaigns**
 (preferential attachment m=3) per n against the preserved eager path
-(``batch_fast_path=False``) — interleaved in the same process, so
-recorded speedups are real ratios — plus one row per remaining naive
-healer.
+(the reference tracker in ``tests/core/_eager_tracker.py``, which
+settles every non-component-safe round by the BFS) — interleaved in the
+same process, so recorded speedups are real ratios — plus one row per
+remaining naive healer.
 
 Acceptance workloads:
 
-* ``campaign_graphheal_pa4000_m3`` — n=4,000 full kill, lazy vs. eager
+* ``campaign_graphheal_pa4000_m3`` — n=4,000 full kill, fast vs. eager
   interleaved best-of-3; the in-test assert demands ≥2× (measured ~15×
   at rewrite time) and the CI perf gate enforces the same floor on the
   recorded JSON.
@@ -42,6 +43,7 @@ from repro.graph.generators import preferential_attachment
 from repro.sim.engine import run_campaign
 from repro.utils.tables import format_table
 from repro.utils.timing import Timer
+from tests.core._eager_tracker import eager_tracker
 
 #: (n, also measure the eager path); 16k is FULL-only.
 QUICK_WORKLOADS = [(500, True), (1_000, True), (2_000, True), (4_000, True)]
@@ -51,16 +53,16 @@ FULL_WORKLOADS = [(16_000, True)]
 def _run_naive_campaign(
     n: int, *, healer: str = "graph-heal", fast: bool, seed: int = 2
 ) -> tuple[float, "object"]:
-    """One full-kill random-attack naive campaign; graph gen excluded."""
+    """One full-kill random-attack naive campaign, on the eager reference
+    tracker unless ``fast``; graph gen excluded."""
     g = preferential_attachment(n, 3, seed=1)
     adversary = RandomAttack(seed=seed)
-    with Timer() as t:
+    with eager_tracker(not fast), Timer() as t:
         res = run_campaign(
             g,
             make_healer(healer),
             adversary,
             id_seed=0,
-            batch_fast_path=fast,
             keep_network=True,
         )
     assert res.final_alive == 0
@@ -76,7 +78,7 @@ def _run_naive_campaign(
 
 
 def test_naive_campaign_cost(bench_recorder):
-    """Full-kill GraphHeal campaign wall time per n, lazy vs. eager;
+    """Full-kill GraphHeal campaign wall time per n, fast vs. eager;
     persists table + JSON (the ROADMAP scaling table's source)."""
     workloads = QUICK_WORKLOADS + (FULL_WORKLOADS if FULL else [])
     rows = []
@@ -108,7 +110,7 @@ def test_naive_campaign_cost(bench_recorder):
         )
 
     table = format_table(
-        ["n", "lazy s", "eager s", "speedup"],
+        ["n", "fast s", "eager s", "speedup"],
         rows,
         title=(
             "naive campaigns: full-kill cost "
@@ -123,7 +125,7 @@ def test_naive_campaign_cost(bench_recorder):
 
 def test_campaign_graphheal_pa4000(bench_recorder):
     """Acceptance workload: full-kill GraphHeal campaign on PA n=4000
-    (m=3), lazy labels vs. the preserved eager path **interleaved in the
+    (m=3), the quotient merge vs. the preserved eager path **interleaved in the
     same process** (best-of-3), so the recorded speedup is a real
     like-for-like ratio. Measured ~15× at rewrite time; the assert
     demands ≥2× — generous slack for shared CI runners while still
@@ -150,12 +152,12 @@ def test_campaign_graphheal_pa4000(bench_recorder):
         speedup_vs_eager=round(speedup, 2),
     )
     print(
-        f"\ngraph-heal pa4000 acceptance: eager {slow:.3f}s vs lazy "
+        f"\ngraph-heal pa4000 acceptance: eager {slow:.3f}s vs fast "
         f"{fast:.3f}s ({speedup:.2f}x)"
     )
     assert speedup > 2.0, (
         f"n=4000 GraphHeal campaign only {speedup:.2f}x over the eager "
-        "path (measured ~15x at rewrite time) — the lazy quotient path "
+        "path (measured ~15x at rewrite time) — the unsafe quotient path "
         "has regressed toward per-round BFS"
     )
 

@@ -11,8 +11,10 @@ O(participants · α + #ID-changers).
 
 This file measures full-kill **√n-wave random campaigns** (DASH,
 preferential attachment m=3) per n, plus a targeted decapitation-wave
-workload, against the preserved traversal path — interleaved in the same
-process, so recorded speedups are real ratios.
+workload, against the preserved traversal path (the eager reference
+tracker in ``tests/core/_eager_tracker.py``, which settles every wave
+round by the BFS) — interleaved in the same process, so recorded
+speedups are real ratios.
 
 Acceptance workloads:
 
@@ -40,6 +42,7 @@ from repro.graph.generators import preferential_attachment
 from repro.sim.engine import run_campaign
 from repro.utils.tables import format_table
 from repro.utils.timing import Timer
+from tests.core._eager_tracker import eager_tracker
 
 #: (n, also measure the traversal path); 16k is FULL-only.
 QUICK_WORKLOADS = [(500, True), (1_000, True), (2_000, True), (4_000, True)]
@@ -49,14 +52,14 @@ FULL_WORKLOADS = [(16_000, True)]
 def _run_wave_campaign(
     n: int, *, fast: bool, seed: int = 2
 ) -> tuple[float, "object"]:
-    """One full-kill √n-wave random campaign; graph generation excluded."""
+    """One full-kill √n-wave random campaign, on the eager reference
+    tracker unless ``fast``; graph generation excluded."""
     g = preferential_attachment(n, 3, seed=1)
     adversary = RandomWaveAttack(("constant", math.isqrt(n)), seed=seed)
     healer = make_healer("dash")
-    with Timer() as t:
+    with eager_tracker(not fast), Timer() as t:
         res = run_campaign(
-            g, healer, adversary, id_seed=0, batch_fast_path=fast,
-            keep_network=True,
+            g, healer, adversary, id_seed=0, keep_network=True
         )
     assert res.final_alive == 0
     assert res.deletions == n

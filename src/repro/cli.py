@@ -284,11 +284,11 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     fn = FIGURES[args.name]
     supported = inspect.signature(fn).parameters
     kwargs: dict = {}
-    if args.depths and "depths" in supported:
+    if args.depths is not None and "depths" in supported:
         kwargs["depths"] = tuple(args.depths)
-    if args.sizes and "sizes" in supported:
+    if args.sizes is not None and "sizes" in supported:
         kwargs["sizes"] = tuple(args.sizes)
-    if args.reps and "repetitions" in supported:
+    if args.reps is not None and "repetitions" in supported:
         kwargs["repetitions"] = args.reps
     if args.seed is not None and "master_seed" in supported:
         kwargs["master_seed"] = args.seed
@@ -298,7 +298,11 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         kwargs["out_dir"] = args.out
     if "progress" in supported:
         kwargs["progress"] = not args.quiet
-    out = fn(**kwargs)
+    try:
+        out = fn(**kwargs)
+    except ConfigurationError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     figures = out if isinstance(out, tuple) else (out,)
     for f in figures:
         print(f.table)

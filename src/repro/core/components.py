@@ -50,32 +50,27 @@ class, and every quotient class becomes one union-find merge.
 Non-component-safe plans
 ------------------------
 Arbitrary healers (GraphHeal adds cycles; NoHeal adds nothing) are not
-component-safe. With ``lazy=True`` (the
-:class:`~repro.core.network.SelfHealingNetwork` default, riding the same
-switch as the batch fast path) such a round still takes the quotient
-merge when the plan's rewires cover every shattered piece of the dead
-tree (``N(v,G′) ⊆ participants``, true for every registered naive
-healer): a participant then stands for its whole recorded class, which
-is exact because the unity check sends anything that would split a
-class to the BFS. Its accounting is byte-identical to the BFS
-(differential-tested).
+component-safe. Such a round still takes the quotient merge when the
+plan's rewires cover every shattered piece of the dead tree
+(``N(v,G′) ⊆ participants``, true for every registered naive healer): a
+participant then stands for its whole recorded class, which is exact
+because the unity check sends anything that would split a class to the
+BFS. Its accounting is byte-identical to the BFS (differential-tested
+against the eager reference tracker in ``tests/core/_eager_tracker.py``).
 
-Every other round takes the BFS over the affected region: every
-non-component-safe round under ``lazy=False`` (direct tracker
-construction, and the network's ``batch_fast_path=False`` reference
-configuration), a plan that leaves a piece unrepresented, a merge the
-quotient path declines, and a wave round whose preconditions fail (a
-dead tree shared between victim components, a participant inside
-another victim component's shattered tree, or a plan that leaves one
-pre-round class spread over several quotient classes). The traversal
-recomputes components — including persistent splits, which the paper's
-model never needs but a library must survive — and routes them through
-the same union-find apply step (:meth:`ComponentTracker._apply_rebuild`).
+Every other round takes the BFS over the affected region: a plan that
+leaves a piece unrepresented, a merge the quotient path declines, and a
+wave round whose preconditions fail (a dead tree shared between victim
+components, a participant inside another victim component's shattered
+tree, or a plan that leaves one pre-round class spread over several
+quotient classes). The traversal recomputes components — including
+persistent splits, which the paper's model never needs but a library
+must survive — and routes them through the same union-find apply step
+(:meth:`ComponentTracker._apply_rebuild`).
 
 Every round is settled before it returns, so each :class:`RoundStats`
-charges its own round's ID changes and messages, and ``lazy`` changes
-speed only, never output. ``check_consistency`` is a full-BFS
-ground-truth check, used by tests and paranoid-mode runs.
+charges its own round's ID changes and messages. ``check_consistency``
+is a full-BFS ground-truth check, used by tests and paranoid-mode runs.
 """
 
 from __future__ import annotations
@@ -145,12 +140,6 @@ class ComponentTracker:
     graph: Graph
     healing_graph: Graph
     initial_ids: Mapping[Node, NodeId]
-    #: non-component-safe single-victim rounds whose plan rewires every
-    #: G′-neighbor of the victim take the quotient merge instead of the
-    #: BFS. Both give the same stats; off by default so direct tracker
-    #: users get the BFS reference, and the network switches it on
-    #: together with the batch fast path.
-    lazy: bool = False
     id_changes: dict[Node, int] = field(init=False)
     messages_sent: dict[Node, int] = field(init=False)
     messages_received: dict[Node, int] = field(init=False)
@@ -491,11 +480,10 @@ class ComponentTracker:
         ``UN(v,G) ∪ N(v,G′)`` — one representative per pre-round component
         plus every G′-neighbor of the deleted node — enabling the
         traversal-free union-find merge path. The caller (the healer, via
-        the plan) vouches for this. Under :attr:`lazy` a
-        non-component-safe plan that rewires every G′-neighbor (true for
-        every registered naive healer: GraphHeal rewires all G-neighbors
-        ⊇ G′-neighbors, NoHeal's G′ has no edges at all) takes the same
-        merge.
+        the plan) vouches for this. A non-component-safe plan that
+        rewires every G′-neighbor (true for every registered naive
+        healer: GraphHeal rewires all G-neighbors ⊇ G′-neighbors,
+        NoHeal's G′ has no edges at all) takes the same merge.
 
         The merge is the wave merge of :meth:`fast_batch_round` with the
         victim's label as the only dead label and no foreign labels: once
@@ -507,9 +495,7 @@ class ComponentTracker:
         """
         self.remove_node(deleted, deleted_label)
         dead_labels = {deleted_label}
-        if component_safe or (
-            self.lazy and gprime_neighbors.issubset(participants)
-        ):
+        if component_safe or gprime_neighbors.issubset(participants):
             stats = self._quotient_round(dead_labels, participants, plan_edges)
             if stats is not None:
                 self.fast_rounds += 1

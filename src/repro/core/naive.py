@@ -28,12 +28,12 @@ We additionally implement:
 Performance: the non-component-safe healers here (GraphHeal,
 DeltaOrderedGraphHeal, NoHeal) used to force an honest BFS over the
 affected region every round — O(region) per round, quadratic full-kill
-campaigns once the healed blob grows. Under the tracker's ``lazy`` mode
-(the network default) their rounds resolve through the same
-traversal-free quotient merge as the component-safe healers: GraphHeal's
-rewire-everyone trees cover every shattered piece of the dead G′ tree,
-and NoHeal's G′ never has edges, so baseline sweeps now scale like DASH
-sweeps (byte-identical accounting vs. the preserved eager path —
+campaigns once the healed blob grows. Their rounds now resolve through
+the same traversal-free quotient merge as the component-safe healers:
+GraphHeal's rewire-everyone trees cover every shattered piece of the
+dead G′ tree, and NoHeal's G′ never has edges, so baseline sweeps scale
+like DASH sweeps (byte-identical accounting vs. the eager reference
+tracker in ``tests/core/_eager_tracker.py`` —
 ``benchmarks/bench_naive_healers.py`` and the differential suite in
 ``tests/core/test_naive_fast_path.py``).
 """

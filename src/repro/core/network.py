@@ -94,16 +94,6 @@ class SelfHealingNetwork:
         component tracker against ground truth, the degree and δ indexes,
         G′ ⊆ G, and (for component-safe single-victim rounds) the Lemma 1
         forest invariant. O(n+m) per round — meant for tests, not sweeps.
-    batch_fast_path:
-        When True (default), :meth:`delete_batch_and_heal` resolves wave
-        heals with the tracker's traversal-free quotient merge, and
-        non-component-safe single-victim rounds (GraphHeal and friends)
-        whose plan rewires every G′-neighbor of the victim take the same
-        merge instead of a per-round BFS. When False every
-        non-component-safe or wave round takes the honest BFS path (the
-        eager reference the differential tests and benchmarks compare
-        against). The switch changes speed only: events and accounting
-        are byte-identical either way.
     """
 
     def __init__(
@@ -113,15 +103,10 @@ class SelfHealingNetwork:
         *,
         seed: int | None = 0,
         check_invariants: bool = False,
-        batch_fast_path: bool = True,
     ) -> None:
         self.graph = graph
         self.healer = healer
         self.check_invariants = check_invariants
-        #: route component-safe wave heals through the tracker's quotient
-        #: fast path (False forces the honest traversal path — used by the
-        #: wave differential tests and the like-for-like benchmarks)
-        self.batch_fast_path = batch_fast_path
         self.initial_n = graph.num_nodes
         self.initial_degree: dict[Node, int] = graph.degrees()
         # δ-bucket index: every node starts at δ = 0 by definition; kept
@@ -165,16 +150,11 @@ class SelfHealingNetwork:
         union-find and never reads the tracker, so a fused campaign,
         churn joins included, builds none.
         """
-        tracker = ComponentTracker(
+        return ComponentTracker(
             graph=self.graph,
             healing_graph=self.healing_graph,
             initial_ids=self.initial_ids,
         )
-        # The single-victim quotient merge for non-component-safe plans
-        # rides the same switch as the batch fast path:
-        # batch_fast_path=False is the eager reference configuration.
-        tracker.lazy = self.batch_fast_path
-        return tracker
 
     # ------------------------------------------------------------------
     # Per-node state
@@ -589,8 +569,7 @@ class SelfHealingNetwork:
         affected region
         (:meth:`~repro.core.components.ComponentTracker.batch_round`).
         Both paths produce byte-identical :class:`HealEvent` streams and
-        tracker accounting; ``batch_fast_path=False`` forces the slow
-        path everywhere.
+        tracker accounting.
 
         Returns one :class:`HealEvent` per victim component, sorted by the
         ``repr`` of the component's minimum node label: victims ``2`` and
@@ -655,14 +634,6 @@ class SelfHealingNetwork:
             self.tracker.remove_node(v, lbl)
             self.deleted_nodes.append(v)
 
-        # The seed-tracker differential tests swap in a tracker class
-        # without the quotient fast path; duck-type instead of assuming.
-        fast_batch = (
-            getattr(self.tracker, "fast_batch_round", None)
-            if self.batch_fast_path
-            else None
-        )
-
         # Heal each victim component.
         events: list[HealEvent] = []
         for comp, g_nbrs, gp_nbrs, dead_labels in infos:
@@ -695,13 +666,13 @@ class SelfHealingNetwork:
             # earlier round of the wave; participants in a still-
             # shattered foreign tree are caught by the tracker.
             stats = None
-            if fast_batch is not None and (
+            if (
                 plan.component_safe or gp_nbrs <= set(participants)
             ) and all(
                 label_claims[lbl] == 1 or lbl in resolved
                 for lbl in dead_labels
             ):
-                stats = fast_batch(
+                stats = self.tracker.fast_batch_round(
                     set(dead_labels),
                     participants,
                     plan.edges,

@@ -77,6 +77,9 @@ CHECKPOINT_VERSION = 1
 STATIC_FILENAME = "static.json"
 _CKPT_PREFIX = "ckpt-r"
 _CKPT_SUFFIX = ".json"
+#: dynamic snapshots a checkpoint directory keeps: the newest is the
+#: resume point, the older ones the fallback when it was torn
+_KEEP_SNAPSHOTS = 3
 
 
 # ----------------------------------------------------------------------
@@ -414,17 +417,14 @@ def _checkpointed_metrics(metrics: Sequence[object]) -> list[object]:
 class Checkpointer:
     """Owns one campaign's checkpoint directory.
 
-    Keeps the last ``keep`` dynamic snapshots: the newest is the normal
-    resume point, the older ones are the fallback when a crash (or an
-    injected fault — see :mod:`repro.recovery.faults`) corrupted the
-    newest on disk.
+    Keeps the last ``_KEEP_SNAPSHOTS`` dynamic snapshots: the newest is
+    the normal resume point, the older ones are the fallback when a
+    crash (or an injected fault — see :mod:`repro.recovery.faults`)
+    corrupted the newest on disk.
     """
 
-    def __init__(self, directory: str | Path, *, keep: int = 3) -> None:
-        if keep < 1:
-            raise ConfigurationError(f"keep must be >= 1, got {keep}")
+    def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
-        self.keep = keep
         self.directory.mkdir(parents=True, exist_ok=True)
 
     @property
@@ -472,8 +472,8 @@ class Checkpointer:
         return sorted(found, key=lambda rp: rp[0])
 
     def _prune(self) -> None:
-        """Drop all but the ``keep`` newest snapshots."""
-        for _, path in self.list_checkpoints()[: -self.keep]:
+        """Drop all but the ``_KEEP_SNAPSHOTS`` newest snapshots."""
+        for _, path in self.list_checkpoints()[:-_KEEP_SNAPSHOTS]:
             try:
                 path.unlink()
             except OSError:  # pragma: no cover - racing cleaners
@@ -920,7 +920,6 @@ def _restore_network(
     network.graph = graph
     network.healer = healer
     network.check_invariants = static["params"]["check_invariants"]
-    network.batch_fast_path = static["params"]["batch_fast_path"]
     network.initial_n = static["initial_n"]
     network.id_seed = static["params"]["id_seed"]
     network.initial_degree = initial_degree
@@ -969,7 +968,6 @@ def _initial_network(static: dict, healer: object) -> SelfHealingNetwork:
         healer,
         seed=params["id_seed"],
         check_invariants=params["check_invariants"],
-        batch_fast_path=params["batch_fast_path"],
     )
 
 
@@ -1040,7 +1038,6 @@ def load_checkpoint(
     healer: object | None = None,
     adversary: object | None = None,
     metrics: Sequence[object] | None = None,
-    sha_map: Mapping[str, str] | None = None,
 ) -> RestoredCampaign:
     """Rebuild a campaign from its checkpoint directory: the newest
     snapshot that reads intact, or the named ``checkpoint``.
@@ -1059,9 +1056,7 @@ def load_checkpoint(
         if not path.is_absolute() and not path.exists():
             path = checkpointer.directory / path
         candidates = [path]
-    return _restore(
-        checkpointer, candidates, sha_map, healer, adversary, metrics
-    )
+    return _restore(checkpointer, candidates, None, healer, adversary, metrics)
 
 
 def _restore(
@@ -1131,14 +1126,11 @@ def _restore(
 def resume_campaign(
     checkpoint_dir: str | Path,
     *,
-    checkpoint: str | Path | None = None,
     healer: object | None = None,
     adversary: object | None = None,
     metrics: Sequence[object] | None = None,
     ledger: CampaignLedger | str | Path | None = None,
-    checkpoint_every: int | None = None,
     keep_checkpointing: bool = True,
-    sha_map: Mapping[str, str] | None = None,
 ) -> "SimulationResult":
     """Continue an interrupted campaign to completion.
 
@@ -1153,24 +1145,21 @@ def resume_campaign(
     without a tripwire.
 
     ``keep_checkpointing=False`` runs the tail straight through without
-    writing further snapshots; otherwise the original cadence (or an
-    explicit ``checkpoint_every``) continues into the same directory.
+    writing further snapshots; otherwise the original cadence continues
+    into the same directory.
     """
     restored = load_checkpoint(
         checkpoint_dir,
-        checkpoint=checkpoint,
         healer=healer,
         adversary=adversary,
         metrics=metrics,
-        sha_map=sha_map,
     )
-    return _resume(restored, ledger, checkpoint_every, keep_checkpointing)
+    return _resume(restored, ledger, keep_checkpointing)
 
 
 def _resume(
     restored: RestoredCampaign,
     ledger: CampaignLedger | str | Path | None,
-    checkpoint_every: int | None,
     keep_checkpointing: bool,
     recorded_rounds: Iterable[dict] = (),
 ) -> "SimulationResult":
@@ -1178,9 +1167,6 @@ def _resume(
     from repro.sim.engine import _drive_campaign
 
     params = restored.params
-    every = checkpoint_every
-    if every is None and keep_checkpointing:
-        every = restored.checkpoint_every
     recorder = None
     if keep_checkpointing or ledger is not None:
         recorder = CampaignRecorder.resume(
@@ -1191,7 +1177,9 @@ def _resume(
             checkpointer=(
                 restored.checkpointer if keep_checkpointing else None
             ),
-            checkpoint_every=every if keep_checkpointing else None,
+            checkpoint_every=(
+                restored.checkpoint_every if keep_checkpointing else None
+            ),
             ledger=ledger,
             resumed_round=restored.rounds,
             checkpoint_file=restored.checkpoint_path.name,
@@ -1269,9 +1257,5 @@ def resume_from_ledger(
         if r.get("type") == "round" and r["round"] > restored.rounds
     ]
     return _resume(
-        restored,
-        CampaignLedger(ledger_path),
-        None,
-        keep_checkpointing,
-        recorded,
+        restored, CampaignLedger(ledger_path), keep_checkpointing, recorded
     )

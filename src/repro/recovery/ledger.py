@@ -54,8 +54,10 @@ class CampaignLedger:
     """Append-only JSONL writer with tiered durability.
 
     Opens in append mode, so resuming a campaign keeps extending the
-    same file. Usable as a context manager; :meth:`append` after
-    :meth:`close` raises.
+    same file; an unterminated final line left by a crash mid-append is
+    cut off first (see :func:`_drop_torn_tail`), so the next record
+    starts a line of its own. Usable as a context manager;
+    :meth:`append` after :meth:`close` raises.
 
     Every append is flushed to the OS before returning, which survives
     any *process* death (SIGKILL included — the page cache belongs to
@@ -70,6 +72,7 @@ class CampaignLedger:
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        _drop_torn_tail(self.path)
         self._fh: IO[str] | None = open(  # noqa: SIM115 - owned handle
             self.path, "a", encoding="utf-8"
         )
@@ -105,6 +108,44 @@ class CampaignLedger:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "closed" if self._fh is None else "open"
         return f"CampaignLedger({str(self.path)!r}, {state})"
+
+
+def _drop_torn_tail(path: Path) -> None:
+    """Cut an unterminated final line — a crash mid-append — back to
+    the last newline, so the next append starts a line of its own
+    instead of gluing onto the fragment and corrupting that line for
+    good. :func:`read_ledger` drops the fragment too, so no record it
+    returned is lost; a final line that lost only its newline still
+    decodes as a record, so it is kept and terminated instead.
+    """
+    try:
+        fh = open(path, "r+b")  # noqa: SIM115 - closed below
+    except FileNotFoundError:
+        return
+    with fh:
+        end = fh.seek(0, os.SEEK_END)
+        start = end
+        while start > 0:
+            step = min(start, 1 << 16)
+            fh.seek(start - step)
+            cut = fh.read(step).rfind(b"\n")
+            if cut >= 0:
+                start += cut + 1 - step
+                break
+            start -= step
+        if start == end:
+            return
+        fh.seek(start)
+        try:
+            whole = isinstance(json.loads(fh.read()), dict)
+        except ValueError:
+            whole = False
+        if whole:
+            fh.write(b"\n")
+        else:
+            fh.truncate(start)
+        fh.flush()
+        os.fsync(fh.fileno())
 
 
 def read_ledger(path: str | Path, *, strict: bool = False) -> list[dict]:

@@ -81,8 +81,6 @@ def run_campaign(
     check_invariants: bool = False,
     keep_events: bool = False,
     keep_network: bool = False,
-    batch_fast_path: bool = True,
-    batch_rounds: bool | None = None,
     checkpoint_every: int | None = None,
     checkpoint_dir: str | Path | None = None,
     ledger: "CampaignLedger | str | Path | None" = None,
@@ -96,7 +94,11 @@ def run_campaign(
     healer, adversary:
         The strategies under test. The adversary's
         :meth:`~repro.adversary.base.Adversary.choose_round` is called
-        once per round.
+        once per round, and its
+        :attr:`~repro.adversary.base.Adversary.batch_rounds` flag routes
+        each round: ``True`` heals it through ``delete_batch_and_heal``
+        (and reports ``values["waves"]``), ``False`` through the
+        single-victim machinery, which requires singleton rounds.
     id_seed:
         Seed for the DASH node IDs (Algorithm 1, Init).
     metrics:
@@ -117,17 +119,6 @@ def run_campaign(
     keep_events / keep_network:
         Retain the per-round event list / the final network on the result
         (off by default to keep sweep memory flat).
-    batch_fast_path:
-        Forwarded to :class:`SelfHealingNetwork`; ``False`` forces the
-        tracker's honest traversal path for every batch round (the
-        reference side of the differential tests and benchmarks).
-    batch_rounds:
-        ``True`` routes rounds through ``delete_batch_and_heal`` (and
-        reports ``values["waves"]``); ``False`` heals each round's
-        victims with the single-victim machinery and requires singleton
-        rounds. ``None`` (default) follows the adversary's declared
-        :attr:`~repro.adversary.base.Adversary.batch_rounds` protocol
-        flag — the right choice everywhere outside differential tests.
     checkpoint_every / checkpoint_dir:
         Write a full, fsync'd snapshot to ``checkpoint_dir`` every
         ``checkpoint_every`` rounds (plus the round-0 ``init`` record),
@@ -158,11 +149,9 @@ def run_campaign(
         healer,
         seed=id_seed,
         check_invariants=check_invariants,
-        batch_fast_path=batch_fast_path,
     )
     adversary.reset(network)
-    if batch_rounds is None:
-        batch_rounds = getattr(adversary, "batch_rounds", False)
+    batch_rounds = getattr(adversary, "batch_rounds", False)
     mixed_rounds = getattr(adversary, "mixed_rounds", False)
     if mixed_rounds and batch_rounds:
         raise ConfigurationError(
@@ -192,7 +181,6 @@ def run_campaign(
                 "check_invariants": check_invariants,
                 "keep_events": keep_events,
                 "keep_network": keep_network,
-                "batch_fast_path": batch_fast_path,
                 "batch_rounds": batch_rounds,
                 "mixed_rounds": mixed_rounds,
             },

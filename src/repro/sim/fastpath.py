@@ -37,8 +37,7 @@ where a round's ops come from:
 
 Eligibility (:func:`supports`) is deliberately narrow — exactly DASH ×
 those adversaries × ``ArrayGraph`` with nothing observing intermediate
-state. ``batch_fast_path=False`` (the engine's reference switch) or
-``keep_events=True`` forces the generic path, which is how the
+state. ``keep_events=True`` forces the generic path, which is how the
 differential tests (``tests/sim/test_fused_kernel.py``) obtain the
 reference side.
 
@@ -185,7 +184,6 @@ def supports(
         and not keep_events
         and not keep_network
         and not network.check_invariants
-        and network.batch_fast_path
         and not network.deleted_nodes
         and not network.events
         # hole-free slot stores: labels == slot indices, every slot live

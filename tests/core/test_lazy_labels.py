@@ -1,14 +1,14 @@
 """Exact per-round accounting for non-component-safe rounds.
 
-Under ``lazy=True`` a non-component-safe round whose plan rewires every
-G′-neighbor of the victim takes the quotient merge; every other round —
-a plan that leaves a shattered piece unrepresented, or one the quotient
-merge declines — takes the BFS. Either way the round is settled before
-it returns: its :class:`~repro.core.components.RoundStats` equal those of
-its ``lazy=False`` twin, a split is reported in the round that caused
-it, and ``lazy`` (the network's ``batch_fast_path``) changes speed only,
-never output. These tests pin that at the tracker and network level;
-the campaign-scale differential matrix lives in
+A non-component-safe round whose plan rewires every G′-neighbor of the
+victim takes the quotient merge; every other round — a plan that leaves
+a shattered piece unrepresented, or one the quotient merge declines —
+takes the BFS. Either way the round is settled before it returns: its
+:class:`~repro.core.components.RoundStats` equal those of its twin on
+the eager reference tracker (``_eager_tracker.py``), a split is
+reported in the round that caused it, and the quotient merge changes
+speed only, never output. These tests pin that at the tracker and
+network level; the campaign-scale differential matrix lives in
 ``test_naive_fast_path.py``.
 """
 
@@ -27,9 +27,12 @@ from repro.errors import InvariantViolation, SimulationError
 from repro.graph.generators import path_graph, preferential_attachment
 from repro.graph.graph import Graph
 
+from tests.core._eager_tracker import EagerTracker, eager_tracker
 
-def build(nodes, g_edges=(), gp_edges=(), *, lazy=True):
-    """A tracker over a hand-built G/G′ with deterministic IDs.
+
+def build(nodes, g_edges=(), gp_edges=(), *, eager=False):
+    """A tracker (an :class:`EagerTracker` when ``eager``) over a
+    hand-built G/G′ with deterministic IDs.
 
     IDs are (i/100, i) so node order == ID order: node 0 has the smallest.
     """
@@ -40,9 +43,8 @@ def build(nodes, g_edges=(), gp_edges=(), *, lazy=True):
     for e in gp_edges:
         gp.add_edge(*e)
     ids = {u: (u / 100.0, u) for u in nodes}
-    tracker = ComponentTracker(
-        graph=g, healing_graph=gp, initial_ids=ids, lazy=lazy
-    )
+    tracker_cls = EagerTracker if eager else ComponentTracker
+    tracker = tracker_cls(graph=g, healing_graph=gp, initial_ids=ids)
     tracker.rebuild_from_healing_graph()
     return g, gp, tracker
 
@@ -72,32 +74,32 @@ def heal_round(
 
 
 class Twins:
-    """A lazy tracker and its ``lazy=False`` twin over the same G/G′."""
+    """A tracker and its eager twin over the same G/G′."""
 
     def __init__(self, nodes, g_edges=(), gp_edges=()):
-        self.lazy = build(nodes, g_edges, gp_edges, lazy=True)
-        self.eager = build(nodes, g_edges, gp_edges, lazy=False)
+        self.fast = build(nodes, g_edges, gp_edges)
+        self.eager = build(nodes, g_edges, gp_edges, eager=True)
 
     @property
     def trackers(self):
-        return self.lazy[2], self.eager[2]
+        return self.fast[2], self.eager[2]
 
     def round(self, victim, participants=(), plan_edges=(), *, safe=False):
         """Run one round on both twins; the stats, labels and per-node
         counters must agree. Returns the stats."""
         stats = heal_round(
-            *self.lazy, victim, participants, plan_edges, safe=safe
+            *self.fast, victim, participants, plan_edges, safe=safe
         )
         eager_stats = heal_round(
             *self.eager, victim, participants, plan_edges, safe=safe
         )
         assert stats == eager_stats
-        lazy_tr, eager_tr = self.trackers
-        assert lazy_tr.labels() == eager_tr.labels()
-        assert lazy_tr.id_changes == eager_tr.id_changes
-        assert lazy_tr.messages_sent == eager_tr.messages_sent
-        assert lazy_tr.messages_received == eager_tr.messages_received
-        lazy_tr.check_consistency()
+        fast_tr, eager_tr = self.trackers
+        assert fast_tr.labels() == eager_tr.labels()
+        assert fast_tr.id_changes == eager_tr.id_changes
+        assert fast_tr.messages_sent == eager_tr.messages_sent
+        assert fast_tr.messages_received == eager_tr.messages_received
+        fast_tr.check_consistency()
         eager_tr.check_consistency()
         return stats
 
@@ -114,11 +116,11 @@ class TestUncoveredPlans:
         # Piece {2} loses the tree's label (1's ID) and takes its own.
         assert stats.id_changes == 1
         assert stats.components_after == 2
-        lazy_tr, eager_tr = twins.trackers
-        assert lazy_tr.slow_rounds == 1 and lazy_tr.fast_rounds == 0
+        fast_tr, eager_tr = twins.trackers
+        assert fast_tr.slow_rounds == 1 and fast_tr.fast_rounds == 0
         assert eager_tr.slow_rounds == 1
-        assert lazy_tr.deferred_rounds == 0
-        assert lazy_tr.lazy_resolutions == 0
+        assert fast_tr.deferred_rounds == 0
+        assert fast_tr.lazy_resolutions == 0
 
     def test_consecutive_uncovered_rounds_are_each_charged(self):
         """Two shatters in two disjoint G′ trees: each round charges its
@@ -135,8 +137,8 @@ class TestUncoveredPlans:
         # Node 2 announced its new ID to its one surviving neighbor (3),
         # and node 4 announced to nobody.
         assert (first.messages_sent, second.messages_sent) == (1, 0)
-        lazy_tr, _ = twins.trackers
-        labels = lazy_tr.labels()
+        fast_tr, _ = twins.trackers
+        labels = fast_tr.labels()
         assert len({labels[u] for u in (1, 2, 3, 4)}) == 4
 
     def test_deletion_inside_a_split_tree(self):
@@ -150,12 +152,12 @@ class TestUncoveredPlans:
         stats = twins.round(9)
         assert stats.split
         assert stats.id_changes == 2  # piece {2, 3} takes 2's ID
-        lazy_tr, _ = twins.trackers
-        assert lazy_tr.label_of(3) == (0.02, 2)
+        fast_tr, _ = twins.trackers
+        assert fast_tr.label_of(3) == (0.02, 2)
         stats = twins.round(2)
         assert not stats.split
         assert stats.id_changes == 0  # MINID keeps the dead node's ID
-        assert set(lazy_tr.labels()) == {1, 3}
+        assert set(fast_tr.labels()) == {1, 3}
 
     def test_later_rounds_merge_settled_classes(self):
         """Right after an uncovered round, a component-safe round and a
@@ -170,8 +172,8 @@ class TestUncoveredPlans:
         merged = twins.round(7, participants=(1, 2), plan_edges=[(1, 2)])
         assert not merged.split
         assert merged.components_merged == 2
-        lazy_tr, eager_tr = twins.trackers
-        assert lazy_tr.fast_rounds == 2 and lazy_tr.slow_rounds == 1
+        fast_tr, eager_tr = twins.trackers
+        assert fast_tr.fast_rounds == 2 and fast_tr.slow_rounds == 1
         assert eager_tr.fast_rounds == 1 and eager_tr.slow_rounds == 2
 
     def test_dead_node_query_still_raises(self):
@@ -197,8 +199,8 @@ class TestUnsafeQuotient:
         )
         stats = twins.round(9, participants=(1, 2), plan_edges=[(1, 2)])
         assert not stats.split
-        lazy_tr, eager_tr = twins.trackers
-        assert lazy_tr.fast_rounds == 1 and lazy_tr.slow_rounds == 0
+        fast_tr, eager_tr = twins.trackers
+        assert fast_tr.fast_rounds == 1 and fast_tr.slow_rounds == 0
         assert eager_tr.slow_rounds == 1 and eager_tr.fast_rounds == 0
 
     def test_split_plan_takes_the_bfs(self):
@@ -214,9 +216,9 @@ class TestUnsafeQuotient:
         # Participants present but no plan edges: two pieces, two classes.
         stats = twins.round(9, participants=(1, 2))
         assert stats.split
-        lazy_tr, _ = twins.trackers
-        assert lazy_tr.slow_rounds == 1 and lazy_tr.fast_rounds == 0
-        assert lazy_tr.label_of(1) != lazy_tr.label_of(2)
+        fast_tr, _ = twins.trackers
+        assert fast_tr.slow_rounds == 1 and fast_tr.fast_rounds == 0
+        assert fast_tr.label_of(1) != fast_tr.label_of(2)
 
 
 class _FlakyGraphHeal(HEALERS["graph-heal"]):
@@ -261,18 +263,17 @@ _GRAPHS = {
 
 def _flaky_campaign(graph, healer, wave, fast):
     """Delete down to two survivors, one victim or a wave of up to four
-    per round."""
-    net = SelfHealingNetwork(
-        _GRAPHS[graph](), healer(), seed=5, batch_fast_path=fast
-    )
-    rng = random.Random(8)
-    while net.num_alive > 2:
-        nodes = sorted(net.graph.nodes())
-        if wave:
-            size = min(rng.randint(1, 4), len(nodes) - 2)
-            net.delete_batch_and_heal(rng.sample(nodes, size))
-        else:
-            net.delete_and_heal(rng.choice(nodes))
+    per round, on the eager reference tracker unless ``fast``."""
+    with eager_tracker(not fast):
+        net = SelfHealingNetwork(_GRAPHS[graph](), healer(), seed=5)
+        rng = random.Random(8)
+        while net.num_alive > 2:
+            nodes = sorted(net.graph.nodes())
+            if wave:
+                size = min(rng.randint(1, 4), len(nodes) - 2)
+                net.delete_batch_and_heal(rng.sample(nodes, size))
+            else:
+                net.delete_and_heal(rng.choice(nodes))
     return net
 
 

@@ -1,18 +1,18 @@
-"""Differential suite: lazy-label naive campaigns vs. the eager path.
+"""Differential suite: naive-healer quotient merges vs. the eager path.
 
 The naive baseline healers (GraphHeal, DeltaOrderedGraphHeal, NoHeal)
-are not component-safe, so until the lazy-label PR every one of their
-rounds paid an honest BFS over the affected region. Under lazy label
-invalidation they resolve through the unsafe quotient merge instead —
-and the paper's accounting must not move by a single message: these
-tests replay identical campaigns with ``batch_fast_path=True`` (lazy)
-and ``False`` (preserved eager reference) and assert byte-identical
+are not component-safe, so once every one of their rounds paid an
+honest BFS over the affected region. They now resolve through the
+unsafe quotient merge instead — and the paper's accounting must not
+move by a single message: these tests replay identical campaigns on
+the network's tracker and on the eager reference tracker
+(``_eager_tracker.py``) and assert byte-identical
 :class:`~repro.core.network.HealEvent` streams, per-node
 ``id_changes``/``messages_sent``/``messages_received``, component
 labels, final topology, and peak δ — across naive healers × 5 topology
 families × single-victim and wave schedules, with the
 ``check_component_labels`` and ``check_degree_index`` invariants
-verified after every round on the lazy side.
+verified after every round on the fast side.
 
 The suite also asserts the quotient path actually fires on every round
 (a silent fallback to the BFS would pass the equivalence checks while
@@ -35,6 +35,8 @@ from repro.graph.generators import (
     watts_strogatz,
 )
 from repro.sim.engine import run_campaign
+
+from tests.core._eager_tracker import eager_tracker
 
 NAIVE_HEALERS = ["graph-heal", "graph-heal-delta", "none"]
 
@@ -78,7 +80,7 @@ class _CheckInvariantsMetric:
 
 
 def assert_equivalent(fast_net, slow_net):
-    """Full-state equivalence between a lazy and an eager run."""
+    """Full-state equivalence between a fast and an eager run."""
     assert len(fast_net.events) == len(slow_net.events)
     for ev_fast, ev_slow in zip(fast_net.events, slow_net.events):
         for f in EVENT_FIELDS:
@@ -95,7 +97,7 @@ def assert_equivalent(fast_net, slow_net):
     assert fast_net.graph == slow_net.graph
     assert fast_net.healing_graph == slow_net.healing_graph
     assert fast_net.peak_delta == slow_net.peak_delta
-    # The lazy side must settle every round by the quotient merge — no
+    # The fast side must settle every round by the quotient merge — no
     # BFS fallback (the event comparison would not notice one).
     assert fast_tr.slow_rounds == 0
     # The eager reference must never have touched the quotient path.
@@ -113,16 +115,16 @@ def test_single_victim_campaign_matches_eager(
     """Full-kill single-victim campaigns, invariant-checked every round."""
 
     def campaign(fast: bool):
-        return run_campaign(
-            make_graph(),
-            HEALERS[healer_name](),
-            RandomAttack(seed=11),
-            id_seed=7,
-            metrics=[_CheckInvariantsMetric()] if fast else [],
-            keep_events=True,
-            keep_network=True,
-            batch_fast_path=fast,
-        )
+        with eager_tracker(not fast):
+            return run_campaign(
+                make_graph(),
+                HEALERS[healer_name](),
+                RandomAttack(seed=11),
+                id_seed=7,
+                metrics=[_CheckInvariantsMetric()] if fast else [],
+                keep_events=True,
+                keep_network=True,
+            )
 
     fast_run = campaign(True)
     slow_run = campaign(False)
@@ -150,16 +152,16 @@ def test_wave_campaign_matches_eager(
     shared between victim components of one wave)."""
 
     def campaign(fast: bool):
-        return run_campaign(
-            make_graph(),
-            HEALERS[healer_name](),
-            RandomWaveAttack(schedule, seed=13),
-            id_seed=7,
-            metrics=[_CheckInvariantsMetric()] if fast else [],
-            keep_events=True,
-            keep_network=True,
-            batch_fast_path=fast,
-        )
+        with eager_tracker(not fast):
+            return run_campaign(
+                make_graph(),
+                HEALERS[healer_name](),
+                RandomWaveAttack(schedule, seed=13),
+                id_seed=7,
+                metrics=[_CheckInvariantsMetric()] if fast else [],
+                keep_events=True,
+                keep_network=True,
+            )
 
     fast_run = campaign(True)
     slow_run = campaign(False)
@@ -175,16 +177,16 @@ def test_targeted_wave_campaign_matches_eager(healer_name):
     the mix with the most shared dead trees per wave."""
 
     def campaign(fast: bool):
-        return run_campaign(
-            preferential_attachment(90, 3, seed=17),
-            HEALERS[healer_name](),
-            TargetedWaveAttack(("constant", 6)),
-            id_seed=17,
-            metrics=[_CheckInvariantsMetric()] if fast else [],
-            keep_events=True,
-            keep_network=True,
-            batch_fast_path=fast,
-        )
+        with eager_tracker(not fast):
+            return run_campaign(
+                preferential_attachment(90, 3, seed=17),
+                HEALERS[healer_name](),
+                TargetedWaveAttack(("constant", 6)),
+                id_seed=17,
+                metrics=[_CheckInvariantsMetric()] if fast else [],
+                keep_events=True,
+                keep_network=True,
+            )
 
     fast_run = campaign(True)
     slow_run = campaign(False)

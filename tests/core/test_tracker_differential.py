@@ -29,9 +29,19 @@ from repro.core.registry import HEALERS, healer_names
 from repro.graph.generators import erdos_renyi, preferential_attachment
 from repro.api import run_campaign
 
-from tests.core._seed_tracker import ComponentTracker as SeedTracker
+from tests.core._eager_tracker import swap_tracker
+from tests.core._seed_tracker import ComponentTracker as _SeedTracker
 
 UnionFindTracker = network_module.ComponentTracker
+
+
+class SeedTracker(_SeedTracker):
+    """The seed tracker as the network drives it: it predates the wave
+    quotient merge, so every wave round goes to its ``batch_round``."""
+
+    def fast_batch_round(self, *args, **kwargs) -> None:
+        return None
+
 
 EVENT_FIELDS = (
     "deleted",
@@ -45,19 +55,6 @@ EVENT_FIELDS = (
     "components_after",
     "split",
 )
-
-
-class _swapped_tracker:
-    """Run a block with :class:`SelfHealingNetwork` wired to a tracker class."""
-
-    def __init__(self, tracker_cls):
-        self.tracker_cls = tracker_cls
-
-    def __enter__(self):
-        network_module.ComponentTracker = self.tracker_cls
-
-    def __exit__(self, *exc):
-        network_module.ComponentTracker = UnionFindTracker
 
 
 def assert_equivalent(
@@ -91,7 +88,7 @@ def test_full_campaign_matches_seed_accounting(healer_name, seed):
 
     def campaign(tracker_cls, check):
         g = preferential_attachment(60, 2, seed=seed)
-        with _swapped_tracker(tracker_cls):
+        with swap_tracker(tracker_cls):
             return run_campaign(
                 g,
                 HEALERS[healer_name](),
@@ -114,7 +111,7 @@ def test_targeted_attack_matches_seed_accounting(healer_name):
 
     def campaign(tracker_cls, check):
         g = erdos_renyi(50, 0.12, seed=5)
-        with _swapped_tracker(tracker_cls):
+        with swap_tracker(tracker_cls):
             return run_campaign(
                 g,
                 HEALERS[healer_name](),
@@ -138,7 +135,7 @@ def test_batch_waves_match_seed_accounting(healer_name, seed):
 
     def campaign(tracker_cls, check):
         g = preferential_attachment(48, 2, seed=seed)
-        with _swapped_tracker(tracker_cls):
+        with swap_tracker(tracker_cls):
             net = SelfHealingNetwork(
                 g, HEALERS[healer_name](), seed=seed, check_invariants=check
             )
@@ -167,7 +164,7 @@ def test_mixed_single_and_batch_rounds(seed):
 
     def campaign(tracker_cls, check):
         g = preferential_attachment(40, 2, seed=seed)
-        with _swapped_tracker(tracker_cls):
+        with swap_tracker(tracker_cls):
             net = SelfHealingNetwork(g, HEALERS["dash"](), seed=seed)
             net.tracker  # built on first use: bind tracker_cls here
         rng = random.Random(seed)

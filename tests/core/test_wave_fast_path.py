@@ -5,8 +5,10 @@ rounds with :meth:`~repro.core.components.ComponentTracker.fast_batch_round`
 (the multi-victim generalization of the single-deletion quotient merge)
 and falls back to the honest BFS (`batch_round`) whenever a wave's
 preconditions fail. The paper's accounting must not move by a single
-message either way: these tests replay identical wave campaigns with
-``batch_fast_path=True`` and ``False`` and assert byte-identical
+message either way: these tests replay identical wave campaigns on
+the network's tracker and on the eager reference tracker
+(``_eager_tracker.py``, every wave round by the BFS) and assert
+byte-identical
 :class:`~repro.core.network.HealEvent` streams, per-node
 ``id_changes``/``messages_sent``/``messages_received``, component
 labels, final topology, and peak δ — across topology families × healers
@@ -41,6 +43,8 @@ from repro.graph.generators import (
 from repro.api import run_campaign
 
 from repro.adversary.waves import RandomWaveAttack, TargetedWaveAttack
+
+from tests.core._eager_tracker import eager_tracker
 
 EVENT_FIELDS = (
     "deleted",
@@ -119,16 +123,16 @@ def test_random_wave_campaign_matches_traversal(
     """Full-kill random-wave campaigns, invariant-checked every round."""
 
     def campaign(fast: bool):
-        return run_campaign(
-            make_graph(),
-            HEALERS[healer_name](),
-            RandomWaveAttack(schedule, seed=13),
-            id_seed=7,
-            metrics=[_CheckInvariantsMetric()] if fast else [],
-            keep_events=True,
-            keep_network=True,
-            batch_fast_path=fast,
-        )
+        with eager_tracker(not fast):
+            return run_campaign(
+                make_graph(),
+                HEALERS[healer_name](),
+                RandomWaveAttack(schedule, seed=13),
+                id_seed=7,
+                metrics=[_CheckInvariantsMetric()] if fast else [],
+                keep_events=True,
+                keep_network=True,
+            )
 
     fast_run = campaign(True)
     slow_run = campaign(False)
@@ -144,16 +148,16 @@ def test_targeted_wave_campaign_matches_traversal(healer_name):
     """Decapitation waves (top-k hubs die at once) hit dense boundaries."""
 
     def campaign(fast: bool):
-        return run_campaign(
-            preferential_attachment(100, 3, seed=17),
-            HEALERS[healer_name](),
-            TargetedWaveAttack(("constant", 6)),
-            id_seed=17,
-            metrics=[_CheckInvariantsMetric()] if fast else [],
-            keep_events=True,
-            keep_network=True,
-            batch_fast_path=fast,
-        )
+        with eager_tracker(not fast):
+            return run_campaign(
+                preferential_attachment(100, 3, seed=17),
+                HEALERS[healer_name](),
+                TargetedWaveAttack(("constant", 6)),
+                id_seed=17,
+                metrics=[_CheckInvariantsMetric()] if fast else [],
+                keep_events=True,
+                keep_network=True,
+            )
 
     fast_run = campaign(True)
     slow_run = campaign(False)
@@ -168,12 +172,13 @@ def test_mixed_wave_and_single_rounds_match(seed):
     (single fast, batch fast, batch traversal) mutually consistent."""
 
     def campaign(fast: bool):
-        net = SelfHealingNetwork(
-            preferential_attachment(80, 2, seed=seed),
-            HEALERS["dash"](),
-            seed=seed,
-            batch_fast_path=fast,
-        )
+        with eager_tracker(not fast):
+            net = SelfHealingNetwork(
+                preferential_attachment(80, 2, seed=seed),
+                HEALERS["dash"](),
+                seed=seed,
+            )
+            net.tracker  # built on first use: bind the tracker class here
         rng = random.Random(seed + 1)
         while net.num_alive > 3:
             alive = sorted(net.graph.nodes())
@@ -231,13 +236,13 @@ def test_full_kill_single_wave_matches():
     same way on both paths."""
 
     def campaign(fast: bool):
-        net = SelfHealingNetwork(
-            preferential_attachment(30, 2, seed=9),
-            HEALERS["dash"](),
-            seed=9,
-            batch_fast_path=fast,
-        )
-        net.delete_batch_and_heal(sorted(net.graph.nodes()))
+        with eager_tracker(not fast):
+            net = SelfHealingNetwork(
+                preferential_attachment(30, 2, seed=9),
+                HEALERS["dash"](),
+                seed=9,
+            )
+            net.delete_batch_and_heal(sorted(net.graph.nodes()))
         net.tracker.check_consistency()
         return net
 
@@ -255,12 +260,13 @@ def test_non_component_safe_healer_waves_ride_the_fast_path():
     traversal (shared dead trees still force an honest first touch)."""
 
     def campaign(fast: bool):
-        net = SelfHealingNetwork(
-            preferential_attachment(40, 2, seed=3),
-            HEALERS["graph-heal"](),
-            seed=3,
-            batch_fast_path=fast,
-        )
+        with eager_tracker(not fast):
+            net = SelfHealingNetwork(
+                preferential_attachment(40, 2, seed=3),
+                HEALERS["graph-heal"](),
+                seed=3,
+            )
+            net.tracker  # built on first use: bind the tracker class here
         rng = random.Random(4)
         for _ in range(5):
             alive = sorted(net.graph.nodes())

@@ -28,6 +28,8 @@ from repro.graph.generators import (
 )
 from repro.sim.engine import run_campaign
 
+from tests.core._eager_tracker import eager_tracker
+
 TOPOLOGIES = {
     "pa": lambda backend: preferential_attachment(
         96, 3, seed=5, backend=backend
@@ -155,17 +157,17 @@ def test_scripted_churn_with_far_labels_matches():
 
 
 def test_eager_reference_mode_matches_too():
-    """batch_fast_path=False (the honest traversal reference) must stay
-    byte-identical across backends as well."""
+    """The eager reference tracker (every wave round by the honest
+    traversal) must stay byte-identical across backends as well."""
     results = {}
     for backend in ("object", "array"):
-        results[backend] = run_campaign(
-            preferential_attachment(80, 3, seed=11, backend=backend),
-            HEALERS.make("dash"),
-            ADVERSARIES.make("random-wave:size=4", seed=19),
-            id_seed=5,
-            keep_events=True,
-            keep_network=True,
-            batch_fast_path=False,
-        )
+        with eager_tracker():
+            results[backend] = run_campaign(
+                preferential_attachment(80, 3, seed=11, backend=backend),
+                HEALERS.make("dash"),
+                ADVERSARIES.make("random-wave:size=4", seed=19),
+                id_seed=5,
+                keep_events=True,
+                keep_network=True,
+            )
     assert_identical(results["object"], results["array"])

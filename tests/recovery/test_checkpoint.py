@@ -96,9 +96,9 @@ class TestByteIdenticalResume:
         _assert_identical(straight, resumed)
 
     def test_resume_mid_lazy_batch_accounting(self, tmp_path):
-        # Wave campaigns on the lazy tracker mix quotient-merge and BFS
-        # rounds; a resume between them must continue the message
-        # accounting byte-identically.
+        # Wave campaigns mix quotient-merge and BFS rounds; a resume
+        # between them must continue the message accounting
+        # byte-identically.
         straight = _straight("dash", "random-wave", n=80, seed=23)
         resumed = _crash_and_resume(
             "dash", "random-wave", tmp_path, n=80, seed=23,
@@ -206,6 +206,39 @@ class TestResumeSafety:
         truncate_file(checkpoints[-1][1])
         resumed = resume_from_ledger(ledger)
         _assert_identical(_straight("dash", "max-node"), resumed)
+
+    def test_torn_ledger_tail_survives_two_resumes(self, tmp_path):
+        # A crash can tear the ledger's final line. A resume that glued
+        # its first record onto the fragment would leave a corrupt line
+        # mid-file: the ledger would stop reading, and a second crash
+        # could not resume.
+        graph, healer, adversary, metrics = _components(
+            "dash", "max-node", 50, 11
+        )
+        ledger = tmp_path / "campaign.jsonl"
+        with pytest.raises(SimulatedCrash):
+            run_campaign(
+                graph, healer, adversary, id_seed=3,
+                metrics=metrics + [CrashAtRound(7)],
+                keep_events=True, checkpoint_every=3,
+                checkpoint_dir=tmp_path / "ck", ledger=ledger,
+            )
+        truncate_file(ledger, drop_bytes=10)
+        rebuilt = [
+            REGISTRIES["metric"].make("messages"),
+            REGISTRIES["metric"].make("components"),
+        ]
+        with pytest.raises(SimulatedCrash):
+            resume_from_ledger(ledger, metrics=rebuilt + [CrashAtRound(4)])
+        types = [r["type"] for r in read_ledger(ledger, strict=True)]
+        assert "resumed" in types and "end" not in types
+        truncate_file(ledger, drop_bytes=10)
+        resumed = resume_from_ledger(ledger)
+        _assert_identical(_straight("dash", "max-node"), resumed)
+        records = read_ledger(ledger, strict=True)
+        assert [r["type"] for r in records].count("resumed") == 2
+        assert records[-1]["type"] == "end"
+        assert records[-1]["values"] == resumed.values
 
     def test_all_checkpoints_torn_raises(self, tmp_path):
         graph, healer, adversary, metrics = _components(
@@ -488,6 +521,39 @@ class TestSnapshotsAndReExecution:
         resumed = resume_from_ledger(ledger)
         assert len(calls) == 1
         _assert_identical(_straight("dash", "max-node"), resumed)
+
+    @pytest.mark.parametrize("via", ["ledger", "directory"])
+    def test_retired_batch_fast_path_param_is_ignored(self, tmp_path, via):
+        # Older versions recorded the network's batch_fast_path switch
+        # in static.json and the ledger header; resume ignores it.
+        import json as json_mod
+
+        ledger = self._crash(tmp_path, crash_round=5, checkpoint_every=2)
+        static_path = tmp_path / "ck" / "static.json"
+        static = json_mod.loads(static_path.read_text())
+        static["params"]["batch_fast_path"] = False
+        static_path.write_text(json_mod.dumps(static))
+        records = read_ledger(ledger)
+        assert records[0]["type"] == "campaign"
+        records[0]["params"]["batch_fast_path"] = False
+        ledger.write_text(
+            "".join(json_mod.dumps(r) + "\n" for r in records)
+        )
+        if via == "ledger":
+            resumed = resume_from_ledger(ledger)
+        else:
+            resumed = resume_campaign(tmp_path / "ck")
+        _assert_identical(_straight("dash", "max-node"), resumed)
+
+    def test_new_campaigns_do_not_record_it(self, tmp_path):
+        import json as json_mod
+
+        ledger = self._crash(tmp_path, crash_round=3, checkpoint_every=2)
+        static = json_mod.loads((tmp_path / "ck" / "static.json").read_text())
+        header = read_ledger(ledger)[0]
+        for params in (static["params"], header["params"]):
+            assert "batch_fast_path" not in params
+            assert params["batch_rounds"] is False
 
     def test_replay_divergence_tripwire(self, tmp_path):
         import json as json_mod

@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import CheckpointError
 from repro.recovery import CampaignLedger, latest_campaign, read_ledger
+from repro.recovery.faults import truncate_file
 
 
 class TestAppendAndRead:
@@ -58,6 +59,53 @@ class TestCrashTolerance:
             fh.write('{"type": "rou')
         records = read_ledger(path)
         assert [r["type"] for r in records] == ["campaign", "round"]
+
+    def test_reopen_cuts_a_torn_final_line(self, tmp_path):
+        path = tmp_path / "l.jsonl"
+        with CampaignLedger(path) as ledger:
+            ledger.append({"type": "campaign"})
+            ledger.append({"type": "round", "round": 1})
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"type": "rou')
+        with CampaignLedger(path) as ledger:
+            ledger.append({"type": "resumed", "round": 1})
+        records = read_ledger(path, strict=True)
+        assert [r["type"] for r in records] == [
+            "campaign", "round", "resumed"
+        ]
+
+    def test_reopen_keeps_a_final_record_missing_its_newline(self, tmp_path):
+        path = tmp_path / "l.jsonl"
+        with CampaignLedger(path) as ledger:
+            ledger.append({"type": "campaign"})
+            ledger.append({"type": "round", "round": 1})
+        truncate_file(path, drop_bytes=1)
+        before = read_ledger(path)
+        assert before[-1] == {"type": "round", "round": 1}
+        with CampaignLedger(path) as ledger:
+            ledger.append({"type": "end"})
+        assert read_ledger(path, strict=True) == before + [{"type": "end"}]
+
+    def test_reopen_cuts_a_fragment_longer_than_one_scan_block(
+        self, tmp_path
+    ):
+        path = tmp_path / "l.jsonl"
+        with CampaignLedger(path) as ledger:
+            ledger.append({"type": "campaign"})
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"type": "round", "pad": "' + "x" * 200_000)
+        with CampaignLedger(path) as ledger:
+            ledger.append({"type": "end"})
+        assert read_ledger(path, strict=True) == [
+            {"type": "campaign"}, {"type": "end"}
+        ]
+
+    def test_reopen_of_a_file_holding_only_a_fragment(self, tmp_path):
+        path = tmp_path / "l.jsonl"
+        path.write_text('{"type": "camp')
+        with CampaignLedger(path) as ledger:
+            ledger.append({"type": "campaign"})
+        assert read_ledger(path, strict=True) == [{"type": "campaign"}]
 
     def test_torn_tail_raises_in_strict_mode(self, tmp_path):
         path = tmp_path / "l.jsonl"

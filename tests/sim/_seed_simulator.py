@@ -5,9 +5,11 @@ implementation for differential tests (the analogue of
 These are the single-victim and wave campaign loops exactly as they
 stood before :func:`repro.sim.engine.run_campaign` replaced both.
 ``tests/sim/test_campaign_engine.py`` replays identical campaigns
-through the engine (``batch_rounds=False`` / ``batch_rounds=True``) and
-through these loops and asserts byte-identical :class:`HealEvent`
-streams and :class:`SimulationResult` fields.
+through the engine (single-victim and wave adversaries) and through
+these loops and asserts byte-identical :class:`HealEvent` streams and
+:class:`SimulationResult` fields. The wave loop no longer forwards a
+``batch_fast_path`` switch: the network lost it, and the eager tracker
+it selected now lives in ``tests/core/_eager_tracker.py``.
 
 The one intentional divergence is the wave loop's accounting bug the
 engine fixes: this seed loop hands the *raw* wave (duplicates included)
@@ -108,7 +110,6 @@ def seed_run_wave_simulation(
     check_invariants: bool = False,
     keep_events: bool = False,
     keep_network: bool = False,
-    batch_fast_path: bool = True,
 ) -> SimulationResult:
     """The wave campaign loop before the engine, verbatim."""
     if stop_alive < 0:
@@ -121,7 +122,6 @@ def seed_run_wave_simulation(
         healer,
         seed=id_seed,
         check_invariants=check_invariants,
-        batch_fast_path=batch_fast_path,
     )
     adversary.reset(network)
 

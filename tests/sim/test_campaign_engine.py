@@ -5,7 +5,7 @@ The byte-identity contract: every field of the
 returns — including the full :class:`HealEvent` stream — must match the
 pre-engine loops preserved verbatim in ``tests/sim/_seed_simulator.py``,
 across topologies × healers × adversary shapes, for single-victim rounds
-(``batch_rounds=False``) and wave rounds (``batch_rounds=True``). Plus
+and wave rounds (routed by the adversary's ``batch_rounds`` flag). Plus
 direct engine-behavior tests: round routing, duplicate-wave accounting,
 the round/node budgets.
 """
@@ -27,6 +27,7 @@ from repro.graph.generators import (
 from repro.sim.engine import run_campaign
 from repro.sim.metrics import ConnectivityMetric, default_metrics
 
+from tests.core._eager_tracker import eager_tracker
 from tests.sim._seed_simulator import (
     seed_run_simulation,
     seed_run_wave_simulation,
@@ -67,7 +68,6 @@ class TestEngineMatchesSeedLoops:
             TOPOLOGIES[topo](),
             make_healer(healer_name),
             make_adversary("neighbor-of-max", seed=7),
-            batch_rounds=False,
             **kwargs(),
         )
         old = seed_run_simulation(
@@ -91,7 +91,6 @@ class TestEngineMatchesSeedLoops:
             TOPOLOGIES[topo](),
             make_healer(healer_name),
             RandomWaveAttack(("constant", 5), seed=7),
-            batch_rounds=True,
             **kwargs(),
         )
         old = seed_run_wave_simulation(
@@ -114,7 +113,6 @@ class TestEngineMatchesSeedLoops:
                 RandomWaveAttack(("geometric", 2, 2.0), seed=3),
                 id_seed=1,
                 keep_events=True,
-                batch_rounds=True,
                 **engine_stop,
             )
             old = seed_run_wave_simulation(
@@ -185,12 +183,16 @@ class TestEngineRoundSemantics:
         assert res.deletions == 12
 
     def test_batch_rounds_false_rejects_multi_victim_round(self):
+        class SingleVictimWaves(RandomWaveAttack):
+            """Yields waves but declares single-victim rounds."""
+
+            batch_rounds = False
+
         with pytest.raises(SimulationError, match="batch rounds are disabled"):
             run_campaign(
                 preferential_attachment(20, 2, seed=1),
                 make_healer("dash"),
-                RandomWaveAttack(("constant", 3), seed=1),
-                batch_rounds=False,
+                SingleVictimWaves(("constant", 3), seed=1),
             )
 
     def test_dead_victim_detected_inside_wave(self):
@@ -216,15 +218,15 @@ class TestEngineRoundSemantics:
             keep_events=True,
             keep_network=True,
         )
-        slow = run_campaign(
-            preferential_attachment(40, 2, seed=1),
-            make_healer("dash"),
-            RandomWaveAttack(("constant", 6), seed=2),
-            id_seed=3,
-            keep_events=True,
-            keep_network=True,
-            batch_fast_path=False,
-        )
+        with eager_tracker():
+            slow = run_campaign(
+                preferential_attachment(40, 2, seed=1),
+                make_healer("dash"),
+                RandomWaveAttack(("constant", 6), seed=2),
+                id_seed=3,
+                keep_events=True,
+                keep_network=True,
+            )
         assert fast.events == slow.events
         assert fast.network.tracker.fast_batch_rounds > 0
         assert slow.network.tracker.fast_batch_rounds == 0

@@ -119,7 +119,6 @@ def test_fused_engages_only_when_unobserved():
         dict(keep_events=True),
         dict(keep_network=True),
         dict(check_invariants=True),
-        dict(batch_fast_path=False),
     ]
     for kw in ineligible:
         run(make("array", n=40), ADVERSARIES.make("random", seed=1), **kw)

@@ -204,6 +204,27 @@ class TestCommands:
         assert rc == 0
         assert "LEVELATTACK" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--reps", "0"], "repetitions must be >= 1"),
+            (["--reps", "-1"], "repetitions must be >= 1"),
+            (["--sizes", "1"], "sizes must be >= 2"),
+        ],
+        ids=["reps0", "reps-1", "sizes1"],
+    )
+    def test_figure_invalid_values_exit_2(
+        self, capsys, tmp_path, flags, message
+    ):
+        rc = main(
+            ["figure", "fig8", "--quiet", "--out", str(tmp_path), *flags]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "fig8.csv").exists()
+
     def test_figure_small_fig8(self, capsys, tmp_path):
         rc = main(
             [
