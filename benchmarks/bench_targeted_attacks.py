@@ -24,6 +24,9 @@ Acceptance workloads:
 * ``attack_neighbor-of-max_pa100000_m3`` — n=100,000 full kill in under
   60 s single-process (FULL mode only), the ROADMAP's "unlock n≥10⁵
   targeted-attack sweeps" claim made executable.
+* ``campaign_connectivity_nms_pa4000_m3`` — the same n=4,000 NMS full
+  kill observed by ``default_metrics()`` with and without a connectivity
+  check every round; the perf gate caps the ratio at 1.5×.
 
 Every measurement persists to ``results/BENCH_core.json`` (merge-on-write)
 plus a text table under ``results/``.
@@ -43,6 +46,7 @@ from repro.adversary.classic import (
 from repro.core.registry import make_healer
 from repro.graph.generators import preferential_attachment
 from repro.sim.engine import run_campaign
+from repro.sim.metrics import ConnectivityMetric, default_metrics
 from repro.utils.tables import format_table
 from repro.utils.timing import Timer
 
@@ -193,6 +197,55 @@ def test_campaign_nms_pa4000(bench_recorder):
         f"n=4000 NMS campaign only {speedup:.2f}x over the scanning "
         "adversary (measured 5.2x at rewrite time) — the degree-bucket "
         "index has regressed toward O(n²)"
+    )
+
+
+def test_observed_campaign_connectivity_cost(bench_recorder):
+    """Ceiling workload: what the connectivity check adds to an observed
+    campaign. Full-kill DASH × NMS on PA n=4000 (m=3) under
+    ``default_metrics()``, with and without ``ConnectivityMetric()``
+    checking every round, interleaved best-of-3. The check costs one
+    BFS per campaign while every heal passes its local certificate; a
+    BFS every round made the observed campaign 14.4× slower.
+    ``check_perf_gate.py`` caps the ratio at 1.5×.
+    """
+
+    def run(observed: bool) -> float:
+        g = preferential_attachment(4_000, 3, seed=1)
+        metrics = default_metrics()
+        if observed:
+            metrics.append(ConnectivityMetric())
+        with Timer() as t:
+            res = run_campaign(
+                g,
+                make_healer("dash"),
+                NeighborOfMaxAttack(seed=2),
+                id_seed=0,
+                metrics=metrics,
+            )
+        assert res.deletions == 4_000
+        assert not observed or res["always_connected"] == 1.0
+        return t.elapsed
+
+    plain = observed = float("inf")
+    for _ in range(3):  # interleaved: both sides see the same conditions
+        plain = min(plain, run(False))
+        observed = min(observed, run(True))
+    ratio = observed / plain
+    bench_recorder.record(
+        "campaign_connectivity_nms_pa4000_m3",
+        seconds=observed,
+        rounds=4_000,
+        adversary="neighbor-of-max",
+        healer="dash",
+        n=4_000,
+        topology="preferential-attachment-m3",
+        unobserved_seconds=round(plain, 6),
+        ratio_vs_unobserved=round(ratio, 3),
+    )
+    print(
+        f"\nNMS pa4000 connectivity check: {plain:.3f}s without vs "
+        f"{observed:.3f}s with ({ratio:.2f}x)"
     )
 
 

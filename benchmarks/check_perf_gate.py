@@ -27,7 +27,11 @@ bench job and fails the build if any hard-won speedup has slid back:
   *cost* of running crash-safe);
 * campaign service (PR 8): submit→first-streamed-round latency through
   the full service stack (validate, persist, dispatch, spawn a worker
-  subprocess, tail the ledger) — ≤ 2 s, another ceiling.
+  subprocess, tail the ledger) — ≤ 2 s, another ceiling;
+* observed campaigns: a full-kill DASH × NMS campaign at n=4000 under
+  ``default_metrics()`` plus a connectivity check every round, against
+  the same campaign without the check — ≤ 1.5× (a BFS every round read
+  14.4×; the local certificate leaves one BFS per campaign).
 
 A missing workload is a failure too: the gate must never pass because a
 benchmark silently stopped recording.
@@ -110,6 +114,14 @@ CEILINGS = [
         3.0,
         "x",
         "churn mixed-round per-op cost vs pure deletions (PR 9)",
+    ),
+    (
+        "campaign_connectivity_nms_pa4000_m3",
+        lambda e: e["ratio_vs_unobserved"],
+        1.5,
+        "x",
+        "observed campaign with a connectivity check every round vs "
+        "without",
     ),
 ]
 

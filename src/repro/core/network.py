@@ -19,6 +19,17 @@ That makes :meth:`SelfHealingNetwork.max_delta` and
 :meth:`SelfHealingNetwork.max_delta_node` O(1)-ish indexed queries — the
 running maximum degree increase (Figure 8's statistic) is one index probe
 per round, and the δ-seeking adversary needs no node scan.
+
+Each heal is also checked against a local **connectivity certificate**,
+in O(ex-neighbours): if G was connected before the heal, a certified heal
+leaves it connected. G′ ⊆ G (heal edges land in both graphs) and the
+tracker's labels are exactly the components of G′, so a deletion whose
+surviving ex-neighbours all end the round with one label keeps G
+connected — every component of G − v holds an ex-neighbour of v. A heal
+that fails its certificate bumps
+:attr:`SelfHealingNetwork.uncertified_heals`; while that counter holds
+still, a graph once proven connected (by a BFS) still is, which is how
+:class:`~repro.sim.metrics.ConnectivityMetric` skips its BFS.
 """
 
 from __future__ import annotations
@@ -137,6 +148,10 @@ class SelfHealingNetwork:
         self.inserted_nodes: list[Node] = []
         self.events: list[HealEvent] = []
         self.peak_delta: int = 0
+        #: heals that failed their connectivity certificate (see the
+        #: module docstring); decided at heal time, since later heals
+        #: change the labels
+        self.uncertified_heals = 0
         self.healer.reset()
 
     @cached_property
@@ -331,6 +346,10 @@ class SelfHealingNetwork:
             component_safe=plan.component_safe,
             plan_edges=plan.edges,
         )
+        # Certificate: every ex-neighbour (not just the participants)
+        # ends the round in one G′ component; an isolated victim passes.
+        if len(set(self.tracker.labels_of(g_nbrs).values())) > 1:
+            self.uncertified_heals += 1
         event = self._record(node, plan, participants, added, stats)
         if self.check_invariants:
             self._check_invariants(forest=plan.component_safe)
@@ -518,6 +537,10 @@ class SelfHealingNetwork:
             self._delta_index.push(
                 u, self.graph.degree(u) - initial_degree[u]
             )
+        # Certificate: a joiner with an edge to a live node keeps G
+        # connected; a join with no edges does not.
+        if not added:
+            self.uncertified_heals += 1
 
         # Component bookkeeping: register the joiner and merge it with
         # the G′ components its heal edges touch (MINID semantics).
@@ -688,6 +711,16 @@ class SelfHealingNetwork:
             events.append(
                 self._record(super_node, plan, participants, added, stats)
             )
+
+        # Certificate, once the whole wave has healed: each component's
+        # surviving boundary (all of it, not the healer's ``kept`` view)
+        # ends in one G′ component. Victim components are pairwise
+        # non-adjacent, so a path between survivors crosses each run of
+        # victims between two boundary nodes of one component.
+        labels_of = self.tracker.labels_of
+        for _, g_nbrs, _, _ in infos:
+            if len(set(labels_of(g_nbrs).values())) > 1:
+                self.uncertified_heals += 1
 
         if self.check_invariants:
             self._check_invariants(forest=False)

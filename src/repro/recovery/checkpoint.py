@@ -947,6 +947,9 @@ def _restore_network(
         else []
     )
     network.peak_delta = dynamic["peak_delta"]
+    # Not in the snapshot: a restored ConnectivityMetric holds no mark,
+    # so its first check runs the BFS whatever this counter reads.
+    network.uncertified_heals = 0
     # NOTE: healer.reset() is deliberately NOT called — the healer's
     # mid-campaign state arrives via import_state in load_checkpoint.
     return network, start_degree

@@ -105,6 +105,9 @@ class CampaignRequest:
                     f"metric ({name!r})"
                 )
             active.add(name)
+            # Built once here so its own argument checks (a period or a
+            # headroom out of range) fail the submit, not the worker.
+            METRICS.make(metric)
         if self.stop_alive < 0:
             raise ConfigurationError(
                 f"stop_alive must be >= 0, got {self.stop_alive}"

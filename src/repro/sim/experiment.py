@@ -128,6 +128,15 @@ class ExperimentSpec:
             raise ConfigurationError(
                 f"max_waves must be >= 0, got {self.max_waves}"
             )
+        if self.connectivity_period < 0:
+            raise ConfigurationError(
+                "connectivity_period must be >= 0 (0 disables the check), "
+                f"got {self.connectivity_period}"
+            )
+        if self.stretch_period < 1:
+            raise ConfigurationError(
+                f"stretch_period must be >= 1, got {self.stretch_period}"
+            )
         if self.checkpoint_every is not None:
             if self.checkpoint_every < 1:
                 raise ConfigurationError(
@@ -181,6 +190,9 @@ class ExperimentSpec:
                     f"always-on {name!r} metric"
                 )
             active.add(name)
+            # Built once here so its own argument checks (a period or a
+            # headroom out of range) fail the spec, not a worker.
+            METRICS.make(metric)
 
     def with_overrides(self, **kwargs) -> "ExperimentSpec":
         """A copy with fields replaced (for CLI --sizes/--reps overrides)."""

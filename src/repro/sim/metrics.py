@@ -16,6 +16,11 @@ connectivity invariant    :class:`ConnectivityMetric`
 healing edge budget       :class:`EdgeBudgetMetric`
 ========================  =====================================
 
+:class:`ConnectivityMetric` costs O(1) per check while every heal since
+its last BFS passed the network's local connectivity certificate (see
+:mod:`repro.core.network`), and the O(n+m) BFS otherwise: under the
+paper's healers an observed campaign runs one BFS, not one per round.
+
 Every metric is registered in :data:`METRICS` (a
 :class:`~repro.registry.Registry`), so experiment specs and tests can
 name them as spec strings — ``"connectivity:period=4"``,
@@ -29,9 +34,10 @@ needs the pristine ``original`` graph; sweeps request it through
 from __future__ import annotations
 
 import abc
+import weakref
 from typing import TYPE_CHECKING, ClassVar
 
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, ConfigurationError
 from repro.graph.graph import Graph
 from repro.graph.traversal import connected_components, is_connected
 from repro.registry import Registry
@@ -163,18 +169,48 @@ class LatencyMetric(Metric):
         }
 
 
+def _check_period(period: int) -> int:
+    if period < 1:
+        raise ConfigurationError(f"period must be >= 1, got {period}")
+    return period
+
+
 class ConnectivityMetric(Metric):
     """The central invariant: does healing preserve connectivity?
 
-    ``period`` trades fidelity for speed (checks cost O(n+m) each).
-    The first failing step is recorded; a graph that shrank to ≤1 node
-    counts as connected.
+    The graph is checked every ``period`` rounds and at the end; the
+    first failing step is recorded, and a graph that shrank to ≤1 node
+    counts as connected. A check is O(1) while the network's
+    :attr:`~repro.core.network.SelfHealingNetwork.uncertified_heals` has
+    not moved since the last BFS that proved the graph connected (each
+    certified heal keeps a connected graph connected); otherwise it runs
+    the O(n+m) BFS and, on success, marks the counter again.
     """
 
+    #: (weak reference to the network, its ``uncertified_heals``) at the
+    #: last BFS that proved the graph connected. Never exported: a
+    #: restored metric (``__new__`` + :meth:`import_state` finds this
+    #: class default) or one observing another network has no mark for
+    #: it, so its first check runs the BFS.
+    _mark: tuple[weakref.ref, int] | None = None
+
     def __init__(self, period: int = 1) -> None:
-        self.period = max(1, period)
+        self.period = _check_period(period)
         self.first_disconnect: int | None = None
         self._round = 0
+
+    def _connected(self, network: "SelfHealingNetwork") -> bool:
+        mark = self._mark
+        if (
+            mark is not None
+            and mark[0]() is network
+            and mark[1] == network.uncertified_heals
+        ):
+            return True
+        if not is_connected(network.graph):
+            return False
+        self._mark = (weakref.ref(network), network.uncertified_heals)
+        return True
 
     def on_event(
         self, network: "SelfHealingNetwork", event: "HealEvent"
@@ -182,11 +218,11 @@ class ConnectivityMetric(Metric):
         self._round += 1
         if self.first_disconnect is not None:
             return
-        if self._round % self.period == 0 and not is_connected(network.graph):
+        if self._round % self.period == 0 and not self._connected(network):
             self.first_disconnect = self._round
 
     def finalize(self, network: "SelfHealingNetwork") -> dict[str, float]:
-        if self.first_disconnect is None and not is_connected(network.graph):
+        if self.first_disconnect is None and not self._connected(network):
             self.first_disconnect = self._round
         first = self.first_disconnect
         return {
@@ -194,12 +230,17 @@ class ConnectivityMetric(Metric):
             "first_disconnect_step": -1.0 if first is None else float(first),
         }
 
+    def export_state(self) -> dict:
+        state = super().export_state()
+        state.pop("_mark", None)
+        return state
+
 
 class ComponentMetric(Metric):
     """Tracks fragmentation (interesting for NoHeal and broken healers)."""
 
     def __init__(self, period: int = 1) -> None:
-        self.period = max(1, period)
+        self.period = _check_period(period)
         self.max_components = 1
         self._round = 0
 
@@ -276,7 +317,7 @@ class StretchMetric(Metric):
         self._computer = StretchComputer(
             original, sample_sources=sample_sources, seed=seed
         )
-        self.period = max(1, period)
+        self.period = _check_period(period)
         self.min_alive = max(2, int(original.num_nodes * min_alive_fraction))
         self.max_stretch = 0.0
         self.last_stretch = float("nan")
@@ -321,7 +362,7 @@ class CapacityMetric(Metric):
 
     def __init__(self, headroom: int) -> None:
         if headroom < 0:
-            raise ValueError(f"headroom must be >= 0, got {headroom}")
+            raise ConfigurationError(f"headroom must be >= 0, got {headroom}")
         self.headroom = headroom
         self.first_collapse: int | None = None
         self.collapsed_nodes = 0

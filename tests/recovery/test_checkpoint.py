@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import pytest
 
+import repro.sim.metrics as metrics_module
 from repro.core.components import ComponentTracker
 from repro.errors import CheckpointError, ConfigurationError, SimulatedCrash
+from repro.graph.traversal import is_connected
 from repro.recovery import (
     Checkpointer,
     CrashAtRound,
@@ -629,3 +631,66 @@ class TestSnapshotsAndReExecution:
             r for r in read_ledger(ledger) if r.get("type") == "resumed"
         ]
         assert marker[0]["file"] == "ckpt-r00000000.json"
+
+
+class TestConnectivityResume:
+    """A restored :class:`~repro.sim.metrics.ConnectivityMetric` holds no
+    certificate mark (it is never exported), so the first check after a
+    resume runs the BFS, and the resumed campaign still ends
+    byte-identical to the straight run."""
+
+    N = 40
+    CRASH_ROUND = 7
+    CHECKPOINT_EVERY = 4
+
+    def _components(self, healer: str, period: int):
+        return (
+            REGISTRIES["generator"].make(
+                f"preferential_attachment:n={self.N},m=3,seed=4"
+            ),
+            REGISTRIES["healer"].make(healer),
+            REGISTRIES["adversary"].make("random", seed=5),
+            [REGISTRIES["metric"].make(f"connectivity:period={period}")],
+        )
+
+    @pytest.mark.parametrize("period", (1, 3))
+    @pytest.mark.parametrize("healer", ("dash", "none"))
+    def test_first_check_after_restore_runs_the_bfs(
+        self, tmp_path, monkeypatch, healer, period
+    ):
+        graph, heal, adversary, metrics = self._components(healer, period)
+        straight = run_campaign(
+            graph, heal, adversary, id_seed=3, metrics=metrics,
+            keep_events=True,
+        )
+        graph, heal, adversary, metrics = self._components(healer, period)
+        ledger = tmp_path / "campaign.jsonl"
+        with pytest.raises(SimulatedCrash):
+            run_campaign(
+                graph, heal, adversary, id_seed=3,
+                metrics=metrics + [CrashAtRound(self.CRASH_ROUND)],
+                keep_events=True,
+                checkpoint_every=self.CHECKPOINT_EVERY,
+                checkpoint_dir=tmp_path / "checkpoints",
+                ledger=ledger,
+            )
+
+        alive_at_bfs: list[int] = []
+        monkeypatch.setattr(
+            metrics_module,
+            "is_connected",
+            lambda g: alive_at_bfs.append(g.num_nodes) or is_connected(g),
+        )
+        resumed = resume_from_ledger(ledger)
+        _assert_identical(straight, resumed)
+
+        # Restored at round 4; one node dies per round.
+        first_check = self.CHECKPOINT_EVERY + 1
+        while first_check % period:
+            first_check += 1
+        first_disconnect = straight["first_disconnect_step"]
+        assert first_disconnect == -1.0 or first_disconnect > first_check
+        assert alive_at_bfs[0] == self.N - first_check
+        if healer == "dash":
+            assert straight["always_connected"] == 1.0
+            assert len(alive_at_bfs) == 1

@@ -41,6 +41,13 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             tiny_request(extra_metrics=("no-such-metric",))
 
+    @pytest.mark.parametrize(
+        "metric", ("capacity:headroom=-1", "connectivity:period=0")
+    )
+    def test_extra_metric_arguments_fail_at_submit(self, metric):
+        with pytest.raises(ConfigurationError):
+            tiny_request(extra_metrics=(metric,))
+
     def test_extra_metric_duplicating_default_fails(self):
         with pytest.raises(ConfigurationError, match="always-on"):
             tiny_request(extra_metrics=("degree",))

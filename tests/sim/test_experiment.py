@@ -103,6 +103,25 @@ class TestSpecValidation:
             connectivity_period=0, extra_metrics=("connectivity:period=5",)
         )
 
+    def test_bad_periods_fail_at_construction(self):
+        with pytest.raises(ConfigurationError, match="connectivity_period"):
+            tiny_spec(connectivity_period=-2)
+        for period in (0, -5):
+            with pytest.raises(ConfigurationError, match="stretch_period"):
+                tiny_spec(stretch_period=period)
+
+    @pytest.mark.parametrize(
+        "metric",
+        (
+            "capacity:headroom=-1",
+            "connectivity:period=0",
+            "components:period=-1",
+        ),
+    )
+    def test_extra_metric_arguments_fail_at_construction(self, metric):
+        with pytest.raises(ConfigurationError):
+            tiny_spec(connectivity_period=0, extra_metrics=(metric,))
+
     def test_spec_pinning_sweep_size_fails_at_construction(self):
         # `n` is owned by the sweep (one value per cell); a generator
         # spec pinning it would silently mislabel every result row.

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import pytest
 
 from repro.adversary import RandomAttack, ScriptedAttack
 from repro.core.dash import Dash
 from repro.core.naive import GraphHeal, NoHeal
+from repro.errors import ConfigurationError
 from repro.graph.generators import preferential_attachment, star_graph
 from repro.graph.graph import Graph
 from repro.sim.metrics import (
+    METRICS,
     ComponentMetric,
     ConnectivityMetric,
     DegreeMetric,
@@ -102,6 +105,26 @@ class TestConnectivityMetric:
         )
         assert res["always_connected"] == 0.0
         assert res["first_disconnect_step"] == 0.0
+
+
+class TestMetricArguments:
+    @pytest.mark.parametrize("period", (0, -3))
+    def test_periods_below_one_raise(self, period):
+        g = star_graph(4)
+        for make in (
+            lambda: ConnectivityMetric(period=period),
+            lambda: ComponentMetric(period=period),
+            lambda: StretchMetric(g, period=period),
+        ):
+            with pytest.raises(ConfigurationError, match="period"):
+                make()
+
+    @pytest.mark.parametrize(
+        "spec", ("connectivity:period=0", "capacity:headroom=-1")
+    )
+    def test_registry_builds_raise(self, spec):
+        with pytest.raises(ConfigurationError):
+            METRICS.make(spec)
 
 
 class TestComponentMetric:
