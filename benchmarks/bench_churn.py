@@ -29,6 +29,14 @@ Acceptance workloads:
   the array backend (~330k mixed ops over n/24 rounds) under 300 s
   (FULL mode only) — the million-node fast-path substrate running a
   real insert-and-delete workload on grown slot maps.
+* ``campaign_setup_churn_array_pa50000_m3`` — the set-up a steady-state
+  churn campaign pays before its first op at n=50,000 on the array
+  backend: ``SelfHealingNetwork(...)`` plus ``ChurnAdversary.reset``,
+  divided by the time to generate the same graph (**interleaved**,
+  best-of-3). Init needs IDs, initial degrees and an edgeless G′, so
+  set-up must stay a fraction of generation; the CI perf gate demands
+  ≤ 0.35× (an empty set per G′ slot, an eager δ index and a
+  dict-of-lists expiry schedule read 0.77× here).
 
 Every measurement persists to ``results/BENCH_core.json``
 (merge-on-write) plus a text table under ``results/``.
@@ -41,6 +49,7 @@ import pytest
 from benchmarks.conftest import FULL, RESULTS_DIR
 from repro.adversary.classic import RandomAttack
 from repro.churn.adversaries import ChurnAdversary
+from repro.core.network import SelfHealingNetwork
 from repro.core.registry import make_healer
 from repro.graph.generators import preferential_attachment
 from repro.sim.engine import run_campaign
@@ -230,6 +239,58 @@ def test_campaign_churn_array_pa16000(bench_recorder):
         f"array-backend churn drain only {speedup:.2f}x over object "
         "(floor 2x) — the fused kernel is no longer engaging on "
         "delete-only churn rounds"
+    )
+
+
+def test_campaign_setup_churn_array_pa50000(bench_recorder):
+    """Acceptance workload: churn campaign set-up against generation.
+    Network construction plus the adversary's reset, over the time to
+    generate the same PA graph, **interleaved in the same process**
+    (best-of-3). The CI perf gate caps the ratio at 0.35×."""
+    import gc
+
+    n = 50_000
+    gen_s = setup_s = float("inf")
+    for _ in range(3):  # interleaved: both sides see the same conditions
+        # Each timed region starts from a collected heap. The previous
+        # iteration's graph and network form a cycle (the network is
+        # the graph's degree listener) that only a full collection
+        # frees, and that collection would land in whichever region
+        # happens to trigger it.
+        gc.collect()
+        with Timer() as t:
+            g = preferential_attachment(n, 3, seed=1, backend="array")
+        gen_s = min(gen_s, t.elapsed)
+        adversary = ChurnAdversary(
+            rate=RATE, lifetime="exp", mean=n / RATE, rounds=500, seed=2
+        )
+        gc.collect()
+        with Timer() as t:
+            network = SelfHealingNetwork(g, make_healer("dash"), seed=0)
+            adversary.reset(network)
+        setup_s = min(setup_s, t.elapsed)
+        del g, network, adversary
+    ratio = setup_s / gen_s
+    bench_recorder.record(
+        "campaign_setup_churn_array_pa50000_m3",
+        seconds=setup_s,
+        rounds=0,
+        adversary="churn",
+        healer="dash",
+        n=n,
+        topology="preferential-attachment-m3",
+        backend="array",
+        generate_seconds=round(gen_s, 6),
+        ratio_vs_generate=round(ratio, 3),
+    )
+    print(
+        f"\nchurn set-up pa50000: network + reset {setup_s:.3f}s vs "
+        f"generation {gen_s:.3f}s — {ratio:.2f}x"
+    )
+    assert ratio <= 0.35, (
+        f"churn set-up costs {ratio:.2f}x graph generation (ceiling "
+        "0.35x) — Init or the adversary's reset builds more than the "
+        "campaign has touched"
     )
 
 

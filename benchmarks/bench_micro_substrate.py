@@ -86,10 +86,11 @@ def test_substrate_memory_per_node(bench_recorder, backend):
     graph + tracker + indexes) per backend, via tracemalloc — the
     number that decides the sweep-scale ceiling. Recorded to
     ``results/BENCH_core.json``; no floor, this is a tracked trajectory.
-    Both backends share the Python-set adjacency storage and the one
-    dict-keyed component tracker, so their footprints nearly match
-    (1,621 B/node array vs 1,655 object on a 2-core Xeon, Python
-    3.11); the headline array-backend win is time, not footprint."""
+    Both backends keep Python-set adjacency and the one dict-keyed
+    component tracker; the array backend's fresh G′ holds one shared
+    edgeless marker per slot where the object backend holds an empty
+    set (216 B) per node: 1,402 B/node array vs 1,647 object on a
+    2-core Xeon, Python 3.11."""
     import resource
     import tracemalloc
 

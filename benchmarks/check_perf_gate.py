@@ -31,7 +31,11 @@ bench job and fails the build if any hard-won speedup has slid back:
 * observed campaigns: a full-kill DASH × NMS campaign at n=4000 under
   ``default_metrics()`` plus a connectivity check every round, against
   the same campaign without the check — ≤ 1.5× (a BFS every round read
-  14.4×; the local certificate leaves one BFS per campaign).
+  14.4×; the local certificate leaves one BFS per campaign);
+* churn set-up: ``SelfHealingNetwork(...)`` plus ``ChurnAdversary.reset``
+  on an n=50,000 array graph, against generating that graph — ≤ 0.35×
+  (an empty G′ set per node, an eager δ index and a dict-of-lists
+  expiry schedule read 0.77×).
 
 A missing workload is a failure too: the gate must never pass because a
 benchmark silently stopped recording.
@@ -122,6 +126,14 @@ CEILINGS = [
         "x",
         "observed campaign with a connectivity check every round vs "
         "without",
+    ),
+    (
+        "campaign_setup_churn_array_pa50000_m3",
+        lambda e: e["ratio_vs_generate"],
+        0.35,
+        "x",
+        "churn campaign set-up (network + adversary reset) vs graph "
+        "generation",
     ),
 ]
 

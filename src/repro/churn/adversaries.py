@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
+from collections.abc import Iterator, Sequence
 from pathlib import Path
-from typing import TYPE_CHECKING, ClassVar, Hashable, Iterable, Sequence
+from typing import TYPE_CHECKING, ClassVar, Hashable, Iterable
 
 from repro.adversary.base import Adversary
 from repro.errors import ConfigurationError, SimulationError
@@ -51,8 +52,134 @@ Node = Hashable
 Op = tuple
 
 
+#: survivor-sequence block size: a block splits in two past twice this
+_BLOCK = 1024
+
+
+class _ReprOrderedNodes(Sequence):
+    """The churn survivors in ``repr`` order, as an order-statistic
+    sequence.
+
+    Sorted blocks of at most ``2 * _BLOCK`` labels, found by bisecting
+    the ``repr`` of each block's last label; a Fenwick tree over the
+    block sizes finds the block of ``self[i]`` in O(log blocks). A join
+    or a death then moves one block's slots, not the whole population's
+    (as one sorted list would, through ``insort``/``del``).
+
+    ``random.Random.sample`` draws from this exactly as from that sorted
+    list: it is a ``Sequence`` with the same ``len``, the same label at
+    every index, and the same iteration order (``sample`` copies small
+    populations with ``list``). ``fastpath._FenwickAliveView`` plays the
+    same part for ``RandomAttack``'s ``choice``.
+    """
+
+    __slots__ = ("_blocks", "_maxes", "_tree", "_top", "_len")
+
+    def __init__(self, ordered: list[Node]) -> None:
+        """``ordered`` must already be sorted by ``repr``."""
+        self._blocks = [
+            ordered[i : i + _BLOCK] for i in range(0, len(ordered), _BLOCK)
+        ]
+        self._maxes = [repr(block[-1]) for block in self._blocks]
+        self._len = len(ordered)
+        self._reindex()
+
+    def _reindex(self) -> None:
+        """Rebuild the Fenwick tree over the block sizes in O(blocks),
+        after a block split or emptied."""
+        blocks = self._blocks
+        nb = len(blocks)
+        tree = [0] * (nb + 1)
+        for i in range(1, nb + 1):
+            tree[i] += len(blocks[i - 1])
+            j = i + (i & -i)
+            if j <= nb:
+                tree[j] += tree[i]
+        self._tree = tree
+        self._top = 1 << (nb.bit_length() - 1) if nb else 0
+
+    def _bump(self, b: int, delta: int) -> None:
+        """Block ``b`` changed size by ``delta``: a Fenwick update."""
+        tree = self._tree
+        nb = len(tree) - 1
+        j = b + 1
+        while j <= nb:
+            tree[j] += delta
+            j += j & -j
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i: int) -> Node:
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("survivor index out of range")
+        # Fenwick descent to the block holding the (i+1)-th label.
+        k = i + 1
+        pos = 0
+        bit = self._top
+        tree = self._tree
+        nb = len(tree) - 1
+        while bit:
+            npos = pos + bit
+            if npos <= nb and tree[npos] < k:
+                pos = npos
+                k -= tree[npos]
+            bit >>= 1
+        return self._blocks[pos][k - 1]
+
+    def __iter__(self) -> Iterator[Node]:
+        for block in self._blocks:
+            yield from block
+
+    def add(self, node: Node) -> None:
+        key = repr(node)
+        blocks = self._blocks
+        if not blocks:
+            blocks.append([])
+            self._maxes.append(key)
+            self._reindex()
+        b = bisect_left(self._maxes, key)
+        if b == len(blocks):
+            b -= 1
+            self._maxes[b] = key
+        block = blocks[b]
+        insort(block, node, key=repr)
+        self._len += 1
+        if len(block) <= 2 * _BLOCK:
+            self._bump(b, 1)
+        else:
+            blocks[b : b + 1] = [block[:_BLOCK], block[_BLOCK:]]
+            self._maxes.insert(b, repr(block[_BLOCK - 1]))
+            self._reindex()
+
+    def discard(self, node: Node) -> None:
+        key = repr(node)
+        b = bisect_left(self._maxes, key)
+        if b == len(self._blocks):
+            return
+        block = self._blocks[b]
+        i = bisect_left(block, key, key=repr)
+        if i == len(block) or block[i] != node:
+            return
+        del block[i]
+        self._len -= 1
+        if block:
+            if i == len(block):
+                self._maxes[b] = repr(block[-1])
+            self._bump(b, -1)
+        else:
+            del self._blocks[b]
+            del self._maxes[b]
+            self._reindex()
+
+
 class ChurnAdversary(Adversary):
     """Stochastic churn: Poisson-ish arrivals, random session lifetimes.
+
+    Joiners get fresh int labels (one past the largest so far), so the
+    graph must be labelled by ints; :meth:`reset` refuses any other.
 
     Parameters
     ----------
@@ -76,6 +203,19 @@ class ChurnAdversary(Adversary):
         (``None`` = unlimited; the engine's own termination conditions
         apply either way). Op-less rounds are skipped internally — the
         engine never sees an empty round.
+
+    State. The survivors are kept in ``repr`` order of their labels, the
+    order joiners draw their attach targets from, as an order-statistic
+    sequence: a join or a death shifts one block of at most
+    ``2 * _BLOCK`` labels, not the whole population. The initial
+    population draws its lifetimes in that order at :meth:`reset`, and
+    its expiries stay in one flat list, sorted by round up to the round
+    budget (stably, so each round keeps that order) and read through a
+    cursor. Joiners' expiries go into a dict of round → list. A round
+    deletes its due initial nodes first, then its due joiners in join
+    order — the order of one round → list schedule filled at reset and
+    then by each join, which is the ``expiry`` layout of
+    :meth:`export_state`.
     """
 
     name: ClassVar[str] = "churn"
@@ -119,52 +259,80 @@ class ChurnAdversary(Adversary):
         self.rounds = rounds
         self._seed = seed
         self._rng = make_rng(seed)
-        self._alive: list[Node] = []
+        self._alive = _ReprOrderedNodes([])
+        #: the initial population's expiries: labels and rounds, the
+        #: first ``_due_sorted`` sorted by round and consumed from
+        #: ``_due_pos`` (see reset)
+        self._due_nodes: list[Node] = []
+        self._due_rounds: list[int] = []
+        self._due_sorted = 0
+        self._due_pos = 0
+        #: joiners' expiries (everyone's after import_state)
         self._expiry: dict[int, list[Node]] = {}
         self._round = 0
         self._next_label = 0
 
-    def _draw_lifetime(self) -> int:
-        if self.lifetime == "exp":
-            raw = self._rng.expovariate(1.0 / self.mean)
-        else:
-            # paretovariate(a) has mean a/(a−1); rescale to ``mean``.
-            raw = (
-                self.mean
-                * (self.shape - 1.0)
-                / self.shape
-                * self._rng.paretovariate(self.shape)
-            )
-        return max(1, math.ceil(raw))
+    def _draw_lifetimes(self, count: int) -> list[int]:
+        """``count`` lifetimes in rounds, drawn in order from the RNG.
 
-    def _schedule(self, node: Node, expires: int) -> None:
-        self._expiry.setdefault(expires, []).append(node)
+        Both distributions draw non-negative reals, so ``ceil(x) or 1``
+        is ``max(1, ceil(x))``: the 1-round minimum."""
+        ceil = math.ceil
+        if self.lifetime == "exp":
+            expovariate = self._rng.expovariate
+            lambd = 1.0 / self.mean
+            return [ceil(expovariate(lambd)) or 1 for _ in range(count)]
+        # paretovariate(a) has mean a/(a−1); rescale to ``mean``.
+        paretovariate = self._rng.paretovariate
+        shape = self.shape
+        scale = self.mean * (shape - 1.0) / shape
+        return [ceil(scale * paretovariate(shape)) or 1 for _ in range(count)]
 
     def reset(self, network: "SelfHealingNetwork") -> None:
         super().reset(network)
         self._rng = make_rng(self._seed)
-        # Sorted-by-repr keeps the alive list deterministic and lets
-        # fresh integer labels coexist with string node names.
-        self._alive = sorted(network.graph.nodes(), key=repr)
-        self._expiry = {}
+        nodes = list(network.graph.nodes())
+        others = set(map(type, nodes)) - {int}
+        if others:
+            names = ", ".join(sorted(t.__name__ for t in others))
+            raise ConfigurationError(
+                "the churn adversary labels its joiners with fresh ints, "
+                f"so it needs int node labels; this graph has {names} "
+                "labels"
+            )
         self._round = 0
-        ints = [u for u in self._alive if type(u) is int]
-        self._next_label = max(ints) + 1 if ints else 0
-        for u in self._alive:
-            self._schedule(u, self._draw_lifetime())
-
-    def _remove_alive(self, node: Node) -> None:
-        i = bisect_left(self._alive, repr(node), key=repr)
-        if i < len(self._alive) and self._alive[i] == node:
-            del self._alive[i]
+        self._next_label = max(nodes) + 1 if nodes else 0
+        nodes.sort(key=repr)
+        self._alive = _ReprOrderedNodes(nodes)
+        due = self._draw_lifetimes(len(nodes))
+        # choose_round reads the initial expiries in round order through
+        # a cursor; a stable sort keeps each round's repr order. Those
+        # past the round budget never come due, so they follow unsorted
+        # (in repr order) for export_state alone.
+        budget = math.inf if self.rounds is None else self.rounds
+        order = sorted(
+            (i for i, d in enumerate(due) if d <= budget),
+            key=due.__getitem__,
+        )
+        self._due_sorted = len(order)
+        order += [i for i, d in enumerate(due) if d > budget]
+        self._due_nodes = [nodes[i] for i in order]
+        self._due_rounds = [due[i] for i in order]
+        self._due_pos = 0
+        self._expiry = {}
 
     def choose_round(
         self, network: "SelfHealingNetwork"
     ) -> Sequence[Op] | None:
+        alive = self._alive
         while True:
             if self.rounds is not None and self._round >= self.rounds:
                 return None
-            if not self._expiry and self.rate == 0:
+            if (
+                self.rate == 0
+                and not self._expiry
+                and self._due_pos == len(self._due_rounds)
+            ):
                 # Nothing left to delete and nothing will ever arrive:
                 # an unlimited budget must still terminate.
                 return None
@@ -172,9 +340,15 @@ class ChurnAdversary(Adversary):
             ops: list[Op] = []
             # Deaths first: attach targets are then sampled from the
             # round's true survivors, never a node dying this round.
-            for victim in self._expiry.pop(self._round, []):
+            start = self._due_pos
+            end = self._due_pos = bisect_right(
+                self._due_rounds, self._round, start, self._due_sorted
+            )
+            victims = self._due_nodes[start:end]
+            victims += self._expiry.pop(self._round, ())
+            for victim in victims:
                 ops.append(("delete", victim))
-                self._remove_alive(victim)
+                alive.discard(victim)
             joins = int(self.rate)
             frac = self.rate - joins
             if frac > 0 and self._rng.random() < frac:
@@ -182,13 +356,12 @@ class ChurnAdversary(Adversary):
             for _ in range(joins):
                 node = self._next_label
                 self._next_label += 1
-                k = min(self.attach, len(self._alive))
-                targets = (
-                    tuple(self._rng.sample(self._alive, k)) if k else ()
-                )
+                k = min(self.attach, len(alive))
+                targets = tuple(self._rng.sample(alive, k)) if k else ()
                 ops.append(("add", node, targets))
-                insort(self._alive, node, key=repr)
-                self._schedule(node, self._round + self._draw_lifetime())
+                alive.add(node)
+                expires = self._round + self._draw_lifetimes(1)[0]
+                self._expiry.setdefault(expires, []).append(node)
             if ops:
                 return ops
             # Op-less round (no expiries, coin came up tails): spin on —
@@ -202,9 +375,17 @@ class ChurnAdversary(Adversary):
         state["round"] = self._round
         state["next_label"] = self._next_label
         state["alive"] = list(self._alive)
-        state["expiry"] = [
-            [r, list(self._expiry[r])] for r in sorted(self._expiry)
-        ]
+        # One round → victims schedule, each list in deletion order.
+        expiry: dict[int, list[Node]] = {}
+        pending = zip(
+            self._due_rounds[self._due_pos :],
+            self._due_nodes[self._due_pos :],
+        )
+        for r, node in pending:
+            expiry.setdefault(r, []).append(node)
+        for r, nodes in self._expiry.items():
+            expiry.setdefault(r, []).extend(nodes)
+        state["expiry"] = [[r, expiry[r]] for r in sorted(expiry)]
         state["rng"] = rng_state_to_json(self._rng)
         return state
 
@@ -212,7 +393,9 @@ class ChurnAdversary(Adversary):
         super().import_state(state)
         self._round = state["round"]
         self._next_label = state["next_label"]
-        self._alive = sorted(state["alive"], key=repr)
+        self._alive = _ReprOrderedNodes(sorted(state["alive"], key=repr))
+        self._due_nodes, self._due_rounds = [], []
+        self._due_sorted = self._due_pos = 0
         self._expiry = {r: list(v) for r, v in state["expiry"]}
         rng_state_from_json(state["rng"], self._rng)
 

@@ -13,8 +13,11 @@ drives one *round* per adversarial deletion:
 5. run the component tracker's MINID propagation and cost accounting.
 
 The network also maintains a **δ-bucket index** (degree increase relative
-to initial degree, bucketed like the graph's own degree index) fed by the
-graph's mutation stream via :attr:`~repro.graph.graph.Graph.degree_listener`.
+to initial degree, bucketed like the graph's own degree index). The first
+δ query builds it from G and the initial degrees — in the generic loop,
+the first round's δ-peak probe; a fused campaign never asks — and from
+then on the graph's mutation stream
+(:attr:`~repro.graph.graph.Graph.degree_listener`) keeps it current.
 That makes :meth:`SelfHealingNetwork.max_delta` and
 :meth:`SelfHealingNetwork.max_delta_node` O(1)-ish indexed queries — the
 running maximum degree increase (Figure 8's statistic) is one index probe
@@ -91,6 +94,13 @@ class HealEvent:
 class SelfHealingNetwork:
     """A reconfigurable network healing itself with a pluggable strategy.
 
+    Construction costs what Init needs: the random IDs, the initial
+    degrees and an edgeless G′ (on the array backend one shared marker
+    per slot, each set created at its node's first heal edge). The
+    component tracker and the δ index are built on first use — the
+    tracker at the first round, the δ index at the first δ query — so a
+    campaign that never asks (a fused one) builds neither.
+
     Parameters
     ----------
     graph:
@@ -120,10 +130,10 @@ class SelfHealingNetwork:
         self.check_invariants = check_invariants
         self.initial_n = graph.num_nodes
         self.initial_degree: dict[Node, int] = graph.degrees()
-        # δ-bucket index: every node starts at δ = 0 by definition; kept
-        # current by tapping the graph's degree-mutation stream below.
-        self._delta_index = DegreeIndex(self._delta_of)
-        self._delta_index.push_many(self.initial_degree, 0)
+        #: δ-bucket index, built by the first δ query (see
+        #: :meth:`_built_delta_index`) and then kept current by tapping the
+        #: graph's degree-mutation stream below
+        self._delta_index: DegreeIndex | None = None
         if graph.degree_listener is not None:
             raise SimulationError(
                 "graph already has a degree listener — it is owned by "
@@ -140,8 +150,10 @@ class SelfHealingNetwork:
         )
         # G′ never pays degree-index bookkeeping: nothing queries its
         # degree extremes, so its lazy index is simply never built. It
-        # shares G's backend (same class); the component tracker is the
-        # same on both backends and is built on first use (see tracker).
+        # shares G's backend (same class), which on the array backend
+        # fills every slot with one shared edgeless marker; the
+        # component tracker is the same on both backends and is built on
+        # first use (see tracker).
         self.healing_graph = type(graph)(graph.nodes())
         self.deleted_nodes: list[Node] = []
         #: nodes that joined after Init (churn insertions), in join order
@@ -183,17 +195,32 @@ class SelfHealingNetwork:
         self, node: Node, old: int | None, new: int | None
     ) -> None:
         """Graph mutation-stream tap: mirror each degree change into the
-        δ-bucket index (removals need no work — stale entries
-        self-invalidate against :meth:`_delta_of`). A node added after
-        Init (never done by the healing model itself, but allowed by the
-        graph API) gets its first-seen degree as baseline, so its δ
-        starts at 0."""
+        δ-bucket index once it exists (removals need no work — stale
+        entries self-invalidate against :meth:`_delta_of`). A node added
+        after Init (never done by the healing model itself, but allowed
+        by the graph API) gets its first-seen degree as baseline, so its
+        δ starts at 0."""
         if new is None:
             return
         base = self.initial_degree.get(node)
         if base is None:
             base = self.initial_degree[node] = new
-        self._delta_index.push(node, new - base)
+        if self._delta_index is not None:
+            self._delta_index.push(node, new - base)
+
+    def _built_delta_index(self) -> DegreeIndex:
+        """The δ-bucket index, built from G and the baselines on first
+        use. Its answers are functions of those two alone, so a late
+        build answers like an index kept since Init would; a campaign
+        that never asks (a fused one) never pays for it."""
+        idx = self._delta_index
+        if idx is None:
+            idx = self._delta_index = DegreeIndex(self._delta_of)
+            initial_degree = self.initial_degree
+            push = idx.push
+            for u, d in self.graph.degrees().items():
+                push(u, d - initial_degree[u])
+        return idx
 
     def delta(self, node: Node) -> int:
         """Degree increase of ``node`` relative to its initial degree."""
@@ -210,20 +237,20 @@ class SelfHealingNetwork:
 
     def max_delta(self) -> int:
         """Maximum δ among *surviving* nodes (0 for an empty graph). O(1)."""
-        return self._delta_index.max_key(default=0)
+        return self._built_delta_index().max_key(default=0)
 
     def max_delta_node(self) -> Node | None:
         """The surviving node with the largest δ, smallest label on ties;
         ``None`` for an empty graph. Indexed — no node scan (the
         δ-seeking adversary's per-round query)."""
-        return self._delta_index.top_node()
+        return self._built_delta_index().top_node()
 
     def check_delta_index(self) -> None:
         """Verify the δ-bucket index against a fresh :meth:`deltas` scan.
 
         O(n); raises :class:`~repro.errors.SimulationError` on mismatch.
         """
-        self._delta_index.check(self.deltas())
+        self._built_delta_index().check(self.deltas())
 
     def label_of(self, node: Node) -> NodeId:
         return self.tracker.label_of(node)
@@ -385,7 +412,7 @@ class SelfHealingNetwork:
         # Running max degree increase: one O(1) probe of the δ-bucket
         # index, once per round after its edges land. δ only moves at
         # degree mutations, all of which pass through the index.
-        d = self._delta_index.max_key(default=0)
+        d = self._built_delta_index().max_key(default=0)
         if d > self.peak_delta:
             self.peak_delta = d
         steps = (
@@ -443,6 +470,18 @@ class SelfHealingNetwork:
                 f"cannot insert {node!r}: label was already used this "
                 "campaign (inserted nodes need fresh labels)"
             )
+        # The degree and δ indexes order the labels of one bucket, so a
+        # joiner must compare with the labels already here (1 vs "a"
+        # does not).
+        for known in self.initial_ids:
+            try:
+                node < known
+            except TypeError:
+                raise SimulationError(
+                    f"cannot insert {node!r}: its label does not compare "
+                    f"with the network's labels (such as {known!r})"
+                ) from None
+            break
         targets: list[Node] = []
         seen: set[Node] = set()
         for t in attach_targets:
@@ -533,10 +572,11 @@ class SelfHealingNetwork:
                 initial_degree[other] += 1
                 touched.add(other)
         initial_degree[node] = self.graph.degree(node)
-        for u in touched:
-            self._delta_index.push(
-                u, self.graph.degree(u) - initial_degree[u]
-            )
+        if self._delta_index is not None:
+            for u in touched:
+                self._delta_index.push(
+                    u, self.graph.degree(u) - initial_degree[u]
+                )
         # Certificate: a joiner with an edge to a live node keeps G
         # connected; a join with no edges does not.
         if not added:

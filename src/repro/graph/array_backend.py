@@ -10,9 +10,16 @@ by the node label itself:
 * node labels must be non-negative ints (every shipped generator labels
   ``0..n-1``); the label *is* the slot index, so node lookup is one list
   index instead of a hash probe;
-* ``_nbrs[u]`` is the live adjacency set of ``u``, or ``None`` when slot
-  ``u`` is dead/never used — removal tombstones the slot, re-adding a
-  label reuses it (free-slot compaction without relabeling);
+* a slot ``_nbrs[u]`` is in one of three states: ``None`` when ``u`` is
+  dead or was never used; :data:`EDGELESS`, one shared immutable empty
+  ``frozenset``, when ``u`` is alive with no edges; or ``u``'s own live
+  adjacency ``set``. A node starts edgeless, and its set is created at
+  its first edge, so a graph whose nodes mostly never get an edge (a
+  fresh healing graph G′) allocates nothing per node. Readers need not
+  tell the last two states apart (a frozenset answers ``in``, ``len``
+  and iteration like a set); every writer creates the set before its
+  first write. Removal tombstones the slot, re-adding a label reuses it
+  (free-slot compaction without relabeling);
 * iteration (:meth:`nodes`, :meth:`edges`, :meth:`degrees`) runs in
   ascending slot order — identical to insertion order for every shipped
   generator, which build ``0..n-1`` ascending;
@@ -45,7 +52,11 @@ from repro.errors import (
 from repro.graph.degree_index import DegreeIndex
 from repro.graph.graph import Graph, Node
 
-__all__ = ["ArrayGraph", "BACKENDS", "new_graph"]
+__all__ = ["ArrayGraph", "BACKENDS", "EDGELESS", "new_graph"]
+
+#: the slot of every alive node without edges; never mutated, shared by
+#: all of them (see the module docstring)
+EDGELESS: frozenset = frozenset()
 
 
 class ArrayGraph(Graph):
@@ -65,8 +76,9 @@ class ArrayGraph(Graph):
     __slots__ = ("_nbrs", "_n_alive")
 
     def __init__(self, nodes: Iterable[Node] = ()) -> None:
-        #: slot store: ``_nbrs[u]`` is u's adjacency set, None when dead
-        self._nbrs: list[set[int] | None] = []
+        #: slot store: ``_nbrs[u]`` is u's adjacency set, EDGELESS when
+        #: it has no edges yet, None when dead
+        self._nbrs: list[set[int] | frozenset | None] = []
         self._n_alive: int = 0
         self._num_edges = 0
         self._deg_index = None
@@ -83,7 +95,7 @@ class ArrayGraph(Graph):
             arr = None
         if arr is not None and arr == array("q", range(len(arr))):
             n = len(arr)
-            self._nbrs = [set() for _ in range(n)]
+            self._nbrs = [EDGELESS] * n
             self._n_alive = n
         else:
             for node in seq:
@@ -92,7 +104,7 @@ class ArrayGraph(Graph):
     # ------------------------------------------------------------------
     # Slot access
     # ------------------------------------------------------------------
-    def _slot(self, node: Node) -> set[int] | None:
+    def _slot(self, node: Node) -> set[int] | frozenset | None:
         """The adjacency set at ``node``'s slot, or ``None`` when the
         label is absent, dead, or not an int at all."""
         nbrs = self._nbrs
@@ -119,7 +131,9 @@ class ArrayGraph(Graph):
     # ------------------------------------------------------------------
     def copy(self) -> "ArrayGraph":
         g = ArrayGraph()
-        g._nbrs = [set(s) if s is not None else None for s in self._nbrs]
+        g._nbrs = [
+            s if s is None or s is EDGELESS else set(s) for s in self._nbrs
+        ]
         g._n_alive = self._n_alive
         g._num_edges = self._num_edges
         return g
@@ -130,9 +144,13 @@ class ArrayGraph(Graph):
         nbrs = g._nbrs
         edges = 0
         for u in keep_set:
+            # An edgeless slot intersects to a fresh empty frozenset,
+            # which no writer would recognize: leave those slots, and
+            # empty intersections, EDGELESS.
             s = self._nbrs[u] & keep_set
-            nbrs[u] = s
-            edges += len(s)
+            if s:
+                nbrs[u] = s
+                edges += len(s)
         g._num_edges = edges // 2
         return g
 
@@ -149,7 +167,7 @@ class ArrayGraph(Graph):
         if node < len(nbrs):
             if nbrs[node] is not None:
                 return
-            nbrs[node] = set()
+            nbrs[node] = EDGELESS
         elif node > len(nbrs):
             # Interior (gap) growth doubles capacity: repeated gap jumps
             # under monotonically increasing churn labels would otherwise
@@ -161,9 +179,9 @@ class ArrayGraph(Graph):
             # and CSR export check for.
             grown = max(node + 1, 2 * len(nbrs), 8)
             nbrs.extend([None] * (grown - len(nbrs)))
-            nbrs[node] = set()
+            nbrs[node] = EDGELESS
         else:
-            nbrs.append(set())
+            nbrs.append(EDGELESS)
         self._n_alive += 1
         if self._deg_index is not None:
             self._deg_index.push(node, 0)
@@ -200,6 +218,8 @@ class ArrayGraph(Graph):
         return self._slot(node) is not None
 
     def nodes(self) -> Iterator[Node]:
+        if self._n_alive == len(self._nbrs):  # hole-free: every slot live
+            return iter(range(self._n_alive))
         return (u for u, s in enumerate(self._nbrs) if s is not None)
 
     @property
@@ -212,13 +232,25 @@ class ArrayGraph(Graph):
     def add_edge(self, u: Node, v: Node) -> bool:
         if u == v:
             raise SelfLoopError(u)
-        self.add_node(u)
-        self.add_node(v)
         nbrs = self._nbrs
-        su = nbrs[u]
+        try:
+            su = nbrs[u] if u >= 0 else None
+            sv = nbrs[v] if v >= 0 else None
+        except (TypeError, IndexError):
+            su = sv = None
+        if su is None or sv is None:
+            # A new or dead endpoint, or a label this backend cannot
+            # hold: add_node adds the first kind and raises for the other.
+            self.add_node(u)
+            self.add_node(v)
+            su = nbrs[u]
+            sv = nbrs[v]
         if v in su:
             return False
-        sv = nbrs[v]
+        if su is EDGELESS:
+            su = nbrs[u] = set()
+        if sv is EDGELESS:
+            sv = nbrs[v] = set()
         su.add(v)
         sv.add(u)
         self._num_edges += 1

@@ -15,7 +15,9 @@ Two paths, equal by construction (cross-tested in
   :class:`~repro.graph.array_backend.ArrayGraph` in default (ascending)
   order with no dead slots: node labels equal row indices, so the
   ``indptr``/``indices`` arrays are built directly from the slot store
-  with ``numpy`` — no per-edge Python dict lookups, no COO detour.
+  with ``numpy`` — no per-edge Python dict lookups, no COO detour. An
+  edgeless slot (the shared empty ``EDGELESS`` marker) reads as an empty
+  row, like an empty set.
 """
 
 from __future__ import annotations

@@ -106,10 +106,9 @@ class DegreeIndex:
     def push_many(self, nodes: Iterable[Node], key: int) -> None:
         """Bulk :meth:`push`: every node's key just became ``key``.
 
-        One bucket lookup and one ``list.extend`` for the whole batch —
-        the n=10⁶ δ-index seed (every node starts at δ=0) is one call
-        instead of a million appends. The resulting staged list is
-        exactly what the per-node loop would have built.
+        One bucket lookup and one ``list.extend`` for the whole batch.
+        The resulting staged list is exactly what the per-node loop
+        would have built.
         """
         staged = self._staged.get(key)
         if staged is None:

@@ -48,7 +48,6 @@ from repro.core.components import NodeId, make_node_ids
 from repro.core.network import HealEvent, SelfHealingNetwork
 from repro.errors import CheckpointError, ConfigurationError
 from repro.graph.array_backend import new_graph
-from repro.graph.degree_index import DegreeIndex
 from repro.graph.graph import Graph
 from repro.recovery.ledger import (
     LEDGER_VERSION,
@@ -923,14 +922,14 @@ def _restore_network(
     network.initial_n = static["initial_n"]
     network.id_seed = static["params"]["id_seed"]
     network.initial_degree = initial_degree
-    network._delta_index = DegreeIndex(network._delta_of)
-    for u in graph.nodes():
-        base = initial_degree.get(u)
-        if base is None:
-            raise CheckpointError(
-                f"corrupt checkpoint: live node {u!r} has no initial degree"
-            )
-        network._delta_index.push(u, graph.degree(u) - base)
+    missing = set(nodes) - initial_degree.keys()
+    if missing:
+        raise CheckpointError(
+            f"corrupt checkpoint: live node {min(missing, key=repr)!r} "
+            "has no initial degree"
+        )
+    # Built by the first δ query, like a fresh network's.
+    network._delta_index = None
     graph.degree_listener = network._on_degree_change
     network.initial_ids = initial_ids
     # Churn-inserted nodes ride the dynamic snapshot as extra IDs; only

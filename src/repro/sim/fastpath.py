@@ -43,8 +43,10 @@ reference side.
 
 Every campaign the kernel accepts runs to the end inside it. On exit it
 *repairs* what it bypassed: the graphs' cached node/edge counts, the
-degree/δ indexes (invalidated / re-pushed), ``network.peak_delta`` and
-``network.deleted_nodes``, and the random adversary's survivor list.
+degree and δ indexes (both invalidated, so each is rebuilt by its first
+query, if any — a campaign that ends in the kernel never queries
+them), ``network.peak_delta`` and ``network.deleted_nodes``, and the
+random adversary's survivor list.
 It never touches ``network.tracker`` (which the network builds on first
 use), so a fused campaign builds no component tracker at all. It also
 leaves ``network.events`` empty, and a later tracker read would start
@@ -61,7 +63,7 @@ from repro.adversary.classic import RandomAttack
 from repro.churn.adversaries import ChurnAdversary, TraceChurnAdversary
 from repro.core.dash import Dash
 from repro.errors import SimulationError
-from repro.graph.array_backend import ArrayGraph
+from repro.graph.array_backend import EDGELESS, ArrayGraph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.adversary.base import Adversary
@@ -297,10 +299,16 @@ def run_fused(
                 network.inserted_nodes.append(node)
                 # One G edge per target; both baselines absorb it, so
                 # every δ stays put (insert_and_heal's δ-neutrality).
-                joined = adj[node]
+                # Both ends may still hold the shared EDGELESS slot
+                # (the joiner always does): create sets before writing.
+                if targets:
+                    joined = adj[node] = set()
                 for t in targets:
                     joined.add(t)
-                    adj[t].add(node)
+                    nbrs = adj[t]
+                    if nbrs is EDGELESS:
+                        nbrs = adj[t] = set()
+                    nbrs.add(node)
                     init_deg[t] += 1
                     initial_degree[t] += 1
                 init_deg[node] = initial_degree[node] = len(targets)
@@ -391,8 +399,15 @@ def run_fused(
                     d = len(adj[b]) - init_deg[b]
                     if d > peak_delta:
                         peak_delta = d
-                padj[a].add(b)
-                padj[b].add(a)
+                # A G′ slot gets its set at its first heal edge.
+                pa = padj[a]
+                if pa is EDGELESS:
+                    pa = padj[a] = set()
+                pa.add(b)
+                pb = padj[b]
+                if pb is EDGELESS:
+                    pb = padj[b] = set()
+                pb.add(a)
 
             # MINID propagation (Algorithm 1, step 5): union all touched
             # components; the survivor root takes the minimum class label.
@@ -437,12 +452,9 @@ def run_fused(
     healing_graph._deg_index = None
     network.peak_delta = peak_delta
     network.deleted_nodes.extend(victims)
-    # Survivors' δ moved without the mutation stream firing: re-push
-    # current values (stale lower/higher entries self-invalidate
-    # against the index's oracle).
-    delta_index = network._delta_index
-    for u in alive:
-        delta_index.push(u, len(adj[u]) - init_deg[u])
+    # Survivors' δ moved without the mutation stream firing: drop the
+    # δ index, and the network's first δ query rebuilds it.
+    network._delta_index = None
     if random_attack:
         adversary._last = None
         adversary._alive = alive

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.adversary import ADVERSARIES
 from repro.adversary.base import Adversary
 from repro.churn import ScriptedChurn
 from repro.errors import (
@@ -150,6 +151,78 @@ def test_inserting_with_a_dead_target_raises():
     network.delete_and_heal(3)
     with pytest.raises(NodeNotFoundError):
         network.insert_and_heal(99, (3,))
+
+
+#: (backend, keep_events): the fused kernel takes the unobserved array
+#: DASH campaign, the generic loop every other one
+ENGINES = [("object", False), ("array", True), ("array", False)]
+
+
+@pytest.mark.parametrize("healer", ["dash", "forgiving-tree"])
+@pytest.mark.parametrize("backend,keep_events", ENGINES)
+def test_join_label_that_does_not_compare_raises_before_mutation(
+    tmp_path, backend, keep_events, healer
+):
+    """A str joiner in an int-labelled network would break the ordered
+    δ and degree indexes: the join check refuses it by name, on both
+    engines, before the graph changes."""
+    from repro.sim import fastpath
+
+    path = tmp_path / "schedule.jsonl"
+    path.write_text('[["add", "a", [1]]]\n')
+    graph = GENERATORS.make(
+        "pa:m=2", seed=4, force={"n": 30, "backend": backend}
+    )
+    before = graph.copy()
+    fused = fastpath._fused_campaigns
+    with pytest.raises(SimulationError, match="'a'.*does not compare"):
+        run_campaign(
+            graph,
+            HEALERS.make(healer),
+            ADVERSARIES.make(f"trace-churn:path={path}"),
+            id_seed=0,
+            keep_events=keep_events,
+        )
+    assert graph == before
+    kernel = backend == "array" and not keep_events and healer == "dash"
+    assert fastpath._fused_campaigns == fused + kernel
+
+
+@pytest.mark.parametrize("healer", ["dash", "forgiving-tree"])
+def test_scripted_str_join_on_int_graph_raises(healer):
+    network = SelfHealingNetwork(
+        GENERATORS.make("pa:m=2", seed=4, force={"n": 30}),
+        HEALERS.make(healer),
+    )
+    with pytest.raises(SimulationError, match="'a'"):
+        run_campaign(
+            network.graph.copy(),
+            HEALERS.make(healer),
+            ScriptedChurn([[("add", "a", [1])]]),
+            id_seed=0,
+        )
+    with pytest.raises(SimulationError, match="'a'"):
+        network.insert_and_heal("a", (1,))
+    assert "a" not in network.graph and "a" not in network.healing_graph
+    assert not network.inserted_nodes and "a" not in network.initial_ids
+
+
+@pytest.mark.parametrize(
+    "healer", ["dash", "forgiving-tree", "forgiving-graph"]
+)
+def test_churn_adversary_refuses_str_labelled_graphs(healer):
+    """The churn adversary mints int labels, which cannot join a network
+    labelled by strings: reset says so instead of a join crashing."""
+    graph = Graph.from_edges(
+        [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")]
+    )
+    with pytest.raises(ConfigurationError, match="int node labels.*str"):
+        run_campaign(
+            graph,
+            HEALERS.make(healer),
+            ADVERSARIES.make("churn:rate=1,rounds=4", seed=1),
+            id_seed=0,
+        )
 
 
 # ----------------------------------------------------------------------

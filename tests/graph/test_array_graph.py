@@ -19,7 +19,13 @@ from repro.errors import (
     NodeNotFoundError,
     SelfLoopError,
 )
-from repro.graph.array_backend import BACKENDS, ArrayGraph, new_graph
+from repro.graph.array_backend import (
+    BACKENDS,
+    EDGELESS,
+    ArrayGraph,
+    new_graph,
+)
+from repro.graph.csr import graph_to_csr
 from repro.graph.graph import Graph
 
 
@@ -222,7 +228,15 @@ class TestDegreeMachinery:
 _OPS = st.lists(
     st.tuples(
         st.sampled_from(
-            ["add_node", "remove_node", "add_edge", "remove_edge"]
+            [
+                "add_node",
+                "remove_node",
+                "add_edge",
+                "remove_edge",
+                "copy",
+                "subgraph",
+                "csr",
+            ]
         ),
         st.integers(min_value=0, max_value=7),
         st.integers(min_value=0, max_value=7),
@@ -231,27 +245,103 @@ _OPS = st.lists(
 )
 
 
+def assert_slot_states(a: ArrayGraph):
+    """Every slot is dead, the shared edgeless marker, or a real set —
+    never another frozenset, which a writer would fail to replace."""
+    assert not EDGELESS
+    for s in a._nbrs:
+        assert s is None or s is EDGELESS or type(s) is set
+
+
+def csr_edges(graph):
+    matrix, order = graph_to_csr(graph)
+    rows, cols = matrix.nonzero()
+    return sorted(order), sorted(
+        (order[i], order[j]) for i, j in zip(rows.tolist(), cols.tolist())
+    )
+
+
+def apply_op(graph, op, u, v):
+    """Run one mirrored op; returns (new graph, result)."""
+    if op == "add_node":
+        return graph, graph.add_node(u)
+    if op == "remove_node":
+        return graph, graph.remove_node(u)
+    if op == "add_edge":
+        return graph, graph.add_edge(u, v)
+    if op == "remove_edge":
+        return graph, graph.remove_edge(u, v)
+    if op == "copy":
+        # The copy must stand alone: a write to the original (here an
+        # edge between two of its edgeless nodes, when it has them)
+        # must not reach it.
+        copied = graph.copy()
+        edgeless = sorted(w for w in graph.nodes() if not graph.degree(w))
+        if len(edgeless) >= 2:
+            graph.add_edge(edgeless[0], edgeless[1])
+            assert not copied.degree(edgeless[0])
+        return copied, None
+    if op == "subgraph":
+        # Drop u, then write to the subgraph's slots, edgeless ones
+        # included.
+        sub = graph.subgraph(w for w in graph.nodes() if w != u)
+        return sub, sub.add_edge(v, (v + 1) % 8)
+    return graph, csr_edges(graph)
+
+
 class TestMirroredOps:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(ops=_OPS)
     def test_random_op_sequences_match(self, ops):
-        g, a = both(range(3))
+        graphs = list(both(range(3)))
         for op, u, v in ops:
             results = []
-            for t in (g, a):
+            for i, t in enumerate(graphs):
                 try:
-                    if op == "add_node":
-                        results.append(("ok", t.add_node(u)))
-                    elif op == "remove_node":
-                        results.append(("ok", t.remove_node(u)))
-                    elif op == "add_edge":
-                        results.append(("ok", t.add_edge(u, v)))
-                    else:
-                        results.append(("ok", t.remove_edge(u, v)))
+                    graphs[i], result = apply_op(t, op, u, v)
+                    results.append(("ok", result))
                 except Exception as exc:  # noqa: BLE001 - compared below
                     results.append((type(exc).__name__, None))
             assert results[0] == results[1]
+            g, a = graphs
             assert_same(g, a)
+            assert_slot_states(a)
+
+    def test_edgeless_slots_share_one_marker(self):
+        a = ArrayGraph(range(4))
+        a.add_node(9)
+        assert all(a._nbrs[u] is EDGELESS for u in (0, 1, 2, 3, 9))
+        a.add_edge(0, 9)
+        assert type(a._nbrs[0]) is set and type(a._nbrs[9]) is set
+        assert a._nbrs[1] is EDGELESS and not EDGELESS
+        assert a.remove_node(1) == set() and not a.has_node(1)
+        assert a.copy()._nbrs[2] is EDGELESS
+        sub = a.subgraph([0, 2, 3])
+        assert sub._nbrs[0] is EDGELESS and sub.add_edge(0, 2)
+        assert_slot_states(a)
+        assert_slot_states(sub)
+
+
+def test_network_allocates_no_per_node_healing_graph_sets():
+    """Init's G′ is edgeless: on the array backend every slot is the
+    shared marker, so building the network creates no set per node (an
+    empty one is 216 B on CPython 3.11)."""
+    import gc
+
+    from repro.core.dash import Dash
+    from repro.core.network import SelfHealingNetwork
+    from repro.graph.generators import path_graph
+
+    def live_sets():
+        return sum(type(o) is set for o in gc.get_objects())
+
+    n = 50_000
+    graph = path_graph(n, backend="array")
+    before = live_sets()
+    network = SelfHealingNetwork(graph, Dash(), seed=0)
+    assert live_sets() - before < n // 100
+    slots = network.healing_graph._nbrs
+    assert len(slots) == n and all(s is EDGELESS for s in slots)
 
 
 class TestFactory:
