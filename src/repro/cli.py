@@ -5,6 +5,12 @@ accepts a registry name *or* a spec string carrying constructor
 arguments (see :mod:`repro.registry`), so new scenarios need no new
 flags.
 
+``simulate`` and ``submit`` share their campaign flags and one function
+turns them into a :class:`~repro.service.request.CampaignRequest`:
+``submit`` sends it to the service, ``simulate`` runs it in-process
+through :func:`~repro.service.request.run_request`. The same flags
+therefore mean the same campaign under both commands.
+
 Examples
 --------
 Regenerate a paper figure (small, fast settings)::
@@ -42,16 +48,14 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from pathlib import Path
 from typing import Sequence
 
 from repro.adversary import ADVERSARIES
-from repro.core.registry import HEALERS
 from repro.errors import ConfigurationError
 from repro.graph.generators import GENERATORS
 from repro.registry import component_registries
-from repro.sim.engine import run_campaign
-from repro.sim.metrics import ConnectivityMetric, default_metrics
-from repro.utils.rng import derive_seed
+from repro.service.request import CampaignRequest, run_request
 from repro.version import PAPER, __version__
 
 __all__ = ["main", "build_parser", "parse_duration"]
@@ -74,6 +78,26 @@ def _backend_names() -> list[str]:
     from repro.graph.array_backend import BACKENDS
 
     return sorted(BACKENDS)
+
+
+def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
+    """The campaign flags ``simulate`` and ``submit`` share (see
+    :func:`_campaign_request`)."""
+    parser.add_argument("--generator", default="preferential_attachment",
+                        help="generator name or spec string (see `list`)")
+    parser.add_argument("--n", type=int, default=100,
+                        help="node count, where the generator takes one")
+    parser.add_argument("--m", type=int, default=None,
+                        help="generator edge parameter (where applicable; "
+                             "default 2 where the generator requires it)")
+    parser.add_argument("--healer", default="dash",
+                        help="healer name or spec string (see `list`)")
+    parser.add_argument("--adversary", default="neighbor-of-max",
+                        help="adversary name or spec string, e.g. "
+                             "'random-wave:size=8,schedule=geometric'")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--max-deletions", type=int, default=None,
+                        help="node-deletion budget")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,23 +124,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sim = sub.add_parser("simulate", help="run one attack/heal campaign")
-    sim.add_argument("--generator", default="preferential_attachment",
-                     help="generator name or spec string (see `list`)")
-    sim.add_argument("--n", type=int, default=100)
-    sim.add_argument("--m", type=int, default=None,
-                     help="generator edge parameter (where applicable; "
-                          "default 2)")
-    sim.add_argument("--healer", default="dash",
-                     help="healer name or spec string (see `list`)")
-    sim.add_argument("--adversary", default="neighbor-of-max",
-                     help="adversary name or spec string, e.g. "
-                          "'random-wave:size=8,schedule=geometric'")
+    _add_campaign_args(sim)
     sim.add_argument("--backend", default=None, choices=_backend_names(),
                      help="graph storage backend (default: the "
                           "generator spec's choice, else 'object')")
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--max-deletions", type=int, default=None,
-                     help="node-deletion budget (single-victim adversaries)")
     sim.add_argument("--wave-size", type=int, default=8,
                      help="victims per wave (wave adversaries only)")
     sim.add_argument("--max-waves", type=int, default=None,
@@ -185,18 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
         "submit", help="submit one campaign to a running service"
     )
     _add_socket_arg(sbm)
-    sbm.add_argument("--generator", default="preferential_attachment",
-                     help="generator name or spec string")
-    sbm.add_argument("--n", type=int, default=100)
-    sbm.add_argument("--m", type=int, default=None)
-    sbm.add_argument("--healer", default="dash")
-    sbm.add_argument("--adversary", default="neighbor-of-max",
-                     help="adversary name or spec string, e.g. "
-                          "'random-wave:size=8,schedule=geometric'")
-    sbm.add_argument("--seed", type=int, default=0)
+    _add_campaign_args(sbm)
     sbm.add_argument("--stop-alive", type=int, default=0)
     sbm.add_argument("--max-rounds", type=int, default=None)
-    sbm.add_argument("--max-deletions", type=int, default=None)
     sbm.add_argument("--metric", action="append", default=None,
                      help="extra metric spec (repeatable)")
     sbm.add_argument("--priority", type=int, default=0,
@@ -313,33 +315,67 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
+def _campaign_request(
+    args: argparse.Namespace,
+    *,
+    backend: str | None = None,
+    wave_size: int | None = None,
+    **fields,
+) -> CampaignRequest:
+    """The request the shared campaign flags describe.
+
+    ``--n``, and ``--m`` and ``backend`` when given, go to the generator
+    where it takes them; a spec setting one of them is an error.
+    ``m=2`` and ``p=0.05`` fill generator parameters of those names that
+    are required and left open, and ``wave_size`` fills an adversary's
+    open ``size``. ``fields`` are the command's other request fields.
+    """
+    params = GENERATORS.params(args.generator)
+    generator_params: dict = {}
+    for key, value in (("n", args.n), ("m", args.m), ("backend", backend)):
+        if value is None or key not in params:
+            continue
+        if params[key] is None:
+            raise ConfigurationError(
+                f"invalid generator spec {args.generator!r}: {key} is set "
+                f"by --{key} — remove it from the spec"
+            )
+        generator_params[key] = value
+    for key, value in (("m", 2), ("p", 0.05)):
+        if params.get(key) and key not in generator_params:
+            generator_params[key] = value
+    adversary_params = {}
+    if (
+        wave_size is not None
+        and ADVERSARIES.params(args.adversary).get("size") is not None
+    ):
+        adversary_params["size"] = wave_size
+    return CampaignRequest(
+        generator=args.generator,
+        healer=args.healer,
+        adversary=args.adversary,
+        generator_params=generator_params,
+        adversary_params=adversary_params,
+        seed=args.seed,
+        max_deletions=args.max_deletions,
+        **fields,
+    )
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    # Build every component from its spec string; the registries parse
-    # arguments, check names, and inject derived seeds where accepted.
     try:
-        force = {"n": args.n}
-        if args.m is not None:
-            force["m"] = args.m
-        if args.backend is not None:
-            # Forced, not defaulted: a generator spec that also pins
-            # backend=... conflicts and fails fast in Registry.make.
-            force["backend"] = args.backend
-        graph = GENERATORS.make(
-            args.generator,
-            seed=derive_seed(args.seed, "graph"),
-            force=force,
-            defaults={"m": 2, "p": 0.05},
-        )
-        healer = HEALERS.make(args.healer)
-        adversary = ADVERSARIES.make(
-            args.adversary,
-            seed=derive_seed(args.seed, "attack"),
-            defaults={"size": args.wave_size},
+        request = _campaign_request(
+            args,
+            backend=args.backend,
+            wave_size=args.wave_size,
+            extra_metrics=("connectivity",),
+            max_rounds=args.max_waves,
         )
     except ConfigurationError as exc:
         print(exc, file=sys.stderr)
         return 2
 
+    adversary = ADVERSARIES.factory(ADVERSARIES.parse(args.adversary)[0])
     is_wave = getattr(adversary, "batch_rounds", False)
     if is_wave and args.max_deletions is not None:
         print(
@@ -362,8 +398,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     recovery: dict = {}
     if args.checkpoint_dir is not None:
-        from pathlib import Path
-
         ckpt_dir = Path(args.checkpoint_dir)
         recovery["checkpoint_dir"] = ckpt_dir
         recovery["checkpoint_every"] = (
@@ -372,16 +406,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         recovery["ledger"] = ckpt_dir / "campaign.jsonl"
 
     try:
-        result = run_campaign(
-            graph,
-            healer,
-            adversary,
-            id_seed=derive_seed(args.seed, "ids"),
-            metrics=default_metrics() + [ConnectivityMetric()],
-            max_rounds=args.max_waves,
-            max_deletions=args.max_deletions,
-            **recovery,
-        )
+        result = run_request(request, **recovery)
     except ConfigurationError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -433,8 +458,6 @@ def _cmd_list(_: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.service.manager import CampaignService
     from repro.service.protocol import serve_socket, serve_stdio
     from repro.sim.parallel import RetryPolicy
@@ -500,22 +523,12 @@ def _print_stream(client, job_id, timeout=None) -> int:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    from repro.service.request import CampaignRequest
-
-    generator_params: dict = {"n": args.n}
-    if args.m is not None:
-        generator_params["m"] = args.m
     try:
-        request = CampaignRequest(
-            generator=args.generator,
-            healer=args.healer,
-            adversary=args.adversary,
-            generator_params=generator_params,
+        request = _campaign_request(
+            args,
             extra_metrics=tuple(args.metric or ()),
-            seed=args.seed,
             stop_alive=args.stop_alive,
             max_rounds=args.max_rounds,
-            max_deletions=args.max_deletions,
             priority=args.priority,
         )
     except ConfigurationError as exc:

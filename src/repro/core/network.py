@@ -245,6 +245,14 @@ class SelfHealingNetwork:
         δ-seeking adversary's per-round query)."""
         return self._built_delta_index().top_node()
 
+    def release(self) -> None:
+        """Break the two reference cycles through bound methods (the
+        graph's degree listener, the δ index's oracle), so reference
+        counting frees a campaign that did not return its network. Called
+        at campaign end: later graph mutations no longer reach δ."""
+        self.graph.degree_listener = None
+        self._delta_index = None
+
     def check_delta_index(self) -> None:
         """Verify the δ-bucket index against a fresh :meth:`deltas` scan.
 

@@ -126,6 +126,21 @@ class ArrayGraph(Graph):
         """
         return {u: s for u, s in enumerate(self._nbrs) if s is not None}
 
+    # Pickle and copy state (the inherited slot walk would set ``_adj``,
+    # a read-only property here). A restored graph owns its sets and, like
+    # copy(), has no degree index or listener; its edgeless slots are the
+    # shared EDGELESS marker again, which writers test by identity.
+    def __getstate__(self) -> tuple:
+        return self._nbrs, self._n_alive, self._num_edges
+
+    def __setstate__(self, state: tuple) -> None:
+        nbrs, self._n_alive, self._num_edges = state
+        self._nbrs = [
+            None if s is None else set(s) if s else EDGELESS for s in nbrs
+        ]
+        self._deg_index = None
+        self.degree_listener = None
+
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------

@@ -268,6 +268,36 @@ class Registry(Mapping):
         self.factory(name)  # raises with the available names on a miss
         return name, args, kwargs
 
+    def _params(
+        self, name: str, spec: str, args: tuple, kwargs: Mapping
+    ) -> dict[str, bool | None]:
+        """:meth:`params` for already parsed arguments."""
+        sig = self._signature(name)
+        if sig is None:
+            return {}
+        try:
+            bound = sig.bind_partial(*args, **kwargs).arguments
+        except TypeError as exc:
+            raise ConfigurationError(
+                f"invalid {self.kind} spec {spec!r}: {exc}"
+            ) from None
+        return {
+            p.name: None if p.name in bound else p.default is p.empty
+            for p in sig.parameters.values()
+            if p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
+        }
+
+    def params(
+        self, spec: str, *, overrides: Mapping[str, object] | None = None
+    ) -> dict[str, bool | None]:
+        """Each named parameter of ``spec``'s factory: ``None`` where the
+        spec (updated by ``overrides``) sets it, else whether the factory
+        requires it. Raises for arguments that do not bind."""
+        name, args, kwargs = self.parse(spec)
+        if overrides:
+            kwargs.update(overrides)
+        return self._params(name, spec, args, kwargs)
+
     def validate_spec(
         self,
         spec: str,
@@ -288,43 +318,24 @@ class Registry(Mapping):
         name, args, kwargs = self.parse(spec)
         if overrides:
             kwargs.update(overrides)
-        sig = self._signature(name)
-        if sig is not None:
-            try:
-                bound = sig.bind_partial(*args, **kwargs)
-            except TypeError as exc:
-                raise ConfigurationError(
-                    f"invalid {self.kind} spec {spec!r}: {exc}"
-                ) from None
-            clash = [
-                key
-                for key in reserved
-                if self.accepts(name, key) and key in bound.arguments
-            ]
-            if clash:
-                raise ConfigurationError(
-                    f"invalid {self.kind} spec {spec!r}: "
-                    f"{', '.join(clash)} is supplied by the runtime — "
-                    "remove it from the spec"
-                )
-            missing = [
-                p.name
-                for p in sig.parameters.values()
-                if p.default is inspect.Parameter.empty
-                and p.kind
-                in (
-                    inspect.Parameter.POSITIONAL_ONLY,
-                    inspect.Parameter.POSITIONAL_OR_KEYWORD,
-                    inspect.Parameter.KEYWORD_ONLY,
-                )
-                and p.name not in bound.arguments
-                and p.name not in self.injected
-            ]
-            if missing:
-                raise ConfigurationError(
-                    f"invalid {self.kind} spec {spec!r}: missing required "
-                    f"argument(s) {', '.join(missing)}"
-                )
+        params = self._params(name, spec, args, kwargs)
+        clash = [key for key in reserved if params.get(key, False) is None]
+        if clash:
+            raise ConfigurationError(
+                f"invalid {self.kind} spec {spec!r}: "
+                f"{', '.join(clash)} is supplied by the runtime — "
+                "remove it from the spec"
+            )
+        missing = [
+            key
+            for key, required in params.items()
+            if required and key not in self.injected
+        ]
+        if missing:
+            raise ConfigurationError(
+                f"invalid {self.kind} spec {spec!r}: missing required "
+                f"argument(s) {', '.join(missing)}"
+            )
         return name
 
     # ------------------------------------------------------------------
@@ -336,15 +347,12 @@ class Registry(Mapping):
         *,
         seed: int | None = None,
         overrides: Mapping[str, object] | None = None,
-        defaults: Mapping[str, object] | None = None,
         force: Mapping[str, object] | None = None,
     ):
         """Instantiate a component from a name or spec string.
 
         Argument layering, lowest to highest precedence:
 
-        * ``defaults`` — applied (``setdefault``) only where the factory
-          accepts the parameter and the spec didn't set it;
         * the spec string's own arguments, updated by ``overrides``
           (structured params, e.g. ``ExperimentSpec.adversary_params``);
         * ``force`` — runtime-owned values (the experiment runner forces
@@ -353,6 +361,9 @@ class Registry(Mapping):
           winning or losing;
         * ``seed`` — injected via ``setdefault`` iff the factory accepts a
           ``seed`` parameter (the centralized seeding discipline).
+
+        Arguments that do not bind to the factory raise as in
+        :meth:`validate_spec`; a required one left open raises naming it.
         """
         name, args, kwargs = self.parse(spec)
         if overrides:
@@ -378,10 +389,6 @@ class Registry(Mapping):
                         "supplied by the runtime — remove it from the spec"
                     )
                 kwargs[key] = value
-        if defaults:
-            for key, value in defaults.items():
-                if self.accepts(name, key) and key not in positional:
-                    kwargs.setdefault(key, value)
         if seed is not None and self.accepts(
             name, "seed"
         ) and "seed" not in positional:
@@ -389,8 +396,17 @@ class Registry(Mapping):
         try:
             component = self.factory(name)(*args, **kwargs)
         except TypeError as exc:
+            # Binding is checked only on failure, so a build that works
+            # pays nothing for the diagnosis.
+            params = self._params(name, spec, args, kwargs)
+            missing = [key for key, required in params.items() if required]
+            reason = (
+                f"missing required argument(s) {', '.join(missing)}"
+                if missing
+                else exc
+            )
             raise ConfigurationError(
-                f"cannot build {self.kind} {spec!r}: {exc}"
+                f"cannot build {self.kind} {spec!r}: {reason}"
             ) from exc
         # Provenance: record how the component was built so a checkpoint
         # can rebuild an equivalent instance at resume (the arguments

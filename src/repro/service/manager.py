@@ -37,7 +37,8 @@ import threading
 import time
 from pathlib import Path
 
-from repro.errors import QueueFullError, ServiceError
+from repro.errors import ConfigurationError, QueueFullError, ServiceError
+from repro.graph.graph import Graph
 from repro.service.jobs import Job, JobState, JobStore
 from repro.service.queue import JobQueue
 from repro.service.request import CampaignRequest
@@ -154,7 +155,22 @@ class CampaignService:
         Dedupe: an identical request (same :meth:`spec_hash`) with a
         non-terminal job already in the service returns that job's id
         with ``created=False`` instead of queueing a duplicate.
+
+        Every service campaign checkpoints, so a request whose adversary
+        or an extra metric cannot be checkpointed is refused here rather
+        than failing in its worker.
         """
+        _, adversary, metrics = request.components(Graph())
+        blocked = [
+            type(c).__name__
+            for c in (adversary, *metrics)
+            if not getattr(c, "checkpointable", False)
+        ]
+        if blocked:
+            raise ConfigurationError(
+                f"{', '.join(blocked)} cannot be checkpointed, and every "
+                "service campaign checkpoints: run it with run_request"
+            )
         with self._lock:
             spec_hash = request.spec_hash()
             for job in self.jobs.values():

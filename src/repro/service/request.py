@@ -1,28 +1,31 @@
-"""Validated campaign requests: the service's unit of work.
+"""Validated campaign requests: the one description of a campaign.
 
 A :class:`CampaignRequest` is the serializable description of exactly
 one campaign — registry spec strings for the graph generator, healer,
-and adversary, plus seeds and stop conditions. It is validated at
-construction through the same :meth:`~repro.registry.Registry.validate_spec`
-machinery as :class:`~repro.sim.experiment.ExperimentSpec`, so a typo'd
-component name explodes at submit time on the client, never inside a
-worker process.
+adversary and extra metrics, plus seeds and stop conditions. It is
+validated at construction: the generator spec is checked against its
+factory, and the healer, adversary and metrics are built once (building
+is the binding check, and it runs each component's own argument
+checks), so a bad spec explodes at submit time on the client, never
+inside a worker process.
 
-:func:`run_request` is the single definition of what a request *means*:
-both the service worker (with checkpoint/ledger wired in) and one-shot
-callers run a request through it, so "streamed results match one-shot
-results" reduces to the engine's determinism rather than to two
-implementations agreeing.
+:func:`run_request` is the single definition of what a request *means*,
+and the only path in the package from a campaign description to
+:func:`~repro.sim.engine.run_campaign`: service workers (with checkpoint
+and ledger wired in), sweep cells (:func:`~repro.sim.experiment.run_task`)
+and ``repro simulate`` all run a request through it. So "streamed results
+match one-shot results" reduces to the engine's determinism rather than
+to two implementations agreeing.
 
 :meth:`CampaignRequest.spec_hash` canonicalizes the identity fields into
 a SHA-256; the service dedupes active jobs by it, and it names job
 directories on disk.
 
 Sweeps are requests too: :meth:`CampaignRequest.from_experiment` expands
-an :class:`~repro.sim.experiment.ExperimentSpec` into one request per
-(size, healer, repetition) cell, reproducing the sweep's exact
-seed-derivation discipline — a service-run sweep cell returns the same
-values as :func:`~repro.sim.experiment.run_task` would.
+an :class:`~repro.sim.experiment.ExperimentSpec` into the requests its
+cells run (:func:`~repro.sim.experiment.cell_request`), so a
+service-run sweep cell equals :func:`~repro.sim.experiment.run_task`'s by
+construction.
 """
 
 from __future__ import annotations
@@ -33,8 +36,19 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
+from repro.adversary import ADVERSARIES, Adversary
+from repro.core.base import Healer
+from repro.core.registry import HEALERS
 from repro.errors import ConfigurationError
+from repro.graph.generators import GENERATORS
+from repro.graph.graph import Graph
 from repro.sim.engine import SimulationResult, run_campaign
+from repro.sim.metrics import (
+    METRICS,
+    Metric,
+    default_metric_names,
+    default_metrics,
+)
 from repro.utils.rng import derive_seed
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -46,12 +60,6 @@ __all__ = ["CampaignRequest", "run_request"]
 REQUEST_VERSION = 1
 
 
-def _registries():
-    from repro.registry import component_registries
-
-    return component_registries()
-
-
 @dataclass(frozen=True)
 class CampaignRequest:
     """One campaign, fully described (all fields JSON-serializable).
@@ -61,8 +69,9 @@ class CampaignRequest:
     has no per-cell ``n`` to force). ``seed`` derives the per-component
     seeds exactly like ``repro simulate --seed``; the explicit
     ``graph_seed``/``id_seed``/``attack_seed`` overrides exist for
-    sweep-cell requests, which must reproduce
-    :func:`~repro.sim.experiment.run_task`'s derivation.
+    sweep-cell requests, which derive theirs per cell. A metric factory
+    that takes the pristine ``original`` graph (``"stretch"``) gets one
+    from :func:`run_request`.
     """
 
     generator: str
@@ -84,30 +93,13 @@ class CampaignRequest:
     priority: int = 0
 
     def __post_init__(self) -> None:
-        registries = _registries()
-        registries["generator"].validate_spec(
+        GENERATORS.validate_spec(
             self.generator, overrides=dict(self.generator_params)
         )
-        registries["healer"].validate_spec(
-            self.healer, overrides=dict(self.healer_params)
-        )
-        registries["adversary"].validate_spec(
-            self.adversary, overrides=dict(self.adversary_params)
-        )
-        from repro.sim.metrics import METRICS, default_metric_names
-
-        active = default_metric_names()
-        for metric in self.extra_metrics:
-            name = METRICS.validate_spec(metric)
-            if name in active:
-                raise ConfigurationError(
-                    f"extra metric {metric!r} duplicates an always-on "
-                    f"metric ({name!r})"
-                )
-            active.add(name)
-            # Built once here so its own argument checks (a period or a
-            # headroom out of range) fail the submit, not the worker.
-            METRICS.make(metric)
+        # Built once, on an empty stand-in for the graph: a bad argument
+        # (an unknown key, a nested schedule left open, a period out of
+        # range) fails the submit, not the worker.
+        self.components(Graph())
         if self.stop_alive < 0:
             raise ConfigurationError(
                 f"stop_alive must be >= 0, got {self.stop_alive}"
@@ -118,6 +110,42 @@ class CampaignRequest:
                 raise ConfigurationError(
                     f"{label} must be >= 0, got {value}"
                 )
+
+    def components(
+        self, graph: Graph
+    ) -> tuple[Healer, Adversary, list[Metric]]:
+        """The healer, adversary and extra metrics, built from their spec
+        strings and seeded as :func:`run_request` seeds them.
+
+        ``graph`` is the campaign's graph before it runs: a metric
+        factory that takes ``original`` gets a pristine copy of it.
+        """
+        _, id_seed, attack_seed = self.seeds()
+        healer = HEALERS.make(
+            self.healer, seed=id_seed, overrides=dict(self.healer_params)
+        )
+        adversary = ADVERSARIES.make(
+            self.adversary,
+            seed=attack_seed,
+            overrides=dict(self.adversary_params),
+        )
+        # Only extras need the always-on names (they cost a few µs).
+        active = default_metric_names() if self.extra_metrics else set()
+        original = None
+        metrics = []
+        for spec in self.extra_metrics:
+            name = METRICS.parse(spec)[0]
+            if name in active:
+                raise ConfigurationError(
+                    f"extra metric {spec!r} duplicates an always-on or "
+                    f"earlier metric ({name!r})"
+                )
+            active.add(name)
+            if original is None and METRICS.accepts(name, "original"):
+                original = graph.copy()
+            # ``force`` reaches only factories that take the argument.
+            metrics.append(METRICS.make(spec, force={"original": original}))
+        return healer, adversary, metrics
 
     # -- identity -------------------------------------------------------
     def spec_hash(self) -> str:
@@ -180,59 +208,11 @@ class CampaignRequest:
     def from_experiment(
         cls, spec: "ExperimentSpec"
     ) -> list["CampaignRequest"]:
-        """One request per sweep cell, byte-equivalent to ``run_task``.
+        """The requests the sweep's cells run, in
+        :func:`~repro.sim.experiment.expand_tasks` order."""
+        from repro.sim.experiment import cell_request, expand_tasks
 
-        Seeds are derived exactly as :func:`repro.sim.experiment.run_task`
-        derives them (from ``(master_seed, name, kind, size, rep)``), the
-        per-cell ``n`` rides ``generator_params``, and the sweep's
-        connectivity metric becomes an ``extra_metrics`` spec — so a
-        service-run cell's final values match the in-process sweep's.
-        """
-        if spec.measure_stretch:
-            raise ConfigurationError(
-                "measure_stretch sweeps cannot run as service jobs "
-                "(StretchMetric is not serializable)"
-            )
-        if spec.check_invariants:
-            raise ConfigurationError(
-                "check_invariants sweeps cannot run as service jobs "
-                "(a request has no paranoid mode)"
-            )
-        from repro.sim.experiment import expand_tasks
-
-        requests = []
-        for _, size, healer, rep in expand_tasks(spec):
-            extra = list(spec.extra_metrics)
-            if spec.connectivity_period > 0:
-                extra.insert(
-                    0, f"connectivity:period={spec.connectivity_period}"
-                )
-            requests.append(
-                cls(
-                    generator=spec.generator,
-                    healer=healer,
-                    adversary=spec.adversary,
-                    generator_params={
-                        **dict(spec.generator_params), "n": size
-                    },
-                    healer_params=dict(spec.healer_params.get(healer, {})),
-                    adversary_params=dict(spec.adversary_params),
-                    extra_metrics=tuple(extra),
-                    graph_seed=derive_seed(
-                        spec.master_seed, spec.name, "graph", size, rep
-                    ),
-                    id_seed=derive_seed(
-                        spec.master_seed, spec.name, "ids", size, rep
-                    ),
-                    attack_seed=derive_seed(
-                        spec.master_seed, spec.name, "attack", size, rep
-                    ),
-                    stop_alive=spec.stop_alive,
-                    max_rounds=spec.max_waves,
-                    max_deletions=spec.max_deletions,
-                )
-            )
-        return requests
+        return [cell_request(*task) for task in expand_tasks(spec)]
 
     # -- derived seeds --------------------------------------------------
     def seeds(self) -> tuple[int, int, int]:
@@ -258,36 +238,22 @@ def run_request(
     checkpoint_dir: str | Path | None = None,
     ledger: "CampaignLedger | str | Path | None" = None,
 ) -> SimulationResult:
-    """Run one request's campaign (the service's and one-shot callers'
-    shared path — determinism makes the two byte-equivalent)."""
-    from repro.sim.metrics import METRICS, default_metrics
-
-    registries = _registries()
-    graph_seed, id_seed, attack_seed = request.seeds()
-    graph = registries["generator"].make(
+    """Run one request's campaign (the shared path of service workers,
+    sweep cells and ``repro simulate`` — determinism makes every caller
+    byte-equivalent)."""
+    graph_seed, id_seed, _ = request.seeds()
+    graph = GENERATORS.make(
         request.generator,
         seed=graph_seed,
         overrides=dict(request.generator_params),
     )
-    healer = registries["healer"].make(
-        request.healer,
-        seed=id_seed,
-        overrides=dict(request.healer_params),
-    )
-    adversary = registries["adversary"].make(
-        request.adversary,
-        seed=attack_seed,
-        overrides=dict(request.adversary_params),
-    )
-    metrics = default_metrics() + [
-        METRICS.make(spec) for spec in request.extra_metrics
-    ]
+    healer, adversary, metrics = request.components(graph)
     return run_campaign(
         graph,
         healer,
         adversary,
         id_seed=id_seed,
-        metrics=metrics,
+        metrics=default_metrics() + metrics,
         stop_alive=request.stop_alive,
         max_rounds=request.max_rounds,
         max_deletions=request.max_deletions,

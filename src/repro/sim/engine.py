@@ -354,4 +354,6 @@ def _drive_campaign(
     )
     if recorder is not None:
         recorder.finish(result, rounds)
+    if not keep_network:
+        network.release()
     return result

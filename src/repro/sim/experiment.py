@@ -11,18 +11,22 @@ Every component field accepts a registry *spec string* (see
 :mod:`repro.registry`): ``healers=("dash", "degree-bounded:max_increase=3")``,
 ``adversary="random-wave:size=8,schedule=geometric"``,
 ``generator="erdos_renyi:p=0.1"``. Wave adversaries are first-class —
-each cell runs through the unified :func:`~repro.sim.engine.run_campaign`
-round loop, wave cells report ``values["waves"]`` plus a
-``wave_schedule`` result parameter, and ``max_waves`` bounds their round
-count. Specs are validated at construction (unknown names and unbindable
-arguments raise immediately, not inside a worker process).
+wave cells report ``values["waves"]`` plus a ``wave_schedule`` result
+parameter, and ``max_waves`` bounds their round count.
 
-Seeding discipline: graph, ID, and attack seeds derive from
-``(master_seed, size, repetition)`` but NOT from the healer, so every
-healer faces the *identical* graph instance and attack randomness at each
-repetition — a paired design that removes instance variance from the
-cross-healer comparisons the paper's figures make. Seed *injection* is
-centralized in :meth:`repro.registry.Registry.make`: a derived seed
+A sweep cell is a :class:`~repro.service.request.CampaignRequest`:
+:func:`cell_request` describes it and :func:`run_task` runs it through
+:func:`~repro.service.request.run_request`, the path service jobs and
+``repro simulate`` take too. The spec validates at construction through
+one cell request per healer (unknown names and unbindable arguments
+raise immediately, not inside a worker process).
+
+Seeding discipline: graph, ID, attack and stretch seeds derive from
+``(master_seed, name, size, repetition)`` but NOT from the healer, so
+every healer faces the *identical* graph instance and attack randomness
+at each repetition — a paired design that removes instance variance from
+the cross-healer comparisons the paper's figures make. Seed *injection*
+is centralized in :meth:`repro.registry.Registry.make`: a derived seed
 reaches a component iff its factory takes a ``seed`` parameter and the
 spec didn't pin one.
 """
@@ -32,28 +36,23 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from repro.adversary import ADVERSARIES
-from repro.core.registry import HEALERS
 from repro.errors import ConfigurationError
 from repro.graph.generators import GENERATORS
-from repro.sim.engine import run_campaign
-from repro.sim.metrics import (
-    METRICS,
-    ConnectivityMetric,
-    Metric,
-    StretchMetric,
-    default_metric_names,
-    default_metrics,
-)
+from repro.graph.graph import Graph
+from repro.sim.metrics import METRICS
 from repro.sim.results import ResultSet
 from repro.utils.rng import derive_seed
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.service.request import CampaignRequest
 
 __all__ = [
     "ExperimentSpec",
     "run_experiment",
     "run_task",
+    "cell_request",
     "expand_tasks",
 ]
 
@@ -98,7 +97,6 @@ class ExperimentSpec:
     measure_stretch: bool = False
     stretch_period: int = 1
     stretch_samples: int | None = None
-    check_invariants: bool = False
     #: additional metric spec strings (e.g. ``("components",
     #: "capacity:headroom=2")``) appended to the default set
     extra_metrics: Sequence[str] = ()
@@ -111,23 +109,15 @@ class ExperimentSpec:
     recovery_dir: str | None = None
 
     def __post_init__(self) -> None:
+        if not self.sizes or not self.healers:
+            raise ConfigurationError(
+                "a sweep needs at least one size and one healer"
+            )
         if self.repetitions < 1:
             raise ConfigurationError("repetitions must be >= 1")
         for n in self.sizes:
             if n < 2:
                 raise ConfigurationError(f"sizes must be >= 2, got {n}")
-        if self.stop_alive < 0:
-            raise ConfigurationError(
-                f"stop_alive must be >= 0, got {self.stop_alive}"
-            )
-        if self.max_deletions is not None and self.max_deletions < 0:
-            raise ConfigurationError(
-                f"max_deletions must be >= 0, got {self.max_deletions}"
-            )
-        if self.max_waves is not None and self.max_waves < 0:
-            raise ConfigurationError(
-                f"max_waves must be >= 0, got {self.max_waves}"
-            )
         if self.connectivity_period < 0:
             raise ConfigurationError(
                 "connectivity_period must be >= 0 (0 disables the check), "
@@ -153,83 +143,41 @@ class ExperimentSpec:
                     "(StretchMetric holds the pristine graph and cannot "
                     "be serialized)"
                 )
-        # Fail fast: a typo'd component name or argument should explode
-        # here, at construction, not deep inside a worker process.
+        # `n` is the sweep's, one value per cell: a spec pinning it would
+        # mislabel every result row.
         GENERATORS.validate_spec(
             self.generator,
             overrides=self.generator_params,
             reserved=("n",),
         )
-        for healer in self.healers:
-            HEALERS.validate_spec(
-                healer, overrides=self.healer_params.get(healer, {})
-            )
-        adversary_name = ADVERSARIES.validate_spec(
-            self.adversary, overrides=self.adversary_params
-        )
-        if self.max_waves is not None and not getattr(
-            ADVERSARIES[adversary_name], "batch_rounds", False
-        ):
+        # A sweep asks for stretch through measure_stretch; the registry
+        # check reports the `original` a bare "stretch" leaves open.
+        for metric in self.extra_metrics:
+            METRICS.validate_spec(metric)
+        # Component, metric and bound checks: a request validates at
+        # construction, and a healer's cells differ only in seeds and n.
+        cells = [
+            cell_request(self, self.sizes[0], healer, 0)
+            for healer in self.healers
+        ]
+        _, adversary, _ = cells[0].components(Graph())
+        is_wave = getattr(adversary, "batch_rounds", False)
+        if self.max_waves is not None and not is_wave:
             raise ConfigurationError(
                 f"max_waves is a round budget for wave adversaries; "
                 f"{self.adversary!r} is single-victim — use max_deletions"
             )
-        # Metrics already in the run's base set would collide at finalize
-        # (duplicate value names) only after a full campaign — reject the
-        # known collisions here instead.
-        active = default_metric_names()
-        if self.connectivity_period > 0:
-            active.add("connectivity")
-        if self.measure_stretch:
-            active.add("stretch")
-        for metric in self.extra_metrics:
-            name = METRICS.validate_spec(metric)
-            if name in active:
-                raise ConfigurationError(
-                    f"extra metric {metric!r} duplicates the sweep's "
-                    f"always-on {name!r} metric"
-                )
-            active.add(name)
-            # Built once here so its own argument checks (a period or a
-            # headroom out of range) fail the spec, not a worker.
-            METRICS.make(metric)
+        # Every cell faces the same adversary; its rows name the wave
+        # schedule (a derived attribute, not a field: the spec is frozen).
+        object.__setattr__(
+            self,
+            "_wave_schedule",
+            getattr(adversary, "schedule_spec", "custom") if is_wave else None,
+        )
 
     def with_overrides(self, **kwargs) -> "ExperimentSpec":
         """A copy with fields replaced (for CLI --sizes/--reps overrides)."""
         return replace(self, **kwargs)
-
-
-def _build_graph(spec: ExperimentSpec, n: int, seed: int):
-    """Instantiate the spec's generator for one sweep cell: ``n`` is
-    forced (where the factory takes one) and the derived graph seed is
-    injected unless the spec pinned its own."""
-    return GENERATORS.make(
-        spec.generator,
-        seed=seed,
-        overrides=dict(spec.generator_params),
-        force={"n": n},
-    )
-
-
-def _build_metrics(
-    spec: ExperimentSpec, original, stretch_seed: int
-) -> list[Metric]:
-    metrics: list[Metric] = default_metrics()
-    if spec.connectivity_period > 0:
-        metrics.append(ConnectivityMetric(period=spec.connectivity_period))
-    if spec.measure_stretch:
-        assert original is not None
-        metrics.append(
-            StretchMetric(
-                original,
-                period=spec.stretch_period,
-                sample_sources=spec.stretch_samples,
-                seed=stretch_seed,
-            )
-        )
-    for metric_spec in spec.extra_metrics:
-        metrics.append(METRICS.make(metric_spec))
-    return metrics
 
 
 def _cell_recovery_dir(
@@ -246,6 +194,51 @@ def _cell_recovery_dir(
     )
 
 
+def cell_request(
+    spec: ExperimentSpec, size: int, healer_name: str, rep: int
+) -> "CampaignRequest":
+    """The campaign of one (size, healer, repetition) cell.
+
+    ``n`` goes to the generator where it takes one. The sweep's
+    connectivity check and stretch measurement become extra metric specs
+    ahead of ``extra_metrics``; stretch gets the cell's own seed.
+    """
+    # Imported here: the service package imports this module (through
+    # repro.sim.parallel).
+    from repro.service.request import CampaignRequest
+
+    graph_seed, id_seed, attack_seed, stretch_seed = (
+        derive_seed(spec.master_seed, spec.name, kind, size, rep)
+        for kind in ("graph", "ids", "attack", "stretch")
+    )
+    generator_params = dict(spec.generator_params)
+    if GENERATORS.accepts(GENERATORS.parse(spec.generator)[0], "n"):
+        generator_params["n"] = size
+    metrics = []
+    if spec.connectivity_period > 0:
+        metrics.append(f"connectivity:period={spec.connectivity_period}")
+    if spec.measure_stretch:
+        stretch = f"stretch:period={spec.stretch_period},seed={stretch_seed}"
+        if spec.stretch_samples is not None:
+            stretch += f",sample_sources={spec.stretch_samples}"
+        metrics.append(stretch)
+    return CampaignRequest(
+        generator=spec.generator,
+        healer=healer_name,
+        adversary=spec.adversary,
+        generator_params=generator_params,
+        healer_params=dict(spec.healer_params.get(healer_name, {})),
+        adversary_params=dict(spec.adversary_params),
+        extra_metrics=(*metrics, *spec.extra_metrics),
+        graph_seed=graph_seed,
+        id_seed=id_seed,
+        attack_seed=attack_seed,
+        stop_alive=spec.stop_alive,
+        max_rounds=spec.max_waves,
+        max_deletions=spec.max_deletions,
+    )
+
+
 def run_task(
     spec: ExperimentSpec, size: int, healer_name: str, rep: int
 ) -> tuple[dict, dict]:
@@ -253,25 +246,7 @@ def run_task(
 
     Module-level and picklable so process pools can execute it.
     """
-    graph_seed = derive_seed(spec.master_seed, spec.name, "graph", size, rep)
-    id_seed = derive_seed(spec.master_seed, spec.name, "ids", size, rep)
-    attack_seed = derive_seed(spec.master_seed, spec.name, "attack", size, rep)
-    stretch_seed = derive_seed(
-        spec.master_seed, spec.name, "stretch", size, rep
-    )
-
-    graph = _build_graph(spec, size, graph_seed)
-    original = graph.copy() if spec.measure_stretch else None
-
-    healer = HEALERS.make(
-        healer_name,
-        seed=id_seed,
-        overrides=dict(spec.healer_params.get(healer_name, {})),
-    )
-    adversary = ADVERSARIES.make(
-        spec.adversary, seed=attack_seed, overrides=dict(spec.adversary_params)
-    )
-    metrics = _build_metrics(spec, original, stretch_seed)
+    from repro.service.request import run_request
 
     recovery: dict = {}
     if spec.recovery_dir is not None:
@@ -281,17 +256,8 @@ def run_task(
             recovery["checkpoint_every"] = spec.checkpoint_every
             recovery["checkpoint_dir"] = cell_dir / "checkpoints"
 
-    result = run_campaign(
-        graph,
-        healer,
-        adversary,
-        id_seed=id_seed,
-        metrics=metrics,
-        stop_alive=spec.stop_alive,
-        max_rounds=spec.max_waves,
-        max_deletions=spec.max_deletions,
-        check_invariants=spec.check_invariants,
-        **recovery,
+    result = run_request(
+        cell_request(spec, size, healer_name, rep), **recovery
     )
     params = {
         "experiment": spec.name,
@@ -300,10 +266,8 @@ def run_task(
         "adversary": spec.adversary,
         "rep": rep,
     }
-    if getattr(adversary, "batch_rounds", False):
-        params["wave_schedule"] = getattr(
-            adversary, "schedule_spec", "custom"
-        )
+    if spec._wave_schedule is not None:
+        params["wave_schedule"] = spec._wave_schedule
     values = dict(result.values)
     values["deletions"] = float(result.deletions)
     values["final_alive"] = float(result.final_alive)

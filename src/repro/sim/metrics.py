@@ -22,13 +22,11 @@ its last BFS passed the network's local connectivity certificate (see
 paper's healers an observed campaign runs one BFS, not one per round.
 
 Every metric is registered in :data:`METRICS` (a
-:class:`~repro.registry.Registry`), so experiment specs and tests can
-name them as spec strings — ``"connectivity:period=4"``,
-``"capacity:headroom=2"`` — via
-:attr:`~repro.sim.experiment.ExperimentSpec.extra_metrics`.
-(``"stretch"`` is registered too but
-needs the pristine ``original`` graph; sweeps request it through
-``measure_stretch``, which supplies that copy.)
+:class:`~repro.registry.Registry`), so experiment specs, campaign
+requests and tests name them as spec strings — ``"connectivity:period=4"``,
+``"capacity:headroom=2"``. ``"stretch"`` also needs the pristine
+``original`` graph, which :func:`~repro.service.request.run_request`
+supplies; a sweep asks for it through ``measure_stretch``.
 """
 
 from __future__ import annotations
@@ -429,8 +427,8 @@ def default_metrics() -> list[Metric]:
 def default_metric_names() -> set[str]:
     """Registry names of the :func:`default_metrics` set (kept derived
     so the fail-fast duplicate check in
-    :class:`~repro.sim.experiment.ExperimentSpec` cannot drift from the
-    actual defaults)."""
+    :class:`~repro.service.request.CampaignRequest` cannot drift from
+    the actual defaults)."""
     default_types = {type(m) for m in default_metrics()}
     return {
         name for name, factory in METRICS.items() if factory in default_types

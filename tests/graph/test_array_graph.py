@@ -9,6 +9,9 @@ and compares after every step.
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -359,3 +362,48 @@ class TestFactory:
         assert Graph.backend == "object"
         assert ArrayGraph.backend == "array"
         assert set(BACKENDS) == {"object", "array"}
+
+
+class TestPickleAndCopy:
+    """An ArrayGraph round-trips through pickle and the copy module: same
+    topology, dead slots None, every edgeless slot the shared marker."""
+
+    @staticmethod
+    def sample() -> ArrayGraph:
+        g = ArrayGraph(range(6))
+        g.add_edge(0, 1)
+        g.add_edge(1, 2)
+        g.add_edge(2, 3)
+        g.remove_edge(2, 3)  # node 3's emptied set
+        g.remove_node(4)  # a dead slot
+        g.add_node(8)  # past the end: slots 6 and 7 stay unused
+        return g
+
+    @pytest.mark.parametrize(
+        "clone",
+        [
+            lambda g: pickle.loads(pickle.dumps(g)),
+            copy.copy,
+            copy.deepcopy,
+        ],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_round_trip(self, clone):
+        g = self.sample()
+        h = clone(g)
+        assert h == g
+        edges = [(0, 1), (1, 2)]
+        assert h == Graph.from_edges(edges, nodes=[0, 1, 2, 3, 5, 8])
+        assert h.num_edges == 2 and h.num_nodes == 6
+        for u in (3, 5, 8):
+            assert h._nbrs[u] is EDGELESS
+        for u in (4, 6, 7):
+            assert h._nbrs[u] is None
+        assert h.degree_listener is None
+        # A restored edgeless node takes its first edge like any other,
+        # and the clone shares no state with the original.
+        h.add_edge(5, 8)
+        h.add_edge(0, 3)
+        assert h.degree(5) == 1 and h.neighbors(3) == {0}
+        assert g.degree(5) == 0 and g.degree(0) == 1
+        assert g._nbrs[5] is EDGELESS

@@ -18,6 +18,9 @@ from __future__ import annotations
 import json
 import time
 
+import pytest
+
+from repro.errors import ConfigurationError
 from repro.service.manager import CampaignService
 from repro.service.jobs import JobState
 from repro.service.request import CampaignRequest, run_request
@@ -98,6 +101,24 @@ class TestSubmitStreamComplete:
             assert created and not dup_created
             assert dup_id == job_id
             assert service.counters["deduped"] == 1
+        finally:
+            service.shutdown()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"adversary": "level-attack:branching=2"},
+            {"extra_metrics": ("stretch:period=4",)},
+        ],
+        ids=["adversary", "metric"],
+    )
+    def test_uncheckpointable_request_refused(self, tmp_path, overrides):
+        # Workers always checkpoint: such a job could only fail there.
+        service = make_service(tmp_path / "svc")
+        try:
+            with pytest.raises(ConfigurationError, match="checkpoint"):
+                service.submit(pa_request(**overrides))
+            assert not service.jobs and not len(service.queue)
         finally:
             service.shutdown()
 

@@ -60,6 +60,38 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             tiny_request(max_deletions=-1)
 
+    def test_nested_schedule_left_open_fails_at_construction(self):
+        # `schedule=geometric` leaves the schedule's `initial` open, and
+        # no `size` fills it: the adversary cannot be built, so neither
+        # the request nor the sweep may be.
+        with pytest.raises(ConfigurationError, match="initial"):
+            tiny_request(
+                adversary="random-wave:schedule=geometric",
+                max_deletions=None,
+                max_rounds=2,
+            )
+        with pytest.raises(ConfigurationError, match="initial"):
+            ExperimentSpec(
+                name="nested",
+                sizes=(24,),
+                healers=("dash",),
+                repetitions=1,
+                adversary="random-wave:schedule=geometric",
+                max_waves=2,
+            )
+        tiny_request(
+            adversary="random-wave:size=4,schedule=geometric",
+            max_deletions=None,
+            max_rounds=2,
+        )
+
+    def test_stretch_metric_gets_the_pristine_graph(self):
+        # The request path supplies `original`; a spec cannot pin it.
+        request = tiny_request(extra_metrics=("stretch:period=2",))
+        assert "max_stretch" in run_request(request).values
+        with pytest.raises(ConfigurationError, match="supplied by"):
+            tiny_request(extra_metrics=("stretch:original=1",))
+
     def test_spec_strings_accepted(self):
         request = tiny_request(
             adversary="random-wave:size=4,schedule=geometric",
@@ -171,17 +203,49 @@ class TestExperimentExpansion:
                 else:
                     assert result.values[key] == expected
 
-    @pytest.mark.parametrize("field", ["measure_stretch", "check_invariants"])
-    def test_stretch_sweeps_rejected(self, field):
-        # Neither survives the trip to a worker: StretchMetric does not
-        # serialize and a request has no paranoid mode. Dropping either
-        # silently would run a different sweep than the one asked for.
+    @staticmethod
+    def assert_cells_match_run_task(spec: ExperimentSpec) -> None:
+        requests = CampaignRequest.from_experiment(spec)
+        tasks = expand_tasks(spec)
+        assert len(requests) == len(tasks)
+        for request, task in zip(requests, tasks):
+            _, values = run_task(*task)
+            result = run_request(request)
+            assert {
+                **result.values,
+                "deletions": float(result.deletions),
+                "final_alive": float(result.final_alive),
+            } == values
+
+    def test_stretch_sweep_cells_match_run_task(self):
+        # The stretch metric rides the request as a spec string with the
+        # cell's stretch seed; run_request supplies the pristine graph.
         spec = ExperimentSpec(
             name="svc-stretch",
             sizes=(24,),
-            healers=("dash",),
-            repetitions=1,
-            **{field: True},
+            healers=("dash", "sdash"),
+            repetitions=2,
+            adversary="random",
+            measure_stretch=True,
+            stretch_period=3,
+            stretch_samples=5,
+            master_seed=5,
         )
-        with pytest.raises(ConfigurationError, match=field):
-            CampaignRequest.from_experiment(spec)
+        for request in CampaignRequest.from_experiment(spec):
+            assert request.extra_metrics[1].startswith("stretch:period=3,")
+        self.assert_cells_match_run_task(spec)
+
+    def test_grid_sweep_cells_match_run_task(self):
+        # A generator that takes no `n` gets none: the grid's size is its
+        # own rows × cols.
+        spec = ExperimentSpec(
+            name="svc-grid",
+            generator="grid:rows=4,cols=5",
+            sizes=(20,),
+            healers=("dash", "graph-heal"),
+            repetitions=2,
+            adversary="random",
+        )
+        for request in CampaignRequest.from_experiment(spec):
+            assert "n" not in request.generator_params
+        self.assert_cells_match_run_task(spec)

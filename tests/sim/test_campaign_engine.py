@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.adversary import make_adversary
+from repro.adversary import ADVERSARIES, make_adversary
 from repro.adversary.waves import RandomWaveAttack, WaveAdversary
 from repro.core.registry import make_healer
 from repro.errors import SimulationError
@@ -230,3 +230,79 @@ class TestEngineRoundSemantics:
         assert fast.events == slow.events
         assert fast.network.tracker.fast_batch_rounds > 0
         assert slow.network.tracker.fast_batch_rounds == 0
+
+
+@pytest.fixture
+def gc_disabled():
+    """Only reference counting frees objects inside the test."""
+    import gc
+
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+class TestFinishedCampaignIsFreed:
+    """A campaign that returns no network leaves no reference cycle
+    behind: its healer (held by the network) dies with the caller's last
+    reference to the graph and the result, no cyclic GC needed."""
+
+    @pytest.mark.parametrize("observed", [False, True], ids=["fused", "obs"])
+    @pytest.mark.parametrize(
+        "adversary",
+        [
+            "random",
+            "neighbor-of-max",
+            "max-node",
+            "random-wave:size=4",
+            "churn:rate=2.0,rounds=10",
+        ],
+    )
+    @pytest.mark.parametrize("backend", ["object", "array"])
+    def test_healer_dies_with_graph_and_result(
+        self, gc_disabled, backend, adversary, observed
+    ):
+        import weakref
+
+        from repro.graph.generators import GENERATORS
+
+        graph = GENERATORS.make(f"pa:n=120,backend={backend}", seed=3)
+        healer = make_healer("dash")
+        alive = weakref.ref(healer)
+        result = run_campaign(
+            graph,
+            healer,
+            ADVERSARIES.make(adversary, seed=4),
+            metrics=(
+                default_metrics() + [ConnectivityMetric()] if observed else ()
+            ),
+            max_rounds=40,
+        )
+        del healer, graph, result
+        assert alive() is None
+
+    def test_resumed_campaign_is_freed(self, gc_disabled, tmp_path):
+        import weakref
+
+        from repro.errors import SimulatedCrash
+        from repro.recovery import CrashAtRound, resume_from_ledger
+
+        ledger = tmp_path / "campaign.jsonl"
+        with pytest.raises(SimulatedCrash):
+            run_campaign(
+                preferential_attachment(120, 2, seed=3),
+                make_healer("dash"),
+                make_adversary("max-node"),
+                metrics=default_metrics() + [CrashAtRound(30)],
+                checkpoint_every=8,
+                checkpoint_dir=tmp_path / "checkpoints",
+                ledger=ledger,
+            )
+        healer = make_healer("dash")
+        alive = weakref.ref(healer)
+        result = resume_from_ledger(ledger, healer=healer)
+        assert result.final_alive == 0
+        del healer, result
+        assert alive() is None

@@ -2,9 +2,38 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.recovery.ledger import read_ledger
+from repro.service.client import ServiceClient
+
+#: `simulate` stdout per invocation, the digest of the ledger's round and
+#: end records for the checkpointed one, and the `spec_hash` of the
+#: request `submit` sends per invocation
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "cli_golden.json").read_text(
+        encoding="utf-8"
+    )
+)
+
+
+def submitted(monkeypatch, argv: list[str]):
+    """The request `repro submit` sends, caught at the client."""
+    sent = []
+
+    def submit(self, request):
+        sent.append(request)
+        return "job-0", True
+
+    monkeypatch.setattr(ServiceClient, "submit", submit)
+    assert main(["submit", *argv]) == 0
+    (request,) = sent
+    return request
 
 
 class TestParser:
@@ -243,3 +272,89 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "fig8" in out
         assert (tmp_path / "fig8.csv").exists()
+
+
+class TestGolden:
+    """`simulate` output and `submit` requests, pinned byte for byte."""
+
+    @pytest.mark.parametrize("argv", sorted(GOLDEN["simulate"]))
+    def test_simulate_stdout(self, capsys, tmp_path, argv):
+        state = tmp_path / "state"
+        checkpointed = argv in GOLDEN["simulate_ledger"]
+        extra = ["--checkpoint-dir", str(state)] if checkpointed else []
+        assert main(["simulate", *argv.split(), *extra]) == 0
+        assert capsys.readouterr().out == GOLDEN["simulate"][argv]
+        if checkpointed:
+            records = [
+                r
+                for r in read_ledger(state / "campaign.jsonl")
+                if r["type"] in ("round", "end")
+            ]
+            canon = json.dumps(records, sort_keys=True, separators=(",", ":"))
+            digest = hashlib.sha256(canon.encode("utf-8")).hexdigest()
+            assert digest == GOLDEN["simulate_ledger"][argv]
+
+    @pytest.mark.parametrize("argv", sorted(GOLDEN["submit_spec_hash"]))
+    def test_submit_spec_hash(self, monkeypatch, capsys, argv):
+        request = submitted(monkeypatch, argv.split())
+        assert request.spec_hash() == GOLDEN["submit_spec_hash"][argv]
+
+
+class TestOneCampaignDescription:
+    """`simulate` and `submit` turn the same flags into the same
+    campaign: `simulate` output equals the request `submit` sends (plus
+    the connectivity metric `simulate` adds), run in-process."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "--n 200 --seed 7",
+            # the healer's seed comes from --seed under both commands
+            "--n 60 --healer dash-random-order --seed 3 --max-deletions 30",
+            # n goes only where the generator takes it
+            "--generator grid:rows=5,cols=5 --healer graph-heal --seed 1",
+            # p=0.05 fills the parameter erdos_renyi requires
+            "--generator erdos_renyi --n 80 --seed 1",
+            "--generator gnm_random --n 40 --adversary random --seed 2",
+        ],
+    )
+    def test_simulate_runs_the_request_submit_sends(
+        self, monkeypatch, capsys, argv
+    ):
+        from repro.cli import _print_result
+        from repro.service.request import run_request
+
+        assert main(["simulate", *argv.split()]) == 0
+        simulated = capsys.readouterr().out
+        request = submitted(
+            monkeypatch, [*argv.split(), "--metric", "connectivity"]
+        )
+        capsys.readouterr()
+        _print_result(run_request(request))
+        assert capsys.readouterr().out == simulated
+
+    @pytest.mark.parametrize("command", ["simulate", "submit"])
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["--generator", "pa:n=500"], "--n"),
+            (["--generator", "erdos_renyi:p=0.1,m=3", "--m", "3"], None),
+            (["--generator", "pa:m=3", "--m", "3"], "--m"),
+        ],
+        ids=["pinned-n", "m-not-taken", "pinned-m"],
+    )
+    def test_spec_pinning_a_flag_exits_2(
+        self, monkeypatch, capsys, command, argv, flag
+    ):
+        monkeypatch.setattr(
+            ServiceClient, "submit", lambda self, request: ("job-0", True)
+        )
+        rc = main([command, *argv])
+        err = capsys.readouterr().err
+        if flag is None:
+            # erdos_renyi takes no m: --m does not apply, and the spec's
+            # own m is an unknown argument
+            assert rc == 2 and "unexpected keyword argument 'm'" in err
+        else:
+            assert rc == 2
+            assert argv[1] in err and f"set by {flag}" in err

@@ -124,20 +124,11 @@ class TestRegistryCore:
         adv = ADVERSARIES.make("random:seed=3", seed=7)
         assert adv._seed == 3
 
-    def test_force_and_defaults_respect_acceptance(self):
+    def test_force_respects_acceptance(self):
         g = GENERATORS.make(
-            "preferential_attachment",
-            force={"n": 10, "rows": 99},
-            defaults={"m": 2, "p": 0.5},
+            "preferential_attachment", force={"n": 10, "rows": 99}
         )
         assert g.num_nodes == 10
-
-    def test_defaults_do_not_override_spec(self):
-        g = GENERATORS.make(
-            "erdos_renyi:p=1.0", force={"n": 5}, defaults={"p": 0.0}
-        )
-        # p=1.0 from the spec wins: the complete graph on 5 nodes.
-        assert g.num_edges == 10
 
     def test_validate_spec_rejects_unknown_kwarg(self):
         with pytest.raises(ConfigurationError, match="invalid healer spec"):
@@ -188,6 +179,17 @@ class TestRegistryCore:
     def test_make_wraps_constructor_type_errors(self):
         with pytest.raises(ConfigurationError, match="cannot build"):
             ADVERSARIES.make("scripted")  # missing required script
+
+    def test_make_names_arguments_that_do_not_bind(self):
+        with pytest.raises(
+            ConfigurationError,
+            match=r"missing required argument\(s\) sequence",
+        ):
+            ADVERSARIES.make("scripted")
+        with pytest.raises(
+            ConfigurationError, match="invalid adversary spec 'random:bogus=1'"
+        ):
+            ADVERSARIES.make("random:bogus=1", seed=1)
 
 
 #: minimal constructor arguments for components whose factories require
