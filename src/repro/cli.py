@@ -371,29 +371,24 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             extra_metrics=("connectivity",),
             max_rounds=args.max_waves,
         )
+        _, adversary, _ = request.validate()
+        is_wave = getattr(adversary, "batch_rounds", False)
+        if is_wave and args.max_deletions is not None:
+            raise ConfigurationError(
+                "--max-deletions is a node budget for single-victim "
+                "adversaries; use --max-waves with wave adversaries"
+            )
+        if not is_wave and args.max_waves is not None:
+            raise ConfigurationError(
+                "--max-waves is a round budget for wave adversaries; use "
+                "--max-deletions with single-victim adversaries"
+            )
+        if args.checkpoint_every is not None and args.checkpoint_dir is None:
+            raise ConfigurationError(
+                "--checkpoint-every requires --checkpoint-dir"
+            )
     except ConfigurationError as exc:
         print(exc, file=sys.stderr)
-        return 2
-
-    adversary = ADVERSARIES.factory(ADVERSARIES.parse(args.adversary)[0])
-    is_wave = getattr(adversary, "batch_rounds", False)
-    if is_wave and args.max_deletions is not None:
-        print(
-            "--max-deletions is a node budget for single-victim "
-            "adversaries; use --max-waves with wave adversaries",
-            file=sys.stderr,
-        )
-        return 2
-    if not is_wave and args.max_waves is not None:
-        print(
-            "--max-waves is a round budget for wave adversaries; use "
-            "--max-deletions with single-victim adversaries",
-            file=sys.stderr,
-        )
-        return 2
-
-    if args.checkpoint_every is not None and args.checkpoint_dir is None:
-        print("--checkpoint-every requires --checkpoint-dir", file=sys.stderr)
         return 2
 
     recovery: dict = {}

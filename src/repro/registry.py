@@ -268,10 +268,11 @@ class Registry(Mapping):
         self.factory(name)  # raises with the available names on a miss
         return name, args, kwargs
 
-    def _params(
-        self, name: str, spec: str, args: tuple, kwargs: Mapping
-    ) -> dict[str, bool | None]:
-        """:meth:`params` for already parsed arguments."""
+    def params(self, spec: str) -> dict[str, bool | None]:
+        """Each named parameter of ``spec``'s factory: ``None`` where the
+        spec sets it, else whether the factory requires it. Raises for
+        arguments that do not bind."""
+        name, args, kwargs = self.parse(spec)
         sig = self._signature(name)
         if sig is None:
             return {}
@@ -286,17 +287,6 @@ class Registry(Mapping):
             for p in sig.parameters.values()
             if p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
         }
-
-    def params(
-        self, spec: str, *, overrides: Mapping[str, object] | None = None
-    ) -> dict[str, bool | None]:
-        """Each named parameter of ``spec``'s factory: ``None`` where the
-        spec (updated by ``overrides``) sets it, else whether the factory
-        requires it. Raises for arguments that do not bind."""
-        name, args, kwargs = self.parse(spec)
-        if overrides:
-            kwargs.update(overrides)
-        return self._params(name, spec, args, kwargs)
 
     def validate_spec(
         self,
@@ -318,24 +308,43 @@ class Registry(Mapping):
         name, args, kwargs = self.parse(spec)
         if overrides:
             kwargs.update(overrides)
-        params = self._params(name, spec, args, kwargs)
-        clash = [key for key in reserved if params.get(key, False) is None]
-        if clash:
-            raise ConfigurationError(
-                f"invalid {self.kind} spec {spec!r}: "
-                f"{', '.join(clash)} is supplied by the runtime — "
-                "remove it from the spec"
-            )
-        missing = [
-            key
-            for key, required in params.items()
-            if required and key not in self.injected
-        ]
-        if missing:
-            raise ConfigurationError(
-                f"invalid {self.kind} spec {spec!r}: missing required "
-                f"argument(s) {', '.join(missing)}"
-            )
+        sig = self._signature(name)
+        if sig is not None:
+            try:
+                bound = sig.bind_partial(*args, **kwargs)
+            except TypeError as exc:
+                raise ConfigurationError(
+                    f"invalid {self.kind} spec {spec!r}: {exc}"
+                ) from None
+            clash = [
+                key
+                for key in reserved
+                if self.accepts(name, key) and key in bound.arguments
+            ]
+            if clash:
+                raise ConfigurationError(
+                    f"invalid {self.kind} spec {spec!r}: "
+                    f"{', '.join(clash)} is supplied by the runtime — "
+                    "remove it from the spec"
+                )
+            missing = [
+                p.name
+                for p in sig.parameters.values()
+                if p.default is inspect.Parameter.empty
+                and p.kind
+                in (
+                    inspect.Parameter.POSITIONAL_ONLY,
+                    inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                    inspect.Parameter.KEYWORD_ONLY,
+                )
+                and p.name not in bound.arguments
+                and p.name not in self.injected
+            ]
+            if missing:
+                raise ConfigurationError(
+                    f"invalid {self.kind} spec {spec!r}: missing required "
+                    f"argument(s) {', '.join(missing)}"
+                )
         return name
 
     # ------------------------------------------------------------------
@@ -361,9 +370,6 @@ class Registry(Mapping):
           winning or losing;
         * ``seed`` — injected via ``setdefault`` iff the factory accepts a
           ``seed`` parameter (the centralized seeding discipline).
-
-        Arguments that do not bind to the factory raise as in
-        :meth:`validate_spec`; a required one left open raises naming it.
         """
         name, args, kwargs = self.parse(spec)
         if overrides:
@@ -396,17 +402,8 @@ class Registry(Mapping):
         try:
             component = self.factory(name)(*args, **kwargs)
         except TypeError as exc:
-            # Binding is checked only on failure, so a build that works
-            # pays nothing for the diagnosis.
-            params = self._params(name, spec, args, kwargs)
-            missing = [key for key, required in params.items() if required]
-            reason = (
-                f"missing required argument(s) {', '.join(missing)}"
-                if missing
-                else exc
-            )
             raise ConfigurationError(
-                f"cannot build {self.kind} {spec!r}: {reason}"
+                f"cannot build {self.kind} {spec!r}: {exc}"
             ) from exc
         # Provenance: record how the component was built so a checkpoint
         # can rebuild an equivalent instance at resume (the arguments

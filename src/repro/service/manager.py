@@ -38,7 +38,6 @@ import time
 from pathlib import Path
 
 from repro.errors import ConfigurationError, QueueFullError, ServiceError
-from repro.graph.graph import Graph
 from repro.service.jobs import Job, JobState, JobStore
 from repro.service.queue import JobQueue
 from repro.service.request import CampaignRequest
@@ -156,11 +155,12 @@ class CampaignService:
         non-terminal job already in the service returns that job's id
         with ``created=False`` instead of queueing a duplicate.
 
+        The request is built once first (:meth:`CampaignRequest.validate`).
         Every service campaign checkpoints, so a request whose adversary
         or an extra metric cannot be checkpointed is refused here rather
         than failing in its worker.
         """
-        _, adversary, metrics = request.components(Graph())
+        _, adversary, metrics = request.validate()
         blocked = [
             type(c).__name__
             for c in (adversary, *metrics)

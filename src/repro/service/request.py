@@ -2,12 +2,14 @@
 
 A :class:`CampaignRequest` is the serializable description of exactly
 one campaign — registry spec strings for the graph generator, healer,
-adversary and extra metrics, plus seeds and stop conditions. It is
-validated at construction: the generator spec is checked against its
-factory, and the healer, adversary and metrics are built once (building
-is the binding check, and it runs each component's own argument
-checks), so a bad spec explodes at submit time on the client, never
-inside a worker process.
+adversary and extra metrics, plus seeds and stop conditions. Construction
+checks that every spec names a registered component whose arguments
+bind, and builds the extra metrics once. :meth:`CampaignRequest.validate`
+builds the healer and adversary too; the service's ``submit``, sweeps
+and ``repro simulate`` call it, so a bad argument (a nested schedule left
+open, a trace file that is not there) fails at the door, never inside a
+worker process. A stored job reloads through construction alone, so it
+loads even where a component would no longer build.
 
 :func:`run_request` is the single definition of what a request *means*,
 and the only path in the package from a campaign description to
@@ -93,13 +95,14 @@ class CampaignRequest:
     priority: int = 0
 
     def __post_init__(self) -> None:
-        GENERATORS.validate_spec(
-            self.generator, overrides=dict(self.generator_params)
-        )
-        # Built once, on an empty stand-in for the graph: a bad argument
-        # (an unknown key, a nested schedule left open, a period out of
-        # range) fails the submit, not the worker.
-        self.components(Graph())
+        for registry, spec, params in (
+            (GENERATORS, self.generator, self.generator_params),
+            (HEALERS, self.healer, self.healer_params),
+            (ADVERSARIES, self.adversary, self.adversary_params),
+        ):
+            registry.validate_spec(spec, overrides=dict(params))
+        if self.extra_metrics:
+            self._metrics(Graph())
         if self.stop_alive < 0:
             raise ConfigurationError(
                 f"stop_alive must be >= 0, got {self.stop_alive}"
@@ -110,6 +113,12 @@ class CampaignRequest:
                 raise ConfigurationError(
                     f"{label} must be >= 0, got {value}"
                 )
+
+    def validate(self) -> tuple[Healer, Adversary, list[Metric]]:
+        """:meth:`components` on an empty stand-in graph: the check of
+        callers that accept a new request (construction only checks that
+        the healer and adversary arguments bind)."""
+        return self.components(Graph())
 
     def components(
         self, graph: Graph
@@ -129,6 +138,10 @@ class CampaignRequest:
             seed=attack_seed,
             overrides=dict(self.adversary_params),
         )
+        return healer, adversary, self._metrics(graph)
+
+    def _metrics(self, graph: Graph) -> list[Metric]:
+        """The extra metrics (see :meth:`components`)."""
         # Only extras need the always-on names (they cost a few µs).
         active = default_metric_names() if self.extra_metrics else set()
         original = None
@@ -145,7 +158,7 @@ class CampaignRequest:
                 original = graph.copy()
             # ``force`` reaches only factories that take the argument.
             metrics.append(METRICS.make(spec, force={"original": original}))
-        return healer, adversary, metrics
+        return metrics
 
     # -- identity -------------------------------------------------------
     def spec_hash(self) -> str:
@@ -155,12 +168,8 @@ class CampaignRequest:
         the same campaign at a different priority dedupes onto the
         already-queued job.
         """
-        payload = asdict(self)
-        payload.pop("priority")
-        payload["generator_params"] = dict(self.generator_params)
-        payload["healer_params"] = dict(self.healer_params)
-        payload["adversary_params"] = dict(self.adversary_params)
-        payload["extra_metrics"] = list(self.extra_metrics)
+        payload = self.to_json()
+        del payload["priority"], payload["version"]
         canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
@@ -218,16 +227,10 @@ class CampaignRequest:
     def seeds(self) -> tuple[int, int, int]:
         """(graph, id, attack) seeds: the explicit overrides where set,
         else the CLI's derivation from ``seed``."""
-        return (
-            self.graph_seed
-            if self.graph_seed is not None
-            else derive_seed(self.seed, "graph"),
-            self.id_seed
-            if self.id_seed is not None
-            else derive_seed(self.seed, "ids"),
-            self.attack_seed
-            if self.attack_seed is not None
-            else derive_seed(self.seed, "attack"),
+        explicit = (self.graph_seed, self.id_seed, self.attack_seed)
+        return tuple(
+            derive_seed(self.seed, kind) if seed is None else seed
+            for seed, kind in zip(explicit, ("graph", "ids", "attack"))
         )
 
 

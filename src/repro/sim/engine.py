@@ -208,13 +208,15 @@ def run_campaign(
             keep_events=keep_events,
             keep_network=keep_network,
         ):
-            return fastpath.run_fused(
+            result = fastpath.run_fused(
                 network,
                 adversary,
                 stop_alive=stop_alive,
                 max_rounds=max_rounds,
                 max_deletions=max_deletions,
             )
+            network.release()
+            return result
 
     return _drive_campaign(
         network=network,

@@ -17,9 +17,10 @@ parameter, and ``max_waves`` bounds their round count.
 A sweep cell is a :class:`~repro.service.request.CampaignRequest`:
 :func:`cell_request` describes it and :func:`run_task` runs it through
 :func:`~repro.service.request.run_request`, the path service jobs and
-``repro simulate`` take too. The spec validates at construction through
-one cell request per healer (unknown names and unbindable arguments
-raise immediately, not inside a worker process).
+``repro simulate`` take too. The spec validates at construction by
+building one cell request per healer (unknown names, unbindable
+arguments and components that cannot be built raise immediately, not
+inside a worker process).
 
 Seeding discipline: graph, ID, attack and stretch seeds derive from
 ``(master_seed, name, size, repetition)`` but NOT from the healer, so
@@ -40,7 +41,6 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.errors import ConfigurationError
 from repro.graph.generators import GENERATORS
-from repro.graph.graph import Graph
 from repro.sim.metrics import METRICS
 from repro.sim.results import ResultSet
 from repro.utils.rng import derive_seed
@@ -118,6 +118,10 @@ class ExperimentSpec:
         for n in self.sizes:
             if n < 2:
                 raise ConfigurationError(f"sizes must be >= 2, got {n}")
+        if self.max_waves is not None and self.max_waves < 0:
+            raise ConfigurationError(
+                f"max_waves must be >= 0, got {self.max_waves}"
+            )
         if self.connectivity_period < 0:
             raise ConfigurationError(
                 "connectivity_period must be >= 0 (0 disables the check), "
@@ -154,13 +158,12 @@ class ExperimentSpec:
         # check reports the `original` a bare "stretch" leaves open.
         for metric in self.extra_metrics:
             METRICS.validate_spec(metric)
-        # Component, metric and bound checks: a request validates at
-        # construction, and a healer's cells differ only in seeds and n.
-        cells = [
-            cell_request(self, self.sizes[0], healer, 0)
-            for healer in self.healers
-        ]
-        _, adversary, _ = cells[0].components(Graph())
+        # Component, metric and bound checks: one cell request per healer
+        # (a healer's cells differ only in seeds and n), each built once.
+        for healer in self.healers:
+            _, adversary, _ = cell_request(
+                self, self.sizes[0], healer, 0
+            ).validate()
         is_wave = getattr(adversary, "batch_rounds", False)
         if self.max_waves is not None and not is_wave:
             raise ConfigurationError(

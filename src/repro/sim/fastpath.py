@@ -452,9 +452,9 @@ def run_fused(
     healing_graph._deg_index = None
     network.peak_delta = peak_delta
     network.deleted_nodes.extend(victims)
-    # The campaign returns no network: break its reference cycles (this
-    # also drops the δ index, which the fused loop left stale).
-    network.release()
+    # Survivors' δ moved without the mutation stream firing: drop the
+    # δ index, and the network's first δ query rebuilds it.
+    network._delta_index = None
     if random_attack:
         adversary._last = None
         adversary._alive = alive

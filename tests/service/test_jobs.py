@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.errors import JobStateError
+from repro.errors import ConfigurationError, JobStateError
 from repro.service.jobs import JobState, JobStore
 from repro.service.request import CampaignRequest
 
@@ -82,6 +82,33 @@ class TestPersistence:
         torn.mkdir()
         (torn / "job.json").write_text('{"version": 1, "job_id"')
         assert [j.job_id for j in store.load_all()] == [job.job_id]
+
+    def test_load_all_does_not_build_components(self, tmp_path):
+        # A stored job loads by its binding checks alone: a trace file
+        # moved after the job ran, or an adversary argument its
+        # constructor now refuses, must not drop the record (status and
+        # gc read jobs through load_all).
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text('[["delete", 0]]\n')
+        store = JobStore(tmp_path / "store")
+        replay = tiny_request(
+            adversary=f"trace-churn:path={trace}", max_deletions=None
+        )
+        replay.validate()
+        done = store.create(replay, seq=1)
+        done.advance(JobState.RUNNING)
+        done.advance(JobState.DONE)
+        store.save(done)
+        trace.unlink()
+        with pytest.raises(ConfigurationError, match="churn trace"):
+            replay.validate()
+        refused = store.create(
+            tiny_request(adversary="level-attack:branching=1"), seq=2
+        )
+        loaded = {job.job_id: job for job in store.load_all()}
+        assert set(loaded) == {done.job_id, refused.job_id}
+        assert loaded[done.job_id].state is JobState.DONE
+        assert loaded[refused.job_id].request == refused.request
 
     def test_next_seq_survives_restart(self, tmp_path):
         store = JobStore(tmp_path)

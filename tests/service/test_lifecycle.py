@@ -22,7 +22,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.service.manager import CampaignService
-from repro.service.jobs import JobState
+from repro.service.jobs import JobState, JobStore
 from repro.service.request import CampaignRequest, run_request
 from repro.service.stream import ResultStream, ledger_progress
 from repro.sim.parallel import RetryPolicy
@@ -234,6 +234,24 @@ class TestRestartRecovery:
         expected_lines, expected = one_shot_round_lines(running, tmp_path)
         assert round_lines(revived.ledger_path(j_running)) == expected_lines
         assert v_running["result"]["values"] == dict(expected.values)
+
+    def test_restart_survives_a_job_that_no_longer_builds(self, tmp_path):
+        # A stored record whose adversary its constructor refuses (saved
+        # before submit checked it): recover() loads it by its binding
+        # checks alone, and its worker fails it.
+        root = tmp_path / "svc"
+        stale = JobStore(root).create(
+            pa_request(adversary="level-attack:branching=1"), seq=1
+        )
+        service = make_service(root)
+        try:
+            assert list(service.jobs) == [stale.job_id]
+            service.start()
+            view = service.wait(stale.job_id, timeout=60)
+        finally:
+            service.shutdown()
+        assert view["state"] == "failed"
+        assert "branching" in view["error"]
 
     def test_restart_finalizes_job_that_finished_unreaped(self, tmp_path):
         root = tmp_path / "svc"

@@ -60,16 +60,18 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             tiny_request(max_deletions=-1)
 
-    def test_nested_schedule_left_open_fails_at_construction(self):
+    def test_nested_schedule_left_open_fails_validation(self):
         # `schedule=geometric` leaves the schedule's `initial` open, and
         # no `size` fills it: the adversary cannot be built, so neither
-        # the request nor the sweep may be.
+        # the request nor the sweep may be. Its arguments bind, so the
+        # request itself constructs (a stored job must still load).
+        request = tiny_request(
+            adversary="random-wave:schedule=geometric",
+            max_deletions=None,
+            max_rounds=2,
+        )
         with pytest.raises(ConfigurationError, match="initial"):
-            tiny_request(
-                adversary="random-wave:schedule=geometric",
-                max_deletions=None,
-                max_rounds=2,
-            )
+            request.validate()
         with pytest.raises(ConfigurationError, match="initial"):
             ExperimentSpec(
                 name="nested",
@@ -83,7 +85,7 @@ class TestValidation:
             adversary="random-wave:size=4,schedule=geometric",
             max_deletions=None,
             max_rounds=2,
-        )
+        ).validate()
 
     def test_stretch_metric_gets_the_pristine_graph(self):
         # The request path supplies `original`; a spec cannot pin it.

@@ -77,6 +77,24 @@ class TestDispatcher:
         assert not response["ok"]
         assert "no-such" in response["error"]
 
+    def test_request_that_cannot_be_built_is_an_error_response(
+        self, service
+    ):
+        # Its arguments bind, so it parses; submit builds it first.
+        request = CampaignRequest(
+            generator="preferential_attachment",
+            generator_params={"n": 30},
+            adversary="random-wave:schedule=geometric",
+            max_rounds=2,
+        )
+        [response] = ask(
+            ServiceProtocol(service),
+            {"op": "submit", "request": request.to_json()},
+        )
+        assert not response["ok"]
+        assert "initial" in response["error"]
+        assert not service.jobs
+
     def test_unknown_op_and_bad_json(self, service):
         protocol = ServiceProtocol(service)
         [response] = ask(protocol, {"op": "frobnicate"})

@@ -141,7 +141,7 @@ class TestSpecValidation:
     def test_negative_budgets(self):
         with pytest.raises(ConfigurationError):
             tiny_spec(max_deletions=-1)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="max_waves"):
             tiny_spec(max_waves=-1)
         with pytest.raises(ConfigurationError):
             tiny_spec(stop_alive=-1)

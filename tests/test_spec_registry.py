@@ -155,6 +155,16 @@ class TestRegistryCore:
         with pytest.raises(ConfigurationError, match="supplied by the runtime"):
             GENERATORS.make("erdos_renyi:50,0.2", force={"n": 10})
 
+    def test_params_reports_set_and_required(self):
+        # None where the spec sets it, else whether it is required.
+        params = GENERATORS.params("grid:rows=5")
+        assert params["rows"] is None
+        assert params["cols"] is True
+        assert params["backend"] is False
+        assert GENERATORS.params("erdos_renyi:40")["n"] is None
+        with pytest.raises(ConfigurationError, match="invalid healer spec"):
+            HEALERS.params("dash:bogus=1")
+
     def test_validate_spec_reserved_params(self):
         with pytest.raises(ConfigurationError, match="supplied by the runtime"):
             GENERATORS.validate_spec("erdos_renyi:n=50,p=0.2", reserved=("n",))
@@ -179,17 +189,6 @@ class TestRegistryCore:
     def test_make_wraps_constructor_type_errors(self):
         with pytest.raises(ConfigurationError, match="cannot build"):
             ADVERSARIES.make("scripted")  # missing required script
-
-    def test_make_names_arguments_that_do_not_bind(self):
-        with pytest.raises(
-            ConfigurationError,
-            match=r"missing required argument\(s\) sequence",
-        ):
-            ADVERSARIES.make("scripted")
-        with pytest.raises(
-            ConfigurationError, match="invalid adversary spec 'random:bogus=1'"
-        ):
-            ADVERSARIES.make("random:bogus=1", seed=1)
 
 
 #: minimal constructor arguments for components whose factories require
