@@ -38,6 +38,7 @@ from bisect import bisect_left
 from typing import TYPE_CHECKING, ClassVar, Hashable
 
 from repro.adversary.base import Adversary
+from repro.adversary.survivors import SurvivorSequence
 from repro.utils.rng import make_rng, rng_state_from_json, rng_state_to_json
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -71,7 +72,7 @@ class _SortedNeighborCache:
     The maintained list is always exactly ``sorted(neighbors(focus))``,
     so draws stay byte-identical to the sort-every-round versions.
 
-    As with :class:`RandomAttack`'s survivor list, degree-preserving
+    As with :class:`RandomAttack`'s survivors, degree-preserving
     out-of-band churn of the focus's adjacency (an edge added and another
     removed behind the adversary's back, with no intervening event) is
     undetectable until a trigger fires; the supported contract is the
@@ -183,17 +184,21 @@ class NeighborOfMaxAttack(Adversary):
 class RandomAttack(Adversary):
     """Delete a uniformly random surviving node (failure, not attack).
 
-    Maintains its own sorted survivor list incrementally (the usual case
-    is "the node we chose last round died"), so a full-kill campaign
-    costs O(n) list maintenance per round instead of an O(n log n)
-    re-sort — with draws identical to sorting from scratch each round.
+    Keeps its survivors in label order in a
+    :class:`~repro.adversary.survivors.SurvivorSequence`, maintained
+    incrementally (the usual case is "the node we chose last round
+    died", dropped at the next draw), so a round costs one block's
+    upkeep instead of an O(n log n) re-sort — with draws identical to
+    sorting from scratch each round. The fused kernel
+    (:mod:`repro.sim.fastpath`) draws from and discards from the same
+    sequence.
 
-    The list resyncs when the graph's node count changes or a drawn node
-    turns out dead. Out-of-band churn that preserves the node count with
-    every stale entry still alive (simultaneous add+remove behind the
-    adversary's back) is not detected until one of those triggers fires;
-    the supported contract is the simulator's reset → choose → delete
-    loop, where the list is always exact.
+    The sequence resyncs when the graph's node count changes or a drawn
+    node turns out dead. Out-of-band churn that preserves the node count
+    with every stale entry still alive (simultaneous add+remove behind
+    the adversary's back) is not detected until one of those triggers
+    fires; the supported contract is the simulator's reset → choose →
+    delete loop, where the sequence is always exact.
     """
 
     name: ClassVar[str] = "random"
@@ -201,13 +206,13 @@ class RandomAttack(Adversary):
     def __init__(self, seed: int = 0) -> None:
         self._seed = seed
         self._rng: random.Random = make_rng(seed)
-        self._alive: list[Node] | None = None
+        self._alive: SurvivorSequence | None = None
         self._last: Node | None = None
 
     def reset(self, network: "SelfHealingNetwork") -> None:
         super().reset(network)
         self._rng = make_rng(self._seed)
-        self._alive = sorted(network.graph.nodes())
+        self._alive = SurvivorSequence(sorted(network.graph.nodes()))
         self._last = None
 
     def choose_target(self, network: "SelfHealingNetwork") -> Node | None:
@@ -216,22 +221,21 @@ class RandomAttack(Adversary):
         if alive is not None and self._last is not None and not g.has_node(
             self._last
         ):
-            i = bisect_left(alive, self._last)
-            if i < len(alive) and alive[i] == self._last:
-                alive.pop(i)
+            alive.discard(self._last)
         if alive is None or len(alive) != g.num_nodes:
             # Out-of-band deletions (batch heals, direct graph edits):
             # fall back to a fresh sort.
-            alive = self._alive = sorted(g.nodes())
+            alive = self._alive = SurvivorSequence(sorted(g.nodes()))
         if not alive:
             return None
         choice = self._rng.choice(alive)
         if not g.has_node(choice):
             # Count-preserving out-of-band churn (a node added while
-            # another died) can leave the list stale without tripping the
-            # length check; rebuild and redraw. Never taken in the plain
-            # choose→delete loop, so normal draws stay byte-identical.
-            alive = self._alive = sorted(g.nodes())
+            # another died) can leave the sequence stale without tripping
+            # the length check; rebuild and redraw. Never taken in the
+            # plain choose→delete loop, so normal draws stay
+            # byte-identical.
+            alive = self._alive = SurvivorSequence(sorted(g.nodes()))
             if not alive:
                 return None
             choice = self._rng.choice(alive)
@@ -246,8 +250,8 @@ class RandomAttack(Adversary):
     def import_state(self, state: dict) -> None:
         super().import_state(state)
         rng_state_from_json(state["rng"], self._rng)
-        # Invalidated survivor list → next draw re-sorts from the live
-        # graph, identical to the incrementally maintained one.
+        # Invalidated survivors → next draw re-sorts from the live graph,
+        # identical to the incrementally maintained sequence.
         self._alive = None
         self._last = None
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, ClassVar, Hashable, Iterator
 
 from repro.adversary.base import Adversary
-from repro.errors import AdversaryError
+from repro.errors import AdversaryError, ConfigurationError
 from repro.graph.generators import kary_level, kary_parent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -87,7 +87,9 @@ class LevelAttack(Adversary):
 
     def __init__(self, branching: int) -> None:
         if branching < 2:
-            raise AdversaryError(f"branching must be >= 2, got {branching}")
+            raise ConfigurationError(
+                f"branching must be >= 2, got {branching}"
+            )
         self.branching = branching
 
     def agenda(self, network: "SelfHealingNetwork") -> Iterator[Node]:

@@ -28,9 +28,10 @@ Schedules are clamped to the surviving population, so every campaign
 terminates (a full kill ends with the last survivors in one wave).
 
 Determinism mirrors the single-victim adversaries: the random strategy
-takes an explicit seed and draws from a sorted survivor list maintained
-incrementally (removing the previous wave via bisection instead of
-re-sorting, with a resync guard for out-of-band churn); the targeted
+takes an explicit seed and draws from the sorted survivors, kept in a
+:class:`~repro.adversary.survivors.SurvivorSequence` maintained
+incrementally (removing the previous wave instead of re-sorting, with a
+resync guard for out-of-band churn); the targeted
 strategy is fully deterministic — the ``k`` highest-degree survivors,
 smallest label on ties, read from the graph's degree-bucket index by
 walking buckets downward from the O(1) maximum, so no round ever scans
@@ -41,10 +42,10 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
 from typing import TYPE_CHECKING, Callable, ClassVar, Hashable, Sequence
 
 from repro.adversary.base import Adversary
+from repro.adversary.survivors import SurvivorSequence
 from repro.errors import ConfigurationError
 from repro.registry import Registry
 from repro.utils.rng import make_rng, rng_state_from_json, rng_state_to_json
@@ -251,10 +252,11 @@ class WaveAdversary(Adversary):
 class RandomWaveAttack(WaveAdversary):
     """Kill a uniformly random set of survivors each wave (mass failure).
 
-    Like :class:`~repro.adversary.classic.RandomAttack`, the sorted
-    survivor list is maintained incrementally: the previous wave's
-    victims are bisected out in O(k log n) instead of re-sorting, with a
-    full resync whenever the list length disagrees with the live node
+    Like :class:`~repro.adversary.classic.RandomAttack`, the survivors
+    are a :class:`~repro.adversary.survivors.SurvivorSequence` in label
+    order, maintained incrementally: the previous wave's dead victims
+    are discarded at the next wave instead of re-sorting, with a full
+    resync whenever the sequence's length disagrees with the live node
     count (out-of-band churn). Draws are identical to sorting from
     scratch every wave.
     """
@@ -271,13 +273,13 @@ class RandomWaveAttack(WaveAdversary):
         super().__init__(schedule, size=size)
         self._seed = seed
         self._rng: random.Random = make_rng(seed)
-        self._alive: list[Node] | None = None
+        self._alive: SurvivorSequence | None = None
         self._last_wave: list[Node] = []
 
     def reset(self, network: "SelfHealingNetwork") -> None:
         super().reset(network)
         self._rng = make_rng(self._seed)
-        self._alive = sorted(network.graph.nodes())
+        self._alive = SurvivorSequence(sorted(network.graph.nodes()))
         self._last_wave = []
 
     def _pick(self, network: "SelfHealingNetwork", size: int) -> list[Node]:
@@ -286,11 +288,9 @@ class RandomWaveAttack(WaveAdversary):
         if alive is not None:
             for v in self._last_wave:
                 if not g.has_node(v):
-                    i = bisect_left(alive, v)
-                    if i < len(alive) and alive[i] == v:
-                        alive.pop(i)
+                    alive.discard(v)
         if alive is None or len(alive) != g.num_nodes:
-            alive = self._alive = sorted(g.nodes())
+            alive = self._alive = SurvivorSequence(sorted(g.nodes()))
         self._last_wave = self._rng.sample(alive, size)
         return list(self._last_wave)
 
@@ -302,8 +302,8 @@ class RandomWaveAttack(WaveAdversary):
     def import_state(self, state: dict) -> None:
         super().import_state(state)
         rng_state_from_json(state["rng"], self._rng)
-        # Invalidated survivor list resyncs against the live graph on
-        # the next wave — identical draws to the maintained list.
+        # Invalidated survivors resync against the live graph on the
+        # next wave — identical draws to the maintained sequence.
         self._alive = None
         self._last_wave = []
 

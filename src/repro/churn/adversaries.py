@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left, bisect_right, insort
-from collections.abc import Iterator, Sequence
+from bisect import bisect_right
+from collections.abc import Sequence
 from pathlib import Path
 from typing import TYPE_CHECKING, ClassVar, Hashable, Iterable
 
 from repro.adversary.base import Adversary
+from repro.adversary.survivors import SurvivorSequence
 from repro.errors import ConfigurationError, SimulationError
 from repro.utils.rng import make_rng, rng_state_from_json, rng_state_to_json
 
@@ -50,129 +51,6 @@ Node = Hashable
 
 #: churn op shape: ("add", node, (targets...)) or ("delete", victim)
 Op = tuple
-
-
-#: survivor-sequence block size: a block splits in two past twice this
-_BLOCK = 1024
-
-
-class _ReprOrderedNodes(Sequence):
-    """The churn survivors in ``repr`` order, as an order-statistic
-    sequence.
-
-    Sorted blocks of at most ``2 * _BLOCK`` labels, found by bisecting
-    the ``repr`` of each block's last label; a Fenwick tree over the
-    block sizes finds the block of ``self[i]`` in O(log blocks). A join
-    or a death then moves one block's slots, not the whole population's
-    (as one sorted list would, through ``insort``/``del``).
-
-    ``random.Random.sample`` draws from this exactly as from that sorted
-    list: it is a ``Sequence`` with the same ``len``, the same label at
-    every index, and the same iteration order (``sample`` copies small
-    populations with ``list``). ``fastpath._FenwickAliveView`` plays the
-    same part for ``RandomAttack``'s ``choice``.
-    """
-
-    __slots__ = ("_blocks", "_maxes", "_tree", "_top", "_len")
-
-    def __init__(self, ordered: list[Node]) -> None:
-        """``ordered`` must already be sorted by ``repr``."""
-        self._blocks = [
-            ordered[i : i + _BLOCK] for i in range(0, len(ordered), _BLOCK)
-        ]
-        self._maxes = [repr(block[-1]) for block in self._blocks]
-        self._len = len(ordered)
-        self._reindex()
-
-    def _reindex(self) -> None:
-        """Rebuild the Fenwick tree over the block sizes in O(blocks),
-        after a block split or emptied."""
-        blocks = self._blocks
-        nb = len(blocks)
-        tree = [0] * (nb + 1)
-        for i in range(1, nb + 1):
-            tree[i] += len(blocks[i - 1])
-            j = i + (i & -i)
-            if j <= nb:
-                tree[j] += tree[i]
-        self._tree = tree
-        self._top = 1 << (nb.bit_length() - 1) if nb else 0
-
-    def _bump(self, b: int, delta: int) -> None:
-        """Block ``b`` changed size by ``delta``: a Fenwick update."""
-        tree = self._tree
-        nb = len(tree) - 1
-        j = b + 1
-        while j <= nb:
-            tree[j] += delta
-            j += j & -j
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, i: int) -> Node:
-        if i < 0:
-            i += self._len
-        if not 0 <= i < self._len:
-            raise IndexError("survivor index out of range")
-        # Fenwick descent to the block holding the (i+1)-th label.
-        k = i + 1
-        pos = 0
-        bit = self._top
-        tree = self._tree
-        nb = len(tree) - 1
-        while bit:
-            npos = pos + bit
-            if npos <= nb and tree[npos] < k:
-                pos = npos
-                k -= tree[npos]
-            bit >>= 1
-        return self._blocks[pos][k - 1]
-
-    def __iter__(self) -> Iterator[Node]:
-        for block in self._blocks:
-            yield from block
-
-    def add(self, node: Node) -> None:
-        key = repr(node)
-        blocks = self._blocks
-        if not blocks:
-            blocks.append([])
-            self._maxes.append(key)
-            self._reindex()
-        b = bisect_left(self._maxes, key)
-        if b == len(blocks):
-            b -= 1
-            self._maxes[b] = key
-        block = blocks[b]
-        insort(block, node, key=repr)
-        self._len += 1
-        if len(block) <= 2 * _BLOCK:
-            self._bump(b, 1)
-        else:
-            blocks[b : b + 1] = [block[:_BLOCK], block[_BLOCK:]]
-            self._maxes.insert(b, repr(block[_BLOCK - 1]))
-            self._reindex()
-
-    def discard(self, node: Node) -> None:
-        key = repr(node)
-        b = bisect_left(self._maxes, key)
-        if b == len(self._blocks):
-            return
-        block = self._blocks[b]
-        i = bisect_left(block, key, key=repr)
-        if i == len(block) or block[i] != node:
-            return
-        del block[i]
-        self._len -= 1
-        if block:
-            if i == len(block):
-                self._maxes[b] = repr(block[-1])
-            self._bump(b, -1)
-        else:
-            del self._blocks[b]
-            del self._maxes[b]
-            self._reindex()
 
 
 class ChurnAdversary(Adversary):
@@ -205,17 +83,17 @@ class ChurnAdversary(Adversary):
         engine never sees an empty round.
 
     State. The survivors are kept in ``repr`` order of their labels, the
-    order joiners draw their attach targets from, as an order-statistic
-    sequence: a join or a death shifts one block of at most
-    ``2 * _BLOCK`` labels, not the whole population. The initial
-    population draws its lifetimes in that order at :meth:`reset`, and
-    its expiries stay in one flat list, sorted by round up to the round
-    budget (stably, so each round keeps that order) and read through a
-    cursor. Joiners' expiries go into a dict of round → list. A round
-    deletes its due initial nodes first, then its due joiners in join
-    order — the order of one round → list schedule filled at reset and
-    then by each join, which is the ``expiry`` layout of
-    :meth:`export_state`.
+    order joiners draw their attach targets from, as a
+    :class:`~repro.adversary.survivors.SurvivorSequence`: a join or a
+    death shifts one block of labels, not the whole population. The
+    initial population draws its lifetimes in that order at
+    :meth:`reset`, and its expiries stay in one flat list, sorted by
+    round up to the round budget (stably, so each round keeps that
+    order) and read through a cursor. Joiners' expiries go into a dict
+    of round → list. A round deletes its due initial nodes first, then
+    its due joiners in join order — the order of one round → list
+    schedule filled at reset and then by each join, which is the
+    ``expiry`` layout of :meth:`export_state`.
     """
 
     name: ClassVar[str] = "churn"
@@ -259,7 +137,7 @@ class ChurnAdversary(Adversary):
         self.rounds = rounds
         self._seed = seed
         self._rng = make_rng(seed)
-        self._alive = _ReprOrderedNodes([])
+        self._alive = SurvivorSequence([], key=repr)
         #: the initial population's expiries: labels and rounds, the
         #: first ``_due_sorted`` sorted by round and consumed from
         #: ``_due_pos`` (see reset)
@@ -303,7 +181,7 @@ class ChurnAdversary(Adversary):
         self._round = 0
         self._next_label = max(nodes) + 1 if nodes else 0
         nodes.sort(key=repr)
-        self._alive = _ReprOrderedNodes(nodes)
+        self._alive = SurvivorSequence(nodes, key=repr)
         due = self._draw_lifetimes(len(nodes))
         # choose_round reads the initial expiries in round order through
         # a cursor; a stable sort keeps each round's repr order. Those
@@ -393,7 +271,9 @@ class ChurnAdversary(Adversary):
         super().import_state(state)
         self._round = state["round"]
         self._next_label = state["next_label"]
-        self._alive = _ReprOrderedNodes(sorted(state["alive"], key=repr))
+        self._alive = SurvivorSequence(
+            sorted(state["alive"], key=repr), key=repr
+        )
         self._due_nodes, self._due_rounds = [], []
         self._due_sorted = self._due_pos = 0
         self._expiry = {r: list(v) for r, v in state["expiry"]}

@@ -41,6 +41,7 @@ through (``generator="pa:n=...,backend=array"``, ``repro simulate
 from __future__ import annotations
 
 from array import array
+from functools import partial
 from typing import Iterable, Iterator
 
 from repro.errors import (
@@ -342,7 +343,18 @@ class ArrayGraph(Graph):
         return len(s)
 
     def degree_of(self, node: Node) -> int | None:
-        s = self._slot(node)
+        return self._degree_in(self._nbrs, node)
+
+    @staticmethod
+    def _degree_in(nbrs: list, node: Node) -> int | None:
+        """:meth:`degree_of` over the slot store ``nbrs`` (see
+        :meth:`_slot`)."""
+        try:
+            if node < 0 or node >= len(nbrs):
+                return None
+            s = nbrs[node]
+        except TypeError:
+            return None
         return None if s is None else len(s)
 
     def degrees(self) -> dict[Node, int]:
@@ -380,7 +392,9 @@ class ArrayGraph(Graph):
     def _index(self) -> DegreeIndex:
         idx = self._deg_index
         if idx is None:
-            idx = self._deg_index = DegreeIndex(self.degree_of)
+            idx = self._deg_index = DegreeIndex(
+                partial(self._degree_in, self._nbrs)
+            )
             push = idx.push
             for u, s in enumerate(self._nbrs):
                 if s is not None:

@@ -48,7 +48,7 @@ Keys may be negative (δ routinely is); nodes are arbitrary hashables.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Hashable
 
 from repro.errors import SimulationError
 
@@ -102,25 +102,6 @@ class DegreeIndex:
         elif key < self._min:
             self._min = key
         staged.append(node)
-
-    def push_many(self, nodes: Iterable[Node], key: int) -> None:
-        """Bulk :meth:`push`: every node's key just became ``key``.
-
-        One bucket lookup and one ``list.extend`` for the whole batch.
-        The resulting staged list is exactly what the per-node loop
-        would have built.
-        """
-        staged = self._staged.get(key)
-        if staged is None:
-            staged = self._staged[key] = []
-            self._heaps[key] = []
-            if len(self._staged) == 1:
-                self._max = self._min = key
-        if key > self._max:
-            self._max = key
-        elif key < self._min:
-            self._min = key
-        staged.extend(nodes)
 
     # ------------------------------------------------------------------
     # Queries — amortized against pushes
@@ -188,10 +169,6 @@ class DegreeIndex:
                 return node
             k += 1
         return None
-
-    def min_label(self, key: int) -> Node | None:
-        """Smallest live label in bucket ``key`` (``None`` if empty)."""
-        return self._settle(key)
 
     def bucket(self, key: int) -> frozenset[Node]:
         """Snapshot of the live nodes currently at ``key``; O(bucket)."""

@@ -29,6 +29,7 @@ Design notes
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Hashable, Iterable, Iterator
 
 from repro.errors import (
@@ -124,19 +125,28 @@ class Graph:
     def degree_of(self, node: Node) -> int | None:
         """Degree of ``node``, or ``None`` when absent (no exception).
 
-        The non-raising sibling of :meth:`degree`; also the degree
-        index's ground-truth oracle and the cheapest building block for
-        the network's δ oracle.
+        The non-raising sibling of :meth:`degree`; also the cheapest
+        building block for the network's δ oracle.
         """
         nbrs = self._adj.get(node)
         return None if nbrs is None else len(nbrs)
 
+    @staticmethod
+    def _degree_in(adj: dict[Node, set[Node]], node: Node) -> int | None:
+        """:meth:`degree_of` over the adjacency container ``adj``."""
+        nbrs = adj.get(node)
+        return None if nbrs is None else len(nbrs)
+
     def _index(self) -> DegreeIndex:
         """The degree index, built on first demand (O(n) scan, then
-        maintained incrementally by the mutators)."""
+        maintained incrementally by the mutators). Its ground-truth
+        oracle reads the adjacency container, not the graph, so an
+        indexed graph is freed by reference counting like any other."""
         idx = self._deg_index
         if idx is None:
-            idx = self._deg_index = DegreeIndex(self.degree_of)
+            idx = self._deg_index = DegreeIndex(
+                partial(self._degree_in, self._adj)
+            )
             for u, nbrs in self._adj.items():
                 idx.push(u, len(nbrs))
         return idx

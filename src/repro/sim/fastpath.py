@@ -25,9 +25,11 @@ The loop serves two adversary kinds and differs between them only in
 where a round's ops come from:
 
 * :class:`~repro.adversary.classic.RandomAttack` — exactly one
-  ``random.Random.choice`` per round over the adversary's own sorted
-  survivor list, like its ``choose_target``, so the RNG stream and the
-  list stay what the generic engine would leave behind;
+  ``random.Random.choice`` per round over the adversary's own survivor
+  sequence (:class:`~repro.adversary.survivors.SurvivorSequence`), like
+  its ``choose_target``, and the victim leaves that sequence at once, so
+  the RNG stream and the survivors stay what the generic engine would
+  leave behind;
 * churn adversaries (``churn``, ``trace-churn``) — each round's ops
   from ``choose_round``, in order. A join is DASH's inherited
   :meth:`~repro.core.base.Healer.insertion_plan` — one δ-neutral G edge
@@ -46,7 +48,7 @@ Every campaign the kernel accepts runs to the end inside it. On exit it
 degree and δ indexes (both invalidated, so each is rebuilt by its first
 query, if any — a campaign that ends in the kernel never queries
 them), ``network.peak_delta`` and ``network.deleted_nodes``, and the
-random adversary's survivor list.
+random adversary's ``_last`` (its survivors are already exact).
 It never touches ``network.tracker`` (which the network builds on first
 use), so a fused campaign builds no component tracker at all. It also
 leaves ``network.events`` empty, and a later tracker read would start
@@ -56,7 +58,6 @@ from Init-step labels, which is why eligibility requires
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import TYPE_CHECKING, Sequence
 
 from repro.adversary.classic import RandomAttack
@@ -77,72 +78,11 @@ __all__ = ["supports", "run_fused"]
 #: tests assert this moves only for eligible configs)
 _fused_campaigns = 0
 
-#: above this n, victim draws go through the Fenwick survivor view
-#: instead of the adversary's sorted list: list.pop(i) moves O(n) slots
-#: per round (O(n²) bytes per campaign — terabytes at n=10⁶), the tree
-#: answers rank-select in O(log n). Below it, the C-speed list wins.
-#: Module-level so the differential tests can force the tree at small n.
-_FENWICK_THRESHOLD = 1 << 17
-
 
 class _Join(tuple):
     """A churn join ``(node, targets)``; no victim can pass for one."""
 
     __slots__ = ()
-
-
-class _FenwickAliveView:
-    """The sorted survivor list as a rank-select Fenwick tree.
-
-    Duck-types as the sequence ``random.Random.choice`` consumes —
-    ``choice(seq)`` is ``seq[self._randbelow(len(seq))]`` — so drawing
-    from this view advances the adversary's RNG bit-for-bit like drawing
-    from its real sorted list: ``len`` is the live count, ``view[i]`` is
-    the i-th smallest surviving node (a log-n tree descent instead of a
-    list index).
-    """
-
-    __slots__ = ("_tree", "_n", "_top", "_count")
-
-    def __init__(self, n: int) -> None:
-        # O(n) build with every slot alive.
-        tree = [0] * (n + 1)
-        for i in range(1, n + 1):
-            tree[i] += 1
-            j = i + (i & -i)
-            if j <= n:
-                tree[j] += tree[i]
-        self._tree = tree
-        self._n = n
-        self._top = 1 << (n.bit_length() - 1) if n else 0
-        self._count = n
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __getitem__(self, i: int) -> int:
-        """The i-th (0-based) surviving node, ascending."""
-        k = i + 1
-        pos = 0
-        bit = self._top
-        tree = self._tree
-        n = self._n
-        while bit:
-            npos = pos + bit
-            if npos <= n and tree[npos] < k:
-                pos = npos
-                k -= tree[npos]
-            bit >>= 1
-        return pos
-
-    def remove(self, node: int) -> None:
-        j = node + 1
-        tree = self._tree
-        n = self._n
-        while j <= n:
-            tree[j] -= 1
-            j += j & -j
-        self._count -= 1
 
 
 def supports(
@@ -220,22 +160,14 @@ def run_fused(
     initial_degree = network.initial_degree
 
     # RandomAttack's state IS the kernel's: draws come from its RNG (one
-    # choice() per round, like choose_target) over its sorted survivor
-    # list, and each victim leaves that list at once (choose_target
-    # would pop it lazily on the next call). Above the threshold the
-    # list is swapped for the Fenwick view (same draws, same RNG stream,
-    # no O(n) pops); the repair rebuilds it from the slot store.
+    # choice() per round, like choose_target) over its survivor
+    # sequence, and each victim leaves the sequence at once
+    # (choose_target would discard it lazily on the next call).
     random_attack = type(adversary) is RandomAttack
     if random_attack:
         choice = adversary._rng.choice
-        if n >= _FENWICK_THRESHOLD:
-            pool = _FenwickAliveView(n)
-            kill = pool.remove
-        else:
-            pool = survivors = adversary._alive
-
-            def kill(v: int) -> None:
-                survivors.pop(bisect_left(survivors, v))
+        pool = adversary._alive
+        kill = pool.discard
 
     # label↔origin bijection: initial_ids[u] == (rand[u], u)
     rand = [initial_ids[u][0] for u in range(n)]
@@ -443,12 +375,13 @@ def run_fused(
 
     # Repair what the fused loop bypassed, so the graphs, the network
     # and the adversary leave this function with accurate state.
-    alive = [u for u, s in enumerate(adj) if s is not None]
     graph._n_alive = n_alive
-    graph._num_edges = sum(len(adj[u]) for u in alive) // 2
+    graph._num_edges = sum(len(s) for s in adj if s is not None) // 2
     graph._deg_index = None
     healing_graph._n_alive = n_alive
-    healing_graph._num_edges = sum(len(padj[u]) for u in alive) // 2
+    healing_graph._num_edges = (
+        sum(len(s) for s in padj if s is not None) // 2
+    )
     healing_graph._deg_index = None
     network.peak_delta = peak_delta
     network.deleted_nodes.extend(victims)
@@ -457,7 +390,6 @@ def run_fused(
     network._delta_index = None
     if random_attack:
         adversary._last = None
-        adversary._alive = alive
 
     insertions = len(network.inserted_nodes)
     return SimulationResult(

@@ -169,8 +169,8 @@ class TestEdgeCases:
 
 class TestRandomResync:
     def test_resync_after_batch_heal(self):
-        """Batch waves delete nodes behind the adversary's back; the
-        survivor list must resync instead of naming dead nodes."""
+        """Batch waves delete nodes behind the adversary's back; its
+        survivors must resync instead of naming dead nodes."""
         net = net_of(star_graph(12))
         adv = RandomAttack(seed=4)
         adv.reset(net)

@@ -11,7 +11,7 @@ from repro.adversary.scripted import ScriptedAttack
 from repro.core.dash import Dash
 from repro.core.naive import DegreeBoundedHealer
 from repro.core.network import SelfHealingNetwork
-from repro.errors import AdversaryError
+from repro.errors import AdversaryError, ConfigurationError
 from repro.graph.generators import (
     complete_kary_tree,
     kary_tree_size,
@@ -110,7 +110,7 @@ class TestLevelAttack:
             adv.choose_target(net)
 
     def test_invalid_branching(self):
-        with pytest.raises(AdversaryError):
+        with pytest.raises(ConfigurationError):
             LevelAttack(1)
 
     def test_expected_lower_bound_helper(self):

@@ -20,7 +20,7 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.churn import adversaries
+from repro.adversary import survivors
 from repro.churn.adversaries import ChurnAdversary
 from repro.core.network import SelfHealingNetwork
 from repro.core.registry import HEALERS
@@ -75,7 +75,7 @@ def test_matches_sorted_list_reference(
         seed=seed,
     )
     network = _stub([7 * i for i in range(n)])
-    with mock.patch.object(adversaries, "_BLOCK", block):
+    with mock.patch.object(survivors, "_BLOCK", block):
         fast = ChurnAdversary(**kwargs)
         ref = SortedListChurnAdversary(**kwargs)
         fast.reset(network)
@@ -94,27 +94,6 @@ def test_matches_sorted_list_reference(
             if ops is None:
                 break
             played += 1
-
-
-def test_survivor_sequence_indexes_like_a_sorted_list():
-    """``random.sample`` reads ``len``, indexes and (for small
-    populations) iteration; all three must match the sorted list."""
-    labels = [7 * i for i in range(300)]
-    with mock.patch.object(adversaries, "_BLOCK", 4):
-        seq = adversaries._ReprOrderedNodes(sorted(labels, key=repr))
-        expected = sorted(labels, key=repr)
-        for label in (5, 2100, 6, 999_999, 14, 0):
-            seq.add(label)
-            expected.append(label)
-        for label in (7, 2100, 0, 13, 294):  # 13 was never there
-            seq.discard(label)
-            if label in expected:
-                expected.remove(label)
-        expected.sort(key=repr)
-        assert len(seq) == len(expected)
-        assert list(seq) == expected
-        assert [seq[i] for i in range(len(seq))] == expected
-        assert seq[-1] == expected[-1]
 
 
 def test_perfbench_stub_replay_matches_reference():

@@ -84,13 +84,6 @@ class TestDegreeIndexCore:
         assert idx.bucket(3) == {1, 2}
         assert idx.bucket(17) == frozenset()
 
-    def test_min_label_per_bucket(self):
-        keys = {5: 1, 3: 1, 9: 1, 4: 2}
-        idx = self.make(keys)
-        assert idx.min_label(1) == 3
-        assert idx.min_label(2) == 4
-        assert idx.min_label(99) is None
-
     def test_check_passes_and_fails(self):
         keys = {0: 1, 1: 2}
         idx = self.make(keys)
@@ -221,3 +214,44 @@ class TestGraphDegreeIndex:
         g.remove_node(0)
         assert (0, 2, None) in changes
         assert (1, 1, 0) in changes and (2, 1, 0) in changes
+
+
+@pytest.mark.parametrize("backend", ["object", "array"])
+def test_indexed_graph_is_freed_by_reference_counting(backend):
+    """The degree index's oracle reads the adjacency container, not the
+    graph, so a graph whose index was built (by a query, or by a
+    targeted campaign) leaves no more for the cyclic GC than one whose
+    index never was."""
+    import gc
+
+    from repro.adversary import ADVERSARIES
+    from repro.core.registry import HEALERS
+    from repro.sim.engine import run_campaign
+
+    def graph():
+        return preferential_attachment(2000, 3, seed=1, backend=backend)
+
+    def never_indexed():
+        graph()
+
+    def queried():
+        graph().max_degree()
+
+    healer = HEALERS.make("dash")
+    adversary = ADVERSARIES.make("neighbor-of-max", seed=2)
+
+    def campaign():
+        run_campaign(graph(), healer, adversary, id_seed=3, max_deletions=100)
+
+    def left_for_gc(body):
+        gc.collect()
+        gc.disable()
+        try:
+            body()
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    baseline = left_for_gc(never_indexed)
+    assert left_for_gc(queried) <= baseline
+    assert left_for_gc(campaign) <= baseline

@@ -60,6 +60,9 @@ MATRIX = [
     ("forgiving-graph", "churn:rate=1.5,lifetime=pareto,mean=6", "object"),
     ("dash", "max-node", "array"),
     ("graph-heal-delta", "random-wave", "array"),
+    # perfbench's service-job campaign: a resume rebuilds RandomAttack's
+    # survivors from the live graph
+    ("dash", "random", "array"),
 ]
 
 

@@ -87,6 +87,18 @@ class TestValidation:
             max_rounds=2,
         ).validate()
 
+    def test_out_of_range_adversary_argument_fails_validation(self):
+        # The argument binds, so the request constructs; building the
+        # adversary refuses it as a configuration error, like every
+        # other adversary constructor.
+        request = tiny_request(
+            generator="complete_kary_tree:2,4",
+            generator_params={},
+            adversary="level-attack:1",
+        )
+        with pytest.raises(ConfigurationError, match="branching"):
+            request.validate()
+
     def test_stretch_metric_gets_the_pristine_graph(self):
         # The request path supplies `original`; a spec cannot pin it.
         request = tiny_request(extra_metrics=("stretch:period=2",))

@@ -1,8 +1,8 @@
 """Differential tests for the fused scalar-only campaign kernel.
 
 The kernel (``repro.sim.fastpath``) may only change *speed*: every
-result scalar, the adversary's RNG stream, and its survivor list must
-be exactly what the generic engine produces. The generic array path is
+result scalar, the adversary's RNG stream, and its survivors must be
+exactly what the generic engine produces. The generic array path is
 obtained by forcing an observer (``keep_events=True``), which makes the
 kernel ineligible.
 """
@@ -73,13 +73,12 @@ def test_fused_matches_generic_and_object(kw):
     assert scalars(obj) == scalars(fused)
 
     # The adversary must leave the kernel exactly where the generic
-    # engine would have left it: same survivor list semantics, same
-    # future RNG stream.
+    # engine would have left it: same survivors, same future RNG stream.
     assert adv_fused._rng.getstate() == adv_gen._rng.getstate()
-    # The generic adversary pops its final (now dead) victim lazily on
-    # the next draw; the kernel pops eagerly. Normalize and compare.
+    # The generic adversary drops its final (now dead) victim lazily on
+    # the next draw; the kernel drops it eagerly. Normalize and compare.
     expected_alive = [u for u in adv_gen._alive if u != adv_gen._last]
-    assert adv_fused._alive == expected_alive
+    assert list(adv_fused._alive) == expected_alive
     assert adv_fused._last is None
 
 
@@ -92,7 +91,7 @@ def test_fused_survivor_list_exact():
         keep_network=True,
     )
     survivors = sorted(generic.network.graph.nodes())
-    assert adv_fused._alive == survivors
+    assert list(adv_fused._alive) == survivors
     assert fused.final_alive == len(survivors) == 50
 
 
@@ -171,35 +170,43 @@ def test_fused_on_tree_topology():
     assert results[0] == results[1]
 
 
-@pytest.mark.parametrize("kw", [{}, {"stop_alive": 33}])
-def test_fenwick_survivor_view_identical(monkeypatch, kw):
-    """Above the threshold, victim draws go through the Fenwick
-    rank-select view instead of the adversary's list. Forcing the tree
-    at small n must change nothing: same scalars, same RNG stream, same
-    rebuilt survivor list."""
-    adv_list = ADVERSARIES.make("random", seed=9)
-    with_list = run(make("array", n=180, seed=4), adv_list, **kw)
+@pytest.mark.parametrize(
+    "kw", [{}, {"stop_alive": 33}, {"max_deletions": 57}]
+)
+def test_fused_draws_match_generic_with_tiny_blocks(monkeypatch, kw):
+    """With two-label blocks the kernel's survivor sequence empties and
+    reindexes blocks as it kills; its victims, the RNG stream and the
+    survivors it leaves must still be the generic engine's."""
+    adv_gen = ADVERSARIES.make("random", seed=9)
+    generic = run(
+        make("array", n=180, seed=4),
+        adv_gen,
+        keep_events=True,
+        keep_network=True,
+        **kw,
+    )
 
-    monkeypatch.setattr(fastpath, "_FENWICK_THRESHOLD", 1)
-    adv_tree = ADVERSARIES.make("random", seed=9)
-    with_tree = run(make("array", n=180, seed=4), adv_tree, **kw)
+    monkeypatch.setattr("repro.adversary.survivors._BLOCK", 2)
+    network = SelfHealingNetwork(
+        make("array", n=180, seed=4), HEALERS.make("dash"), seed=7
+    )
+    adv_fused = RandomAttack(seed=9)
+    adv_fused.reset(network)
+    blocks = len(adv_fused._alive._blocks)
+    fused = fastpath.run_fused(
+        network,
+        adv_fused,
+        stop_alive=kw.get("stop_alive", 0),
+        max_rounds=None,
+        max_deletions=kw.get("max_deletions"),
+    )
 
-    assert scalars(with_tree) == scalars(with_list)
-    assert adv_tree._rng.getstate() == adv_list._rng.getstate()
-    assert adv_tree._alive == adv_list._alive
-    assert adv_tree._last is None
-
-
-def test_fenwick_view_unit():
-    view = fastpath._FenwickAliveView(6)
-    assert len(view) == 6
-    assert [view[i] for i in range(6)] == [0, 1, 2, 3, 4, 5]
-    view.remove(0)
-    view.remove(3)
-    assert len(view) == 4
-    assert [view[i] for i in range(4)] == [1, 2, 4, 5]
-    view.remove(5)
-    assert [view[i] for i in range(3)] == [1, 2, 4]
+    assert network.deleted_nodes == generic.network.deleted_nodes
+    assert scalars(fused)[:5] == scalars(generic)[:5]
+    assert adv_fused._rng.getstate() == adv_gen._rng.getstate()
+    assert list(adv_fused._alive) == sorted(generic.network.graph.nodes())
+    assert adv_fused._last is None
+    assert len(adv_fused._alive._blocks) < blocks
 
 
 # ----------------------------------------------------------------------
@@ -471,7 +478,7 @@ def test_fused_repairs_graph_counters():
     adv = ADVERSARIES.make("random", seed=8)
     run(g, adv, stop_alive=30)
     assert g.num_nodes == 30
-    assert sorted(g.nodes()) == adv._alive
+    assert sorted(g.nodes()) == list(adv._alive)
     assert g.num_edges == sum(g.degrees().values()) // 2
     g.check_degree_index()
     from repro.graph.validation import validate_graph

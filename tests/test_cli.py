@@ -217,6 +217,19 @@ class TestCommands:
         assert rc == 2
         assert "random" in capsys.readouterr().err
 
+    def test_simulate_out_of_range_adversary_argument_exits_2(self, capsys):
+        rc = main(
+            [
+                "simulate",
+                "--generator",
+                "complete_kary_tree:2,4",
+                "--adversary",
+                "level-attack:1",
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == "branching must be >= 2, got 1\n"
+
     def test_list_shows_all_registries(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
