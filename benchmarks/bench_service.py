@@ -1,5 +1,6 @@
-"""Benchmark for the campaign service: the latency a submitter pays
-between ``submit`` and the first streamed round record.
+"""Benchmarks for the campaign service: the latency a submitter pays
+between ``submit`` and the first streamed round record, and the cost of
+``status`` on a job with a long ledger.
 
 That window covers the whole service stack — request validation +
 spec-hash dedupe, job persistence, queue dispatch, worker subprocess
@@ -14,13 +15,21 @@ Measured min-of-5 after a warm-up job (the first worker spawn pays
 page-cache and .pyc costs that no steady-state submission sees), at a
 deliberately small n=200 so the graph build is negligible and the
 number isolates service overhead.
+
+``status`` reads a live job's ledger through the job's incremental
+reader, so once the service has read a 200,000-round ledger (~16 MB), a
+call after one more appended round costs what that round costs, not
+what the ledger does. That is gated as a ceiling too.
 """
 
 from __future__ import annotations
 
+import json
 import time
 
 from benchmarks.conftest import RESULTS_DIR
+from repro.recovery.ledger import CampaignLedger
+from repro.service.jobs import JobStore
 from repro.service.manager import CampaignService
 from repro.service.request import CampaignRequest
 from repro.service.stream import ResultStream
@@ -29,6 +38,7 @@ from repro.utils.tables import format_table
 
 REPS = 5
 N = 200
+LONG_LEDGER_ROUNDS = 200_000
 
 
 def _request(seed: int) -> CampaignRequest:
@@ -109,4 +119,52 @@ def test_submit_to_first_round_latency(bench_recorder, tmp_path):
     assert best < 10.0, (
         f"submit→first-round took {best:.2f}s — the service stack "
         "has regressed far beyond its 2s ceiling"
+    )
+
+
+def _round(r: int) -> dict:
+    return {
+        "alive": 1_000_000 - r,
+        "deletions": r,
+        "round": r,
+        "type": "round",
+        "victims": [(r * 7919) % 1_000_000],
+    }
+
+
+def test_status_on_a_long_ledger(bench_recorder, tmp_path):
+    """``status()`` on a queued job whose ledger holds 200,000 rounds,
+    after the service's first read of it: one more round is appended,
+    and the best of 5 calls is recorded."""
+    root = tmp_path / "svc"
+    job = JobStore(root).create(_request(0), seq=1)
+    with open(job.ledger_path, "w", encoding="utf-8") as fh:
+        fh.write('{"type":"campaign","version":1}\n')
+        for r in range(1, LONG_LEDGER_ROUNDS + 1):
+            fh.write(json.dumps(_round(r), separators=(",", ":")) + "\n")
+    ledger_mb = job.ledger_path.stat().st_size / 2**20
+    t0 = time.perf_counter()
+    service = CampaignService(root)  # never started: the job stays queued
+    first_read = time.perf_counter() - t0
+    with CampaignLedger(job.ledger_path) as ledger:
+        ledger.append(_round(LONG_LEDGER_ROUNDS + 1), sync=False)
+    best = float("inf")
+    for _ in range(REPS):
+        t0 = time.perf_counter()
+        view = service.status(job.job_id)
+        best = min(best, time.perf_counter() - t0)
+    assert view["rounds"] == LONG_LEDGER_ROUNDS + 1
+
+    bench_recorder.record(
+        "service_status_long_ledger",
+        seconds=best,
+        first_read_seconds=round(first_read, 6),
+        reps=REPS,
+        ledger_rounds=LONG_LEDGER_ROUNDS,
+        ledger_mb=round(ledger_mb, 1),
+    )
+    print(
+        f"\nstatus() on a {LONG_LEDGER_ROUNDS}-round ledger "
+        f"({ledger_mb:.1f} MB): best {best * 1e3:.3f} ms after a "
+        f"first read of {first_read:.3f} s"
     )

@@ -28,6 +28,11 @@ bench job and fails the build if any hard-won speedup has slid back:
 * campaign service (PR 8): submit→first-streamed-round latency through
   the full service stack (validate, persist, dispatch, spawn a worker
   subprocess, tail the ledger) — ≤ 2 s, another ceiling;
+* service status on a long ledger: ``status()`` on a queued job whose
+  200,000-round ledger the service has already read once, after one
+  more round lands — ≤ 0.02 s (re-parsing the whole ~16 MB ledger on
+  every call read 0.30–0.41 s; the job's incremental reader parses
+  only the new round);
 * observed campaigns: a full-kill DASH × NMS campaign at n=4000 under
   ``default_metrics()`` plus a connectivity check every round, against
   the same campaign without the check — ≤ 1.5× (a BFS every round read
@@ -111,6 +116,14 @@ CEILINGS = [
         2.0,
         "s",
         "campaign service submit→first-streamed-round latency (PR 8)",
+    ),
+    (
+        "service_status_long_ledger",
+        lambda e: e["seconds"],
+        0.02,
+        "s",
+        "campaign service status() on a 200,000-round ledger after its "
+        "first read",
     ),
     (
         "campaign_churn_pa4000_m3",

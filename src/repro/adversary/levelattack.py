@@ -136,11 +136,6 @@ class LevelAttack(Adversary):
             nbrs.discard(parent)
         return sorted(nbrs)
 
-    def max_forced_delta(self, network: "SelfHealingNetwork") -> int:
-        """Utility for experiments: the largest δ among survivors plus the
-        run's recorded peak (the lower-bound statistic)."""
-        return network.peak_delta
-
     def expected_lower_bound(self, n: int) -> int:
         """Theorem 2's forced degree increase D = log_{M+2}-depth of the tree."""
         depth = 0

@@ -257,8 +257,9 @@ class RandomWaveAttack(WaveAdversary):
     order, maintained incrementally: the previous wave's dead victims
     are discarded at the next wave instead of re-sorting, with a full
     resync whenever the sequence's length disagrees with the live node
-    count (out-of-band churn). Draws are identical to sorting from
-    scratch every wave.
+    count (out-of-band churn) or a wave names a dead node. In the
+    simulator's choose → delete loop, draws are identical to sorting
+    from scratch every wave.
     """
 
     name: ClassVar[str] = "random-wave"
@@ -292,6 +293,14 @@ class RandomWaveAttack(WaveAdversary):
         if alive is None or len(alive) != g.num_nodes:
             alive = self._alive = SurvivorSequence(sorted(g.nodes()))
         self._last_wave = self._rng.sample(alive, size)
+        if not all(g.has_node(v) for v in self._last_wave):
+            # Count-preserving out-of-band churn (a node added while
+            # another died) can leave the sequence stale without tripping
+            # the length check; rebuild and resample, as RandomAttack
+            # redraws. Never taken in the plain choose→delete loop, so
+            # normal waves stay byte-identical.
+            alive = self._alive = SurvivorSequence(sorted(g.nodes()))
+            self._last_wave = self._rng.sample(alive, size)
         return list(self._last_wave)
 
     def export_state(self) -> dict:

@@ -88,13 +88,6 @@ class SyncEngine:
     def unregister(self, node: Node) -> None:
         self._processes.pop(node, None)
 
-    def is_registered(self, node: Node) -> bool:
-        return node in self._processes
-
-    @property
-    def num_processes(self) -> int:
-        return len(self._processes)
-
     # ------------------------------------------------------------------
     # Transport
     # ------------------------------------------------------------------

@@ -168,11 +168,6 @@ class DistributedNetwork:
     def deltas(self) -> dict[Node, int]:
         return {u: p.delta for u, p in self.processes.items()}
 
-    def id_change_counts(self) -> dict[Node, int]:
-        """Per-node ID adoptions, including those of dead nodes' lifetimes?
-        Only survivors — dead processes are gone; tests compare survivors."""
-        return {u: p.id_changes for u, p in self.processes.items()}
-
     def id_messages_sent(self, node: Node) -> int:
         return self.engine.messages_sent(node, MsgKind.ID_UPDATE)
 

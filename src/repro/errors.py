@@ -33,14 +33,6 @@ class EdgeNotFoundError(GraphError, KeyError):
         self.v = v
 
 
-class DuplicateNodeError(GraphError, ValueError):
-    """A node was added twice where duplicates are disallowed."""
-
-    def __init__(self, node: object) -> None:
-        super().__init__(f"node {node!r} is already in the graph")
-        self.node = node
-
-
 class SelfLoopError(GraphError, ValueError):
     """A self-loop was requested; the substrate models simple graphs only."""
 

@@ -3,10 +3,10 @@
 One file per campaign, one JSON object per line, every line flushed to
 the OS before :meth:`CampaignLedger.append` returns — so after a SIGKILL
 the ledger holds every completed round up to (at worst) one torn final
-line, which :func:`read_ledger` tolerates. The recorder also fsyncs
-the records resume depends on (campaign header, checkpoint references,
-end); round records are only flushed, so a machine crash can lose the
-ones since the last checkpoint. The record stream:
+line. The recorder also fsyncs the records resume depends on (campaign
+header, checkpoint references, end); round records are only flushed,
+so a machine crash can lose the ones since the last checkpoint. The
+record stream:
 
 ``{"type": "campaign", ...}``
     Header: ledger format version, engine parameters, the checkpoint
@@ -28,7 +28,13 @@ ones since the last checkpoint. The record stream:
 ``{"type": "end", "values": {...}, ...}``
     Campaign finished normally (absent after a crash — its absence is
     how :func:`~repro.recovery.checkpoint.resume_from_ledger` knows
-    there is work to do).
+    there is work to do). A service job's result is this record.
+
+Every ledger read goes through :class:`LedgerReader`, which parses only
+the bytes appended since its last pass, and every line through one
+check (:func:`_decode`): a record if and only if it decodes to a JSON
+object. A torn final line waits for its newline; :func:`read_ledger`
+keeps it, and a reopening writer terminates it, only if it passes.
 """
 
 from __future__ import annotations
@@ -36,18 +42,23 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 from repro.errors import CheckpointError
 
 __all__ = [
     "LEDGER_VERSION",
     "CampaignLedger",
+    "LedgerReader",
     "latest_campaign",
     "read_ledger",
 ]
 
 LEDGER_VERSION = 1
+
+#: the JSON document at the start of a string; half the cost per line of
+#: ``json.loads``, which scans both ends with a regex
+_RAW_DECODE = json.JSONDecoder().raw_decode
 
 
 class CampaignLedger:
@@ -110,13 +121,82 @@ class CampaignLedger:
         return f"CampaignLedger({str(self.path)!r}, {state})"
 
 
+def _decode(line: bytes) -> dict:
+    """The one check of a ledger line: it is a record if and only if it
+    decodes to a JSON object. Anything else raises ``ValueError``."""
+    text = line.decode("utf-8").strip(" \t\n\r")
+    record, end = _RAW_DECODE(text)
+    if end != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    if not isinstance(record, dict):
+        raise ValueError(f"expected an object, got {type(record).__name__}")
+    return record
+
+
+class LedgerReader:
+    """One ledger, read incrementally: each :meth:`read` yields the
+    records appended since the previous one (a missing file has none).
+
+    The position is the end of the last complete line decoded, so an
+    unterminated final line is re-read from its start until its newline
+    lands, and a writer that cuts or terminates it cannot misalign the
+    reader. A line that is not a record raises
+    :class:`~repro.errors.CheckpointError` naming the file and line, and
+    the position stays before it. Records are folded, not kept:
+    ``rounds`` is the highest round seen (``end`` records' included),
+    ``end`` the newest campaign's ``end`` record or ``None``.
+    """
+
+    def __init__(self, path: str | Path) -> None:
+        self.path = Path(path)
+        self.offset = 0
+        self.lineno = 0
+        self.rounds = 0
+        self.end: dict | None = None
+
+    def read(self) -> Iterator[dict]:
+        """Yield the records appended since the last read."""
+        try:
+            fh = open(self.path, "rb")  # noqa: SIM115 - closed below
+        except FileNotFoundError:
+            return
+        except OSError as exc:
+            raise CheckpointError(
+                f"cannot read ledger {self.path}: {exc}"
+            ) from exc
+        with fh:
+            fh.seek(self.offset)
+            for line in fh:
+                if line[-1:] != b"\n":
+                    return  # torn: re-read from its start next time
+                try:
+                    record = _decode(line)
+                except ValueError as exc:
+                    raise self._corrupt(exc) from exc
+                kind = record.get("type")
+                if kind == "round":
+                    self.rounds = max(self.rounds, record.get("round", 0))
+                elif kind == "end":
+                    self.rounds = max(self.rounds, record.get("rounds", 0))
+                    self.end = record
+                elif kind == "campaign":
+                    self.end = None
+                self.offset += len(line)
+                self.lineno += 1
+                yield record
+
+    def _corrupt(self, exc: ValueError) -> CheckpointError:
+        return CheckpointError(
+            f"corrupt ledger {self.path} at line {self.lineno + 1}: {exc}"
+        )
+
+
 def _drop_torn_tail(path: Path) -> None:
     """Cut an unterminated final line — a crash mid-append — back to
     the last newline, so the next append starts a line of its own
     instead of gluing onto the fragment and corrupting that line for
-    good. :func:`read_ledger` drops the fragment too, so no record it
-    returned is lost; a final line that lost only its newline still
-    decodes as a record, so it is kept and terminated instead.
+    good. A fragment that passes :func:`_decode` is a record that lost
+    only its newline, so it is kept and terminated instead.
     """
     try:
         fh = open(path, "r+b")  # noqa: SIM115 - closed below
@@ -137,53 +217,40 @@ def _drop_torn_tail(path: Path) -> None:
             return
         fh.seek(start)
         try:
-            whole = isinstance(json.loads(fh.read()), dict)
+            _decode(fh.read())
         except ValueError:
-            whole = False
-        if whole:
-            fh.write(b"\n")
-        else:
             fh.truncate(start)
+        else:
+            fh.write(b"\n")
         fh.flush()
         os.fsync(fh.fileno())
 
 
 def read_ledger(path: str | Path, *, strict: bool = False) -> list[dict]:
-    """Parse a ledger file into its records.
+    """Parse a whole ledger file (which must exist) into its records.
 
     A torn *final* line — the signature of a crash mid-append — is
-    dropped silently; an undecodable line anywhere else means real
-    corruption and raises :class:`~repro.errors.CheckpointError`
-    (``strict=True`` makes even the torn tail raise).
+    dropped silently unless it is a record that lost only its newline;
+    a line that is not a record anywhere else means real corruption and
+    raises :class:`~repro.errors.CheckpointError` (``strict=True`` makes
+    even the torn tail raise).
     """
-    ledger_path = Path(path)
+    reader = LedgerReader(path)
+    records = list(reader.read())
     try:
-        raw = ledger_path.read_text(encoding="utf-8")
+        with open(reader.path, "rb") as fh:
+            fh.seek(reader.offset)
+            tail = fh.read()
     except OSError as exc:
         raise CheckpointError(
-            f"cannot read ledger {ledger_path}: {exc}"
+            f"cannot read ledger {reader.path}: {exc}"
         ) from exc
-    records: list[dict] = []
-    lines = raw.split("\n")
-    # A well-formed file ends with "\n", so the final split element is
-    # empty; anything else is a torn tail.
-    for lineno, line in enumerate(lines, 1):
-        if not line:
-            continue
+    if tail:
         try:
-            record = json.loads(line)
+            records.append(_decode(tail))
         except ValueError as exc:
-            if lineno == len(lines) and not strict:
-                break
-            raise CheckpointError(
-                f"corrupt ledger {ledger_path} at line {lineno}: {exc}"
-            ) from exc
-        if not isinstance(record, dict):
-            raise CheckpointError(
-                f"corrupt ledger {ledger_path} at line {lineno}: "
-                f"expected an object, got {type(record).__name__}"
-            )
-        records.append(record)
+            if strict:
+                raise reader._corrupt(exc) from exc
     return records
 
 

@@ -98,7 +98,7 @@ class Job:
     #: earliest wall-clock time the job may be rescheduled (backoff)
     not_before: float = 0.0
     error: str | None = None
-    #: final summary (the worker's ``result.json``) once done
+    #: once done, the newest campaign's ``end`` record in its ledger
     result: dict | None = None
 
     @property
@@ -108,18 +108,6 @@ class Job:
     @property
     def ledger_path(self) -> Path:
         return self.directory / "campaign.jsonl"
-
-    @property
-    def checkpoint_dir(self) -> Path:
-        return self.directory / "checkpoints"
-
-    @property
-    def heartbeat_path(self) -> Path:
-        return self.directory / "heartbeat"
-
-    @property
-    def result_path(self) -> Path:
-        return self.directory / "result.json"
 
     @property
     def error_path(self) -> Path:

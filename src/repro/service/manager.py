@@ -5,23 +5,27 @@ to ``max_workers`` worker subprocesses. Its supervision step
 (:meth:`~CampaignService.poll`, run continuously by
 :meth:`~CampaignService.start`'s background thread) does four things:
 
-1. **Reap** exited workers — exit 0 finalizes the job from its
-   ``result.json``; a signal death (negative returncode) or a heartbeat
-   expiry re-queues the job as ``checkpointed`` *without* charging its
-   retry budget (the kill happened to it, not because of it — the same
-   principle as :func:`repro.sim.parallel.run_tasks`'s broken-pool
-   handling); a nonzero exit charges one attempt against the shared
+1. **Reap** exited workers — exit 0 finalizes the job, whose result is
+   the ``end`` record its ledger reader saw; a signal death (negative
+   returncode) or a heartbeat expiry re-queues the job as
+   ``checkpointed`` *without* charging its retry budget (the kill
+   happened to it, not because of it — the same principle as
+   :func:`repro.sim.parallel.run_tasks`'s broken-pool handling); a
+   nonzero exit charges one attempt against the shared
    :class:`~repro.sim.parallel.RetryPolicy` and re-queues with backoff
    until the budget is exhausted.
 2. **Expire** workers whose heartbeat file has gone stale (wedged but
    not dead) — killed and treated as a signal death.
-3. **Refresh** per-job round counters from the ledgers (observability).
-4. **Dispatch** queued jobs onto free worker slots, highest priority
+3. **Dispatch** queued jobs onto free worker slots, highest priority
    first.
-5. **Retain** — with a ``retention`` horizon configured, prune terminal
+4. **Retain** — with a ``retention`` horizon configured, prune terminal
    job directories that haven't been updated for that many seconds
    (queued/running/checkpointed jobs are never pruned; see
    :meth:`~CampaignService.gc`).
+
+Round counters are read on demand: :meth:`~CampaignService.status` and
+:meth:`~CampaignService.metrics_snapshot` advance each live job's
+ledger reader by only what its ledger gained since the last look.
 
 Every state transition is persisted before its action, so
 :meth:`~CampaignService.recover` (run at construction) rebuilds the
@@ -38,6 +42,7 @@ import time
 from pathlib import Path
 
 from repro.errors import ConfigurationError, QueueFullError, ServiceError
+from repro.recovery.ledger import LedgerReader
 from repro.service.jobs import Job, JobState, JobStore
 from repro.service.queue import JobQueue
 from repro.service.request import CampaignRequest
@@ -102,6 +107,7 @@ class CampaignService:
         self.retention = retention
         self.jobs: dict[str, Job] = {}
         self.workers: dict[str, WorkerHandle] = {}
+        self._readers: dict[str, LedgerReader] = {}
         self._lock = threading.RLock()
         self._seq = self.store.next_seq()
         self._started_at = time.time()
@@ -129,23 +135,18 @@ class CampaignService:
                 if job.state.terminal:
                     continue
                 self.counters["recovered"] += 1
-                _, ended = ledger_progress(job.ledger_path)
-                if ended:
+                if self._progress(job) is not None:
                     # The campaign finished but the service died before
                     # reaping the worker; finalize from the ledger.
-                    if job.state is JobState.QUEUED:
-                        job.advance(JobState.RUNNING)
-                    elif job.state is JobState.CHECKPOINTED:
+                    if job.state is not JobState.RUNNING:
                         job.advance(JobState.RUNNING)
                     self._finalize_done(job)
                     continue
                 if job.state is JobState.RUNNING:
                     # Its worker died with the old service process.
-                    job.advance(JobState.CHECKPOINTED)
-                    job.resumes += 1
-                    self.counters["resumes"] += 1
-                    self.store.save(job)
-                self._enqueue(job, force=True)
+                    self._interrupted(job)
+                else:
+                    self._enqueue(job, force=True)
 
     # -- submission ------------------------------------------------------
     def submit(self, request: CampaignRequest) -> tuple[str, bool]:
@@ -205,7 +206,7 @@ class CampaignService:
         with self._lock:
             job = self._get(job_id)
             if not job.state.terminal:
-                job.rounds, _ = ledger_progress(job.ledger_path)
+                self._progress(job)
             view = job.public_view()
             handle = self.workers.get(job_id)
             view["pid"] = None if handle is None else handle.pid
@@ -235,7 +236,7 @@ class CampaignService:
             for job_id in sorted(self.jobs):
                 job = self.jobs[job_id]
                 if not job.state.terminal:
-                    job.rounds, _ = ledger_progress(job.ledger_path)
+                    self._progress(job)
                 total_rounds += job.rounds
                 per_job[job_id] = {
                     "state": job.state.value,
@@ -264,9 +265,7 @@ class CampaignService:
             if handle is not None:
                 handle.kill()
             self.queue.remove(job_id)
-            job.advance(JobState.CANCELLED)
-            self.counters["cancelled"] += 1
-            self.store.save(job)
+            self._retire(job, JobState.CANCELLED, "cancelled")
             return job.public_view()
 
     # -- supervision -----------------------------------------------------
@@ -341,9 +340,7 @@ class CampaignService:
             pass
         if self.retry_policy.exhausted(job.attempts):
             job.error = error
-            job.advance(JobState.FAILED)
-            self.counters["failed"] += 1
-            self.store.save(job)
+            self._retire(job, JobState.FAILED, "failed")
             return
         self.counters["retries"] += 1
         job.not_before = time.time() + self.retry_policy.delay(
@@ -353,25 +350,23 @@ class CampaignService:
         self.store.save(job)
         self._enqueue(job, force=True)
 
+    def _progress(self, job: Job) -> dict | None:
+        """Advance the job's ledger reader into ``job.rounds``; returns
+        the newest campaign's end record once it has landed."""
+        if job.job_id not in self._readers:
+            self._readers[job.job_id] = LedgerReader(job.ledger_path)
+        job.rounds, end = ledger_progress(self._readers[job.job_id])
+        return end
+
     def _finalize_done(self, job: Job) -> None:
-        import json
+        job.result = self._progress(job)
+        self._retire(job, JobState.DONE, "completed")
 
-        result = None
-        try:
-            result = json.loads(
-                job.result_path.read_text(encoding="utf-8")
-            )
-        except (OSError, ValueError):
-            # Worker died after the end record but before result.json;
-            # the ledger is authoritative anyway.
-            from repro.service.worker import _end_record
-
-            result = _end_record(job.ledger_path)
-        job.result = result
-        if result:
-            job.rounds = result.get("rounds", job.rounds)
-        job.advance(JobState.DONE)
-        self.counters["completed"] += 1
+    def _retire(self, job: Job, state: JobState, counter: str) -> None:
+        """The one way into a terminal state; the job's reader goes."""
+        self._readers.pop(job.job_id, None)
+        job.advance(state)
+        self.counters[counter] += 1
         self.store.save(job)
 
     def _dispatch(self) -> None:

@@ -1,32 +1,31 @@
 """Incremental results: tail a campaign ledger as it is written.
 
-:class:`ResultStream` follows a job's ``campaign.jsonl`` and yields its
-records live, with two adjustments that make the streamed sequence equal
-to a straight-through run's:
-
-* **Partial lines are buffered.** The writer flushes whole lines, but a
-  reader can still observe a torn tail mid-``write``; bytes after the
-  last newline wait in the buffer until their newline lands.
-* **Round records are deduped by round number.** A resumed campaign
-  replays (and re-appends) the rounds since its last checkpoint. Resume
-  is byte-identical, so the replayed records equal the originals —
-  skipping any round number at or below the highest one already yielded
-  reconstructs exactly the straight-through sequence. This is the
-  mechanism behind the service's "streamed == one-shot" guarantee.
+:class:`ResultStream` follows a job's ``campaign.jsonl`` through one
+:class:`~repro.recovery.ledger.LedgerReader`, which waits out a torn
+final line and raises on a damaged one, and yields its records live
+with round records **deduped by round number**: a resumed campaign
+replays (and re-appends) the rounds since its last checkpoint. Resume
+is byte-identical, so the replayed records equal the originals —
+skipping any round number at or below the highest one already yielded
+reconstructs exactly the straight-through sequence. This is the
+mechanism behind the service's "streamed == one-shot" guarantee.
 
 The stream ends when it sees an ``end`` record (yielded, so consumers
 get the final values), when ``stop()`` returns true (job failed or
 cancelled — no end record will ever come), or at ``timeout`` seconds.
+
+:func:`ledger_progress` is the service's progress peek: one pass of a
+job's reader, so it parses only what was appended since the last one.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 from typing import Callable, Iterator
 
-from repro.errors import ServiceError
+from repro.errors import CheckpointError, ServiceError
+from repro.recovery.ledger import LedgerReader
 
 __all__ = ["ResultStream", "ledger_progress"]
 
@@ -50,87 +49,40 @@ class ResultStream:
         deadline = (
             None if self.timeout is None else time.monotonic() + self.timeout
         )
-        buffer = ""
-        offset = 0
-        fh = None
-        try:
-            while True:
-                if fh is None and self.path.exists():
-                    fh = open(self.path, "r", encoding="utf-8")
-                    fh.seek(offset)
-                progressed = False
-                if fh is not None:
-                    chunk = fh.read()
-                    if chunk:
-                        offset += len(chunk)
-                        buffer += chunk
-                        while "\n" in buffer:
-                            line, buffer = buffer.split("\n", 1)
-                            if not line:
-                                continue
-                            record = self._decode(line)
-                            progressed = True
-                            if record.get("type") == "round":
-                                rnd = record.get("round", 0)
-                                if rnd <= self.last_round:
-                                    continue  # resume replay duplicate
-                                self.last_round = rnd
-                            yield record
-                            if record.get("type") == "end":
-                                return
-                if not progressed:
-                    if self._stop is not None and self._stop():
-                        return
-                    if (
-                        deadline is not None
-                        and time.monotonic() > deadline
-                    ):
-                        raise ServiceError(
-                            f"timed out after {self.timeout}s streaming "
-                            f"{self.path}"
-                        )
-                    time.sleep(self.poll_interval)
-        finally:
-            if fh is not None:
-                fh.close()
-
-    def _decode(self, line: str) -> dict:
-        try:
-            record = json.loads(line)
-        except ValueError as exc:
-            raise ServiceError(
-                f"corrupt ledger line in {self.path}: {exc}"
-            ) from exc
-        if not isinstance(record, dict):
-            raise ServiceError(
-                f"corrupt ledger line in {self.path}: expected an "
-                f"object, got {type(record).__name__}"
-            )
-        return record
+        reader = LedgerReader(self.path)
+        while True:
+            progressed = False
+            for record in reader.read():
+                progressed = True
+                if record.get("type") == "round":
+                    rnd = record.get("round", 0)
+                    if rnd <= self.last_round:
+                        continue  # resume replay duplicate
+                    self.last_round = rnd
+                yield record
+                if record.get("type") == "end":
+                    return
+            if not progressed:
+                if self._stop is not None and self._stop():
+                    return
+                if deadline is not None and time.monotonic() > deadline:
+                    raise ServiceError(
+                        f"timed out after {self.timeout}s streaming "
+                        f"{self.path}"
+                    )
+                time.sleep(self.poll_interval)
 
 
-def ledger_progress(path: str | Path) -> tuple[int, bool]:
-    """Cheap progress peek: ``(highest round seen, campaign ended?)``.
+def ledger_progress(reader: LedgerReader) -> tuple[int, dict | None]:
+    """One pass of a job's ledger reader: ``(highest round seen, the
+    newest campaign's end record or None)``.
 
-    Tolerates a missing file (campaign not started) and a torn final
-    line (writer mid-append).
+    A damaged line ends the pass without raising (the job's worker
+    fails the job), so the counts stay at the records before it.
     """
     try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except OSError:
-        return 0, False
-    highest = 0
-    ended = False
-    for line in raw.split("\n"):
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError:
-            continue  # torn tail
-        if record.get("type") == "round":
-            highest = max(highest, record.get("round", 0))
-        elif record.get("type") == "end":
-            highest = max(highest, record.get("rounds", 0))
-            ended = True
-    return highest, ended
+        for _ in reader.read():
+            pass
+    except CheckpointError:
+        pass
+    return reader.rounds, reader.end

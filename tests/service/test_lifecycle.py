@@ -20,11 +20,20 @@ import time
 
 import pytest
 
+import repro.recovery.ledger as ledger_module
 from repro.errors import ConfigurationError
+from repro.recovery.faults import truncate_file
+from repro.recovery.ledger import (
+    CampaignLedger,
+    LedgerReader,
+    latest_campaign,
+    read_ledger,
+)
 from repro.service.manager import CampaignService
 from repro.service.jobs import JobState, JobStore
 from repro.service.request import CampaignRequest, run_request
 from repro.service.stream import ResultStream, ledger_progress
+from repro.service.worker import worker_main
 from repro.sim.parallel import RetryPolicy
 
 
@@ -67,9 +76,10 @@ def one_shot_round_lines(request, tmp_path) -> tuple[list[str], object]:
 
 
 def wait_for_rounds(service, job_id, rounds, timeout=30.0) -> None:
+    reader = LedgerReader(service.ledger_path(job_id))
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        done, _ = ledger_progress(service.ledger_path(job_id))
+        done, _ = ledger_progress(reader)
         if done >= rounds:
             return
         time.sleep(0.01)
@@ -206,6 +216,115 @@ class TestWorkerDeath:
         assert view["error"]
         assert service.counters["retries"] == 1
         assert service.counters["failed"] == 1
+
+
+    def test_a_damaged_ledger_fails_its_job_untouched(self, tmp_path):
+        root = tmp_path / "svc"
+        job = JobStore(root).create(pa_request(), seq=1)
+        job.ledger_path.write_text('{"type": "campaign"}\n[1,2]\n')
+        service = make_service(root, retry_policy=RetryPolicy.none())
+        service.start()
+        try:
+            view = service.wait(job.job_id, timeout=60)
+        finally:
+            service.shutdown()
+        assert view["state"] == "failed"
+        assert "at line 2: expected an object" in view["error"]
+        assert not service._readers
+        assert job.ledger_path.read_text() == '{"type": "campaign"}\n[1,2]\n'
+
+
+class TestProgressCost:
+    def test_status_and_metrics_decode_only_appended_records(
+        self, tmp_path, monkeypatch
+    ):
+        root = tmp_path / "svc"
+        job = JobStore(root).create(pa_request(), seq=1)
+        with CampaignLedger(job.ledger_path) as ledger:
+            ledger.append({"type": "campaign"})
+            for r in range(1, 51):
+                ledger.append({"type": "round", "round": r}, sync=False)
+        service = make_service(root)  # not started: the job stays queued
+        decode = ledger_module._decode
+        decodes = []
+
+        def counted(line):
+            decodes.append(line)
+            return decode(line)
+
+        monkeypatch.setattr(ledger_module, "_decode", counted)
+        assert service.status(job.job_id)["rounds"] == 50
+        service.metrics_snapshot()
+        assert decodes == []
+        with CampaignLedger(job.ledger_path) as ledger:
+            for r in range(51, 54):
+                ledger.append({"type": "round", "round": r}, sync=False)
+        assert service.status(job.job_id)["rounds"] == 53
+        assert len(decodes) == 3
+        assert service.metrics_snapshot()["total_rounds"] == 53
+        assert len(decodes) == 3
+
+
+class TestResults:
+    def test_result_is_the_ledgers_end_record(self, tmp_path):
+        service = make_service(tmp_path / "svc")
+        job_id, _ = service.submit(pa_request(n=40, deletions=8))
+        try:
+            view = service.wait(job_id, timeout=60)
+        finally:
+            service.shutdown()
+        ledger = service.ledger_path(job_id)
+        _, tail = latest_campaign(read_ledger(ledger))
+        assert view["result"] == [r for r in tail if r["type"] == "end"][-1]
+        assert not (ledger.parent / "result.json").exists()
+        assert not service._readers  # a terminal job keeps no reader
+
+    def test_redispatch_of_an_ended_job_reruns_nothing(self, tmp_path):
+        service = make_service(tmp_path / "svc")
+        job_id, _ = service.submit(pa_request(n=40, deletions=8))
+        ledger = service.ledger_path(job_id)
+        try:
+            first = service.wait(job_id, timeout=60)["result"]
+            before = ledger.read_bytes()
+            # Its worker "died" after the end record landed: re-queued.
+            job = service.jobs[job_id]
+            job.state, job.result = JobState.CHECKPOINTED, None
+            service._enqueue(job, force=True)
+            view = service.wait(job_id, timeout=60)
+        finally:
+            service.shutdown()
+        assert view["state"] == "done"
+        assert view["result"] == first
+        assert ledger.read_bytes() == before
+
+    def test_an_end_record_that_lost_its_newline_counts(self, tmp_path):
+        job = JobStore(tmp_path / "svc").create(pa_request(n=40), seq=1)
+        run_request(job.request, ledger=job.ledger_path)
+        truncate_file(job.ledger_path, drop_bytes=1)
+        before = job.ledger_path.read_bytes()
+        assert worker_main(job.directory) == 0
+        assert job.ledger_path.read_bytes() == before + b"\n"
+
+    def test_a_stale_result_json_is_ignored(self, tmp_path):
+        # A job directory written by an older version holds result.json;
+        # the result is read from the ledger, and gc removes both.
+        root = tmp_path / "svc"
+        service = make_service(root)
+        job_id, _ = service.submit(pa_request(n=40, deletions=8))
+        result = service.wait(job_id, timeout=60)["result"]
+        service.shutdown()
+        job = service.jobs[job_id]
+        (job.directory / "result.json").write_text('{"stale": true}')
+        job.state = JobState.RUNNING
+        service.store.save(job)
+
+        revived = make_service(root)
+        try:
+            assert revived.status(job_id)["result"] == result
+            assert revived.gc(0) == [job_id]
+        finally:
+            revived.shutdown()
+        assert not job.directory.exists()
 
 
 class TestRestartRecovery:

@@ -10,6 +10,7 @@ import pytest
 
 from repro.errors import ServiceError
 from repro.service.client import ServiceClient
+from repro.service.jobs import JobStore
 from repro.service.manager import CampaignService
 from repro.service.protocol import ServiceProtocol, serve_socket
 from repro.service.request import CampaignRequest
@@ -116,6 +117,43 @@ class TestDispatcher:
         [response] = ask(protocol, {"op": "shutdown"})
         assert response["stopping"]
         assert protocol.shutdown_requested.is_set()
+
+
+class TestDamagedLedger:
+    """One queued job whose ledger holds a non-object line: the service
+    still starts and answers, with the rounds read before the damage."""
+
+    @pytest.fixture
+    def damaged(self, tmp_path):
+        root = tmp_path / "svc"
+        job = JobStore(root).create(pa_request(), seq=1)
+        job.ledger_path.write_text(
+            '{"type": "round", "round": 7}\n[1,2]\n'
+            '{"type": "round", "round": 8}\n'
+        )
+        service = CampaignService(root, retry_policy=RetryPolicy.none())
+        yield service, job
+        service.shutdown()
+
+    def test_status_and_metrics_answer(self, damaged):
+        service, job = damaged
+        protocol = ServiceProtocol(service)
+        [status] = ask(protocol, {"op": "status", "job": job.job_id})
+        assert status["ok"] and status["state"] == "queued"
+        assert status["rounds"] == 7
+        [metrics] = ask(protocol, {"op": "metrics"})
+        assert metrics["ok"]
+        assert metrics["metrics"]["jobs"][job.job_id]["rounds"] == 7
+
+    def test_watch_ends_in_an_error_naming_the_line(self, damaged):
+        service, job = damaged
+        responses = ask(
+            ServiceProtocol(service), {"op": "watch", "job": job.job_id}
+        )
+        assert responses[0]["record"] == {"type": "round", "round": 7}
+        assert not responses[-1]["ok"]
+        assert "CheckpointError" in responses[-1]["error"]
+        assert f"{job.ledger_path} at line 2" in responses[-1]["error"]
 
 
 class TestSocketRoundTrip:

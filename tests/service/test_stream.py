@@ -1,4 +1,5 @@
-"""ResultStream: live tailing, resume dedupe, partial-line buffering."""
+"""ResultStream and ledger_progress: live tailing, resume dedupe, torn
+fragments, damaged lines."""
 
 from __future__ import annotations
 
@@ -8,7 +9,8 @@ import time
 
 import pytest
 
-from repro.errors import ServiceError
+from repro.errors import CheckpointError, ServiceError
+from repro.recovery.ledger import CampaignLedger, LedgerReader
 from repro.service.request import CampaignRequest, run_request
 from repro.service.stream import ResultStream, ledger_progress
 
@@ -111,10 +113,54 @@ class TestStreaming:
         with pytest.raises(ServiceError, match="timed out"):
             list(stream)
 
+    def test_follows_a_torn_fragment_the_writer_cuts(self, tmp_path):
+        # A resumed worker reopens the ledger, which cuts the fragment
+        # the stream has already read, then appends: the stream re-reads
+        # from the fragment's start, so it sees exactly the new records.
+        ledger = tmp_path / "campaign.jsonl"
+        head = [{"type": "campaign"}, {"type": "round", "round": 1}]
+        write_lines(ledger, head)
+        with open(ledger, "a", encoding="utf-8") as fh:
+            fh.write('{"type": "round", "rou')
+        appended = [
+            {"round": 1, "type": "resumed"},
+            {"round": 2, "type": "round"},
+            {"rounds": 2, "type": "end"},
+        ]
+        read_fragment = threading.Event()
+
+        def stop() -> bool:
+            read_fragment.set()  # a pass that ended at the fragment
+            return False
+
+        def resume() -> None:
+            read_fragment.wait(10)
+            with CampaignLedger(ledger) as writer:
+                for record in appended:
+                    writer.append(record)
+
+        thread = threading.Thread(target=resume)
+        thread.start()
+        stream = ResultStream(
+            ledger, poll_interval=0.01, timeout=10, stop=stop
+        )
+        records = list(stream)
+        thread.join()
+        assert records == head + appended
+
+    def test_a_damaged_line_ends_the_stream_naming_it(self, tmp_path):
+        ledger = tmp_path / "campaign.jsonl"
+        ledger.write_text('{"type": "campaign"}\n[1, 2]\n')
+        stream = iter(ResultStream(ledger, poll_interval=0.01))
+        assert next(stream) == {"type": "campaign"}
+        with pytest.raises(CheckpointError, match="jsonl at line 2"):
+            next(stream)
+
 
 class TestLedgerProgress:
     def test_missing_file(self, tmp_path):
-        assert ledger_progress(tmp_path / "nope.jsonl") == (0, False)
+        reader = LedgerReader(tmp_path / "nope.jsonl")
+        assert ledger_progress(reader) == (0, None)
 
     def test_rounds_and_end(self, tmp_path):
         ledger = tmp_path / "campaign.jsonl"
@@ -126,13 +172,24 @@ class TestLedgerProgress:
                 {"type": "round", "round": 2},
             ],
         )
-        assert ledger_progress(ledger) == (2, False)
+        reader = LedgerReader(ledger)
+        assert ledger_progress(reader) == (2, None)
         write_lines(ledger, [{"type": "end", "rounds": 2}])
-        assert ledger_progress(ledger) == (2, True)
+        assert ledger_progress(reader) == (2, {"type": "end", "rounds": 2})
 
     def test_tolerates_torn_tail(self, tmp_path):
         ledger = tmp_path / "campaign.jsonl"
         write_lines(ledger, [{"type": "round", "round": 5}])
         with open(ledger, "a", encoding="utf-8") as fh:
             fh.write('{"type": "round", "rou')
-        assert ledger_progress(ledger) == (5, False)
+        assert ledger_progress(LedgerReader(ledger)) == (5, None)
+
+    def test_a_damaged_line_keeps_the_counts_before_it(self, tmp_path):
+        ledger = tmp_path / "campaign.jsonl"
+        write_lines(ledger, [{"type": "round", "round": 5}])
+        with open(ledger, "a", encoding="utf-8") as fh:
+            fh.write("garbage\n")
+        write_lines(ledger, [{"type": "round", "round": 6}])
+        reader = LedgerReader(ledger)
+        assert ledger_progress(reader) == (5, None)
+        assert ledger_progress(reader) == (5, None)
