@@ -8,7 +8,9 @@ Two questions, answered at n=4096 (quick) and n=16384 (FULL):
 * what does a *whole campaign* pay for running with
   ``checkpoint_every=256`` + the fsync'd ledger versus running bare?
   (``campaign_checkpoint_overhead_*``, measured interleaved min-of-2
-  like every other ratio in ``BENCH_core.json``).
+  like every other ratio in ``BENCH_core.json``, with the mean size of
+  the crash-safe run's ledger round records as
+  ``ledger_bytes_per_round``).
 
 The acceptance bar — enforced by ``check_perf_gate.py`` in CI — is
 **≤ 5% overhead** on the n=4096 wave campaign. Two design choices in
@@ -20,6 +22,7 @@ checkpoint is an O(n+m) full snapshot, so the cadence sets its cost.
 
 from __future__ import annotations
 
+import json
 import math
 import time
 from contextlib import contextmanager
@@ -71,6 +74,15 @@ def _run(n: int, wave: int, state_dir=None) -> tuple[float, float]:
             graph, healer, adversary, id_seed=0, **recovery
         )
     return t.elapsed, result.values["waves"]
+
+
+def _ledger_bytes_per_round(ledger) -> float:
+    """Mean size of a ledger's round records, newline included: what
+    each round's audit trail (victims, counters, heal fingerprints)
+    costs on disk."""
+    lines = ledger.read_bytes().splitlines(keepends=True)
+    rounds = [line for line in lines if json.loads(line)["type"] == "round"]
+    return sum(map(len, rounds)) / len(rounds)
 
 
 @contextmanager
@@ -136,6 +148,7 @@ def test_checkpoint_overhead(bench_recorder, tmp_path):
             rep_pct = hooks["seconds"] / (safe_s - hooks["seconds"]) * 100.0
             overhead_pct = min(overhead_pct, rep_pct)
         wall_pct = (checkpointed / plain - 1.0) * 100.0
+        ledger_bytes = _ledger_bytes_per_round(state / "campaign.jsonl")
         entry = bench_recorder.record(
             f"campaign_checkpoint_overhead_pa{n}_m3",
             seconds=checkpointed,
@@ -143,6 +156,7 @@ def test_checkpoint_overhead(bench_recorder, tmp_path):
             plain_seconds=round(plain, 6),
             overhead_pct=round(overhead_pct, 2),
             wall_overhead_pct=round(wall_pct, 2),
+            ledger_bytes_per_round=round(ledger_bytes, 1),
             checkpoint_every=CHECKPOINT_EVERY,
             n=n,
             healer="dash",
@@ -157,6 +171,7 @@ def test_checkpoint_overhead(bench_recorder, tmp_path):
                 checkpointed,
                 entry["overhead_pct"],
                 entry["wall_overhead_pct"],
+                entry["ledger_bytes_per_round"],
             ]
         )
         # Soft in-bench sanity (the hard gate runs in CI over the
@@ -167,7 +182,15 @@ def test_checkpoint_overhead(bench_recorder, tmp_path):
         )
 
     table = format_table(
-        ["n", "waves", "bare s", "crash-safe s", "hook %", "wall %"],
+        [
+            "n",
+            "waves",
+            "bare s",
+            "crash-safe s",
+            "hook %",
+            "wall %",
+            "ledger B/round",
+        ],
         rows,
         title=(
             "checkpoint overhead: full campaign, "

@@ -2,10 +2,13 @@
 
 A trace pins a campaign bit-for-bit — initial graph, node-ID seed,
 healer name, and the realized op schedule (insertions and deletions) —
-plus per-event fingerprints ``[action, plan_kind, num_edges,
-id_changes]`` that verify a replay. A delete-only campaign is just a
-trace without joins, so the same recorder serves every single-victim or
-churn campaign. Three uses: reproduce a surprising stochastic run
+plus each heal's :meth:`~repro.core.network.HealEvent.fingerprint`
+``[action, plan_kind, num_edges, id_changes]``. Replay re-executes the
+schedule from round 0 through resume's loop and tripwire
+(:func:`~repro.recovery.checkpoint.replay_campaign`), so a divergent
+replay fails in the round that diverges. A delete-only campaign is just
+a trace without joins, so the same recorder serves every single-victim
+or churn campaign. Three uses: reproduce a surprising stochastic run
 portably, regression-test healers against golden traces, and compare
 healers on the *identical* schedule (``replay_churn_trace(trace,
 healer_name="forgiving-graph")`` vs the recorded DASH run).
@@ -24,7 +27,8 @@ are unaffected; only the round counter reads higher on replay.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -45,6 +49,8 @@ __all__ = [
     "replay_churn_trace",
 ]
 
+_FORMAT = "repro-churn-trace-v1"
+
 
 @dataclass
 class ChurnTrace:
@@ -60,7 +66,7 @@ class ChurnTrace:
     #: realized schedule, one op per round (JSON form:
     #: ``["delete", victim]`` / ``["add", node, [targets...]]``)
     schedule: list[list] = field(default_factory=list)
-    #: per-event fingerprints: [action, plan_kind, num_edges, id_changes]
+    #: per-event fingerprints (:meth:`HealEvent.fingerprint`)
     fingerprints: list[list] = field(default_factory=list)
 
     def initial_graph(self) -> Graph:
@@ -79,11 +85,9 @@ class ChurnTraceRecorder(Metric):
     """
 
     def __init__(self, graph: Graph, healer_name: str, id_seed: int) -> None:
-        edges = []
-        for u, v in graph.edges():
-            a, b = (u, v) if repr(u) <= repr(v) else (v, u)
-            edges.append([a, b])
-        edges.sort(key=repr)
+        edges = sorted(
+            (sorted([u, v], key=repr) for u, v in graph.edges()), key=repr
+        )
         self.trace = ChurnTrace(
             healer=healer_name,
             id_seed=id_seed,
@@ -99,14 +103,7 @@ class ChurnTraceRecorder(Metric):
         else:
             op = ["delete", event.deleted]
         self.trace.schedule.append([op])
-        self.trace.fingerprints.append(
-            [
-                event.action,
-                event.plan_kind,
-                len(event.new_edges),
-                event.id_changes,
-            ]
-        )
+        self.trace.fingerprints.append(event.fingerprint())
 
     def finalize(self, network: "SelfHealingNetwork") -> dict[str, float]:
         return {"trace_rounds": float(len(self.trace.schedule))}
@@ -116,31 +113,15 @@ def save_churn_trace(trace: ChurnTrace, path: str | Path) -> Path:
     """Serialize a churn trace as JSON (labels must be JSON-compatible)."""
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "format": "repro-churn-trace-v1",
-        "healer": trace.healer,
-        "id_seed": trace.id_seed,
-        "nodes": trace.nodes,
-        "edges": trace.edges,
-        "schedule": trace.schedule,
-        "fingerprints": trace.fingerprints,
-    }
-    p.write_text(json.dumps(payload, indent=1))
+    p.write_text(json.dumps({"format": _FORMAT, **asdict(trace)}, indent=1))
     return p
 
 
 def load_churn_trace(path: str | Path) -> ChurnTrace:
     payload = json.loads(Path(path).read_text())
-    if payload.get("format") != "repro-churn-trace-v1":
+    if payload.get("format") != _FORMAT:
         raise SimulationError(f"{path}: not a repro churn trace file")
-    return ChurnTrace(
-        healer=payload["healer"],
-        id_seed=payload["id_seed"],
-        nodes=list(payload["nodes"]),
-        edges=[list(e) for e in payload["edges"]],
-        schedule=[list(r) for r in payload["schedule"]],
-        fingerprints=[list(f) for f in payload["fingerprints"]],
-    )
+    return ChurnTrace(**{f.name: payload[f.name] for f in fields(ChurnTrace)})
 
 
 def save_churn_schedule(trace: ChurnTrace, path: str | Path) -> Path:
@@ -158,42 +139,35 @@ def replay_churn_trace(
 ):
     """Re-execute a churn trace; returns the :class:`SimulationResult`.
 
-    With ``verify=True`` (and the original healer) every event's
-    fingerprint — action included — must match the recording; divergence
-    raises :class:`~repro.errors.SimulationError` naming the round.
-    Passing a different ``healer_name`` replays the same churn schedule
-    against another strategy (fingerprints are then not checked).
+    With ``verify=True`` (and the original healer) every round must
+    reproduce its recorded fingerprints — action included; divergence
+    raises :class:`~repro.errors.DivergenceError` (a
+    :class:`~repro.errors.SimulationError`) in the round it happens,
+    naming it. Passing a different ``healer_name`` replays the same
+    churn schedule against another strategy (fingerprints are then not
+    checked).
     """
     from repro.core.registry import make_healer
-    from repro.sim.engine import run_campaign
+    from repro.recovery.checkpoint import replay_campaign
 
     target_healer = healer_name or trace.healer
-    check = verify and target_healer == trace.healer
-
-    result = run_campaign(
+    recorded: list[dict] = []
+    if verify and target_healer == trace.healer:
+        events = sum(len(ops) for ops in trace.schedule)
+        if events != len(trace.fingerprints):
+            raise SimulationError(
+                f"trace schedules {events} events but holds "
+                f"{len(trace.fingerprints)} fingerprints"
+            )
+        fingerprints = iter(trace.fingerprints)
+        recorded = [
+            {"round": r, "heals": list(islice(fingerprints, len(ops)))}
+            for r, ops in enumerate(trace.schedule, 1)
+        ]
+    return replay_campaign(
         trace.initial_graph(),
         make_healer(target_healer),
         ScriptedChurn(trace.schedule),
         id_seed=trace.id_seed,
-        keep_events=True,
+        recorded_rounds=recorded,
     )
-    if check:
-        assert result.events is not None
-        if len(result.events) != len(trace.fingerprints):
-            raise SimulationError(
-                f"replay produced {len(result.events)} events, "
-                f"trace has {len(trace.fingerprints)}"
-            )
-        pairs = zip(result.events, trace.fingerprints)
-        for i, (event, fp) in enumerate(pairs):
-            got = [
-                event.action,
-                event.plan_kind,
-                len(event.new_edges),
-                event.id_changes,
-            ]
-            if got != fp:
-                raise SimulationError(
-                    f"replay diverged at round {i + 1}: {got} != {fp}"
-                )
-    return result

@@ -166,10 +166,6 @@ class ReconnectionPlan:
     #: star center for surrogate plans (None otherwise)
     center: Node | None = None
 
-    @property
-    def num_new_edges(self) -> int:
-        return len(self.edges)
-
 
 @dataclass(frozen=True)
 class InsertionSnapshot:
@@ -216,10 +212,6 @@ class InsertionPlan:
     heal_edges: tuple[tuple[Node, Node], ...] = ()
     #: layout tag for analysis ("attach", "leaf", "bridge", "none")
     kind: str = "attach"
-
-    @property
-    def num_new_edges(self) -> int:
-        return len(self.edges)
 
 
 class Healer(abc.ABC):

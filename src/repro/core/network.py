@@ -90,6 +90,13 @@ class HealEvent:
     #: the *joining* node and ``participants`` its announced targets)
     action: str = "delete"
 
+    def fingerprint(self) -> list:
+        """What a re-execution must reproduce of this heal, as ledger
+        rounds and churn traces store it (edge endpoints are not in it)."""
+        return [
+            self.action, self.plan_kind, len(self.new_edges), self.id_changes
+        ]
+
 
 class SelfHealingNetwork:
     """A reconfigurable network healing itself with a pluggable strategy.

@@ -74,6 +74,12 @@ class CheckpointError(ReproError):
     """
 
 
+class DivergenceError(CheckpointError, SimulationError):
+    """A re-executed round did not reproduce its recorded round: a
+    resume diverged from its ledger (a :class:`CheckpointError`), or a
+    churn-trace replay from its trace (a :class:`SimulationError`)."""
+
+
 class ServiceError(ReproError):
     """The campaign service refused or failed an operation.
 

@@ -15,10 +15,10 @@ campaign. Three pieces:
   byte-identical :class:`~repro.core.network.HealEvent` stream and
   final metrics (differential-tested in ``tests/recovery/``);
 * :mod:`~repro.recovery.ledger` — an append-only JSONL audit log (one
-  flushed record per round: victims, deletions, survivors; plus fsync'd
-  checkpoint references), the breadcrumb trail a crashed campaign is
-  found and resumed from, and the record re-executed rounds must
-  reproduce;
+  flushed record per round: victims, deletions, survivors and each
+  heal's fingerprint; plus fsync'd checkpoint references), the
+  breadcrumb trail a crashed campaign is found and resumed from, and
+  the record re-executed rounds must reproduce;
 * :mod:`~repro.recovery.faults` — deterministic fault injection
   (seeded in-process crash, genuine SIGKILL, checkpoint truncation)
   used by the recovery tests and the CI chaos leg.

@@ -14,7 +14,9 @@ window entries are kept as fallback anyway.
 Resume restores the newest intact snapshot and re-executes the rounds
 after it through the campaign loop, with the live adversary and
 metrics. When it starts from the ledger, each re-executed round must
-reproduce the ledger's record of it (victims, deletions, survivors).
+reproduce the ledger's record of it (victims, deletions, survivors,
+each heal's fingerprint) and the last recorded round must be reached;
+churn-trace replay (:func:`replay_campaign`) runs the same check.
 
 The resume contract — differential-tested in ``tests/recovery/`` and
 fuzzed in ``tests/sim/test_campaign_fuzz.py`` — is *byte-identical
@@ -40,13 +42,13 @@ import importlib
 import json
 import os
 from itertools import chain
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Sequence
 
 from repro.core.components import NodeId, make_node_ids
 from repro.core.network import HealEvent, SelfHealingNetwork
-from repro.errors import CheckpointError, ConfigurationError
+from repro.errors import CheckpointError, ConfigurationError, DivergenceError
 from repro.graph.array_backend import new_graph
 from repro.graph.graph import Graph
 from repro.recovery.ledger import (
@@ -66,6 +68,7 @@ __all__ = [
     "CampaignRecorder",
     "RestoredCampaign",
     "load_checkpoint",
+    "replay_campaign",
     "resume_campaign",
     "resume_from_ledger",
 ]
@@ -500,9 +503,9 @@ class CampaignRecorder:
         params: dict,
         checkpointer: Checkpointer | None,
         checkpoint_every: int | None,
-        ledger: CampaignLedger | None,
-        owns_ledger: bool,
+        ledger: CampaignLedger | str | Path | None,
         start_degree: dict,
+        recorded_rounds: Iterable[dict] = (),
     ) -> None:
         self.network = network
         self.adversary = adversary
@@ -510,15 +513,16 @@ class CampaignRecorder:
         self.params = params
         self.checkpointer = checkpointer
         self.checkpoint_every = checkpoint_every
-        self.ledger = ledger
-        self._owns_ledger = owns_ledger
+        #: a ledger given as a path is opened here and closed at finish
+        self._owns_ledger = isinstance(ledger, (str, os.PathLike))
+        self.ledger = CampaignLedger(ledger) if self._owns_ledger else ledger
         #: the campaign-start initial-degree table (restore re-derives
         #: it from ``static.json``); joins add nodes and raise their
         #: targets' baselines, so full snapshots record every change
         self._start_degree = start_degree
-        #: ledger round records still to be re-executed, by round — the
-        #: resume tripwire (empty outside a resume from the ledger)
-        self._recorded: dict[int, dict] = {}
+        #: round records still to be re-executed, by round — the
+        #: re-execution tripwire (empty in a first run)
+        self._recorded = {r["round"]: r for r in recorded_rounds}
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -542,7 +546,6 @@ class CampaignRecorder:
             checkpoint_every=checkpoint_every,
             checkpoint_dir=checkpoint_dir,
         )
-        ledger_obj, owns = cls._coerce_ledger(ledger)
         recorder = cls(
             network=network,
             adversary=adversary,
@@ -550,14 +553,13 @@ class CampaignRecorder:
             params=params,
             checkpointer=checkpointer,
             checkpoint_every=every,
-            ledger=ledger_obj,
-            owns_ledger=owns,
+            ledger=ledger,
             start_degree=dict(network.initial_degree),
         )
         # Header first: every later record (including the round-0
         # checkpoint reference) belongs to this campaign section.
-        if ledger_obj is not None:
-            ledger_obj.append(
+        if recorder.ledger is not None:
+            recorder.ledger.append(
                 {
                     "type": "campaign",
                     "version": LEDGER_VERSION,
@@ -582,55 +584,37 @@ class CampaignRecorder:
     @classmethod
     def resume(
         cls,
+        restored: "RestoredCampaign",
         *,
-        network: SelfHealingNetwork,
-        adversary: object,
-        metrics: Sequence[object],
-        params: dict,
-        checkpointer: Checkpointer | None,
-        checkpoint_every: int | None,
         ledger: CampaignLedger | str | Path | None,
-        resumed_round: int,
-        checkpoint_file: str,
-        start_degree: dict,
-        recorded_rounds: Iterable[dict] = (),
+        keep_checkpointing: bool,
+        recorded_rounds: Iterable[dict],
     ) -> "CampaignRecorder":
-        """A recorder continuing an interrupted campaign: same cadence,
-        same directory, a ``resumed`` marker in the ledger.
-        ``recorded_rounds`` are the ledger's round records after the
-        restored round; each re-executed round must reproduce its
-        record, or :meth:`after_round` raises
-        :class:`~repro.errors.CheckpointError` before appending it."""
-        ledger_obj, owns = cls._coerce_ledger(ledger)
+        """A recorder continuing a restored campaign: the same cadence
+        and directory (unless ``keep_checkpointing`` is off), a
+        ``resumed`` marker in the ledger, and ``recorded_rounds`` as
+        its tripwire (see :meth:`_check`)."""
+        keep = keep_checkpointing
         recorder = cls(
-            network=network,
-            adversary=adversary,
-            metrics=metrics,
-            params=params,
-            checkpointer=checkpointer,
-            checkpoint_every=checkpoint_every,
-            ledger=ledger_obj,
-            owns_ledger=owns,
-            start_degree=start_degree,
+            network=restored.network,
+            adversary=restored.adversary,
+            metrics=restored.metrics,
+            params=restored.params,
+            checkpointer=restored.checkpointer if keep else None,
+            checkpoint_every=restored.checkpoint_every if keep else None,
+            ledger=ledger,
+            start_degree=restored.start_degree,
+            recorded_rounds=recorded_rounds,
         )
-        recorder._recorded = {r["round"]: r for r in recorded_rounds}
-        if ledger_obj is not None:
-            ledger_obj.append(
+        if recorder.ledger is not None:
+            recorder.ledger.append(
                 {
                     "type": "resumed",
-                    "round": resumed_round,
-                    "file": checkpoint_file,
+                    "round": restored.rounds,
+                    "file": restored.checkpoint_path.name,
                 }
             )
         return recorder
-
-    @staticmethod
-    def _coerce_ledger(
-        ledger: CampaignLedger | str | Path | None,
-    ) -> tuple[CampaignLedger | None, bool]:
-        if ledger is None or isinstance(ledger, CampaignLedger):
-            return ledger, False
-        return CampaignLedger(ledger), True
 
     @staticmethod
     def _validate(
@@ -816,43 +800,53 @@ class CampaignRecorder:
         rounds: int,
         deletions: int,
         victims: Sequence[Node],
+        events: Sequence[HealEvent],
     ) -> None:
-        if self.ledger is not None:
+        if self.ledger is not None or self._recorded:
             record = {
                 "type": "round",
                 "round": rounds,
                 "victims": [_encode_victim(v) for v in victims],
                 "deletions": deletions,
                 "alive": self.network.num_alive,
+                "heals": [event.fingerprint() for event in events],
             }
-            self._check_against_ledger(record)
-            # Flush-tier durability: round records are the audit trail
-            # and the resume tripwire, not what resume restores from,
-            # and a flush already survives any process death. Saving
-            # the per-round fsync is what keeps crash-safe campaigns
-            # inside the ≤5% overhead budget.
-            self.ledger.append(record, sync=False)
+            self._check(record)
+            if self.ledger is not None:
+                # Flush-tier durability: round records are the audit
+                # trail and the resume tripwire, not what resume
+                # restores from, and a flush already survives any
+                # process death. Saving the per-round fsync is what
+                # keeps crash-safe campaigns inside the ≤5% overhead
+                # budget.
+                self.ledger.append(record, sync=False)
         if (
             self.checkpoint_every is not None
             and rounds % self.checkpoint_every == 0
         ):
             self._checkpoint(rounds, deletions)
 
-    def _check_against_ledger(self, record: dict) -> None:
-        """The resume tripwire: a re-executed round must reproduce the
-        ledger's record of it."""
+    def _check(self, record: dict) -> None:
+        """The one re-execution tripwire: a re-executed round must
+        reproduce every field its recorded round holds (a record
+        written before a field existed just lacks it)."""
         expected = self._recorded.pop(record["round"], None)
         if expected is None:
             return
-        for key in ("victims", "deletions", "alive"):
-            if expected.get(key) != record[key]:
-                raise CheckpointError(
+        for key, value in expected.items():
+            if record.get(key) != value:
+                raise DivergenceError(
                     f"re-executed round {record['round']} diverged from "
-                    f"the ledger: {key}={record[key]!r}, recorded "
-                    f"{expected.get(key)!r}"
+                    f"its record: {key}={record.get(key)!r}, recorded "
+                    f"{value!r}"
                 )
 
     def finish(self, result: "SimulationResult", rounds: int) -> None:
+        if self._recorded:
+            raise DivergenceError(
+                f"re-execution ended after round {rounds}, but round "
+                f"{max(self._recorded)} is recorded"
+            )
         if self.ledger is not None:
             self.ledger.append(
                 {
@@ -881,15 +875,16 @@ class RestoredCampaign:
     adversary: object
     metrics: list
     params: dict
-    rounds: int
-    deletions: int
-    checkpoint_path: Path
-    checkpointer: Checkpointer
+    rounds: int = 0
+    deletions: int = 0
+    #: the snapshot restored (``None`` for :func:`replay_campaign`)
+    checkpoint_path: Path | None = None
+    checkpointer: Checkpointer | None = None
     #: the recorded cadence (``static.json``'s ``checkpoint_every``)
-    checkpoint_every: int | None
+    checkpoint_every: int | None = None
     #: the campaign-start initial-degree table, re-derived from
     #: ``static.json`` (a resuming recorder diffs snapshots against it)
-    start_degree: dict
+    start_degree: dict = field(default_factory=dict)
 
 
 def _restore_network(
@@ -1165,29 +1160,11 @@ def _resume(
     keep_checkpointing: bool,
     recorded_rounds: Iterable[dict] = (),
 ) -> "SimulationResult":
-    """Run a restored campaign to completion (see :func:`resume_campaign`)."""
+    """Run a restored campaign to completion (see :func:`resume_campaign`)
+    through the campaign loop and the recorder's tripwire."""
     from repro.sim.engine import _drive_campaign
 
     params = restored.params
-    recorder = None
-    if keep_checkpointing or ledger is not None:
-        recorder = CampaignRecorder.resume(
-            network=restored.network,
-            adversary=restored.adversary,
-            metrics=restored.metrics,
-            params=params,
-            checkpointer=(
-                restored.checkpointer if keep_checkpointing else None
-            ),
-            checkpoint_every=(
-                restored.checkpoint_every if keep_checkpointing else None
-            ),
-            ledger=ledger,
-            resumed_round=restored.rounds,
-            checkpoint_file=restored.checkpoint_path.name,
-            start_degree=restored.start_degree,
-            recorded_rounds=recorded_rounds,
-        )
     return _drive_campaign(
         network=restored.network,
         adversary=restored.adversary,
@@ -1201,8 +1178,41 @@ def _resume(
         deletions=restored.deletions,
         keep_events=params["keep_events"],
         keep_network=params["keep_network"],
-        recorder=recorder,
+        recorder=CampaignRecorder.resume(
+            restored,
+            ledger=ledger,
+            keep_checkpointing=keep_checkpointing,
+            recorded_rounds=recorded_rounds,
+        ),
     )
+
+
+def replay_campaign(
+    graph: Graph,
+    healer: object,
+    adversary: object,
+    *,
+    id_seed: int,
+    recorded_rounds: Iterable[dict],
+) -> "SimulationResult":
+    """Re-execute a campaign from round 0 through the loop and tripwire
+    resume uses, keeping its events and writing nothing: each round must
+    reproduce its record in ``recorded_rounds`` (any subset of a round
+    record's fields), or :class:`~repro.errors.DivergenceError` is
+    raised in that round."""
+    network = SelfHealingNetwork(graph, healer, seed=id_seed)
+    adversary.reset(network)
+    params = {
+        "batch_rounds": getattr(adversary, "batch_rounds", False),
+        "mixed_rounds": getattr(adversary, "mixed_rounds", False),
+        "stop_alive": 0,
+        "max_rounds": None,
+        "max_deletions": None,
+        "keep_events": True,
+        "keep_network": False,
+    }
+    restored = RestoredCampaign(network, adversary, [], params)
+    return _resume(restored, None, False, recorded_rounds)
 
 
 def resume_from_ledger(
@@ -1221,9 +1231,11 @@ def resume_from_ledger(
     next-newest; the ledger is the source of truth for *where* to
     resume, the hashes for *whether* a snapshot survived the crash
     intact. The rounds the ledger records after the restored snapshot
-    are the tripwire: each re-executed round must reproduce its record
-    (victims, deletions, survivors) or resume raises
-    :class:`~repro.errors.CheckpointError`.
+    are the tripwire: each re-executed round must reproduce every field
+    of its record (victims, deletions, survivors and each heal's
+    fingerprint), and the re-execution must reach the last recorded
+    round, or resume raises :class:`~repro.errors.DivergenceError` (a
+    :class:`~repro.errors.CheckpointError`).
     """
     records = read_ledger(ledger_path)
     header, tail = latest_campaign(records)
@@ -1258,6 +1270,4 @@ def resume_from_ledger(
         for r in tail
         if r.get("type") == "round" and r["round"] > restored.rounds
     ]
-    return _resume(
-        restored, CampaignLedger(ledger_path), keep_checkpointing, recorded
-    )
+    return _resume(restored, ledger_path, keep_checkpointing, recorded)

@@ -11,13 +11,15 @@ record stream:
 ``{"type": "campaign", ...}``
     Header: ledger format version, engine parameters, the checkpoint
     directory (if checkpointing is on), initial population.
-``{"type": "round", "round": r, "victims": [...], ...}``
-    One per completed round/wave: who died, cumulative deletions,
-    survivors. This is the audit/replay trail — a
+``{"type": "round", "round": r, "victims": [...], "heals": [...], ...}``
+    One per completed round/wave: who died (or the churn ops),
+    cumulative deletions, survivors, and each heal's
+    :meth:`~repro.core.network.HealEvent.fingerprint`. This is the
+    audit/replay trail — a
     :class:`~repro.adversary.scripted.ScriptedAttack` over the
     concatenated victims replays the campaign on any healer — and the
     resume tripwire: every round re-executed after the restored
-    snapshot must reproduce its record.
+    snapshot must reproduce every field its record holds.
 ``{"type": "checkpoint", "round": r, "kind": ..., "file": ..., ...}``
     A snapshot (``init`` or ``full``) was durably written; its
     ``sha256`` lets resume reject a checkpoint torn by a crash

@@ -422,12 +422,8 @@ class CampaignService:
             for job_id, handle in list(self.workers.items()):
                 handle.kill()
                 del self.workers[job_id]
-                job = self.jobs[job_id]
-                if job.state is JobState.RUNNING:
-                    job.advance(JobState.CHECKPOINTED)
-                    job.resumes += 1
-                    self.store.save(job)
-                    self._enqueue(job, force=True)
+                if self.jobs[job_id].state is JobState.RUNNING:
+                    self._interrupted(self.jobs[job_id])
 
     # -- test/CLI convenience -------------------------------------------
     def wait(self, job_id: str, *, timeout: float = 60.0) -> dict:

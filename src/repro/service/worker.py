@@ -124,7 +124,8 @@ def worker_main(
             # falls back to a fresh run appending to the same ledger —
             # determinism makes the replayed prefix identical, so the
             # stream's round dedupe still reconstructs the
-            # straight-through sequence.
+            # straight-through sequence. A resume whose re-execution
+            # diverges from the ledger falls back the same way.
             CampaignLedger(ledger_path).close()
             if ended() is None:
                 try:

@@ -129,7 +129,9 @@ def run_campaign(
         (validated up front).
     ledger:
         A :class:`~repro.recovery.ledger.CampaignLedger` (or a path to
-        open one) receiving one append-only record per round — the
+        open one) receiving one append-only record per round: its
+        victims or churn ops, deletions, survivors and each heal's
+        :meth:`~repro.core.network.HealEvent.fingerprint`. It is the
         audit trail resume-from-crash starts from, and the tripwire
         re-executed rounds are checked against. Round records are
         flushed, which survives a process kill, but not fsync'd; the
@@ -266,7 +268,8 @@ def _drive_campaign(
     :func:`run_campaign` enters here at round 0; resume enters with a
     restored snapshot's round/deletion counters and re-executes the
     rounds after it — byte-identical continuation falls out of sharing
-    this one loop rather than approximating it.
+    this one loop rather than approximating it. Churn-trace replay
+    enters at round 0, checked round by round like a resume.
     """
     while network.num_alive > stop_alive and network.num_alive > 0:
         if max_rounds is not None and rounds >= max_rounds:
@@ -300,7 +303,7 @@ def _drive_campaign(
                 for event in events:
                     metric.on_event(network, event)
             if recorder is not None:
-                recorder.after_round(rounds, deletions, ops)
+                recorder.after_round(rounds, deletions, ops, events)
             continue
         # Dedupe once, in first-appearance order, before any deletion:
         # what reaches the network is exactly what gets counted.
@@ -330,7 +333,7 @@ def _drive_campaign(
             for event in events:
                 metric.on_event(network, event)
         if recorder is not None:
-            recorder.after_round(rounds, deletions, victims)
+            recorder.after_round(rounds, deletions, victims, events)
 
     values: dict[str, float] = {"waves": float(rounds)} if batch_rounds else {}
     if mixed_rounds:

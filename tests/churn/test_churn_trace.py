@@ -17,6 +17,7 @@ from repro.churn.trace import (
     save_churn_schedule,
     save_churn_trace,
 )
+from repro.core.network import SelfHealingNetwork
 from repro.core.registry import HEALERS
 from repro.errors import SimulationError
 from repro.graph.generators import GENERATORS
@@ -132,8 +133,26 @@ def test_replay_reproduces_fingerprints_bit_for_bit(scenario):
 def test_replay_detects_tampered_fingerprint(scenario):
     trace, _ = _record(scenario)
     trace.fingerprints[3][2] += 1  # corrupt one num_edges
-    with pytest.raises(SimulationError, match="diverged at round 4"):
+    with pytest.raises(SimulationError, match="round 4 diverged"):
         replay_churn_trace(trace)
+
+
+def test_replay_fails_in_the_round_that_diverges(scenario, monkeypatch):
+    trace, _ = _record(scenario)
+    trace.fingerprints[3][3] += 1  # corrupt one id_changes
+    healed = []
+    for name in ("delete_and_heal", "insert_and_heal"):
+        real = getattr(SelfHealingNetwork, name)
+
+        def spy(self, *args, _real=real):
+            healed.append(args[0])
+            return _real(self, *args)
+
+        monkeypatch.setattr(SelfHealingNetwork, name, spy)
+    with pytest.raises(SimulationError, match="round 4 diverged"):
+        replay_churn_trace(trace)
+    # Round 4 healed, round 5 never did.
+    assert healed == [round_ops[0][1] for round_ops in trace.schedule[:4]]
 
 
 def test_replay_detects_truncated_trace(scenario):

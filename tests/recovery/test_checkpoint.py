@@ -9,11 +9,21 @@ the full :class:`~repro.core.network.HealEvent` stream.
 
 from __future__ import annotations
 
+import json
+from dataclasses import replace
+
 import pytest
 
 import repro.sim.metrics as metrics_module
+from repro.cli import main as cli_main
 from repro.core.components import ComponentTracker
-from repro.errors import CheckpointError, ConfigurationError, SimulatedCrash
+from repro.core.dash import Dash
+from repro.errors import (
+    CheckpointError,
+    ConfigurationError,
+    DivergenceError,
+    SimulatedCrash,
+)
 from repro.graph.traversal import is_connected
 from repro.recovery import (
     Checkpointer,
@@ -573,9 +583,7 @@ class TestSnapshotsAndReExecution:
         ledger.write_text(
             "".join(json_mod.dumps(r) + "\n" for r in records)
         )
-        with pytest.raises(
-            CheckpointError, match="round 5 diverged from the ledger"
-        ):
+        with pytest.raises(CheckpointError, match="round 5 diverged"):
             resume_from_ledger(ledger)
         # Resuming from the directory alone has no tripwire.
         resumed = resume_campaign(tmp_path / "ck", keep_checkpointing=False)
@@ -631,6 +639,108 @@ class TestSnapshotsAndReExecution:
             r for r in read_ledger(ledger) if r.get("type") == "resumed"
         ]
         assert marker[0]["file"] == "ckpt-r00000000.json"
+
+
+class _DropOneTreeEdge(Dash):
+    """DASH that leaves out the last edge of the first reconstruction
+    tree it builds: a re-execution that heals differently while a
+    random attack's victims stay the same."""
+
+    def __init__(self) -> None:
+        self.dropped = None
+
+    def plan(self, snapshot):
+        plan = super().plan(snapshot)
+        if self.dropped is None and plan.edges:
+            self.dropped = snapshot.deleted
+            return replace(plan, edges=plan.edges[:-1], component_safe=False)
+        return plan
+
+
+class TestOneTripwire:
+    """Every re-executed round must reproduce every field its recorded
+    round holds — each heal's fingerprint included — and reach the last
+    recorded round."""
+
+    def _crash(self, tmp_path):
+        # checkpoint_every=4, crash in round 12: resume restores round 8
+        # and re-executes rounds 9–11, which the ledger recorded.
+        graph, healer, adversary, metrics = _components(
+            "dash", "random", 50, 11
+        )
+        ledger = tmp_path / "campaign.jsonl"
+        with pytest.raises(SimulatedCrash):
+            run_campaign(
+                graph,
+                healer,
+                adversary,
+                id_seed=3,
+                metrics=metrics + [CrashAtRound(12)],
+                keep_events=True,
+                checkpoint_every=4,
+                checkpoint_dir=tmp_path / "ck",
+                ledger=ledger,
+            )
+        return ledger
+
+    @staticmethod
+    def _rewrite(ledger, records) -> None:
+        ledger.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+    def test_every_round_records_its_heals(self, tmp_path):
+        ledger = self._crash(tmp_path)
+        straight = _straight("dash", "random")
+        heals = [
+            r["heals"] for r in read_ledger(ledger) if r["type"] == "round"
+        ]
+        assert heals == [[e.fingerprint()] for e in straight.events[:11]]
+
+    def test_a_dropped_tree_edge_fails_the_resume(self, tmp_path):
+        ledger = self._crash(tmp_path)
+        mutant = _DropOneTreeEdge()
+        with pytest.raises(DivergenceError) as caught:
+            resume_from_ledger(ledger, healer=mutant)
+        (mutated,) = [
+            r["round"]
+            for r in read_ledger(ledger)
+            if r["type"] == "round" and r["victims"] == [mutant.dropped]
+        ]
+        assert mutated > 8
+        assert f"round {mutated} diverged" in str(caught.value)
+        assert "heals=" in str(caught.value)
+
+    def test_a_ledger_without_heals_resumes_byte_identical(self, tmp_path):
+        # A ledger written before rounds recorded their heals.
+        ledger = self._crash(tmp_path)
+        records = read_ledger(ledger)
+        for record in records:
+            record.pop("heals", None)
+        self._rewrite(ledger, records)
+        _assert_identical(
+            _straight("dash", "random"), resume_from_ledger(ledger)
+        )
+
+    def test_a_round_past_the_last_fails_the_resume(self, tmp_path):
+        ledger = self._crash(tmp_path)
+        records = read_ledger(ledger)
+        last = [r for r in records if r["type"] == "round"][-1]
+        self._rewrite(ledger, records + [dict(last, round=51)])
+        with pytest.raises(
+            DivergenceError, match="ended after round 50, but round 51"
+        ):
+            resume_from_ledger(ledger)
+        assert not any(r["type"] == "end" for r in read_ledger(ledger))
+
+    def test_repro_resume_exits_2_on_edited_heals(self, tmp_path, capsys):
+        ledger = self._crash(tmp_path)
+        records = read_ledger(ledger)
+        (target,) = [
+            r for r in records if r["type"] == "round" and r["round"] == 10
+        ]
+        target["heals"][0][3] += 1  # one more ID change than it charged
+        self._rewrite(ledger, records)
+        assert cli_main(["resume", str(ledger)]) == 2
+        assert "round 10 diverged" in capsys.readouterr().err
 
 
 class TestConnectivityResume:

@@ -354,6 +354,18 @@ class TestRestartRecovery:
         assert round_lines(revived.ledger_path(j_running)) == expected_lines
         assert v_running["result"]["values"] == dict(expected.values)
 
+    def test_shutdown_counts_the_resume_it_causes(self, tmp_path):
+        service = make_service(tmp_path / "svc", max_workers=1)
+        job_id, _ = service.submit(pa_request(n=3000, deletions=2000))
+        service.start()
+        try:
+            wait_for_rounds(service, job_id, 5)
+        finally:
+            service.shutdown()  # kills the worker mid-campaign
+        job = service.jobs[job_id]
+        assert job.state is JobState.CHECKPOINTED
+        assert service.metrics_snapshot()["resumes"] == job.resumes == 1
+
     def test_restart_survives_a_job_that_no_longer_builds(self, tmp_path):
         # A stored record whose adversary its constructor refuses (saved
         # before submit checked it): recover() loads it by its binding
