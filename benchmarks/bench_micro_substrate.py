@@ -54,8 +54,11 @@ def test_connected_components(benchmark):
     benchmark(lambda: connected_components(g))
 
 
-def test_apsp_scipy_fast_path(benchmark):
-    g = make_graph()
+@pytest.mark.parametrize("n", [N, 2000])
+def test_apsp_numpy_bfs(benchmark, n):
+    """The multi-source BFS behind stretch; the n=2,000 case keeps its
+    scaling measured."""
+    g = preferential_attachment(n, 2, seed=7)
     benchmark(lambda: distance_matrix(g))
 
 

@@ -27,10 +27,9 @@ by the node label itself:
   the object backend: same lazy build, same push stream, same
   exceptions.
 
-Bulk export for analytics lives in :mod:`repro.graph.csr`
-(:func:`~repro.graph.csr.graph_to_csr` has a numpy fast path over the
-slot arrays); :meth:`ArrayGraph.degree_array` exposes degrees as one
-numpy vector for the same reason.
+The backend is stdlib-only: analytics read it through the ``Graph``
+interface, as they read the object backend (the numpy distance kernel
+in :mod:`repro.graph.distance` builds its own adjacency arrays).
 
 Backend selection is by name — ``new_graph(nodes, backend)`` is the
 single factory the generators and the registry/CLI plumbing route
@@ -192,7 +191,7 @@ class ArrayGraph(Graph):
             # dead (``None``) until a later add claims them; sequential
             # appends (``node == len``) stay exact-size so construction-
             # time graphs keep the hole-free slot layout the fused kernel
-            # and CSR export check for.
+            # and ``nodes`` check for.
             grown = max(node + 1, 2 * len(nbrs), 8)
             nbrs.extend([None] * (grown - len(nbrs)))
             nbrs[node] = EDGELESS
@@ -376,18 +375,6 @@ class ArrayGraph(Graph):
                 raise NodeNotFoundError(u)
             out[u] = len(s) + offset
         return out
-
-    def degree_array(self):
-        """Degrees of every *slot* as one numpy ``int64`` vector (dead
-        slots report ``-1``) — the bulk feed for CSR export and the
-        memory/degree analytics that would otherwise iterate n dicts."""
-        import numpy as np
-
-        return np.fromiter(
-            (-1 if s is None else len(s) for s in self._nbrs),
-            dtype=np.int64,
-            count=len(self._nbrs),
-        )
 
     def _index(self) -> DegreeIndex:
         idx = self._deg_index

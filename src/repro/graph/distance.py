@@ -1,12 +1,20 @@
-"""All-pairs distances, eccentricity, diameter — with a scipy fast path.
+"""All-pairs distances, eccentricity, diameter — with a numpy fast path.
 
 Stretch (Fig. 10) needs all-pairs shortest-path (APSP) distances on both
 the original and the healed graph. The pure-Python implementation runs a
-BFS per node (O(n·(n+m))); the scipy path converts the graph to CSR once
-and calls the compiled breadth-first APSP in ``scipy.sparse.csgraph``,
-which is ~40x faster at n=1000. Both paths are cross-tested for equality
-(`tests/graph/test_distance.py`), following the guide's "make it work,
-then make it fast, and verify the fast path against the slow one" rule.
+BFS per node (O(n·(n+m))); :func:`distance_rows` runs the BFS from many
+sources at once in numpy, level by level, with one bit per
+(node, source): a level ORs each node's neighbours' frontier words
+together, so it costs O((n+m)·s/64) word operations for ``s`` sources,
+and the search takes one level per hop of the longest distance. On the
+paper's small-world graphs that is cheap: a PA m=2 graph takes 1.3 ms
+at n=300 and 54 ms at n=2,000 (2-core AMD EPYC VM, numpy 2.4), 4–5×
+less than scipy's compiled per-source BFS. A long path is its worst
+case: at n=1,000 (diameter 999) it takes 0.3 s, about 20× scipy.
+:func:`distance_matrix` is its all-sources case. Both paths are
+cross-tested for equality (`tests/graph/test_distance.py`), following
+the guide's "make it work, then make it fast, and verify the fast path
+against the slow one" rule.
 """
 
 from __future__ import annotations
@@ -15,14 +23,14 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from repro.graph.csr import graph_to_csr
+from repro.errors import NodeNotFoundError
 from repro.graph.graph import Graph
 from repro.graph.traversal import bfs_distances
 
 __all__ = [
     "all_pairs_distances",
     "distance_matrix",
-    "graph_to_csr",
+    "distance_rows",
     "eccentricity",
     "diameter",
     "average_path_length",
@@ -47,20 +55,89 @@ def all_pairs_distances(graph: Graph) -> dict[Node, dict[Node, int]]:
 def distance_matrix(
     graph: Graph, order: Sequence[Node] | None = None
 ) -> tuple[np.ndarray, list[Node]]:
-    """APSP distance matrix via the compiled scipy BFS.
+    """APSP distance matrix: :func:`distance_rows` from every node.
 
     Returns ``(D, order)`` where ``D[i, j]`` is the hop distance between
     ``order[i]`` and ``order[j]``, with :data:`UNREACHABLE` (−1) marking
-    disconnected pairs. The dtype is ``int32``.
+    disconnected pairs. The dtype is ``int32``. ``order`` defaults to
+    ``graph.nodes()``; an explicit one keeps a consistent indexing across
+    the original and healed graphs (stretch, where the two share
+    surviving labels).
     """
-    from scipy.sparse.csgraph import shortest_path
+    order = list(graph.nodes()) if order is None else list(order)
+    return distance_rows(graph, order, np.arange(len(order))), order
 
-    mat, order = graph_to_csr(graph, order)
-    if mat.shape[0] == 0:
-        return np.zeros((0, 0), dtype=np.int32), order
-    dist = shortest_path(mat, method="D", unweighted=True, directed=False)
-    out = np.where(np.isinf(dist), float(UNREACHABLE), dist).astype(np.int32)
-    return out, order
+
+def distance_rows(
+    graph: Graph, order: Sequence[Node], sources: Sequence[int]
+) -> np.ndarray:
+    """Rows ``sources`` (positions in ``order``) of
+    ``distance_matrix(graph, order)``, computed from those sources only.
+
+    Distances run over the subgraph ``order`` induces: edges to nodes
+    outside it are dropped. A label repeated in ``order`` raises
+    ``ValueError``; a label not in ``graph`` raises
+    :class:`~repro.errors.NodeNotFoundError`.
+    """
+    indptr, indices = _adjacency(graph, order)
+    n = len(order)
+    sources = np.asarray(sources, dtype=np.intp)
+    s = len(sources)
+    # Node-major: row v holds v's distance from every source, and bit
+    # j of v's words says whether source j has reached v.
+    dist = np.full((n, s), UNREACHABLE, dtype=np.int32)
+    columns = np.arange(s)
+    dist[sources, columns] = 0
+    start = np.zeros((n, -(-s // 64) * 64), dtype=bool)
+    start[sources, columns] = True
+    frontier = np.packbits(start, axis=1, bitorder="little").view("<u8")
+    visited = frontier.copy()
+    # reduceat reads an empty segment as one element, so only nodes
+    # with neighbours take part.
+    linked = np.flatnonzero(np.diff(indptr))
+    starts = indptr[linked]
+    level = 0
+    while starts.size:
+        level += 1
+        reached = np.zeros_like(frontier)
+        reached[linked] = np.bitwise_or.reduceat(
+            frontier[indices], starts, axis=0
+        )
+        reached &= ~visited
+        rows = np.flatnonzero(reached.any(axis=1))
+        if not rows.size:
+            break
+        visited |= reached
+        frontier = reached
+        new = np.unpackbits(
+            reached[rows].view(np.uint8), axis=1, count=s, bitorder="little"
+        ).view(bool)
+        block = dist[rows]
+        block[new] = level
+        dist[rows] = block
+    return np.ascontiguousarray(dist.T)
+
+
+def _adjacency(
+    graph: Graph, order: Sequence[Node]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR adjacency ``(indptr, indices)`` of the subgraph ``order``
+    induces, row ``i`` for ``order[i]``."""
+    index = {u: i for i, u in enumerate(order)}
+    if len(index) != len(order):
+        raise ValueError("order contains duplicate node labels")
+    get = index.get
+    indices: list[int] = []
+    indptr = [0]
+    for u in order:
+        if not graph.has_node(u):
+            raise NodeNotFoundError(u)
+        for v in graph.neighbors_view(u):
+            i = get(v)
+            if i is not None:
+                indices.append(i)
+        indptr.append(len(indices))
+    return np.array(indptr, dtype=np.intp), np.array(indices, dtype=np.intp)
 
 
 def eccentricity(graph: Graph, node: Node) -> int:

@@ -513,7 +513,8 @@ class CampaignRecorder:
         self.params = params
         self.checkpointer = checkpointer
         self.checkpoint_every = checkpoint_every
-        #: a ledger given as a path is opened here and closed at finish
+        #: a ledger given as a path is opened here and closed by
+        #: :meth:`close`
         self._owns_ledger = isinstance(ledger, (str, os.PathLike))
         self.ledger = CampaignLedger(ledger) if self._owns_ledger else ledger
         #: the campaign-start initial-degree table (restore re-derives
@@ -556,29 +557,33 @@ class CampaignRecorder:
             ledger=ledger,
             start_degree=dict(network.initial_degree),
         )
-        # Header first: every later record (including the round-0
-        # checkpoint reference) belongs to this campaign section.
-        if recorder.ledger is not None:
-            recorder.ledger.append(
-                {
-                    "type": "campaign",
-                    "version": LEDGER_VERSION,
-                    "checkpoint_dir": (
-                        str(checkpointer.directory)
-                        if checkpointer is not None
-                        else None
-                    ),
-                    "initial_n": network.initial_n,
-                    "params": _ensure_jsonable(
-                        dict(params), "engine params"
-                    ),
-                    "adversary": _component_descriptor(adversary),
-                    "healer": _component_descriptor(network.healer),
-                }
-            )
-        if checkpointer is not None:
-            recorder._write_static()
-            recorder._checkpoint(0, 0)
+        try:
+            # Header first: every later record (including the round-0
+            # checkpoint reference) belongs to this campaign section.
+            if recorder.ledger is not None:
+                recorder.ledger.append(
+                    {
+                        "type": "campaign",
+                        "version": LEDGER_VERSION,
+                        "checkpoint_dir": (
+                            str(checkpointer.directory)
+                            if checkpointer is not None
+                            else None
+                        ),
+                        "initial_n": network.initial_n,
+                        "params": _ensure_jsonable(
+                            dict(params), "engine params"
+                        ),
+                        "adversary": _component_descriptor(adversary),
+                        "healer": _component_descriptor(network.healer),
+                    }
+                )
+            if checkpointer is not None:
+                recorder._write_static()
+                recorder._checkpoint(0, 0)
+        except BaseException:
+            recorder.close()
+            raise
         return recorder
 
     @classmethod
@@ -607,13 +612,17 @@ class CampaignRecorder:
             recorded_rounds=recorded_rounds,
         )
         if recorder.ledger is not None:
-            recorder.ledger.append(
-                {
-                    "type": "resumed",
-                    "round": restored.rounds,
-                    "file": restored.checkpoint_path.name,
-                }
-            )
+            try:
+                recorder.ledger.append(
+                    {
+                        "type": "resumed",
+                        "round": restored.rounds,
+                        "file": restored.checkpoint_path.name,
+                    }
+                )
+            except BaseException:
+                recorder.close()
+                raise
         return recorder
 
     @staticmethod
@@ -860,8 +869,13 @@ class CampaignRecorder:
                     ),
                 }
             )
-            if self._owns_ledger:
-                self.ledger.close()
+
+    def close(self) -> None:
+        """Close the ledger if this recorder opened it. The campaign
+        loop calls it however the campaign ends, so a crashed campaign
+        leaves no open handle behind."""
+        if self._owns_ledger:
+            self.ledger.close()
 
 
 # ----------------------------------------------------------------------

@@ -54,10 +54,8 @@ EXIT_BAD_JOB = 2
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-def _heartbeat_loop(
-    path: Path, interval: float, stop: threading.Event
-) -> None:
-    while not stop.wait(interval):
+def _heartbeat_loop(path: Path, stop: threading.Event) -> None:
+    while not stop.wait(HEARTBEAT_INTERVAL):
         try:
             path.touch()
         except OSError:  # pragma: no cover - job dir vanished under us
@@ -77,9 +75,8 @@ def worker_main(
     job_dir: str | Path,
     *,
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-    heartbeat_interval: float = HEARTBEAT_INTERVAL,
 ) -> int:
-    from repro.errors import CheckpointError
+    from repro.errors import CheckpointError, DivergenceError
     from repro.recovery.checkpoint import resume_from_ledger
     from repro.recovery.ledger import CampaignLedger, LedgerReader
     from repro.service.request import CampaignRequest, run_request
@@ -102,9 +99,7 @@ def worker_main(
     heartbeat.touch()
     stop = threading.Event()
     beat = threading.Thread(
-        target=_heartbeat_loop,
-        args=(heartbeat, heartbeat_interval, stop),
-        daemon=True,
+        target=_heartbeat_loop, args=(heartbeat, stop), daemon=True
     )
     beat.start()
     reader = LedgerReader(ledger_path)
@@ -119,17 +114,20 @@ def worker_main(
             # Durable state from a previous incarnation. Reopening the
             # ledger repairs a tail torn by its death (an end record
             # that lost only its newline counts); a campaign without
-            # an end record then resumes. A ledger with a header but no
-            # intact checkpoint (killed before the first snapshot)
-            # falls back to a fresh run appending to the same ledger —
-            # determinism makes the replayed prefix identical, so the
-            # stream's round dedupe still reconstructs the
+            # an end record then resumes. A ledger with no intact
+            # checkpoint to resume from (killed before the first
+            # snapshot) falls back to a fresh run appending to the same
+            # ledger — determinism makes the replayed prefix identical,
+            # so the stream's round dedupe still reconstructs the
             # straight-through sequence. A resume whose re-execution
-            # diverges from the ledger falls back the same way.
+            # diverges from the recorded rounds fails the job: a fresh
+            # run would hide the divergence.
             CampaignLedger(ledger_path).close()
             if ended() is None:
                 try:
                     resume_from_ledger(ledger_path, keep_checkpointing=True)
+                except DivergenceError:
+                    raise
                 except CheckpointError:
                     pass
         if ended() is None:
@@ -164,19 +162,8 @@ def main(argv: list[str] | None = None) -> int:
         metavar="N",
         help="checkpoint cadence in rounds (default %(default)s)",
     )
-    parser.add_argument(
-        "--heartbeat-interval",
-        type=float,
-        default=HEARTBEAT_INTERVAL,
-        metavar="SECONDS",
-        help="seconds between heartbeat touches (default %(default)s)",
-    )
     args = parser.parse_args(argv)
-    return worker_main(
-        args.job_dir,
-        checkpoint_every=args.checkpoint_every,
-        heartbeat_interval=args.heartbeat_interval,
-    )
+    return worker_main(args.job_dir, checkpoint_every=args.checkpoint_every)
 
 
 # ----------------------------------------------------------------------

@@ -271,94 +271,104 @@ def _drive_campaign(
     this one loop rather than approximating it. Churn-trace replay
     enters at round 0, checked round by round like a resume.
     """
-    while network.num_alive > stop_alive and network.num_alive > 0:
-        if max_rounds is not None and rounds >= max_rounds:
-            break
-        if max_deletions is not None and deletions >= max_deletions:
-            break
-        chosen = adversary.choose_round(network)
-        if not chosen:
-            break
-        if mixed_rounds:
-            # Churn round: execute the ops in order — insertions heal
-            # through insert_and_heal, deletions through the classic
-            # single-victim machinery. Only deletions consume the
-            # max_deletions budget.
-            ops = _normalize_churn_ops(adversary, chosen)
-            events = []
-            for op in ops:
-                if op[0] == "add":
-                    events.append(network.insert_and_heal(op[1], op[2]))
-                else:
-                    victim = op[1]
-                    if not network.graph.has_node(victim):
-                        raise SimulationError(
-                            f"adversary {adversary.name} chose dead node "
-                            f"{victim!r}"
-                        )
-                    events.append(network.delete_and_heal(victim))
-                    deletions += 1
+    try:
+        while network.num_alive > stop_alive and network.num_alive > 0:
+            if max_rounds is not None and rounds >= max_rounds:
+                break
+            if max_deletions is not None and deletions >= max_deletions:
+                break
+            chosen = adversary.choose_round(network)
+            if not chosen:
+                break
+            if mixed_rounds:
+                # Churn round: execute the ops in order — insertions heal
+                # through insert_and_heal, deletions through the classic
+                # single-victim machinery. Only deletions consume the
+                # max_deletions budget.
+                ops = _normalize_churn_ops(adversary, chosen)
+                events = []
+                for op in ops:
+                    if op[0] == "add":
+                        events.append(network.insert_and_heal(op[1], op[2]))
+                    else:
+                        victim = op[1]
+                        if not network.graph.has_node(victim):
+                            raise SimulationError(
+                                f"adversary {adversary.name} chose dead node "
+                                f"{victim!r}"
+                            )
+                        events.append(network.delete_and_heal(victim))
+                        deletions += 1
+                rounds += 1
+                for metric in metrics:
+                    for event in events:
+                        metric.on_event(network, event)
+                if recorder is not None:
+                    recorder.after_round(rounds, deletions, ops, events)
+                continue
+            # Dedupe once, in first-appearance order, before any deletion:
+            # what reaches the network is exactly what gets counted.
+            victims: list[Node] = []
+            seen: set[Node] = set()
+            for victim in chosen:
+                if not network.graph.has_node(victim):
+                    raise SimulationError(
+                        f"adversary {adversary.name} chose dead node "
+                        f"{victim!r}"
+                    )
+                if victim not in seen:
+                    seen.add(victim)
+                    victims.append(victim)
+            if batch_rounds:
+                events = network.delete_batch_and_heal(victims)
+            else:
+                if len(victims) != 1:
+                    raise SimulationError(
+                        f"adversary {adversary.name} yielded a "
+                        f"{len(victims)}-victim round but batch rounds are "
+                        "disabled"
+                    )
+                events = [network.delete_and_heal(victims[0])]
             rounds += 1
+            deletions += len(victims)
             for metric in metrics:
                 for event in events:
                     metric.on_event(network, event)
             if recorder is not None:
-                recorder.after_round(rounds, deletions, ops, events)
-            continue
-        # Dedupe once, in first-appearance order, before any deletion:
-        # what reaches the network is exactly what gets counted.
-        victims: list[Node] = []
-        seen: set[Node] = set()
-        for victim in chosen:
-            if not network.graph.has_node(victim):
-                raise SimulationError(
-                    f"adversary {adversary.name} chose dead node {victim!r}"
-                )
-            if victim not in seen:
-                seen.add(victim)
-                victims.append(victim)
-        if batch_rounds:
-            events = network.delete_batch_and_heal(victims)
-        else:
-            if len(victims) != 1:
-                raise SimulationError(
-                    f"adversary {adversary.name} yielded a "
-                    f"{len(victims)}-victim round but batch rounds are "
-                    "disabled"
-                )
-            events = [network.delete_and_heal(victims[0])]
-        rounds += 1
-        deletions += len(victims)
+                recorder.after_round(rounds, deletions, victims, events)
+
+        values: dict[str, float] = (
+            {"waves": float(rounds)} if batch_rounds else {}
+        )
+        if mixed_rounds:
+            values["insertions"] = float(len(network.inserted_nodes))
         for metric in metrics:
-            for event in events:
-                metric.on_event(network, event)
+            out = metric.finalize(network)
+            overlap = values.keys() & out.keys()
+            if overlap:
+                raise ConfigurationError(
+                    f"duplicate metric names: {sorted(overlap)}"
+                )
+            values.update(out)
+
+        result = SimulationResult(
+            initial_n=network.initial_n,
+            deletions=deletions,
+            final_alive=network.num_alive,
+            peak_delta=network.peak_delta,
+            values=values,
+            events=list(network.events) if keep_events else None,
+            network=network if keep_network else None,
+            insertions=len(network.inserted_nodes),
+        )
         if recorder is not None:
-            recorder.after_round(rounds, deletions, victims, events)
-
-    values: dict[str, float] = {"waves": float(rounds)} if batch_rounds else {}
-    if mixed_rounds:
-        values["insertions"] = float(len(network.inserted_nodes))
-    for metric in metrics:
-        out = metric.finalize(network)
-        overlap = values.keys() & out.keys()
-        if overlap:
-            raise ConfigurationError(
-                f"duplicate metric names: {sorted(overlap)}"
-            )
-        values.update(out)
-
-    result = SimulationResult(
-        initial_n=network.initial_n,
-        deletions=deletions,
-        final_alive=network.num_alive,
-        peak_delta=network.peak_delta,
-        values=values,
-        events=list(network.events) if keep_events else None,
-        network=network if keep_network else None,
-        insertions=len(network.inserted_nodes),
-    )
-    if recorder is not None:
-        recorder.finish(result, rounds)
+            recorder.finish(result, rounds)
+    finally:
+        # However the campaign ends (its end record, a crash, a
+        # divergence, a healer error), the ledger the recorder opened
+        # is closed.
+        if recorder is not None:
+            recorder.close()
     if not keep_network:
         network.release()
     return result

@@ -6,10 +6,11 @@
 
 The original-graph distances are computed once; each measurement then
 computes current distances over the survivors and forms the ratio matrix
-with numpy. The exact mode uses the compiled APSP in scipy
-(O(n·m) per measurement); the sampled mode computes only ``k`` source
-rows — an unbiased *lower* bound on the max stretch that tracks the exact
-value closely on the paper's workloads (cross-checked in tests).
+with numpy. Both modes run the numpy multi-source BFS of
+:func:`~repro.graph.distance.distance_rows`: the exact mode from every
+survivor, the sampled mode from ``k`` drawn sources only — an unbiased
+*lower* bound on the max stretch that tracks the exact value closely on
+the paper's workloads (cross-checked in tests).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Hashable
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.graph.distance import UNREACHABLE, distance_matrix, graph_to_csr
+from repro.graph.distance import UNREACHABLE, distance_matrix, distance_rows
 from repro.graph.graph import Graph
 from repro.utils.rng import make_rng
 
@@ -105,16 +106,8 @@ class StretchComputer:
             d_now, _ = distance_matrix(current, alive)
             d_orig = self._d0[np.ix_(alive_ix, alive_ix)]
         else:
-            from scipy.sparse.csgraph import shortest_path
-
             picks = sorted(self._rng.sample(range(len(alive)), self._sample))
-            mat, _ = graph_to_csr(current, alive)
-            raw = shortest_path(
-                mat, method="D", unweighted=True, directed=False, indices=picks
-            )
-            d_now = np.where(np.isinf(raw), float(UNREACHABLE), raw).astype(
-                np.int32
-            )
+            d_now = distance_rows(current, alive, picks)
             d_orig = self._d0[np.ix_(alive_ix[picks], alive_ix)]
 
         return _stretch_from_matrices(d_now, d_orig)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +29,7 @@ from repro.graph.array_backend import (
     ArrayGraph,
     new_graph,
 )
-from repro.graph.csr import graph_to_csr
+from repro.graph.distance import UNREACHABLE, distance_matrix
 from repro.graph.graph import Graph
 
 
@@ -196,21 +197,9 @@ class TestDegreeMachinery:
             streams[name] = calls
         assert streams["object"] == streams["array"]
 
-    def test_degree_array(self):
-        a = ArrayGraph.from_edges([(0, 1), (0, 2)])
-        a.add_node(4)
-        a.remove_node(1)
-        degs = a.degree_array().tolist()
-        # Gap growth doubles capacity, so slots past the highest label
-        # are preallocated slack — dead, and reported with the same -1
-        # sentinel as genuinely removed nodes.
-        assert degs[:5] == [1, -1, 1, -1, 0]
-        assert all(d == -1 for d in degs[5:])
-
-    def test_degree_array_sentinel_across_grown_gaps(self):
-        """Amortized-doubling gap growth must keep the -1 dead-slot
-        sentinel exact: dead gap slots, slack slots, and removed nodes
-        all read -1; only genuinely live slots carry degrees."""
+    def test_grown_gaps_keep_nodes_and_degree_index(self):
+        """Amortized-doubling gap growth leaves dead gap and slack
+        slots: only genuinely live slots are nodes."""
         a = ArrayGraph(range(2))
         a.add_edge(0, 1)
         a.add_node(9)            # gap 2..8, plus doubling slack past 9
@@ -218,11 +207,9 @@ class TestDegreeMachinery:
         a.add_edge(5, 9)
         a.add_node(40)           # a second, larger gap
         a.remove_node(5)         # a real removal (takes edge (5,9) along)
-        degs = a.degree_array().tolist()
-        assert len(degs) == len(a._nbrs) >= 41
+        assert len(a._nbrs) >= 41
         expected_live = {0: 1, 1: 1, 9: 0, 40: 0}
-        for slot, d in enumerate(degs):
-            assert d == expected_live.get(slot, -1)
+        assert a.degrees() == expected_live
         assert sorted(a.nodes()) == sorted(expected_live)
         assert a.num_nodes == 4
         a.check_degree_index()
@@ -238,7 +225,7 @@ _OPS = st.lists(
                 "remove_edge",
                 "copy",
                 "subgraph",
-                "csr",
+                "distances",
             ]
         ),
         st.integers(min_value=0, max_value=7),
@@ -256,11 +243,14 @@ def assert_slot_states(a: ArrayGraph):
         assert s is None or s is EDGELESS or type(s) is set
 
 
-def csr_edges(graph):
-    matrix, order = graph_to_csr(graph)
-    rows, cols = matrix.nonzero()
+def distances(graph):
+    """The analytics path's view of ``graph``: its nodes and the hop
+    distance of every connected pair, by label."""
+    matrix, order = distance_matrix(graph)
+    rows, cols = np.nonzero(matrix != UNREACHABLE)
     return sorted(order), sorted(
-        (order[i], order[j]) for i, j in zip(rows.tolist(), cols.tolist())
+        (order[i], order[j], int(matrix[i, j]))
+        for i, j in zip(rows.tolist(), cols.tolist())
     )
 
 
@@ -289,7 +279,7 @@ def apply_op(graph, op, u, v):
         # included.
         sub = graph.subgraph(w for w in graph.nodes() if w != u)
         return sub, sub.add_edge(v, (v + 1) % 8)
-    return graph, csr_edges(graph)
+    return graph, distances(graph)
 
 
 class TestMirroredOps:

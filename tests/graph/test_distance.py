@@ -1,19 +1,24 @@
-"""Tests for distance computation — pure-Python vs scipy cross-validation."""
+"""Tests for distance computation: the numpy multi-source BFS against
+the pure-Python BFS (and against scipy's compiled APSP where scipy is
+installed)."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.errors import NodeNotFoundError
+from repro.graph.array_backend import ArrayGraph
 from repro.graph.distance import (
     UNREACHABLE,
     all_pairs_distances,
     average_path_length,
     diameter,
     distance_matrix,
+    distance_rows,
     eccentricity,
-    graph_to_csr,
 )
 from repro.graph.generators import (
     cycle_graph,
@@ -54,10 +59,57 @@ class TestDistanceMatrix:
     def test_duplicate_order_rejected(self):
         g = path_graph(3)
         with pytest.raises(ValueError):
-            graph_to_csr(g, order=[0, 0, 1])
+            distance_matrix(g, order=[0, 0, 1])
+
+    def test_unknown_order_node_rejected(self):
+        with pytest.raises(NodeNotFoundError):
+            distance_matrix(Graph([0]), [0, 9])
+
+    def test_isolated_nodes(self):
+        mat, order = distance_matrix(Graph([3, 1, 2]))
+        assert order == [3, 1, 2]
+        assert mat.dtype == np.int32
+        assert (mat == np.where(np.eye(3, dtype=bool), 0, UNREACHABLE)).all()
+
+    def test_string_labels(self):
+        g = Graph.from_edges([("a", "b"), ("b", "c")])
+        mat, order = distance_matrix(g)
+        idx = {u: i for i, u in enumerate(order)}
+        assert mat[idx["a"], idx["b"]] == 1 == mat[idx["b"], idx["a"]]
+        assert mat[idx["a"], idx["c"]] == 2
+        assert np.count_nonzero(mat == 1) == 4  # both directions, 2 edges
+
+    def test_node_order_stability(self):
+        g = Graph.from_edges([(2, 0), (0, 1)])
+        assert distance_matrix(g)[1] == list(g.nodes())
+        explicit = [1, 2, 0]
+        mat, order = distance_matrix(g, explicit)
+        assert order == explicit
+        assert order is not explicit  # defensive copy
+        assert mat[0, 2] == 1  # the (1, 0) edge under explicit order
+        assert mat[0, 1] == 2
+
+    def test_subset_order_drops_outside_edges(self):
+        g = Graph.from_edges([(0, 1), (1, 2)])
+        mat, order = distance_matrix(g, [0, 2])
+        assert order == [0, 2]
+        assert mat[0, 1] == mat[1, 0] == UNREACHABLE  # the path ran via 1
+
+    def test_symmetric_and_counts_edges(self):
+        g = preferential_attachment(20, 2, seed=1)
+        mat, _ = distance_matrix(g)
+        assert (mat == mat.T).all()
+        assert np.count_nonzero(mat == 1) == 2 * g.num_edges
+
+    def test_array_backend_with_dead_slots(self):
+        a = ArrayGraph.from_edges([(0, 1), (1, 2), (2, 3)], nodes=range(6))
+        a.remove_node(1)
+        mat, order = distance_matrix(a)
+        assert order == [0, 2, 3, 4, 5]
+        assert mat[1, 2] == 1 and mat[0, 1] == UNREACHABLE
 
     @given(st.integers(0, 1000))
-    def test_property_scipy_equals_bfs(self, seed):
+    def test_property_equals_pure_python_bfs(self, seed):
         g = erdos_renyi(18, 0.15, seed=seed)
         mat, order = distance_matrix(g)
         pure = all_pairs_distances(g)
@@ -65,6 +117,45 @@ class TestDistanceMatrix:
             row = pure[u]
             for j, v in enumerate(order):
                 assert mat[i, j] == row.get(v, UNREACHABLE)
+
+    @pytest.mark.parametrize("n", [10, 65, 200])
+    def test_equals_scipy(self, n):
+        csgraph = pytest.importorskip("scipy.sparse.csgraph")
+        sparse = pytest.importorskip("scipy.sparse")
+        for seed in range(3):
+            g = erdos_renyi(n, 3 / n, seed=seed)  # disconnected, mostly
+            order = sorted(g.nodes(), reverse=True)
+            mat, _ = distance_matrix(g, order)
+            index = {u: i for i, u in enumerate(order)}
+            pairs = [(index[u], index[v]) for u, v in g.edges()]
+            rows = [i for i, _ in pairs] + [j for _, j in pairs]
+            cols = [j for _, j in pairs] + [i for i, _ in pairs]
+            adjacency = sparse.csr_matrix(
+                (np.ones(len(rows)), (rows, cols)), shape=(n, n)
+            )
+            ref = csgraph.shortest_path(
+                adjacency, unweighted=True, directed=False
+            )
+            ref = np.where(np.isinf(ref), UNREACHABLE, ref)
+            assert (mat == ref).all()
+
+
+class TestDistanceRows:
+    @given(st.integers(0, 1000), st.data())
+    def test_rows_equal_the_matrix(self, seed, data):
+        g = erdos_renyi(70, 0.04, seed=seed)
+        mat, order = distance_matrix(g)
+        sources = data.draw(
+            st.lists(st.integers(0, 69), unique=True, max_size=70)
+        )
+        rows = distance_rows(g, order, sources)
+        assert rows.dtype == np.int32
+        assert rows.shape == (len(sources), 70)
+        assert (rows == mat[sources]).all()
+
+    def test_no_sources(self):
+        g = path_graph(3)
+        assert distance_rows(g, [0, 1, 2], []).shape == (0, 3)
 
 
 class TestEccentricityDiameter:
@@ -102,17 +193,3 @@ class TestAveragePathLength:
         g = preferential_attachment(50, 2, seed=0)
         apl = average_path_length(g)
         assert 1.0 < apl < 10.0
-
-
-class TestGraphToCsr:
-    def test_symmetric(self):
-        g = preferential_attachment(20, 2, seed=1)
-        mat, order = graph_to_csr(g)
-        dense = mat.toarray()
-        assert (dense == dense.T).all()
-        assert dense.sum() == 2 * g.num_edges
-
-    def test_subset_order_drops_external_edges(self):
-        g = path_graph(4)
-        mat, _ = graph_to_csr(g, order=[0, 1])
-        assert mat.toarray().sum() == 2  # only edge (0,1) retained

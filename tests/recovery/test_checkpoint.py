@@ -9,7 +9,9 @@ the full :class:`~repro.core.network.HealEvent` stream.
 
 from __future__ import annotations
 
+import gc
 import json
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -662,7 +664,8 @@ class TestOneTripwire:
     round holds — each heal's fingerprint included — and reach the last
     recorded round."""
 
-    def _crash(self, tmp_path):
+    @staticmethod
+    def _crash(tmp_path):
         # checkpoint_every=4, crash in round 12: resume restores round 8
         # and re-executes rounds 9–11, which the ledger recorded.
         graph, healer, adversary, metrics = _components(
@@ -741,6 +744,85 @@ class TestOneTripwire:
         self._rewrite(ledger, records)
         assert cli_main(["resume", str(ledger)]) == 2
         assert "round 10 diverged" in capsys.readouterr().err
+
+
+class TestOwnedLedgerCloses:
+    """A recorder that opened its ledger from a path closes it on every
+    exit, not only at the campaign's end."""
+
+    @staticmethod
+    def _unclosed(ledger, run) -> list:
+        """Run ``run`` and a full collection; the ResourceWarnings that
+        name ``ledger``."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run()
+            gc.collect()
+        return [
+            w
+            for w in caught
+            if issubclass(w.category, ResourceWarning)
+            and str(ledger) in str(w.message)
+        ]
+
+    def test_a_crashed_campaign(self, tmp_path):
+        graph, healer, adversary, metrics = _components(
+            "dash", "random", 60, 5
+        )
+        ledger = tmp_path / "c.jsonl"
+
+        def crash():
+            with pytest.raises(SimulatedCrash):
+                run_campaign(
+                    graph,
+                    healer,
+                    adversary,
+                    id_seed=1,
+                    metrics=metrics + [CrashAtRound(5)],
+                    checkpoint_every=4,
+                    checkpoint_dir=tmp_path / "ck",
+                    ledger=ledger,
+                )
+
+        assert self._unclosed(ledger, crash) == []
+
+    def test_a_refused_first_snapshot(self, tmp_path):
+        class TupleState(Dash):
+            def export_state(self):
+                return {"pair": (1, 2)}  # JSON would make it a list
+
+        graph, _, adversary, metrics = _components("dash", "random", 60, 5)
+        ledger = tmp_path / "c.jsonl"
+
+        def refuse():
+            with pytest.raises(CheckpointError, match="not JSON"):
+                run_campaign(
+                    graph,
+                    TupleState(),
+                    adversary,
+                    id_seed=1,
+                    metrics=metrics,
+                    checkpoint_every=4,
+                    checkpoint_dir=tmp_path / "ck",
+                    ledger=ledger,
+                )
+
+        assert self._unclosed(ledger, refuse) == []
+
+    def test_a_diverging_resume(self, tmp_path):
+        ledger = TestOneTripwire._crash(tmp_path)
+        records = read_ledger(ledger)
+        (target,) = [
+            r for r in records if r["type"] == "round" and r["round"] == 10
+        ]
+        target["heals"][0][3] += 1
+        TestOneTripwire._rewrite(ledger, records)
+
+        def diverge():
+            with pytest.raises(DivergenceError):
+                resume_from_ledger(ledger)
+
+        assert self._unclosed(ledger, diverge) == []
 
 
 class TestConnectivityResume:

@@ -21,8 +21,9 @@ import time
 import pytest
 
 import repro.recovery.ledger as ledger_module
-from repro.errors import ConfigurationError
-from repro.recovery.faults import truncate_file
+import repro.service.request as request_module
+from repro.errors import ConfigurationError, SimulatedCrash
+from repro.recovery.faults import CrashAtRound, truncate_file
 from repro.recovery.ledger import (
     CampaignLedger,
     LedgerReader,
@@ -34,6 +35,7 @@ from repro.service.jobs import JobState, JobStore
 from repro.service.request import CampaignRequest, run_request
 from repro.service.stream import ResultStream, ledger_progress
 from repro.service.worker import worker_main
+from repro.sim.metrics import default_metrics
 from repro.sim.parallel import RetryPolicy
 
 
@@ -73,6 +75,25 @@ def one_shot_round_lines(request, tmp_path) -> tuple[list[str], object]:
     ledger = tmp_path / "one-shot.jsonl"
     result = run_request(request, ledger=ledger)
     return round_lines(ledger), result
+
+
+def crash_job(job, crash_round, monkeypatch) -> None:
+    """Run ``job``'s campaign as a worker would, with a full snapshot
+    every 4 rounds, until an injected crash ends it in round
+    ``crash_round``."""
+    with monkeypatch.context() as patched:
+        patched.setattr(
+            request_module,
+            "default_metrics",
+            lambda: default_metrics() + [CrashAtRound(crash_round)],
+        )
+        with pytest.raises(SimulatedCrash):
+            run_request(
+                job.request,
+                checkpoint_every=4,
+                checkpoint_dir=job.directory / "checkpoints",
+                ledger=job.ledger_path,
+            )
 
 
 def wait_for_rounds(service, job_id, rounds, timeout=30.0) -> None:
@@ -232,6 +253,47 @@ class TestWorkerDeath:
         assert "at line 2: expected an object" in view["error"]
         assert not service._readers
         assert job.ledger_path.read_text() == '{"type": "campaign"}\n[1,2]\n'
+
+    def test_a_diverging_resume_fails_its_job(self, tmp_path, monkeypatch):
+        # Resume restores round 8 and re-executes round 9, whose
+        # recorded heal no longer matches: the job fails, charged as
+        # any fault, instead of starting over on the same ledger.
+        root = tmp_path / "svc"
+        job = JobStore(root).create(pa_request(), seq=1)
+        crash_job(job, 10, monkeypatch)
+        records = read_ledger(job.ledger_path)
+        (target,) = [
+            r for r in records if r["type"] == "round" and r["round"] == 9
+        ]
+        target["heals"][0][3] += 1  # one more ID change than it charged
+        job.ledger_path.write_text(
+            "".join(json.dumps(r) + "\n" for r in records)
+        )
+        service = make_service(root, retry_policy=RetryPolicy.none())
+        service.start()
+        try:
+            view = service.wait(job.job_id, timeout=60)
+        finally:
+            service.shutdown()
+        assert view["state"] == "failed"
+        assert view["attempts"] == 1
+        assert "round 9 diverged" in view["error"]
+        types = [r["type"] for r in read_ledger(job.ledger_path)]
+        assert types.count("campaign") == 1 and "end" not in types
+
+    def test_a_job_without_an_intact_checkpoint_runs_afresh(
+        self, tmp_path, monkeypatch
+    ):
+        job = JobStore(tmp_path / "svc").create(pa_request(), seq=1)
+        crash_job(job, 10, monkeypatch)
+        for path in (job.directory / "checkpoints").glob("ckpt-*"):
+            path.unlink()
+        assert worker_main(job.directory) == 0
+        assert not job.error_path.exists()
+        types = [r["type"] for r in read_ledger(job.ledger_path)]
+        assert types.count("campaign") == 2 and types.count("end") == 1
+        expected_lines, _ = one_shot_round_lines(job.request, tmp_path)
+        assert round_lines(job.ledger_path) == expected_lines
 
 
 class TestProgressCost:

@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.errors import ConfigurationError
 from repro.graph.generators import (
     cycle_graph,
@@ -106,3 +112,34 @@ class TestSampledStretch:
     def test_invalid_sample_count(self):
         with pytest.raises(ConfigurationError):
             StretchComputer(path_graph(3), sample_sources=0)
+
+
+def test_measures_without_scipy():
+    """Stretch needs numpy alone: with scipy's import blocked, an exact
+    and a sampled measurement both run."""
+    code = textwrap.dedent(
+        """
+        import sys
+
+        sys.modules["scipy"] = None
+        from repro.graph.generators import preferential_attachment
+        from repro.sim.stretch import StretchComputer
+
+        g = preferential_attachment(40, 2, seed=1)
+        h = g.copy()
+        h.remove_node(39)
+        for sample in (None, 5):
+            report = StretchComputer(g, sample_sources=sample).measure(h)
+            assert report.pairs > 0, report
+        """
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
