@@ -1,21 +1,23 @@
-"""Array-backend campaign benchmarks (the n=10⁶ tentpole).
+"""Slot-store campaign benchmarks (the n=10⁶ tentpole).
 
 PRs 1–5 took the healing core to O(α) per round, but the *storage* was
-still the dict-of-sets object graph plus four tracker dicts — boxed
-keys, hash probes, and per-node allocation made n=10⁵ the practical
-sweep ceiling. The array backend keeps the exact ``Graph`` /
-``ComponentTracker`` interfaces on flat slot arrays, and the fused
-scalar-only kernel (``repro.sim.fastpath``) runs unobserved DASH ×
-random-attack campaigns without paying for events, member lists, or
-index upkeep nobody reads.
+still the dict-of-sets graph plus four tracker dicts — boxed keys, hash
+probes, and per-node allocation made n=10⁵ the practical sweep ceiling.
+The slot store (the one :class:`~repro.graph.graph.Graph`, once the
+"array backend") keeps the same interface on flat slot arrays, and the
+fused scalar-only kernel (``repro.sim.fastpath``) runs unobserved DASH
+× random-attack campaigns without paying for events, member lists, or
+index upkeep nobody reads. The dict-of-sets graph survives as the test
+reference ``tests/graph/_reference_graph.py``, which the generic loop
+runs (the kernel takes only the slot store).
 
 Acceptance workloads:
 
-* ``campaign_dash_array_pa16000_m3`` — n=16,000 full kill, array+fused
-  vs object **interleaved in the same process** (best-of-3), so the
-  recorded speedup is a real like-for-like ratio. Measured ~6.3× at
-  introduction; the in-test assert and the CI perf gate both demand
-  ≥5×.
+* ``campaign_dash_array_pa16000_m3`` — n=16,000 full kill, slot store +
+  fused kernel vs a reference copy of the same graph on the generic
+  loop, **interleaved in the same process** (best-of-3), so the recorded
+  speedup is a real like-for-like ratio. Measured ~6.3× at introduction;
+  the in-test assert and the CI perf gate both demand ≥5×.
 * ``campaign_dash_array_pa1000000_m3`` — n=1,000,000 full kill under
   300 s with peak-RSS memory-per-node recorded (FULL mode only;
   measured ~65 s and ~1.7 KB/node at introduction).
@@ -37,11 +39,15 @@ from repro.graph.generators import preferential_attachment
 from repro.sim import fastpath
 from repro.sim.engine import run_campaign
 from repro.utils.timing import Timer
+from tests.graph._reference_graph import reference_copy
 
 
-def _run_dash_campaign(n: int, *, backend: str) -> tuple[float, "object"]:
-    """One full-kill random-attack DASH campaign; graph gen excluded."""
-    g = preferential_attachment(n, 3, seed=1, backend=backend)
+def _run_dash_campaign(n: int, *, reference: bool) -> tuple[float, "object"]:
+    """One full-kill random-attack DASH campaign on the generated graph,
+    or on a reference copy of it; generation and copy excluded."""
+    g = preferential_attachment(n, 3, seed=1)
+    if reference:
+        g = reference_copy(g)
     with Timer() as t:
         res = run_campaign(
             g, make_healer("dash"), RandomAttack(seed=2), id_seed=0
@@ -52,16 +58,16 @@ def _run_dash_campaign(n: int, *, backend: str) -> tuple[float, "object"]:
 
 
 def test_campaign_dash_array_pa16000(bench_recorder):
-    """Acceptance workload: full-kill DASH on PA n=16,000 (m=3), array
-    backend (fused kernel) vs object backend interleaved best-of-3.
-    The two sides are byte-identical in outcome (asserted here on the
-    scalars; the full differential lives in the test suites), so the
-    ratio is pure storage+kernel win."""
+    """Acceptance workload: full-kill DASH on PA n=16,000 (m=3), slot
+    store (fused kernel) vs the dict-of-sets reference graph (generic
+    loop) interleaved best-of-3. The two sides are byte-identical in
+    outcome (asserted here on the scalars; the full differential lives
+    in the test suites), so the ratio is pure storage+kernel win."""
     fused_before = fastpath._fused_campaigns
     obj_s = arr_s = float("inf")
     for _ in range(3):  # interleaved: both sides see the same conditions
-        o, obj_res = _run_dash_campaign(16_000, backend="object")
-        a, arr_res = _run_dash_campaign(16_000, backend="array")
+        o, obj_res = _run_dash_campaign(16_000, reference=True)
+        a, arr_res = _run_dash_campaign(16_000, reference=False)
         obj_s = min(obj_s, o)
         arr_s = min(arr_s, a)
         assert (arr_res.deletions, arr_res.final_alive, arr_res.peak_delta) \
@@ -81,12 +87,12 @@ def test_campaign_dash_array_pa16000(bench_recorder):
         speedup_vs_object=round(speedup, 2),
     )
     print(
-        f"\ndash pa16000 acceptance: object {obj_s:.3f}s vs array+fused "
-        f"{arr_s:.3f}s ({speedup:.2f}x)"
+        f"\ndash pa16000 acceptance: reference {obj_s:.3f}s vs slot "
+        f"store+fused {arr_s:.3f}s ({speedup:.2f}x)"
     )
     assert speedup > 5.0, (
-        f"n=16000 array-backend DASH campaign only {speedup:.2f}x over "
-        "the object backend (measured ~6.3x at introduction) — the slot "
+        f"n=16000 slot-store DASH campaign only {speedup:.2f}x over "
+        "the reference graph (measured ~6.3x at introduction) — the slot "
         "store or the fused kernel has regressed"
     )
 
@@ -94,11 +100,11 @@ def test_campaign_dash_array_pa16000(bench_recorder):
 @pytest.mark.skipif(not FULL, reason="REPRO_BENCH_FULL=1 only")
 def test_campaign_dash_array_pa1000000(bench_recorder):
     """Acceptance workload: n=1,000,000 full-kill DASH under 300 s,
-    memory-per-node recorded — the scale the object backend could not
-    reach (its campaign alone projects to ~2 hours)."""
+    memory-per-node recorded — the scale the dict-of-sets graph could
+    not reach (its campaign alone projects to ~2 hours)."""
     n = 1_000_000
     with Timer() as gen_t:
-        g = preferential_attachment(n, 3, seed=1, backend="array")
+        g = preferential_attachment(n, 3, seed=1)
     with Timer() as t:
         res = run_campaign(
             g, make_healer("dash"), RandomAttack(seed=2), id_seed=0

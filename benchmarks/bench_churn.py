@@ -21,17 +21,19 @@ Acceptance workloads:
   (~200k ops) under 90 s single-process (FULL mode only; measured ~14 s
   at introduction).
 * ``campaign_churn_array_pa16000_m3`` — n=16,000 session-expiry drain
-  (churn with arrivals shut off) under DASH on the **array backend vs
-  the object backend, interleaved in the same process** (best-of-3).
-  Delete-only churn rounds fuse on the array side; the in-test assert
-  and the CI perf gate both demand ≥ 2× (measured ~5× at introduction).
+  (churn with arrivals shut off) under DASH on the **slot store vs a
+  reference copy of the same graph (the dict-of-sets graph in
+  ``tests/graph/_reference_graph.py``), interleaved in the same
+  process** (best-of-3). Delete-only churn rounds fuse on the slot
+  store; the in-test assert and the CI perf gate both demand ≥ 2×
+  (measured ~5× at introduction).
 * ``churn_dash_array_pa1000000_m3`` — n=1,000,000 steady-state churn on
-  the array backend (~330k mixed ops over n/24 rounds) under 300 s
+  the slot store (~330k mixed ops over n/24 rounds) under 300 s
   (FULL mode only) — the million-node fast-path substrate running a
   real insert-and-delete workload on grown slot maps.
 * ``campaign_setup_churn_array_pa50000_m3`` — the set-up a steady-state
-  churn campaign pays before its first op at n=50,000 on the array
-  backend: ``SelfHealingNetwork(...)`` plus ``ChurnAdversary.reset``,
+  churn campaign pays before its first op at n=50,000 on the slot
+  store: ``SelfHealingNetwork(...)`` plus ``ChurnAdversary.reset``,
   divided by the time to generate the same graph (**interleaved**,
   best-of-3). Init needs IDs, initial degrees and an edgeless G′, so
   set-up must stay a fraction of generation; the CI perf gate demands
@@ -55,6 +57,7 @@ from repro.graph.generators import preferential_attachment
 from repro.sim.engine import run_campaign
 from repro.utils.tables import format_table
 from repro.utils.timing import Timer
+from tests.graph._reference_graph import reference_copy
 
 #: quick sizes (CI); 100k is FULL-only
 QUICK_SIZES = [4_000, 16_000]
@@ -69,12 +72,11 @@ def _run_churn_campaign(
     *,
     healer: str = "forgiving-graph",
     seed: int = 2,
-    backend: str = "object",
     rounds: int | None = None,
 ) -> tuple[float, int, "object"]:
     """One steady-state churn campaign; graph generation excluded.
     Returns (seconds, total ops, result)."""
-    g = preferential_attachment(n, 3, seed=1, backend=backend)
+    g = preferential_attachment(n, 3, seed=1)
     adversary = ChurnAdversary(
         rate=RATE,
         lifetime="exp",
@@ -189,13 +191,16 @@ def test_campaign_churn_pa4000(bench_recorder):
     )
 
 
-def _run_drain_campaign(n: int, *, backend: str, seed: int = 2) -> float:
+def _run_drain_campaign(n: int, *, reference: bool, seed: int = 2) -> float:
     """Session-expiry drain: the churn model with arrivals shut off
     (rate=0), so every initial node's lifetime expires and the campaign
     runs to extinction through the mixed-round dispatch. Delete-only
     churn rounds are exactly what the fused kernel accelerates on the
-    array backend. Graph generation excluded; returns seconds."""
-    g = preferential_attachment(n, 3, seed=1, backend=backend)
+    slot store; ``reference`` runs a reference copy of the graph on the
+    generic loop. Generation and copy excluded; returns seconds."""
+    g = preferential_attachment(n, 3, seed=1)
+    if reference:
+        g = reference_copy(g)
     adversary = ChurnAdversary(
         rate=0.0, lifetime="exp", mean=n / 4, rounds=None, seed=seed
     )
@@ -207,17 +212,17 @@ def _run_drain_campaign(n: int, *, backend: str, seed: int = 2) -> float:
 
 
 def test_campaign_churn_array_pa16000(bench_recorder):
-    """Acceptance workload: the array-backend churn leg. A session-expiry
-    drain (DASH, n=16,000) on the array backend vs the object backend,
-    **interleaved in the same process** (best-of-3). Delete-only churn
-    rounds fuse on the array side, so the recorded like-for-like speedup
-    must hold ≥ 2× (measured ~5× at introduction); the CI perf gate
-    enforces the same floor."""
+    """Acceptance workload: the slot-store churn leg. A session-expiry
+    drain (DASH, n=16,000) on the slot store vs a reference copy of the
+    graph, **interleaved in the same process** (best-of-3). Delete-only
+    churn rounds fuse on the slot store, so the recorded like-for-like
+    speedup must hold ≥ 2× (measured ~5× at introduction); the CI perf
+    gate enforces the same floor."""
     n = 16_000
     array_s = object_s = float("inf")
     for _ in range(3):  # interleaved: both sides see the same conditions
-        object_s = min(object_s, _run_drain_campaign(n, backend="object"))
-        array_s = min(array_s, _run_drain_campaign(n, backend="array"))
+        object_s = min(object_s, _run_drain_campaign(n, reference=True))
+        array_s = min(array_s, _run_drain_campaign(n, reference=False))
     speedup = object_s / array_s
     bench_recorder.record(
         "campaign_churn_array_pa16000_m3",
@@ -232,11 +237,11 @@ def test_campaign_churn_array_pa16000(bench_recorder):
         speedup_vs_object=round(speedup, 2),
     )
     print(
-        f"\nchurn array pa16000: array {array_s:.3f}s vs object "
+        f"\nchurn array pa16000: slot store {array_s:.3f}s vs reference "
         f"{object_s:.3f}s — {speedup:.2f}x"
     )
     assert speedup >= 2.0, (
-        f"array-backend churn drain only {speedup:.2f}x over object "
+        f"slot-store churn drain only {speedup:.2f}x over the reference "
         "(floor 2x) — the fused kernel is no longer engaging on "
         "delete-only churn rounds"
     )
@@ -259,7 +264,7 @@ def test_campaign_setup_churn_array_pa50000(bench_recorder):
         # happens to trigger it.
         gc.collect()
         with Timer() as t:
-            g = preferential_attachment(n, 3, seed=1, backend="array")
+            g = preferential_attachment(n, 3, seed=1)
         gen_s = min(gen_s, t.elapsed)
         adversary = ChurnAdversary(
             rate=RATE, lifetime="exp", mean=n / RATE, rounds=500, seed=2
@@ -320,15 +325,15 @@ def test_campaign_churn_pa100000(bench_recorder):
 
 @pytest.mark.skipif(not FULL, reason="REPRO_BENCH_FULL=1 only")
 def test_campaign_churn_array_pa1000000(bench_recorder):
-    """Acceptance workload: n=1,000,000 steady-state churn on the array
-    backend under DASH, inside a 300 s budget — the scale the fail-fast
+    """Acceptance workload: n=1,000,000 steady-state churn on the slot
+    store under DASH, inside a 300 s budget — the scale the fail-fast
     guard used to wall off from churn entirely. ``_run_churn_campaign``
     keeps the network (``keep_network=True``) to read its tracker, so
     this runs the honest generic engine end to end on grown slot maps
     (~330k mixed ops over n/24 rounds), not the fused kernel."""
     n = 1_000_000
     seconds, ops, res = _run_churn_campaign(
-        n, healer="dash", backend="array", rounds=n // 24
+        n, healer="dash", rounds=n // 24
     )
     bench_recorder.record(
         "churn_dash_array_pa1000000_m3",

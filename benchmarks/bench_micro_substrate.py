@@ -86,24 +86,30 @@ def test_stretch_sampled(benchmark):
 @pytest.mark.parametrize("backend", ["object", "array"])
 def test_substrate_memory_per_node(bench_recorder, backend):
     """Bytes per node of the full campaign substrate (graph + healing
-    graph + tracker + indexes) per backend, via tracemalloc — the
-    number that decides the sweep-scale ceiling. Recorded to
+    graph + tracker + indexes), via tracemalloc — the number that
+    decides the sweep-scale ceiling. Recorded to
     ``results/BENCH_core.json``; no floor, this is a tracked trajectory.
-    Both backends keep Python-set adjacency and the one dict-keyed
-    component tracker; the array backend's fresh G′ holds one shared
-    edgeless marker per slot where the object backend holds an empty
-    set (216 B) per node: 1,402 B/node array vs 1,647 object on a
-    2-core Xeon, Python 3.11."""
+    The ``array`` row measures the slot store, the ``object`` row a
+    reference copy of the same graph (the dict-of-sets graph in
+    ``tests/graph/_reference_graph.py``; the original is freed before
+    the reading). Both keep Python-set adjacency and the one dict-keyed
+    component tracker; the slot store's fresh G′ holds one shared
+    edgeless marker per slot where the reference holds an empty set
+    (216 B) per node: 1,402 B/node array vs 1,647 object on a 2-core
+    Xeon, Python 3.11."""
     import resource
     import tracemalloc
 
     from repro.adversary.classic import RandomAttack
     from repro.core.network import SelfHealingNetwork
     from repro.core.registry import make_healer
+    from tests.graph._reference_graph import reference_copy
 
     n = 50_000
     tracemalloc.start()
-    g = preferential_attachment(n, 3, seed=7, backend=backend)
+    g = preferential_attachment(n, 3, seed=7)
+    if backend == "object":
+        g = reference_copy(g)
     network = SelfHealingNetwork(g, make_healer("dash"), seed=0)
     network.tracker  # built on first use; every generic campaign builds it
     adversary = RandomAttack(seed=1)

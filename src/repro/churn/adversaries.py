@@ -170,14 +170,6 @@ class ChurnAdversary(Adversary):
         super().reset(network)
         self._rng = make_rng(self._seed)
         nodes = list(network.graph.nodes())
-        others = set(map(type, nodes)) - {int}
-        if others:
-            names = ", ".join(sorted(t.__name__ for t in others))
-            raise ConfigurationError(
-                "the churn adversary labels its joiners with fresh ints, "
-                f"so it needs int node labels; this graph has {names} "
-                "labels"
-            )
         self._round = 0
         self._next_label = max(nodes) + 1 if nodes else 0
         nodes.sort(key=repr)
@@ -294,10 +286,11 @@ def decode_churn_ops(
     Each op is ``("delete", victim)`` or ``("add", node, targets)``, as a
     tuple or a JSON list; an add's targets are a list or tuple too.
     ``strict_labels`` is the rule for scripts from outside the program
-    (:class:`ScriptedChurn`, JSONL files): every node must be an int or
-    a string, since 1.0 or ``True`` would alias node 1 on one backend
-    and miss it on another. Liveness is not checked here: a round may
-    add a node and delete it later in the same round.
+    (:class:`ScriptedChurn`, JSONL files): every node must be an int,
+    the graph's label type (1.0 or ``True`` would alias node 1), so a
+    script naming anything else fails at construction. Liveness is not
+    checked here: a round may add a node and delete it later in the
+    same round.
 
     Raises :class:`~repro.errors.SimulationError` naming the first bad op.
     """
@@ -319,10 +312,9 @@ def decode_churn_ops(
             )
         if strict_labels:
             for u in (out[1], *out[2]) if size == 3 else out[1:]:
-                if type(u) is not int and type(u) is not str:
+                if type(u) is not int:
                     raise SimulationError(
-                        f"churn op {op!r} names {u!r}; nodes must be ints "
-                        "or strings"
+                        f"churn op {op!r} names {u!r}; nodes must be ints"
                     )
         decoded.append(out)
     return decoded
@@ -331,7 +323,7 @@ def decode_churn_ops(
 def load_churn_ops(path: str | Path) -> list[list[Op]]:
     """Parse a JSONL churn schedule: one line per round, each line a JSON
     array of ``["delete", victim]`` / ``["add", node, [targets...]]`` ops,
-    every node an int or a string.
+    every node an int.
 
     Blank lines are skipped; anything else malformed raises
     :class:`ConfigurationError` naming the offending line (fail fast at

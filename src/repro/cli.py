@@ -54,6 +54,7 @@ from typing import Sequence
 from repro.adversary import ADVERSARIES
 from repro.errors import ConfigurationError
 from repro.graph.generators import GENERATORS
+from repro.graph.graph import BACKEND_NAMES
 from repro.registry import component_registries
 from repro.service.request import CampaignRequest, run_request
 from repro.version import PAPER, __version__
@@ -71,13 +72,6 @@ def _add_socket_arg(parser: argparse.ArgumentParser) -> None:
         default=DEFAULT_SERVICE_SOCKET,
         help="the service's Unix socket (default %(default)s)",
     )
-
-
-def _backend_names() -> list[str]:
-    """Known graph backend names, for ``--backend`` choices."""
-    from repro.graph.array_backend import BACKENDS
-
-    return sorted(BACKENDS)
 
 
 def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
@@ -125,9 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run one attack/heal campaign")
     _add_campaign_args(sim)
-    sim.add_argument("--backend", default=None, choices=_backend_names(),
-                     help="graph storage backend (default: the "
-                          "generator spec's choice, else 'object')")
+    sim.add_argument("--backend", default=None, choices=BACKEND_NAMES,
+                     help="accepted for old command lines; both names "
+                          "run the one graph")
     sim.add_argument("--wave-size", type=int, default=8,
                      help="victims per wave (wave adversaries only)")
     sim.add_argument("--max-waves", type=int, default=None,

@@ -289,16 +289,6 @@ class ComponentTracker:
         "insert_rounds",
     )
 
-    @staticmethod
-    def _json_node(u: Node) -> Node:
-        """Nodes must survive a JSON round-trip unchanged (the labels of
-        every generator in this package are ints)."""
-        if isinstance(u, bool) or not isinstance(u, (int, str)):
-            raise CheckpointError(
-                f"node {u!r} is not JSON-round-trippable (int/str only)"
-            )
-        return u
-
     def export_state(self) -> dict:
         """Serialize all dynamic state to a JSON-ready dict.
 
@@ -310,42 +300,19 @@ class ComponentTracker:
         them as ``initial_ids`` keys outside every class. Counters are
         exported sparse (non-zero entries only).
         """
-        check = self._json_node
-
-        def sort_nodes(seq):
-            # This runs on every checkpoint over O(n) collections —
-            # native comparison (all shipped generators label with
-            # ints) with a repr() fallback for mixed-type node sets.
-            try:
-                return sorted(seq)
-            except TypeError:
-                return sorted(seq, key=repr)
-
-        classes = [
-            [check(root), list(self._root_label[root]), sort_nodes(members)]
+        classes = sorted(
+            [root, list(self._root_label[root]), sorted(members)]
             for root, members in self._root_members.items()
-        ]
-        try:
-            classes.sort(key=lambda c: c[0])
-        except TypeError:
-            classes.sort(key=lambda c: repr(c[0]))
-        for cls in classes:
-            for u in cls[2]:
-                check(u)
-        extra_ids = sort_nodes(
-            u for u in self.id_changes if u not in self.initial_ids
         )
         state: dict = {
             "classes": classes,
-            "extra_counter_nodes": [check(u) for u in extra_ids],
+            "extra_counter_nodes": sorted(
+                u for u in self.id_changes if u not in self.initial_ids
+            ),
         }
         for name in ("id_changes", "messages_sent", "messages_received"):
             counter = getattr(self, name)
-            entries = [(check(u), c) for u, c in counter.items() if c]
-            try:
-                entries.sort()
-            except TypeError:
-                entries.sort(key=repr)
+            entries = sorted((u, c) for u, c in counter.items() if c)
             # Flat [u0, c0, u1, c1, ...] — most live nodes have nonzero
             # counts, so this is an O(n) array serialized every
             # checkpoint; halving the container count roughly halves

@@ -33,6 +33,11 @@ that fails its certificate bumps
 :attr:`SelfHealingNetwork.uncertified_heals`; while that counter holds
 still, a graph once proven connected (by a BFS) still is, which is how
 :class:`~repro.sim.metrics.ConnectivityMetric` skips its BFS.
+
+Node labels are the graph's: non-negative ints
+(:meth:`~repro.graph.graph.Graph.check_label`). Init draws the random
+IDs in G's iteration order, ascending by label, and a churn join runs
+the graph's label check before anything mutates, on both DASH engines.
 """
 
 from __future__ import annotations
@@ -102,8 +107,8 @@ class SelfHealingNetwork:
     """A reconfigurable network healing itself with a pluggable strategy.
 
     Construction costs what Init needs: the random IDs, the initial
-    degrees and an edgeless G′ (on the array backend one shared marker
-    per slot, each set created at its node's first heal edge). The
+    degrees and an edgeless G′ (one shared marker per slot, each set
+    created at its node's first heal edge). The
     component tracker and the δ index are built on first use — the
     tracker at the first round, the δ index at the first δ query — so a
     campaign that never asks (a fused one) builds neither.
@@ -157,9 +162,8 @@ class SelfHealingNetwork:
         )
         # G′ never pays degree-index bookkeeping: nothing queries its
         # degree extremes, so its lazy index is simply never built. It
-        # shares G's backend (same class), which on the array backend
-        # fills every slot with one shared edgeless marker; the
-        # component tracker is the same on both backends and is built on
+        # has G's class, whose slot store fills every slot with one
+        # shared edgeless marker; the component tracker is built on
         # first use (see tracker).
         self.healing_graph = type(graph)(graph.nodes())
         self.deleted_nodes: list[Node] = []
@@ -477,7 +481,9 @@ class SelfHealingNetwork:
     ) -> tuple[Node, ...]:
         """Check one join and return its distinct attach targets, in
         announcement order. The one set of join checks both DASH engines
-        (:meth:`insert_and_heal` and :mod:`repro.sim.fastpath`) run."""
+        (:meth:`insert_and_heal` and :mod:`repro.sim.fastpath`) run, so
+        a bad joiner fails before either mutates anything."""
+        self.graph.check_label(node)
         if self.graph.has_node(node):
             raise SimulationError(f"cannot insert {node!r}: already present")
         if node in self.initial_ids:
@@ -485,18 +491,6 @@ class SelfHealingNetwork:
                 f"cannot insert {node!r}: label was already used this "
                 "campaign (inserted nodes need fresh labels)"
             )
-        # The degree and δ indexes order the labels of one bucket, so a
-        # joiner must compare with the labels already here (1 vs "a"
-        # does not).
-        for known in self.initial_ids:
-            try:
-                node < known
-            except TypeError:
-                raise SimulationError(
-                    f"cannot insert {node!r}: its label does not compare "
-                    f"with the network's labels (such as {known!r})"
-                ) from None
-            break
         targets: list[Node] = []
         seen: set[Node] = set()
         for t in attach_targets:

@@ -7,8 +7,10 @@ initial topology — "irrespective of the topology of the initial network")
 and for the example applications.
 
 All generators take an explicit ``seed`` (where stochastic) and label
-nodes ``0..n-1``, so downstream experiments are reproducible and node
-labels can double as array indices.
+nodes ``0..n-1``, so downstream experiments are reproducible and every
+label is a slot of the graph's store. Their ``backend`` keyword is a
+kept spelling that selects nothing (see
+:func:`~repro.graph.graph.check_backend`).
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ import itertools
 import math
 
 from repro.errors import ConfigurationError
-from repro.graph.array_backend import new_graph
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, check_backend
 from repro.registry import Registry
 from repro.utils.rng import make_rng
 
@@ -40,6 +41,13 @@ __all__ = [
     "watts_strogatz",
     "GENERATORS",
 ]
+
+
+def _empty(n: int, backend: str) -> Graph:
+    """The edgeless graph on ``0..n-1``. ``backend`` is checked and
+    selects nothing (see :func:`~repro.graph.graph.check_backend`)."""
+    check_backend(backend)
+    return Graph(range(n))
 
 
 def preferential_attachment(
@@ -69,7 +77,7 @@ def preferential_attachment(
     if n < m + 1:
         raise ConfigurationError(f"n must be >= m+1 = {m + 1}, got {n}")
     rng = make_rng(seed)
-    g = new_graph(range(n), backend)
+    g = _empty(n, backend)
     # Seed graph: a star on nodes 0..m (node m is the hub). Any connected
     # seed works; a star keeps the degree sequence non-degenerate for m=1.
     repeated: list[int] = []
@@ -95,7 +103,7 @@ def erdos_renyi(
     if n < 0:
         raise ConfigurationError(f"n must be >= 0, got {n}")
     rng = make_rng(seed)
-    g = new_graph(range(n), backend)
+    g = _empty(n, backend)
     if p == 0.0:
         return g
     if p == 1.0:
@@ -126,7 +134,7 @@ def gnm_random(
             f"m={m} exceeds max edges {max_edges} for n={n}"
         )
     rng = make_rng(seed)
-    g = new_graph(range(n), backend)
+    g = _empty(n, backend)
     added = 0
     while added < m:
         u = rng.randrange(n)
@@ -149,7 +157,7 @@ def random_tree(
     if n < 1:
         raise ConfigurationError(f"n must be >= 1, got {n}")
     rng = make_rng(seed)
-    g = new_graph(range(n), backend)
+    g = _empty(n, backend)
     for i in range(1, n):
         g.add_edge(i, rng.randrange(i))
     return g
@@ -204,7 +212,7 @@ def complete_kary_tree(
     ``branching = M + 2``).
     """
     n = kary_tree_size(branching, depth)
-    g = new_graph(range(n), backend)
+    g = _empty(n, backend)
     for i in range(1, n):
         g.add_edge(i, (i - 1) // branching)
     return g
@@ -215,7 +223,7 @@ def complete_kary_tree(
 # ----------------------------------------------------------------------
 def path_graph(n: int, *, backend: str = "object") -> Graph:
     """Simple path 0–1–…–(n−1)."""
-    g = new_graph(range(n), backend)
+    g = _empty(n, backend)
     for i in range(n - 1):
         g.add_edge(i, i + 1)
     return g
@@ -234,7 +242,7 @@ def star_graph(n: int, *, backend: str = "object") -> Graph:
     """Star: node 0 is the hub, nodes 1..n−1 are leaves. ``n >= 1``."""
     if n < 1:
         raise ConfigurationError(f"star needs n >= 1, got {n}")
-    g = new_graph(range(n), backend)
+    g = _empty(n, backend)
     for i in range(1, n):
         g.add_edge(0, i)
     return g
@@ -242,7 +250,7 @@ def star_graph(n: int, *, backend: str = "object") -> Graph:
 
 def complete_graph(n: int, *, backend: str = "object") -> Graph:
     """Clique on ``n`` nodes."""
-    g = new_graph(range(n), backend)
+    g = _empty(n, backend)
     for u, v in itertools.combinations(range(n), 2):
         g.add_edge(u, v)
     return g
@@ -256,7 +264,7 @@ def grid_graph(
         raise ConfigurationError(
             f"grid needs rows, cols >= 1, got {rows}x{cols}"
         )
-    g = new_graph(range(rows * cols), backend)
+    g = _empty(rows * cols, backend)
     for r in range(rows):
         for c in range(cols):
             u = r * cols + c
@@ -282,7 +290,7 @@ def watts_strogatz(
     if not 0.0 <= p <= 1.0:
         raise ConfigurationError(f"p must be in [0, 1], got {p}")
     rng = make_rng(seed)
-    g = new_graph(range(n), backend)
+    g = _empty(n, backend)
     for u in range(n):
         for j in range(1, k // 2 + 1):
             g.add_edge(u, (u + j) % n)
@@ -320,6 +328,5 @@ GENERATORS: Registry = Registry(
     },
     injected=("n", "seed"),
 )
-#: short alias used throughout the benchmarks and docs
-#: ("pa:n=16000,backend=array")
+#: short alias used throughout the benchmarks and docs ("pa:n=16000,m=3")
 GENERATORS.alias("pa", "preferential_attachment")

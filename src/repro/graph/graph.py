@@ -1,72 +1,116 @@
-"""Dynamic undirected simple graph backed by adjacency sets.
+"""Dynamic undirected simple graph on a slot store.
 
 This is the substrate the whole reproduction runs on. The self-healing
 simulation makes three kinds of topology changes at high frequency —
 node deletion (the adversary), edge insertion (the healer), and neighbor
-queries (both) — so the structure is optimized for O(1) expected-time
-mutation and neighbor iteration rather than for static analytics.
+queries (both) — so the structure is optimized for O(1) mutation and
+neighbor iteration rather than for static analytics.
 
 Design notes
 ------------
-* Nodes are arbitrary hashable labels; the library itself uses ints.
-* Simple graph: no self-loops, no parallel edges. Healing algorithms in
-  the paper never need either, and forbidding them catches bugs early.
-* ``neighbors()`` returns an *immutable snapshot* (a ``frozenset`` copy);
-  ``neighbors_view()`` is the live no-copy alternative for hot loops.
-* No edge/node attribute dictionaries: per-node algorithm state (IDs,
-  degree deltas, weights) lives in the healing context, not the graph,
-  which keeps this structure lean and the healers explicit about state.
-* A :class:`~repro.graph.degree_index.DegreeIndex` makes ``max_degree``/
-  ``min_degree`` and the extreme-degree-node queries the targeted
-  adversaries issue each round O(1)-ish instead of full-node scans. It is
-  built lazily on the *first* such query (O(n)) and maintained
-  incrementally from then on, so graphs whose extremes are never queried
-  — bulk construction, the healing-edge graph G′, untargeted campaigns —
-  pay nothing. External consumers (the δ-index in
-  :class:`~repro.core.network.SelfHealingNetwork`) can tap the same
-  mutation stream through :attr:`Graph.degree_listener`.
+* Node labels are non-negative ints, as every generator labels
+  ``0..n-1``, and a label is a slot index: ``_nbrs[u]`` holds u's
+  adjacency. :meth:`Graph.check_label` is the one label rule;
+  :meth:`Graph.add_node` runs it on every new label, and a churn join
+  before any mutation.
+* A slot is ``None`` (dead or never used), :data:`EDGELESS` (one shared
+  immutable empty ``frozenset``: alive, no edges) or the node's own
+  ``set``, created at its first edge — so a fresh healing graph G′
+  allocates nothing per node. Readers need not tell the last two
+  apart; every writer, the fused kernel (:mod:`repro.sim.fastpath`)
+  included, swaps the marker for a new set before writing. Removal
+  tombstones the slot; re-adding the label reuses it.
+* Memory grows with the largest label: 8 bytes per slot up to it.
+  Growth past the end doubles the store, and a label that would grow it
+  past twice its slot count plus :data:`GROWTH_SLACK` slots is refused,
+  so no label from outside (an edge list, a churn trace) allocates
+  gigabytes.
+* :meth:`Graph.nodes`, :meth:`Graph.edges` and :meth:`Graph.degrees`
+  run in ascending label order — insertion order for every generator.
+* Simple graph: no self-loops, no parallel edges. ``neighbors()``
+  returns an immutable snapshot; ``neighbors_view()`` is the live
+  no-copy alternative for hot loops. No attribute dictionaries:
+  per-node algorithm state lives in the healing context.
+* A :class:`~repro.graph.degree_index.DegreeIndex` answers the
+  extreme-degree queries of the targeted adversaries. It is built on
+  the *first* such query (O(n)) and maintained incrementally from then
+  on, so graphs whose extremes are never queried pay nothing. The
+  network's δ index taps the same mutation stream through
+  :attr:`Graph.degree_listener`.
+* ``backend`` is a kept spelling: generator keywords, spec strings
+  (``"pa:n=1000,backend=array"``) and ``repro simulate --backend``
+  accept the names in :data:`BACKEND_NAMES`, all meaning this one
+  class, because stored specs and service jobs carry them.
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import partial
-from typing import Callable, Hashable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.errors import (
+    ConfigurationError,
     EdgeNotFoundError,
     NodeNotFoundError,
     SelfLoopError,
 )
 from repro.graph.degree_index import DegreeIndex
 
-__all__ = ["Graph"]
+__all__ = [
+    "Graph",
+    "EDGELESS",
+    "GROWTH_SLACK",
+    "BACKEND_NAMES",
+    "check_backend",
+]
 
-Node = Hashable
+Node = int
+
+#: the slot of every alive node without edges; never mutated, shared by
+#: all of them (see the module docstring)
+EDGELESS: frozenset = frozenset()
+
+#: slots one new label may add beyond doubling the store (8 MB of list)
+GROWTH_SLACK = 1 << 20
+
+#: the accepted spellings of the ``backend`` keyword; each names
+#: :class:`Graph`
+BACKEND_NAMES = ("array", "object")
+
+
+def check_backend(name: str) -> None:
+    """Refuse a ``backend`` spelling outside :data:`BACKEND_NAMES`."""
+    if name not in BACKEND_NAMES:
+        raise ConfigurationError(
+            f"unknown graph backend {name!r}; "
+            f"known backends: {', '.join(BACKEND_NAMES)}"
+        )
 
 
 class Graph:
-    """Mutable undirected simple graph.
+    """Mutable undirected simple graph; labels are non-negative ints.
 
     >>> g = Graph.from_edges([(0, 1), (1, 2)])
     >>> g.degree(1)
     2
     >>> sorted(g.remove_node(1))
     [0, 2]
-    >>> sorted(g.nodes())
+    >>> list(g.nodes())
     [0, 2]
     >>> g.num_edges
     0
     """
 
-    #: backend name this class implements (see
-    #: :mod:`repro.graph.array_backend` for the slotted alternative and
-    #: the ``new_graph`` selection factory)
-    backend = "object"
-
-    __slots__ = ("_adj", "_num_edges", "_deg_index", "degree_listener")
+    __slots__ = (
+        "_nbrs", "_n_alive", "_num_edges", "_deg_index", "degree_listener"
+    )
 
     def __init__(self, nodes: Iterable[Node] = ()) -> None:
-        self._adj: dict[Node, set[Node]] = {}
+        #: slot store: ``_nbrs[u]`` is u's adjacency set, EDGELESS when
+        #: it has no edges yet, None when dead
+        self._nbrs: list[set[int] | frozenset | None] = []
+        self._n_alive: int = 0
         self._num_edges: int = 0
         #: degree-bucket index, built lazily by :meth:`_index` on the
         #: first extreme-degree query; ``None`` means "never queried" and
@@ -80,8 +124,22 @@ class Graph:
         self.degree_listener: Callable[
             [Node, int | None, int | None], None
         ] | None = None
-        for node in nodes:
-            self.add_node(node)
+        # The dominant construction is "labels 0..n-1 in order" (every
+        # generator, every healing graph): detect it at C speed — the
+        # array() conversion refuses what is not an int, the comparison
+        # holes, duplicates and negatives — and fill the slot store
+        # directly instead of paying add_node per label.
+        seq = nodes if isinstance(nodes, (list, tuple, range)) else list(nodes)
+        try:
+            arr = array("q", seq)
+        except (TypeError, OverflowError):
+            arr = None
+        if arr is not None and arr == array("q", range(len(arr))):
+            self._nbrs = [EDGELESS] * len(arr)
+            self._n_alive = len(arr)
+        else:
+            for node in seq:
+                self.add_node(node)
 
     # ------------------------------------------------------------------
     # Constructors
@@ -97,14 +155,17 @@ class Graph:
         return g
 
     def copy(self) -> "Graph":
-        """Deep copy of the topology (node labels are shared, sets are not).
+        """Deep copy of the topology (the copy owns its sets).
 
         The copy starts with no degree index (one is built lazily if its
         extremes are ever queried); the listener is *not* carried over
         (it belongs to the original's owner).
         """
         g = Graph()
-        g._adj = {u: set(nbrs) for u, nbrs in self._adj.items()}
+        g._nbrs = [
+            s if s is None or s is EDGELESS else set(s) for s in self._nbrs
+        ]
+        g._n_alive = self._n_alive
         g._num_edges = self._num_edges
         return g
 
@@ -112,15 +173,49 @@ class Graph:
         """Induced subgraph on ``keep`` (unknown labels are ignored).
 
         Built by intersecting adjacency sets directly — no per-edge
-        ``has_edge`` probes, and each undirected edge is materialized once
-        per endpoint by the set intersection itself.
+        ``has_edge`` probes — into a store as long as this one.
         """
-        keep_set = {u for u in keep if u in self._adj}
+        nbrs = self._nbrs
+        keep_set = {u for u in keep if self._slot(u) is not None}
         g = Graph()
-        adj = {u: self._adj[u] & keep_set for u in keep_set}
-        g._adj = adj
-        g._num_edges = sum(len(nbrs) for nbrs in adj.values()) // 2
+        slots = g._nbrs = [None] * len(nbrs)
+        edges = 0
+        for u in keep_set:
+            # An edgeless slot intersects to a fresh empty frozenset,
+            # which no writer would recognize: edgeless slots, and empty
+            # intersections, get the shared marker.
+            s = nbrs[u] & keep_set
+            slots[u] = s or EDGELESS
+            edges += len(s)
+        g._n_alive = len(keep_set)
+        g._num_edges = edges // 2
         return g
+
+    # Pickle and copy state. A restored graph owns its sets and, like
+    # copy(), has no degree index or listener; its edgeless slots are the
+    # shared EDGELESS marker again, which writers test by identity.
+    def __getstate__(self) -> tuple:
+        return self._nbrs, self._n_alive, self._num_edges
+
+    def __setstate__(self, state: tuple) -> None:
+        nbrs, self._n_alive, self._num_edges = state
+        self._nbrs = [
+            None if s is None else set(s) if s else EDGELESS for s in nbrs
+        ]
+        self._deg_index = None
+        self.degree_listener = None
+
+    # ------------------------------------------------------------------
+    # Slot access
+    # ------------------------------------------------------------------
+    def _slot(self, node: Node) -> set[int] | frozenset | None:
+        """The adjacency set at ``node``'s slot, or ``None`` when the
+        label is absent, dead, or cannot index a slot."""
+        try:
+            s = self._nbrs[node]
+        except (IndexError, TypeError):
+            return None
+        return s if node >= 0 else None
 
     def degree_of(self, node: Node) -> int | None:
         """Degree of ``node``, or ``None`` when absent (no exception).
@@ -128,40 +223,84 @@ class Graph:
         The non-raising sibling of :meth:`degree`; also the cheapest
         building block for the network's δ oracle.
         """
-        nbrs = self._adj.get(node)
-        return None if nbrs is None else len(nbrs)
+        return self._degree_in(self._nbrs, node)
 
     @staticmethod
-    def _degree_in(adj: dict[Node, set[Node]], node: Node) -> int | None:
-        """:meth:`degree_of` over the adjacency container ``adj``."""
-        nbrs = adj.get(node)
-        return None if nbrs is None else len(nbrs)
+    def _degree_in(nbrs: list, node: Node) -> int | None:
+        """:meth:`degree_of` over the slot store ``nbrs`` (see
+        :meth:`_slot`)."""
+        try:
+            s = nbrs[node]
+        except (IndexError, TypeError):
+            return None
+        return None if s is None or node < 0 else len(s)
 
     def _index(self) -> DegreeIndex:
         """The degree index, built on first demand (O(n) scan, then
         maintained incrementally by the mutators). Its ground-truth
-        oracle reads the adjacency container, not the graph, so an
-        indexed graph is freed by reference counting like any other."""
+        oracle reads the slot store, not the graph, so an indexed graph
+        is freed by reference counting like any other."""
         idx = self._deg_index
         if idx is None:
             idx = self._deg_index = DegreeIndex(
-                partial(self._degree_in, self._adj)
+                partial(self._degree_in, self._nbrs)
             )
-            for u, nbrs in self._adj.items():
-                idx.push(u, len(nbrs))
+            push = idx.push
+            for u, s in enumerate(self._nbrs):
+                if s is not None:
+                    push(u, len(s))
         return idx
 
     # ------------------------------------------------------------------
     # Nodes
     # ------------------------------------------------------------------
+    def check_label(self, node: Node) -> None:
+        """Raise :class:`~repro.errors.ConfigurationError` unless ``node``
+        is a non-negative int (not a bool) that grows the store to at
+        most twice its slot count plus :data:`GROWTH_SLACK` slots.
+        Doubling, generators, churn joins and recorded traces stay
+        inside; one label of 10**9 would allocate 8 GB of slots."""
+        if type(node) is not int or node < 0:
+            raise ConfigurationError(
+                f"node labels must be non-negative ints, got {node!r}"
+            )
+        bound = 2 * len(self._nbrs) + GROWTH_SLACK
+        if node >= bound:
+            raise ConfigurationError(
+                f"node label {node} is past this graph's label bound "
+                f"{bound} (twice its {len(self._nbrs)} slots plus "
+                f"{GROWTH_SLACK}): memory grows with the largest label, "
+                "so relabel the nodes 0..n-1"
+            )
+
     def add_node(self, node: Node) -> None:
-        """Add ``node`` (idempotent)."""
-        if node not in self._adj:
-            self._adj[node] = set()
-            if self._deg_index is not None:
-                self._deg_index.push(node, 0)
-            if self.degree_listener is not None:
-                self.degree_listener(node, None, 0)
+        """Add ``node`` (idempotent); a new label must pass
+        :meth:`check_label`."""
+        nbrs = self._nbrs
+        if type(node) is int and 0 <= node < len(nbrs):
+            if nbrs[node] is not None:
+                return
+            nbrs[node] = EDGELESS
+        else:
+            self.check_label(node)
+            if node > len(nbrs):
+                # Gap growth doubles capacity: repeated gap jumps under
+                # increasing churn labels would otherwise pay an
+                # exact-fit realloc-and-copy per join. The slack slots
+                # past ``node`` stay dead (``None``) until a later add
+                # claims them; sequential appends (``node == len``) stay
+                # exact-size, so construction-time graphs keep the
+                # hole-free layout the fused kernel and ``nodes`` check.
+                grown = max(node + 1, 2 * len(nbrs), 8)
+                nbrs.extend([None] * (grown - len(nbrs)))
+                nbrs[node] = EDGELESS
+            else:
+                nbrs.append(EDGELESS)
+        self._n_alive += 1
+        if self._deg_index is not None:
+            self._deg_index.push(node, 0)
+        if self.degree_listener is not None:
+            self.degree_listener(node, None, 0)
 
     def remove_node(self, node: Node) -> set[Node]:
         """Remove ``node`` and all incident edges; returns its ex-neighbor
@@ -171,41 +310,45 @@ class Graph:
         Raises :class:`NodeNotFoundError` if absent — deleting a node twice
         in the simulation is always a logic error worth failing loudly on.
         """
-        try:
-            nbrs = self._adj.pop(node)
-        except KeyError:
-            raise NodeNotFoundError(node) from None
+        nbrs = self._nbrs
+        s = self._slot(node)
+        if s is None:
+            raise NodeNotFoundError(node)
+        nbrs[node] = None
+        self._n_alive -= 1
         idx = self._deg_index
         listener = self.degree_listener
         if idx is None and listener is None:
-            for v in nbrs:
-                self._adj[v].discard(node)
+            for v in s:
+                nbrs[v].discard(node)
         else:
             # The removed node itself needs no index work: its stale
-            # entries self-invalidate against the adjacency ground truth.
+            # entries self-invalidate against the slot store.
             if listener is not None:
-                listener(node, len(nbrs), None)
-            for v in nbrs:
-                s = self._adj[v]
-                d = len(s) - 1
-                s.discard(node)
+                listener(node, len(s), None)
+            for v in s:
+                t = nbrs[v]
+                d = len(t) - 1
+                t.discard(node)
                 if idx is not None:
                     idx.push(v, d)
                 if listener is not None:
                     listener(v, d + 1, d)
-        self._num_edges -= len(nbrs)
-        return nbrs
+        self._num_edges -= len(s)
+        return s
 
     def has_node(self, node: Node) -> bool:
-        return node in self._adj
+        return self._slot(node) is not None
 
     def nodes(self) -> Iterator[Node]:
-        """Iterate over node labels (insertion order)."""
-        return iter(self._adj)
+        """Iterate over node labels in ascending order."""
+        if self._n_alive == len(self._nbrs):  # hole-free: every slot live
+            return iter(range(self._n_alive))
+        return (u for u, s in enumerate(self._nbrs) if s is not None)
 
     @property
     def num_nodes(self) -> int:
-        return len(self._adj)
+        return self._n_alive
 
     # ------------------------------------------------------------------
     # Edges
@@ -219,18 +362,33 @@ class Graph:
         """
         if u == v:
             raise SelfLoopError(u)
-        self.add_node(u)
-        self.add_node(v)
-        if v in self._adj[u]:
+        nbrs = self._nbrs
+        try:
+            su = nbrs[u] if u >= 0 else None
+            sv = nbrs[v] if v >= 0 else None
+        except (TypeError, IndexError):
+            su = sv = None
+        if su is None or sv is None:
+            # A new or dead endpoint, or a bad label: add_node adds the
+            # first kind and raises for the other.
+            self.add_node(u)
+            self.add_node(v)
+            su = nbrs[u]
+            sv = nbrs[v]
+        if v in su:
             return False
-        self._adj[u].add(v)
-        self._adj[v].add(u)
+        if su is EDGELESS:
+            su = nbrs[u] = set()
+        if sv is EDGELESS:
+            sv = nbrs[v] = set()
+        su.add(v)
+        sv.add(u)
         self._num_edges += 1
         idx = self._deg_index
         listener = self.degree_listener
         if idx is not None or listener is not None:
-            du = len(self._adj[u])
-            dv = len(self._adj[v])
+            du = len(su)
+            dv = len(sv)
             if idx is not None:
                 idx.push(u, du)
                 idx.push(v, dv)
@@ -241,20 +399,22 @@ class Graph:
 
     def remove_edge(self, u: Node, v: Node) -> None:
         """Remove edge ``{u, v}``; raises :class:`EdgeNotFoundError` if absent."""
-        if u not in self._adj:
+        su = self._slot(u)
+        if su is None:
             raise NodeNotFoundError(u)
-        if v not in self._adj:
+        sv = self._slot(v)
+        if sv is None:
             raise NodeNotFoundError(v)
-        if v not in self._adj[u]:
+        if v not in su:
             raise EdgeNotFoundError(u, v)
-        self._adj[u].discard(v)
-        self._adj[v].discard(u)
+        su.discard(v)
+        sv.discard(u)
         self._num_edges -= 1
         idx = self._deg_index
         listener = self.degree_listener
         if idx is not None or listener is not None:
-            du = len(self._adj[u])
-            dv = len(self._adj[v])
+            du = len(su)
+            dv = len(sv)
             if idx is not None:
                 idx.push(u, du)
                 idx.push(v, dv)
@@ -263,21 +423,18 @@ class Graph:
                 listener(v, dv + 1, dv)
 
     def has_edge(self, u: Node, v: Node) -> bool:
-        nbrs = self._adj.get(u)
-        return nbrs is not None and v in nbrs
+        s = self._slot(u)
+        return s is not None and v in s
 
     def edges(self) -> Iterator[tuple[Node, Node]]:
-        """Iterate each undirected edge exactly once as ``(u, v)``.
-
-        The orientation is the one in which the edge is first discovered
-        during iteration; callers needing canonical order should sort.
-        """
-        seen: set[Node] = set()
-        for u, nbrs in self._adj.items():
-            for v in nbrs:
-                if v not in seen:
-                    yield (u, v)
-            seen.add(u)
+        """Iterate each undirected edge exactly once as ``(u, v)`` with
+        ``u < v``, ``u`` ascending; callers needing canonical order
+        should sort."""
+        for u, s in enumerate(self._nbrs):
+            if s:
+                for v in s:
+                    if v > u:
+                        yield (u, v)
 
     @property
     def num_edges(self) -> int:
@@ -295,47 +452,54 @@ class Graph:
         on the fig8 workload showed the copies are <3% of runtime, a
         price worth paying for mutation safety.
         """
-        try:
-            return frozenset(self._adj[node])
-        except KeyError:
-            raise NodeNotFoundError(node) from None
+        s = self._slot(node)
+        if s is None:
+            raise NodeNotFoundError(node)
+        return frozenset(s)
 
     def neighbors_view(self, node: Node) -> set[Node]:
         """The *live* adjacency set (no copy). Callers must not mutate it
         and must not hold it across topology mutations. Used in hot
         traversal loops (BFS) where the copy in :meth:`neighbors` shows up
         in profiles."""
-        try:
-            return self._adj[node]
-        except KeyError:
-            raise NodeNotFoundError(node) from None
+        s = self._slot(node)
+        if s is None:
+            raise NodeNotFoundError(node)
+        return s
 
     def degree(self, node: Node) -> int:
-        try:
-            return len(self._adj[node])
-        except KeyError:
-            raise NodeNotFoundError(node) from None
+        s = self._slot(node)
+        if s is None:
+            raise NodeNotFoundError(node)
+        return len(s)
 
     def degrees(self) -> dict[Node, int]:
-        """Degree of every node as a dict (snapshot)."""
-        return {u: len(nbrs) for u, nbrs in self._adj.items()}
+        """Degree of every node as a dict (snapshot, ascending labels)."""
+        return {
+            u: len(s) for u, s in enumerate(self._nbrs) if s is not None
+        }
 
     def degrees_of(
         self, nodes: Iterable[Node], offset: int = 0
     ) -> dict[Node, int]:
         """Degree (+``offset``) of each of ``nodes`` as a dict.
 
-        Bulk sibling of :meth:`degree` for the per-round snapshot builds
-        (one dict comprehension, no per-node method dispatch); ``offset``
-        lets the deletion path reconstruct pre-round degrees from
-        post-removal adjacency. Raises :class:`NodeNotFoundError` on the
-        first unknown node.
+        Bulk sibling of :meth:`degree` for the per-round snapshot builds;
+        ``offset`` lets the deletion path reconstruct pre-round degrees
+        from post-removal adjacency. Raises :class:`NodeNotFoundError` on
+        the first unknown node.
         """
-        adj = self._adj
-        try:
-            return {u: len(adj[u]) + offset for u in nodes}
-        except KeyError as exc:
-            raise NodeNotFoundError(exc.args[0]) from None
+        nbrs = self._nbrs
+        out: dict[Node, int] = {}
+        for u in nodes:
+            try:
+                s = nbrs[u]
+            except (IndexError, TypeError):
+                s = None
+            if s is None or u < 0:
+                raise NodeNotFoundError(u)
+            out[u] = len(s) + offset
+        return out
 
     def max_degree(self) -> int:
         """Largest degree in the graph; 0 for an empty graph. O(1)
@@ -363,17 +527,11 @@ class Graph:
         return self._index().bucket(degree)
 
     def check_degree_index(self) -> None:
-        """Verify the degree index against a fresh :meth:`degrees` scan.
-
-        A never-built lazy index is vacuously consistent and is left
-        unbuilt — building it here would both prove nothing (it would be
-        constructed from the very adjacency it is checked against) and
-        silently activate per-mutation bookkeeping on graphs that never
-        query their extremes.
-
-        O(n); raises :class:`~repro.errors.SimulationError` on mismatch.
-        Used by paranoid mode and the ``check_degree_index`` invariant.
-        """
+        """Verify the degree index against a fresh :meth:`degrees` scan
+        (O(n); :class:`~repro.errors.SimulationError` on mismatch). A
+        never-built index is vacuously consistent and stays unbuilt:
+        building it here would prove nothing and switch on per-mutation
+        bookkeeping. Used by paranoid mode and the invariant checks."""
         if self._deg_index is not None:
             self._deg_index.check(self.degrees())
 
@@ -381,19 +539,24 @@ class Graph:
     # Dunder protocol
     # ------------------------------------------------------------------
     def __contains__(self, node: Node) -> bool:
-        return node in self._adj
+        return self._slot(node) is not None
 
     def __iter__(self) -> Iterator[Node]:
-        return iter(self._adj)
+        return self.nodes()
 
     def __len__(self) -> int:
-        return len(self._adj)
+        return self._n_alive
 
     def __eq__(self, other: object) -> bool:
-        """Structural equality: same node set and same edge set."""
+        """Structural equality: same live slots with the same neighbors
+        (an edgeless slot equals an emptied set; dead and slack slots
+        count for nothing)."""
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._adj == other._adj
+        a, b = self._nbrs, other._nbrs
+        if len(a) > len(b):
+            a, b = b, a
+        return a == b[: len(a)] and all(s is None for s in b[len(a):])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Graph(n={self.num_nodes}, m={self.num_edges})"

@@ -2,7 +2,12 @@
 
 Plain-text edge lists keep experiment inputs inspectable and diffable.
 Format: one ``u v`` pair per line; isolated nodes appear as a single
-label on their own line; ``#`` starts a comment.
+label on their own line; ``#`` starts a comment. Labels are parsed as
+ints, and each passes the graph's label check as it is added
+(:meth:`~repro.graph.graph.Graph.check_label`), so a file naming a
+negative node, or one far past the others, raises
+:class:`~repro.errors.ConfigurationError` before the graph grows toward
+it: relabel such nodes ``0..n-1``.
 """
 
 from __future__ import annotations

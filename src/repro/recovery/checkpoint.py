@@ -49,7 +49,6 @@ from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Sequence
 from repro.core.components import NodeId, make_node_ids
 from repro.core.network import HealEvent, SelfHealingNetwork
 from repro.errors import CheckpointError, ConfigurationError, DivergenceError
-from repro.graph.array_backend import new_graph
 from repro.graph.graph import Graph
 from repro.recovery.ledger import (
     LEDGER_VERSION,
@@ -217,21 +216,13 @@ def _static_tables(static: dict) -> tuple[dict, dict]:
 
 
 def _encode_graph(graph: Graph) -> dict:
-    """Adjacency as a flat sorted edge array plus isolated survivors."""
-    degrees = graph.degrees()
-    try:
-        isolated = sorted(u for u, d in degrees.items() if d == 0)
-    except TypeError:
-        isolated = sorted(
-            (u for u, d in degrees.items() if d == 0), key=repr
-        )
+    """Adjacency as a flat edge array plus isolated survivors."""
+    isolated = [u for u, d in graph.degrees().items() if d == 0]
     return {"edges": _encode_edges(graph.edges()), "isolated": isolated}
 
 
-def _decode_graph(
-    payload: dict, nodes: Sequence[Node], backend: str = "object"
-) -> Graph:
-    graph = new_graph(nodes, backend=backend)
+def _decode_graph(payload: dict, nodes: Sequence[Node]) -> Graph:
+    graph = _live_graph(nodes)
     for a, b in _iter_edge_pairs(payload["edges"]):
         graph.add_edge(a, b)
     return graph
@@ -240,7 +231,20 @@ def _decode_graph(
 def _graph_nodes(payload: dict) -> list[Node]:
     nodes = set(payload["isolated"])
     nodes.update(payload["edges"])
-    return sorted(nodes, key=repr)
+    return sorted(nodes)
+
+
+def _live_graph(nodes: Sequence[Node]) -> Graph:
+    """The edgeless graph on the ascending labels ``nodes``, sized in one
+    step: churn can leave live labels farther apart than one add may
+    grow a store, though the campaign's own store spanned them."""
+    top = nodes[-1] + 1 if nodes else 0
+    graph = Graph(range(top))
+    live = set(nodes)
+    for u in range(top):
+        if u not in live:
+            graph.remove_node(u)
+    return graph
 
 
 def _encode_victim(victim: Node) -> object:
@@ -250,8 +254,7 @@ def _encode_victim(victim: Node) -> object:
     ``("delete", victim)`` tuples; delete ops flatten to the bare victim
     (indistinguishable from a classic round's victim) and add ops become
     ``{"add": [node, targets]}``.
-    Checkpointable nodes are ints/strs, so the tags cannot collide with
-    node values.
+    Nodes are ints, so the tags cannot collide with node values.
     """
     if isinstance(victim, frozenset):
         return {"batch": sorted(victim, key=repr)}
@@ -688,11 +691,6 @@ class CampaignRecorder:
             # to a bare count.
             "nodes": _encode_nodes(list(network.initial_ids)),
             "edges": _encode_edges(network.graph.edges()),
-            # Graph backend, so restore rebuilds the same substrate
-            # (array campaigns must resume on array — byte-identical
-            # either way, but perf and fused-kernel eligibility differ).
-            # Old checkpoints lack the key and default to "object".
-            "backend": getattr(network.graph, "backend", "object"),
             "params": _ensure_jsonable(dict(self.params), "engine params"),
             "checkpoint_every": self.checkpoint_every,
             "healer": _component_descriptor(network.healer),
@@ -917,10 +915,9 @@ def _restore_network(
         (u, d) for u, d in dynamic["extra_initial_degree"]
     )
 
-    backend = static.get("backend", "object")
     nodes = _graph_nodes(dynamic["graph"])
-    graph = _decode_graph(dynamic["graph"], nodes, backend)
-    healing_graph = new_graph(nodes, backend=backend)
+    graph = _decode_graph(dynamic["graph"], nodes)
+    healing_graph = _live_graph(nodes)
     for a, b in _iter_edge_pairs(dynamic["healing_edges"]):
         healing_graph.add_edge(a, b)
 
@@ -934,7 +931,7 @@ def _restore_network(
     missing = set(nodes) - initial_degree.keys()
     if missing:
         raise CheckpointError(
-            f"corrupt checkpoint: live node {min(missing, key=repr)!r} "
+            f"corrupt checkpoint: live node {min(missing)!r} "
             "has no initial degree"
         )
     # Built by the first δ query, like a fresh network's.
@@ -970,7 +967,7 @@ def _initial_network(static: dict, healer: object) -> SelfHealingNetwork:
     ``id_seed``. Its ``__init__`` resets the healer, so the caller
     imports the healer's recorded state afterwards."""
     nodes = _static_node_seq(static)
-    graph = new_graph(nodes, backend=static.get("backend", "object"))
+    graph = Graph(nodes)
     for a, b in _iter_edge_pairs(static["edges"]):
         graph.add_edge(a, b)
     params = static["params"]

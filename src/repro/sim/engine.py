@@ -197,9 +197,9 @@ def run_campaign(
         and not keep_events
         and not keep_network
     ):
-        # Scalar-only DASH campaigns on the array backend fuse the round
-        # loop into one kernel (imported lazily — object-backend
-        # campaigns never pay for it); see :mod:`repro.sim.fastpath`.
+        # Scalar-only DASH campaigns fuse the round loop into one kernel
+        # (imported lazily — observed campaigns never pay for it); see
+        # :mod:`repro.sim.fastpath`.
         from repro.sim import fastpath
 
         if fastpath.supports(

@@ -1,4 +1,4 @@
-"""Fused unobservable-mode DASH kernel for the array backend.
+"""Fused unobservable-mode DASH kernel on the graph's slot stores.
 
 The generic engine pays, every round, for machinery whose output the
 caller has explicitly declined: ``HealEvent`` construction
@@ -9,13 +9,13 @@ the moments δ changes). When a campaign asks for scalars only — the
 result's ``initial_n``, ``deletions``, ``insertions``, ``final_alive``
 and ``peak_delta`` — all of that work is unobservable.
 
-:func:`run_fused` runs such campaigns as one fused loop over the array
-backend's slot stores: G and G′ adjacency are the raw ``ArrayGraph``
-slot lists, the component tracker is three parallel arrays
+:func:`run_fused` runs such campaigns as one fused loop over the slot
+stores of :class:`~repro.graph.graph.Graph`: G and G′ adjacency are the
+raw slot lists, the component tracker is three parallel arrays
 (parent/size/label-origin) with inline path-compressed find, and the
 DASH plan (UN(v,G) ∪ N(v,G′) sorted ascending by (δ, initial ID) into a
 complete binary tree) is computed with plain ints — node labels, which
-for the array backend are their own slot indices. Labels are recovered
+are their own slot indices. Labels are recovered
 through the label↔origin bijection: every label the tracker ever
 installs is ``initial_ids[origin]``, so one float per slot
 (``rand[origin]``) reconstructs full ID comparisons, with the origin int
@@ -38,7 +38,8 @@ where a round's ops come from:
   :meth:`~repro.core.network.SelfHealingNetwork.insert_and_heal` runs.
 
 Eligibility (:func:`supports`) is deliberately narrow — exactly DASH ×
-those adversaries × ``ArrayGraph`` with nothing observing intermediate
+those adversaries × :class:`~repro.graph.graph.Graph` itself (not a
+subclass or another graph class) with nothing observing intermediate
 state. ``keep_events=True`` forces the generic path, which is how the
 differential tests (``tests/sim/test_fused_kernel.py``) obtain the
 reference side.
@@ -64,7 +65,7 @@ from repro.adversary.classic import RandomAttack
 from repro.churn.adversaries import ChurnAdversary, TraceChurnAdversary
 from repro.core.dash import Dash
 from repro.errors import SimulationError
-from repro.graph.array_backend import EDGELESS, ArrayGraph
+from repro.graph.graph import EDGELESS, Graph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.adversary.base import Adversary
@@ -119,7 +120,7 @@ def supports(
         )
     return (
         adversary_ok
-        and type(graph) is ArrayGraph
+        and type(graph) is Graph
         and type(network.healer) is Dash
         and not metrics
         and not batch_rounds
@@ -217,7 +218,7 @@ def run_fused(
                 node, targets = v
                 targets = network._join_targets(node, targets)
                 node_id = network._insertion_id(node)
-                # ArrayGraph grows both slot stores; the slot lists
+                # add_node grows both slot stores; the slot lists
                 # follow, and the joiner is a singleton component.
                 graph.add_node(node)
                 healing_graph.add_node(node)

@@ -9,7 +9,8 @@ list each, bisect-and-pop). Both must name the same target or wave,
 leave the same RNG state and hold the same survivors after every round:
 across out-of-band batch deletions and count-preserving swaps (the
 resync paths), and across an ``import_state`` mid-campaign. Labels are
-multiples of 7 or strings, so label order is not insertion order.
+multiples of 7, inserted ascending or descending, and joiners take
+labels between them, so label order is not insertion order.
 """
 
 from __future__ import annotations
@@ -35,12 +36,12 @@ from tests.adversary._reference_random import (
 
 _LABELS = {
     "int7": lambda i: 7 * i,
-    "str": lambda i: f"v{i}",
+    "int7-desc": lambda i: 7 * (400 - i),  # n <= 400
 }
 #: labels for out-of-band joiners: between the initial ones in order
 _JOINERS = {
     "int7": lambda j: 7 * j + 3,
-    "str": lambda j: f"v{j}+",
+    "int7-desc": lambda j: 7 * (400 - j) + 3,
 }
 
 

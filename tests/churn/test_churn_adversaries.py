@@ -209,6 +209,8 @@ def test_missing_trace_fails_at_construction(tmp_path):
         '[["add", [7], [0]]]',       # unhashable node
         '[["delete", true]]',        # bool victim
         '[["delete", null]]',        # null victim
+        '[["add", "a", [0]]]',       # str joiner (labels are ints)
+        '[["add", 500, ["a"]]]',     # str attach target
     ],
 )
 def test_malformed_trace_lines_fail_fast_with_location(tmp_path, line):

@@ -24,6 +24,8 @@ from repro.graph.generators import GENERATORS
 from repro.graph.graph import Graph
 from repro.sim.engine import run_campaign
 
+from tests.graph._reference_graph import reference_copy
+
 
 def _path(n=6):
     return GENERATORS.make("path", force={"n": n})
@@ -85,8 +87,7 @@ def test_scripted_churn_rejects_malformed_ops_eagerly(bad_op):
         ScriptedChurn([[bad_op]])
 
 
-@pytest.mark.parametrize("backend", ["object", "array"])
-@pytest.mark.parametrize("label", [2.5, 7.0, True])
+@pytest.mark.parametrize("label", [2.5, 7.0, True, "a"])
 @pytest.mark.parametrize(
     "shape",
     [
@@ -96,12 +97,12 @@ def test_scripted_churn_rejects_malformed_ops_eagerly(bad_op):
     ],
     ids=["joiner", "target", "victim"],
 )
-def test_scripted_churn_rejects_non_int_str_labels(shape, label, backend):
-    """2.5 used to join on the object backend and fail mid-campaign on
-    the array one; True aliases node 1. A script obeys the JSONL rule
-    (ints or strings) and fails at construction on either backend."""
-    graph = GENERATORS.make(f"path:backend={backend}", force={"n": 6})
-    with pytest.raises(SimulationError, match="ints or strings"):
+def test_scripted_churn_rejects_non_int_labels(shape, label):
+    """Node labels are ints: 2.5 cannot be one, True aliases node 1, and
+    a string is none. A script obeys the JSONL rule (ints only) and
+    fails at construction."""
+    graph = _path()
+    with pytest.raises(SimulationError, match="nodes must be ints"):
         run_campaign(
             graph,
             HEALERS.make("dash"),
@@ -153,29 +154,30 @@ def test_inserting_with_a_dead_target_raises():
         network.insert_and_heal(99, (3,))
 
 
-#: (backend, keep_events): the fused kernel takes the unobserved array
-#: DASH campaign, the generic loop every other one
-ENGINES = [("object", False), ("array", True), ("array", False)]
+#: (graph, keep_events): the fused kernel takes the unobserved DASH
+#: campaign on the one graph, the generic loop every other one, and the
+#: dict-of-sets reference graph never fuses
+ENGINES = [("reference", False), ("graph", True), ("graph", False)]
 
 
 @pytest.mark.parametrize("healer", ["dash", "forgiving-tree"])
-@pytest.mark.parametrize("backend,keep_events", ENGINES)
-def test_join_label_that_does_not_compare_raises_before_mutation(
-    tmp_path, backend, keep_events, healer
+@pytest.mark.parametrize("substrate,keep_events", ENGINES)
+def test_bad_join_label_raises_before_mutation(
+    tmp_path, substrate, keep_events, healer
 ):
-    """A str joiner in an int-labelled network would break the ordered
-    δ and degree indexes: the join check refuses it by name, on both
-    engines, before the graph changes."""
+    """A joiner past the graph's label bound would allocate its slots:
+    the graph's label check refuses it by name, on both engines, before
+    the graph changes."""
     from repro.sim import fastpath
 
     path = tmp_path / "schedule.jsonl"
-    path.write_text('[["add", "a", [1]]]\n')
-    graph = GENERATORS.make(
-        "pa:m=2", seed=4, force={"n": 30, "backend": backend}
-    )
+    path.write_text(f'[["add", {2**62}, [1]]]\n')
+    graph = GENERATORS.make("pa:m=2", seed=4, force={"n": 30})
+    if substrate == "reference":
+        graph = reference_copy(graph)
     before = graph.copy()
     fused = fastpath._fused_campaigns
-    with pytest.raises(SimulationError, match="'a'.*does not compare"):
+    with pytest.raises(ConfigurationError, match=f"{2**62}.*bound"):
         run_campaign(
             graph,
             HEALERS.make(healer),
@@ -184,7 +186,7 @@ def test_join_label_that_does_not_compare_raises_before_mutation(
             keep_events=keep_events,
         )
     assert graph == before
-    kernel = backend == "array" and not keep_events and healer == "dash"
+    kernel = substrate == "graph" and not keep_events and healer == "dash"
     assert fastpath._fused_campaigns == fused + kernel
 
 
@@ -194,6 +196,7 @@ def test_scripted_str_join_on_int_graph_raises(healer):
         GENERATORS.make("pa:m=2", seed=4, force={"n": 30}),
         HEALERS.make(healer),
     )
+    # A script refuses it at construction, the network at the join.
     with pytest.raises(SimulationError, match="'a'"):
         run_campaign(
             network.graph.copy(),
@@ -201,28 +204,17 @@ def test_scripted_str_join_on_int_graph_raises(healer):
             ScriptedChurn([[("add", "a", [1])]]),
             id_seed=0,
         )
-    with pytest.raises(SimulationError, match="'a'"):
+    with pytest.raises(ConfigurationError, match="'a'"):
         network.insert_and_heal("a", (1,))
     assert "a" not in network.graph and "a" not in network.healing_graph
     assert not network.inserted_nodes and "a" not in network.initial_ids
 
 
-@pytest.mark.parametrize(
-    "healer", ["dash", "forgiving-tree", "forgiving-graph"]
-)
-def test_churn_adversary_refuses_str_labelled_graphs(healer):
-    """The churn adversary mints int labels, which cannot join a network
-    labelled by strings: reset says so instead of a join crashing."""
-    graph = Graph.from_edges(
-        [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")]
-    )
-    with pytest.raises(ConfigurationError, match="int node labels.*str"):
-        run_campaign(
-            graph,
-            HEALERS.make(healer),
-            ADVERSARIES.make("churn:rate=1,rounds=4", seed=1),
-            id_seed=0,
-        )
+def test_str_labelled_graph_is_refused():
+    """The churn adversary mints int labels; a graph labelled by strings,
+    which they could not join, cannot be built at all."""
+    with pytest.raises(ConfigurationError, match="non-negative ints"):
+        Graph.from_edges([("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")])
 
 
 # ----------------------------------------------------------------------

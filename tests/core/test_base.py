@@ -90,13 +90,13 @@ class TestPlanValidation:
             plan = super().plan(snapshot)
             return ReconnectionPlan(
                 participants=plan.participants,
-                edges=plan.edges + (("far", "away"),),
+                edges=plan.edges + ((3, 4),),
                 kind="binary-tree",
                 component_safe=False,
             )
 
     def test_locality_violation_rejected(self):
-        g = Graph.from_edges([(0, 1), (0, 2), ("far", "away"), (1, "far")])
+        g = Graph.from_edges([(0, 1), (0, 2), (3, 4), (1, 3)])
         net = SelfHealingNetwork(g, self.RogueHealer(), seed=0)
         with pytest.raises(HealingError, match="locality"):
             net.delete_and_heal(0)

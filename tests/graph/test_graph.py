@@ -1,4 +1,4 @@
-"""Tests for the adjacency-set Graph substrate."""
+"""Tests for the slot-store Graph substrate."""
 
 from __future__ import annotations
 
@@ -7,11 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import (
+    ConfigurationError,
     EdgeNotFoundError,
     NodeNotFoundError,
     SelfLoopError,
 )
-from repro.graph.graph import Graph
+from repro.graph.graph import GROWTH_SLACK, Graph
+from repro.graph.io import read_edge_list
 
 
 class TestNodes:
@@ -44,7 +46,54 @@ class TestNodes:
 
     def test_iter(self):
         g = Graph([3, 1, 2])
-        assert list(iter(g)) == [3, 1, 2]  # insertion order
+        assert list(iter(g)) == [1, 2, 3]  # ascending, not insertion order
+
+
+class TestLabels:
+    @pytest.mark.parametrize("bad", ["a", 1.5, 0.0, None, (0, 1), True, -1])
+    def test_rejects_what_is_not_a_label(self, bad):
+        g = Graph(range(3))
+        with pytest.raises(ConfigurationError, match="non-negative ints"):
+            g.add_node(bad)
+        with pytest.raises(ConfigurationError, match="non-negative ints"):
+            Graph([bad])
+        assert g == Graph(range(3))
+
+    #: far past any bound, and so large that without the check the
+    #: allocation fails at once (MemoryError) instead of taking memory
+    HUGE = 2**62
+
+    def test_label_bound_refuses_before_allocating(self, tmp_path):
+        g = Graph(range(4))
+        g.add_edge(0, 1)
+        for add in (
+            lambda: g.add_node(self.HUGE),
+            lambda: g.add_edge(2, self.HUGE),
+            lambda: g.check_label(self.HUGE),
+        ):
+            with pytest.raises(ConfigurationError) as exc:
+                add()
+            msg = str(exc.value)
+            assert str(self.HUGE) in msg
+            assert str(2 * 4 + GROWTH_SLACK) in msg  # the bound
+            assert "relabel the nodes 0..n-1" in msg
+        assert len(g._nbrs) == 4 and g == Graph.from_edges([(0, 1)], [2, 3])
+        with pytest.raises(ConfigurationError, match=str(self.HUGE)):
+            Graph.from_edges([(0, self.HUGE)])
+        path = tmp_path / "edges.txt"
+        path.write_text(f"0 1\n1 {self.HUGE}\n")
+        with pytest.raises(ConfigurationError, match=str(self.HUGE)):
+            read_edge_list(path)
+
+    def test_label_bound_admits_doubling_and_slack(self):
+        g = Graph(range(10))
+        g.add_node(2 * 10 + GROWTH_SLACK - 1)  # the largest admitted jump
+        slots = len(g._nbrs)
+        with pytest.raises(ConfigurationError):
+            g.add_node(2 * slots + GROWTH_SLACK)
+        assert len(g._nbrs) == slots
+        g.check_label(2 * slots + GROWTH_SLACK - 1)
+        assert g.num_nodes == 11
 
 
 class TestEdges:
@@ -57,8 +106,8 @@ class TestEdges:
 
     def test_add_edge_creates_endpoints(self):
         g = Graph()
-        g.add_edge("a", "b")
-        assert g.has_node("a") and g.has_node("b")
+        g.add_edge(4, 7)
+        assert g.has_node(4) and g.has_node(7)
 
     def test_self_loop_rejected(self):
         with pytest.raises(SelfLoopError):
@@ -124,6 +173,17 @@ class TestCopySubgraphEq:
         a = Graph.from_edges([(1, 2), (2, 3)])
         b = Graph.from_edges([(2, 3), (1, 2)])
         assert a == b
+
+    def test_eq_compares_live_slots(self):
+        a = Graph.from_edges([(0, 1)])
+        b = Graph.from_edges([(0, 1)], nodes=[9])
+        b.remove_node(9)  # leaves a dead slot and doubling slack
+        assert len(b._nbrs) > len(a._nbrs) and a == b and b == a
+        a.remove_edge(0, 1)  # two emptied sets ...
+        c = Graph(range(2))  # ... equal two edgeless slots
+        assert a == c and c == a
+        c.add_node(5)
+        assert a != c and c != a
 
     def test_eq_non_graph(self):
         assert Graph() != 42

@@ -1,10 +1,11 @@
-"""Tests for the slotted int-ID array graph backend.
+"""Tests for the slot store behind :class:`~repro.graph.graph.Graph`.
 
-The contract under test is "exact ``Graph`` interface, different
-storage": every operation, return type, exception, and mutation-stream
-side effect must match the object backend byte-for-byte. The mirrored
-random-op test drives both backends through the same operation sequence
-and compares after every step.
+The contract under test is "the dict-of-sets graph's interface,
+different storage": every operation, return type, exception, and
+mutation-stream side effect must match the reference graph
+(``tests/graph/_reference_graph.py``) byte-for-byte on int labels. The
+mirrored random-op test drives both graphs through the same operation
+sequence and compares after every step.
 """
 
 from __future__ import annotations
@@ -23,21 +24,17 @@ from repro.errors import (
     NodeNotFoundError,
     SelfLoopError,
 )
-from repro.graph.array_backend import (
-    BACKENDS,
-    EDGELESS,
-    ArrayGraph,
-    new_graph,
-)
 from repro.graph.distance import UNREACHABLE, distance_matrix
-from repro.graph.graph import Graph
+from repro.graph.graph import EDGELESS, Graph
+
+from tests.graph._reference_graph import ReferenceGraph
 
 
 def both(nodes=()):
-    return Graph(nodes), ArrayGraph(nodes)
+    return ReferenceGraph(nodes), Graph(nodes)
 
 
-def assert_same(g: Graph, a: ArrayGraph):
+def assert_same(g: ReferenceGraph, a: Graph):
     assert a == g and g == a
     assert a.num_nodes == g.num_nodes
     assert a.num_edges == g.num_edges
@@ -51,58 +48,58 @@ def assert_same(g: Graph, a: ArrayGraph):
 
 class TestConstruction:
     def test_range_bulk_path(self):
-        a = ArrayGraph(range(5))
+        a = Graph(range(5))
         assert sorted(a.nodes()) == [0, 1, 2, 3, 4]
         assert a.num_nodes == 5 and a.num_edges == 0
 
     def test_generator_input(self):
-        a = ArrayGraph(u for u in (0, 1, 2))
+        a = Graph(u for u in (0, 1, 2))
         assert a.num_nodes == 3
 
     def test_non_consecutive_labels(self):
-        a = ArrayGraph([4, 0, 2])
+        a = Graph([4, 0, 2])
         assert sorted(a.nodes()) == [0, 2, 4]
         assert not a.has_node(1)
         assert not a.has_node(3)
 
     def test_duplicate_labels(self):
-        assert ArrayGraph([0, 0, 1]).num_nodes == 2
+        assert Graph([0, 0, 1]).num_nodes == 2
 
     def test_rejects_non_int_labels(self):
         for bad in ("a", 1.5, None, (0, 1)):
             with pytest.raises(ConfigurationError):
-                ArrayGraph([bad])
+                Graph([bad])
 
     def test_rejects_negative_labels(self):
         with pytest.raises(ConfigurationError):
-            ArrayGraph([-1])
+            Graph([-1])
 
     def test_float_labels_rejected_even_when_integral(self):
         # 0.0 == 0 must not smuggle a float through the bulk detector.
         with pytest.raises(ConfigurationError):
-            ArrayGraph([0.0, 1.0])
+            Graph([0.0, 1.0])
 
     def test_from_edges(self):
-        a = ArrayGraph.from_edges([(0, 1), (1, 2)], nodes=[5])
-        g = Graph.from_edges([(0, 1), (1, 2)], nodes=[5])
+        a = Graph.from_edges([(0, 1), (1, 2)], nodes=[5])
+        g = ReferenceGraph.from_edges([(0, 1), (1, 2)], nodes=[5])
         assert_same(g, a)
 
     def test_copy_independent(self):
-        a = ArrayGraph.from_edges([(0, 1)])
+        a = Graph.from_edges([(0, 1)])
         b = a.copy()
         b.add_edge(1, 2)
         assert not a.has_node(2)
         assert a.num_edges == 1 and b.num_edges == 2
 
     def test_subgraph(self):
-        a = ArrayGraph.from_edges([(0, 1), (1, 2), (2, 3), (0, 3)])
-        g = Graph.from_edges([(0, 1), (1, 2), (2, 3), (0, 3)])
+        a = Graph.from_edges([(0, 1), (1, 2), (2, 3), (0, 3)])
+        g = ReferenceGraph.from_edges([(0, 1), (1, 2), (2, 3), (0, 3)])
         assert_same(g.subgraph([0, 1, 3, 9]), a.subgraph([0, 1, 3, 9]))
 
 
 class TestNodes:
     def test_slot_reuse_after_removal(self):
-        a = ArrayGraph(range(3))
+        a = Graph(range(3))
         a.remove_node(1)
         assert not a.has_node(1)
         a.add_node(1)
@@ -111,18 +108,18 @@ class TestNodes:
         assert a.num_nodes == 3
 
     def test_remove_returns_neighbor_set(self):
-        a = ArrayGraph.from_edges([(0, 1), (1, 2)])
+        a = Graph.from_edges([(0, 1), (1, 2)])
         assert a.remove_node(1) == {0, 2}
         assert a.num_edges == 0
 
     def test_remove_missing_raises(self):
         with pytest.raises(NodeNotFoundError):
-            ArrayGraph().remove_node(0)
+            Graph().remove_node(0)
         with pytest.raises(NodeNotFoundError):
-            ArrayGraph(range(2)).remove_node("x")
+            Graph(range(2)).remove_node("x")
 
     def test_contains_iter_len(self):
-        a = ArrayGraph(range(3))
+        a = Graph(range(3))
         assert 2 in a and 3 not in a and "x" not in a
         assert list(iter(a)) == [0, 1, 2]
         assert len(a) == 3
@@ -138,10 +135,10 @@ class TestEdges:
 
     def test_self_loop_raises(self):
         with pytest.raises(SelfLoopError):
-            ArrayGraph().add_edge(1, 1)
+            Graph().add_edge(1, 1)
 
     def test_remove_edge_errors(self):
-        a = ArrayGraph.from_edges([(0, 1)])
+        a = Graph.from_edges([(0, 1)])
         a.add_node(2)
         with pytest.raises(NodeNotFoundError):
             a.remove_edge(9, 0)
@@ -151,13 +148,13 @@ class TestEdges:
             a.remove_edge(0, 2)
 
     def test_neighbors_types(self):
-        a = ArrayGraph.from_edges([(0, 1), (0, 2)])
+        a = Graph.from_edges([(0, 1), (0, 2)])
         assert a.neighbors(0) == frozenset({1, 2})
         assert isinstance(a.neighbors(0), frozenset)
         view = a.neighbors_view(0)
         assert isinstance(view, set)
         a.add_edge(0, 3)
-        assert 3 in view  # live view, like the object backend
+        assert 3 in view  # live view, like the reference graph
         with pytest.raises(NodeNotFoundError):
             a.neighbors(9)
 
@@ -165,8 +162,8 @@ class TestEdges:
 class TestDegreeMachinery:
     def test_degree_queries_match(self):
         edges = [(0, 1), (0, 2), (0, 3), (2, 3)]
-        g = Graph.from_edges(edges)
-        a = ArrayGraph.from_edges(edges)
+        g = ReferenceGraph.from_edges(edges)
+        a = Graph.from_edges(edges)
         assert a.degree(0) == g.degree(0) == 3
         assert a.degree_of(9) is None is g.degree_of(9)
         assert a.degrees_of([2, 3], offset=1) == g.degrees_of([2, 3], offset=1)
@@ -175,8 +172,8 @@ class TestDegreeMachinery:
 
     def test_degree_index_parity(self):
         edges = [(0, 1), (0, 2), (0, 3), (2, 3), (3, 4)]
-        g = Graph.from_edges(edges)
-        a = ArrayGraph.from_edges(edges)
+        g = ReferenceGraph.from_edges(edges)
+        a = Graph.from_edges(edges)
         for t in (g, a):
             assert t.max_degree_node() == 0
             t.remove_node(0)
@@ -186,7 +183,7 @@ class TestDegreeMachinery:
 
     def test_degree_listener_stream_identical(self):
         streams = {}
-        for name, t in zip(("object", "array"), both(range(4))):
+        for name, t in zip(("reference", "graph"), both(range(4))):
             calls = []
             t.degree_listener = lambda *args, calls=calls: calls.append(args)
             t.add_edge(0, 1)
@@ -195,12 +192,12 @@ class TestDegreeMachinery:
             t.remove_node(2)
             t.add_node(2)
             streams[name] = calls
-        assert streams["object"] == streams["array"]
+        assert streams["reference"] == streams["graph"]
 
     def test_grown_gaps_keep_nodes_and_degree_index(self):
         """Amortized-doubling gap growth leaves dead gap and slack
         slots: only genuinely live slots are nodes."""
-        a = ArrayGraph(range(2))
+        a = Graph(range(2))
         a.add_edge(0, 1)
         a.add_node(9)            # gap 2..8, plus doubling slack past 9
         a.add_node(5)            # claims a slot inside the first gap
@@ -235,7 +232,7 @@ _OPS = st.lists(
 )
 
 
-def assert_slot_states(a: ArrayGraph):
+def assert_slot_states(a: Graph):
     """Every slot is dead, the shared edgeless marker, or a real set —
     never another frozenset, which a writer would fail to replace."""
     assert not EDGELESS
@@ -301,7 +298,7 @@ class TestMirroredOps:
             assert_slot_states(a)
 
     def test_edgeless_slots_share_one_marker(self):
-        a = ArrayGraph(range(4))
+        a = Graph(range(4))
         a.add_node(9)
         assert all(a._nbrs[u] is EDGELESS for u in (0, 1, 2, 3, 9))
         a.add_edge(0, 9)
@@ -316,7 +313,7 @@ class TestMirroredOps:
 
 
 def test_network_allocates_no_per_node_healing_graph_sets():
-    """Init's G′ is edgeless: on the array backend every slot is the
+    """Init's G′ is edgeless: every slot of its store is the
     shared marker, so building the network creates no set per node (an
     empty one is 216 B on CPython 3.11)."""
     import gc
@@ -329,7 +326,7 @@ def test_network_allocates_no_per_node_healing_graph_sets():
         return sum(type(o) is set for o in gc.get_objects())
 
     n = 50_000
-    graph = path_graph(n, backend="array")
+    graph = path_graph(n)
     before = live_sets()
     network = SelfHealingNetwork(graph, Dash(), seed=0)
     assert live_sets() - before < n // 100
@@ -337,30 +334,13 @@ def test_network_allocates_no_per_node_healing_graph_sets():
     assert len(slots) == n and all(s is EDGELESS for s in slots)
 
 
-class TestFactory:
-    def test_new_graph_selects_backend(self):
-        assert type(new_graph(range(3))) is Graph
-        assert type(new_graph(range(3), backend="object")) is Graph
-        assert type(new_graph(range(3), backend="array")) is ArrayGraph
-
-    def test_new_graph_unknown_backend(self):
-        with pytest.raises(ConfigurationError) as exc:
-            new_graph(range(3), backend="numpy")
-        assert "array" in str(exc.value) and "object" in str(exc.value)
-
-    def test_backend_attributes(self):
-        assert Graph.backend == "object"
-        assert ArrayGraph.backend == "array"
-        assert set(BACKENDS) == {"object", "array"}
-
-
 class TestPickleAndCopy:
-    """An ArrayGraph round-trips through pickle and the copy module: same
+    """An Graph round-trips through pickle and the copy module: same
     topology, dead slots None, every edgeless slot the shared marker."""
 
     @staticmethod
-    def sample() -> ArrayGraph:
-        g = ArrayGraph(range(6))
+    def sample() -> Graph:
+        g = Graph(range(6))
         g.add_edge(0, 1)
         g.add_edge(1, 2)
         g.add_edge(2, 3)
@@ -383,7 +363,7 @@ class TestPickleAndCopy:
         h = clone(g)
         assert h == g
         edges = [(0, 1), (1, 2)]
-        assert h == Graph.from_edges(edges, nodes=[0, 1, 2, 3, 5, 8])
+        assert h == ReferenceGraph.from_edges(edges, nodes=[0, 1, 2, 3, 5, 8])
         assert h.num_edges == 2 and h.num_nodes == 6
         for u in (3, 5, 8):
             assert h._nbrs[u] is EDGELESS

@@ -19,19 +19,19 @@ class TestValidateGraph:
 
     def test_detects_asymmetry(self):
         g = Graph.from_edges([(1, 2)])
-        g._adj[1].discard(2)  # corrupt on purpose
+        g._nbrs[1].discard(2)  # corrupt on purpose
         with pytest.raises(InvariantViolation, match="asymmetric|odd"):
             validate_graph(g)
 
     def test_detects_self_loop(self):
         g = Graph([1])
-        g._adj[1].add(1)
+        g._nbrs[1] = {1}  # a new set: the edgeless marker is shared
         with pytest.raises(InvariantViolation, match="self-loop"):
             validate_graph(g)
 
     def test_detects_dangling_endpoint(self):
         g = Graph([1])
-        g._adj[1].add(99)
+        g._nbrs[1] = {99}
         with pytest.raises(InvariantViolation, match="dangling"):
             validate_graph(g)
 

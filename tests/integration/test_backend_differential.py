@@ -1,17 +1,19 @@
-"""Backend differential: array campaigns are byte-identical to object.
+"""Reference differential: campaigns on the slot store are byte-identical
+to the same campaigns on the dict-of-sets reference graph.
 
-The array backend's whole promise is "same results, different storage".
-These tests run full campaigns — healers × topologies × single-victim,
-wave, and mixed churn schedules — once per backend and compare
-everything observable:
-the HealEvent streams, the result scalars, the tracker accounting and
-labels, and the final graphs.
+The one ``Graph`` keeps adjacency in a slot store; the dict-of-sets graph
+it replaced lives on in ``tests/graph/_reference_graph.py``. These tests
+run full campaigns — healers × topologies × single-victim, wave, and
+mixed churn schedules — once on a generated graph and once on a
+reference copy of it, and compare everything observable: the HealEvent
+streams, the result scalars, the tracker accounting and labels, and the
+final graphs.
 
-``keep_events=True`` keeps the array side on the generic engine (the
-fused kernel refuses observed campaigns), so this suite exercises
-ArrayGraph under the unmodified network code and the one component
-tracker both backends share; the fused kernel has its own differential
-suite in ``tests/sim/test_fused_kernel.py``.
+``keep_events=True`` keeps the slot-store side on the generic engine
+(the fused kernel refuses observed campaigns, and reference graphs
+always), so this suite exercises both graphs under the unmodified
+network code and the one component tracker; the fused kernel has its
+own differential suite in ``tests/sim/test_fused_kernel.py``.
 """
 
 from __future__ import annotations
@@ -29,24 +31,30 @@ from repro.graph.generators import (
 from repro.sim.engine import run_campaign
 
 from tests.core._eager_tracker import eager_tracker
+from tests.graph._reference_graph import ReferenceGraph, reference_copy
 
 TOPOLOGIES = {
-    "pa": lambda backend: preferential_attachment(
-        96, 3, seed=5, backend=backend
-    ),
-    "gnp": lambda backend: erdos_renyi(80, 0.08, seed=6, backend=backend),
-    "ws": lambda backend: watts_strogatz(80, 4, 0.1, seed=7, backend=backend),
-    "tree": lambda backend: random_tree(90, seed=8, backend=backend),
+    "pa": lambda: preferential_attachment(96, 3, seed=5),
+    "gnp": lambda: erdos_renyi(80, 0.08, seed=6),
+    "ws": lambda: watts_strogatz(80, 4, 0.1, seed=7),
+    "tree": lambda: random_tree(90, seed=8),
 }
 
 HEALER_NAMES = ["dash", "sdash", "graph-heal"]
 SCHEDULES = ["random", "random-wave:size=5"]
 
+#: the two substrates every campaign here runs on
+SUBSTRATES = ("reference", "graph")
 
-def campaign(backend: str, topology: str, healer: str, schedule: str):
-    graph = TOPOLOGIES[topology](backend)
+
+def on(substrate: str, graph):
+    """``graph`` itself, or its reference copy."""
+    return reference_copy(graph) if substrate == "reference" else graph
+
+
+def campaign(substrate: str, topology: str, healer: str, schedule: str):
     return run_campaign(
-        graph,
+        on(substrate, TOPOLOGIES[topology]()),
         HEALERS.make(healer),
         ADVERSARIES.make(schedule, seed=13),
         id_seed=3,
@@ -55,22 +63,25 @@ def campaign(backend: str, topology: str, healer: str, schedule: str):
     )
 
 
-def assert_identical(obj_result, arr_result):
-    assert arr_result.events == obj_result.events
+def assert_identical(ref_result, result):
+    ref_net, net = ref_result.network, result.network
+    # A reference campaign stays on the reference: G′ has G's class.
+    assert type(ref_net.graph) is type(ref_net.healing_graph)
+    assert type(ref_net.graph) is ReferenceGraph
+    assert result.events == ref_result.events
     for attr in ("initial_n", "deletions", "final_alive", "peak_delta",
                  "values"):
-        assert getattr(arr_result, attr) == getattr(obj_result, attr), attr
-    obj_net, arr_net = obj_result.network, arr_result.network
-    assert arr_net.graph == obj_net.graph
-    assert arr_net.healing_graph == obj_net.healing_graph
-    obj_tr, arr_tr = obj_net.tracker, arr_net.tracker
-    assert type(arr_tr) is type(obj_tr)
-    assert arr_tr.id_changes == obj_tr.id_changes
-    assert arr_tr.messages_sent == obj_tr.messages_sent
-    assert arr_tr.messages_received == obj_tr.messages_received
-    assert arr_tr.export_state() == obj_tr.export_state()
-    for u in arr_net.graph.nodes():
-        assert arr_tr.label_of(u) == obj_tr.label_of(u)
+        assert getattr(result, attr) == getattr(ref_result, attr), attr
+    assert net.graph == ref_net.graph
+    assert net.healing_graph == ref_net.healing_graph
+    ref_tr, tr = ref_net.tracker, net.tracker
+    assert type(tr) is type(ref_tr)
+    assert tr.id_changes == ref_tr.id_changes
+    assert tr.messages_sent == ref_tr.messages_sent
+    assert tr.messages_received == ref_tr.messages_received
+    assert tr.export_state() == ref_tr.export_state()
+    for u in net.graph.nodes():
+        assert tr.label_of(u) == ref_tr.label_of(u)
 
 
 @pytest.mark.parametrize("schedule", SCHEDULES)
@@ -78,8 +89,8 @@ def assert_identical(obj_result, arr_result):
 @pytest.mark.parametrize("healer", HEALER_NAMES)
 def test_backend_differential(healer, topology, schedule):
     assert_identical(
-        campaign("object", topology, healer, schedule),
-        campaign("array", topology, healer, schedule),
+        campaign("reference", topology, healer, schedule),
+        campaign("graph", topology, healer, schedule),
     )
 
 
@@ -88,18 +99,18 @@ def test_backend_differential(healer, topology, schedule):
 )
 def test_index_extreme_adversaries(adversary):
     """The degree/δ index extremes feed these adversaries' target choice;
-    identical victim sequences prove the array backend's index streams."""
+    identical victim sequences prove the slot store's index streams."""
     results = {}
-    for backend in ("object", "array"):
-        results[backend] = run_campaign(
-            preferential_attachment(96, 3, seed=9, backend=backend),
+    for substrate in SUBSTRATES:
+        results[substrate] = run_campaign(
+            on(substrate, preferential_attachment(96, 3, seed=9)),
             HEALERS.make("dash"),
             ADVERSARIES.make(adversary, seed=17),
             id_seed=4,
             keep_events=True,
             keep_network=True,
         )
-    assert_identical(results["object"], results["array"])
+    assert_identical(results["reference"], results["graph"])
 
 
 CHURN_SCHEDULES = [
@@ -112,28 +123,28 @@ CHURN_HEALERS = ["dash", "forgiving-tree", "forgiving-graph"]
 @pytest.mark.parametrize("schedule", CHURN_SCHEDULES)
 @pytest.mark.parametrize("healer", CHURN_HEALERS)
 def test_churn_backend_differential(healer, schedule):
-    """Mixed insert/delete rounds: the array slot maps grow for every
-    joined node, and the whole observable surface — insert HealEvents
-    included — must stay byte-identical to the object backend."""
+    """Mixed insert/delete rounds: the slot store grows for every joined
+    node, and the whole observable surface — insert HealEvents
+    included — must stay byte-identical to the reference."""
     results = {}
-    for backend in ("object", "array"):
-        results[backend] = run_campaign(
-            erdos_renyi(64, 0.08, seed=21, backend=backend),
+    for substrate in SUBSTRATES:
+        results[substrate] = run_campaign(
+            on(substrate, erdos_renyi(64, 0.08, seed=21)),
             HEALERS.make(healer),
             ADVERSARIES.make(schedule, seed=23),
             id_seed=6,
             keep_events=True,
             keep_network=True,
         )
-    assert_identical(results["object"], results["array"])
-    assert results["array"].insertions > 0
-    assert any(e.action == "insert" for e in results["array"].events)
+    assert_identical(results["reference"], results["graph"])
+    assert results["graph"].insertions > 0
+    assert any(e.action == "insert" for e in results["graph"].events)
 
 
 def test_scripted_churn_with_far_labels_matches():
     """Scripted joins far past the initial label range force genuine
-    amortized-doubling gap growth in the array graph's slot store; the
-    op stream must still replay byte-identically."""
+    amortized-doubling gap growth in the slot store; the op stream must
+    still replay byte-identically."""
     from repro.churn import ScriptedChurn
 
     script = [
@@ -143,31 +154,31 @@ def test_scripted_churn_with_far_labels_matches():
         [("delete", 200), ("add", 201, (300,))],
     ]
     results = {}
-    for backend in ("object", "array"):
-        results[backend] = run_campaign(
-            erdos_renyi(40, 0.1, seed=25, backend=backend),
+    for substrate in SUBSTRATES:
+        results[substrate] = run_campaign(
+            on(substrate, erdos_renyi(40, 0.1, seed=25)),
             HEALERS.make("dash"),
             ScriptedChurn(script),
             id_seed=7,
             keep_events=True,
             keep_network=True,
         )
-    assert_identical(results["object"], results["array"])
-    assert results["array"].insertions == 3
+    assert_identical(results["reference"], results["graph"])
+    assert results["graph"].insertions == 3
 
 
 def test_eager_reference_mode_matches_too():
     """The eager reference tracker (every wave round by the honest
-    traversal) must stay byte-identical across backends as well."""
+    traversal) must stay byte-identical across the two graphs as well."""
     results = {}
-    for backend in ("object", "array"):
+    for substrate in SUBSTRATES:
         with eager_tracker():
-            results[backend] = run_campaign(
-                preferential_attachment(80, 3, seed=11, backend=backend),
+            results[substrate] = run_campaign(
+                on(substrate, preferential_attachment(80, 3, seed=11)),
                 HEALERS.make("dash"),
                 ADVERSARIES.make("random-wave:size=4", seed=19),
                 id_seed=5,
                 keep_events=True,
                 keep_network=True,
             )
-    assert_identical(results["object"], results["array"])
+    assert_identical(results["reference"], results["graph"])

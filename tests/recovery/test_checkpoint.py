@@ -559,6 +559,36 @@ class TestSnapshotsAndReExecution:
             resumed = resume_campaign(tmp_path / "ck")
         _assert_identical(_straight("dash", "max-node"), resumed)
 
+    @pytest.mark.parametrize("backend", ["object", "array"])
+    def test_a_recorded_backend_is_ignored(self, tmp_path, backend):
+        # Older versions recorded the graph backend in static.json;
+        # either name resumes onto the one graph.
+        import json as json_mod
+
+        ledger = self._crash(tmp_path, crash_round=5, checkpoint_every=2)
+        static_path = tmp_path / "ck" / "static.json"
+        static = json_mod.loads(static_path.read_text())
+        assert "backend" not in static
+        static["backend"] = backend
+        static_path.write_text(json_mod.dumps(static))
+        resumed = resume_from_ledger(ledger)
+        _assert_identical(_straight("dash", "max-node"), resumed)
+
+    def test_restore_spans_a_gap_one_add_may_not(self):
+        # Churn can leave live labels farther apart than one add may
+        # grow a store; the restored store spans them in one step.
+        from repro.graph.graph import GROWTH_SLACK, Graph
+        from repro.recovery.checkpoint import _decode_graph, _graph_nodes
+
+        far = 2 * 2 + GROWTH_SLACK
+        payload = {"edges": [1, 0], "isolated": [far]}
+        nodes = _graph_nodes(payload)
+        with pytest.raises(ConfigurationError):
+            Graph(nodes)
+        graph = _decode_graph(payload, nodes)
+        assert list(graph.nodes()) == [0, 1, far]
+        assert list(graph.edges()) == [(0, 1)] and graph.num_nodes == 3
+
     def test_new_campaigns_do_not_record_it(self, tmp_path):
         import json as json_mod
 

@@ -44,37 +44,30 @@ def _run_driver(args, *, env_extra=None, expect_kill=False):
 
 
 # ≥3 healers × all three round schedules (single-victim, wave, and
-# mixed churn) × both graph backends, per the crash-safety acceptance
-# bar. The array rows double as the backend-preservation proof:
-# "resume" gets no backend hint, only what the checkpoint recorded.
+# mixed churn), per the crash-safety acceptance bar.
 MATRIX = [
-    ("dash", "max-node", "object"),
-    ("dash", "random-wave", "object"),
-    ("dash", "churn:rate=0.5,mean=10", "object"),
-    ("dash", "churn:rate=1.5,mean=8", "array"),
-    ("dash-random-order", "random", "object"),
-    ("dash-random-order", "targeted-wave", "object"),
-    ("graph-heal-delta", "max-node", "object"),
-    ("graph-heal-delta", "random-wave", "object"),
-    ("forgiving-tree", "churn", "object"),
-    ("forgiving-graph", "churn:rate=1.5,lifetime=pareto,mean=6", "object"),
-    ("dash", "max-node", "array"),
-    ("graph-heal-delta", "random-wave", "array"),
+    ("dash", "max-node"),
+    ("dash", "random-wave"),
+    ("dash", "churn:rate=0.5,mean=10"),
+    ("dash", "churn:rate=1.5,mean=8"),
+    ("dash-random-order", "random"),
+    ("dash-random-order", "targeted-wave"),
+    ("graph-heal-delta", "max-node"),
+    ("graph-heal-delta", "random-wave"),
+    ("forgiving-tree", "churn"),
+    ("forgiving-graph", "churn:rate=1.5,lifetime=pareto,mean=6"),
     # perfbench's service-job campaign: a resume rebuilds RandomAttack's
     # survivors from the live graph
-    ("dash", "random", "array"),
+    ("dash", "random"),
 ]
 
 
-@pytest.mark.parametrize("healer,adversary,backend", MATRIX)
+@pytest.mark.parametrize("healer,adversary", MATRIX)
 def test_sigkilled_campaign_resumes_byte_identical(
-    tmp_path, healer, adversary, backend
+    tmp_path, healer, adversary
 ):
     n, seed = 50, 13
-    straight = _run_driver(
-        ["straight", healer, adversary, n, seed],
-        env_extra={"REPRO_BACKEND": backend},
-    )
+    straight = _run_driver(["straight", healer, adversary, n, seed])
 
     state = tmp_path / "state"
     state.mkdir()
@@ -84,7 +77,6 @@ def test_sigkilled_campaign_resumes_byte_identical(
             "REPRO_CRASH_AT_ROUND": "4",
             "REPRO_CHECKPOINT_EVERY": "3",
             "REPRO_CRASH_OK": "1",
-            "REPRO_BACKEND": backend,
         },
         expect_kill=True,
     )
@@ -166,15 +158,12 @@ def test_chaos_seeded_sigkill(tmp_path):
     from repro.recovery.faults import chaos_round
 
     seed = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
-    healer, adversary, backend = MATRIX[seed % len(MATRIX)]
+    healer, adversary = MATRIX[seed % len(MATRIX)]
     crash_at = chaos_round(seed, low=2, high=12)
     every = chaos_round(seed + 1, low=1, high=4)
     n, id_seed = 50, 13 + seed
 
-    straight = _run_driver(
-        ["straight", healer, adversary, n, id_seed],
-        env_extra={"REPRO_BACKEND": backend},
-    )
+    straight = _run_driver(["straight", healer, adversary, n, id_seed])
 
     state = tmp_path / f"chaos-seed{seed}"
     state.mkdir()
@@ -185,7 +174,6 @@ def test_chaos_seeded_sigkill(tmp_path):
             "REPRO_CRASH_AT_ROUND": str(crash_at),
             "REPRO_CHECKPOINT_EVERY": str(every),
             "REPRO_CRASH_OK": "1",
-            "REPRO_BACKEND": backend,
         }
     )
     proc = subprocess.run(

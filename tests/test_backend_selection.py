@@ -1,10 +1,11 @@
-"""Backend-selection plumbing: spec strings, the registry, and the CLI.
+"""The ``backend`` spelling: accepted everywhere, selecting nothing.
 
-The array backend must be reachable through every configuration
-surface — ``generator="pa:n=...,backend=array"`` spec strings, the
-``pa`` registry alias, ``new_graph``, and ``repro simulate --backend``
-— and unknown backends must fail fast with the known set in the
-message.
+Every configuration surface that took a backend name still takes one —
+``generator="pa:n=...,backend=array"`` spec strings, the ``pa``
+registry alias, generator keywords, and ``repro simulate --backend`` —
+because stored specs, service jobs and scripts carry it. Both accepted
+names build the one :class:`~repro.graph.graph.Graph`, and an unknown
+name fails fast with the known set in the message.
 """
 
 from __future__ import annotations
@@ -13,44 +14,33 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ConfigurationError
-from repro.graph.array_backend import ArrayGraph, new_graph
-from repro.graph.generators import GENERATORS
-from repro.graph.graph import Graph
+from repro.graph.generators import GENERATORS, path_graph
+from repro.graph.graph import BACKEND_NAMES, Graph, check_backend
 from repro.sim.experiment import ExperimentSpec, expand_tasks, run_task
 
 
 class TestSpecRoundTrip:
-    def test_spec_selects_array_backend(self):
-        g = GENERATORS.make(
-            "preferential_attachment:n=50,m=3,backend=array", seed=1
-        )
-        assert type(g) is ArrayGraph
-        assert g.num_nodes == 50
-
-    def test_spec_default_is_object(self):
-        g = GENERATORS.make("preferential_attachment:n=30,m=2", seed=1)
-        assert type(g) is Graph
+    def test_both_spellings_build_the_one_graph(self):
+        for spec in (
+            "pa:n=60,m=3",
+            "erdos_renyi:n=50,p=0.1",
+            "random_tree:n=50",
+        ):
+            default = GENERATORS.make(spec, seed=4)
+            for name in BACKEND_NAMES:
+                g = GENERATORS.make(f"{spec},backend={name}", seed=4)
+                assert type(g) is Graph and type(default) is Graph
+                assert g == default, (spec, name)
 
     def test_pa_alias(self):
         a = GENERATORS.make("pa:n=40,m=3,backend=array", seed=2)
         b = GENERATORS.make(
             "preferential_attachment:n=40,m=3,backend=array", seed=2
         )
-        assert type(a) is ArrayGraph
         assert a == b
 
     def test_alias_listed(self):
         assert "pa" in GENERATORS.names()
-
-    def test_backends_build_equal_graphs(self):
-        for spec in (
-            "pa:n=60,m=3",
-            "erdos_renyi:n=50,p=0.1",
-            "random_tree:n=50",
-        ):
-            obj = GENERATORS.make(spec, seed=4)
-            arr = GENERATORS.make(spec + ",backend=array", seed=4)
-            assert arr == obj and obj == arr, spec
 
     def test_unknown_backend_fails_fast(self):
         with pytest.raises(ConfigurationError) as exc:
@@ -60,26 +50,27 @@ class TestSpecRoundTrip:
         assert "array" in msg and "object" in msg
 
 
-class TestNewGraphFactory:
-    def test_known_backends(self):
-        assert type(new_graph(backend="object")) is Graph
-        assert type(new_graph(backend="array")) is ArrayGraph
+class TestKeyword:
+    def test_known_names(self):
+        assert BACKEND_NAMES == ("array", "object")
+        for name in BACKEND_NAMES:
+            check_backend(name)
+            assert path_graph(4, backend=name) == path_graph(4)
 
-    def test_unknown_backend(self):
-        with pytest.raises(ConfigurationError):
-            new_graph(backend="")
+    def test_unknown_name(self):
+        for name in ("", "numpy", "Object"):
+            with pytest.raises(ConfigurationError):
+                path_graph(4, backend=name)
 
 
 class TestChurnSweeps:
-    """Churn sweeps run on every backend — the array substrate grows
-    slots for inserted nodes, so the old fail-fast guard is gone."""
+    """Churn sweeps give the same results whichever name they spell."""
 
     def _spec(self, backend: str) -> ExperimentSpec:
         generator = "erdos_renyi:p=0.1"
         if backend != "object":
             generator += f",backend={backend}"
-        # One name for every backend: task seeds derive from spec.name,
-        # and the paired design must hold across substrates too.
+        # One name for every spelling: task seeds derive from spec.name.
         return ExperimentSpec(
             name="churn-backend-parity",
             generator=generator,
@@ -119,7 +110,7 @@ class TestCli:
         out_object = capsys.readouterr().out
         assert self._simulate() == 0
         out_default = capsys.readouterr().out
-        # identical campaigns: the backend may not change any number
+        # identical campaigns: the spelling may not change any number
         assert out_array == out_object == out_default
 
     def test_backend_flag_rejects_unknown(self, capsys):
