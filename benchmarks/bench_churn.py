@@ -257,11 +257,9 @@ def test_campaign_setup_churn_array_pa50000(bench_recorder):
     n = 50_000
     gen_s = setup_s = float("inf")
     for _ in range(3):  # interleaved: both sides see the same conditions
-        # Each timed region starts from a collected heap. The previous
-        # iteration's graph and network form a cycle (the network is
-        # the graph's degree listener) that only a full collection
-        # frees, and that collection would land in whichever region
-        # happens to trigger it.
+        # Each timed region starts from a collected heap, so a
+        # collection that earlier garbage would trigger does not land
+        # in whichever region happens to run it.
         gc.collect()
         with Timer() as t:
             g = preferential_attachment(n, 3, seed=1)

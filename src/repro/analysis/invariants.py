@@ -1,8 +1,9 @@
 """Executable paper invariants.
 
 Each check raises :class:`~repro.errors.InvariantViolation` with a
-diagnostic message on failure, so tests and paranoid simulation runs can
-pinpoint the exact broken lemma.
+diagnostic message on failure, so tests and paranoid simulation runs
+(``SelfHealingNetwork(check_invariants=True)``, which runs these checks
+after every round) can pinpoint the exact broken lemma.
 """
 
 from __future__ import annotations
@@ -96,7 +97,13 @@ def check_degree_bound(
 
 
 def check_healing_subset(network: SelfHealingNetwork) -> None:
-    """E′ ⊆ E: every healing edge is also a real network edge."""
+    """G′ ⊆ G: every healing-graph node and edge (E′ ⊆ E) is also in the
+    real network."""
+    for u in network.healing_graph.nodes():
+        if not network.graph.has_node(u):
+            raise InvariantViolation(
+                f"healing-graph node {u!r} absent from the real network"
+            )
     for a, b in network.healing_graph.edges():
         if not network.graph.has_edge(a, b):
             raise InvariantViolation(

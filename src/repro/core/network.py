@@ -12,16 +12,21 @@ drives one *round* per adversarial deletion:
    deleted node) and apply the edges to both G and G′;
 5. run the component tracker's MINID propagation and cost accounting.
 
-The network also maintains a **δ-bucket index** (degree increase relative
-to initial degree, bucketed like the graph's own degree index). The first
-δ query builds it from G and the initial degrees — in the generic loop,
-the first round's δ-peak probe; a fused campaign never asks — and from
-then on the graph's mutation stream
-(:attr:`~repro.graph.graph.Graph.degree_listener`) keeps it current.
-That makes :meth:`SelfHealingNetwork.max_delta` and
-:meth:`SelfHealingNetwork.max_delta_node` O(1)-ish indexed queries — the
-running maximum degree increase (Figure 8's statistic) is one index probe
-per round, and the δ-seeking adversary needs no node scan.
+The network is the one owner of δ, the degree increase over the initial
+degree. A heal changes the degree of the nodes it touched alone — a
+deletion's ex-neighbours (plan edges stay among them), each victim
+component's surviving boundary in a wave, a join's targets and the
+joiner — so after a heal's edges land the network reads δ at those nodes
+only: they raise the running maximum ``peak_delta`` (Figure 8's
+statistic, Theorem 1's bound), as the fused kernel raises it at each
+edge it adds. A **δ-bucket index**, bucketed like the graph's own degree
+index, answers :meth:`SelfHealingNetwork.max_delta` and
+:meth:`SelfHealingNetwork.max_delta_node` (the δ-seeking adversary's
+query) without a node scan. The first δ query builds it from G and the
+initial degrees, and every later heal pushes its touched nodes into it;
+a campaign that asks no δ query (a fused one, most observed ones until
+their final metrics) never builds it. So ``network.graph`` changes only
+through the network: a direct mutation would leave δ stale.
 
 Each heal is also checked against a local **connectivity certificate**,
 in O(ex-neighbours): if G was connected before the heal, a certified heal
@@ -43,7 +48,7 @@ the graph's label check before anything mutates, on both DASH engines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Hashable, Iterable
 
 from repro.core.base import (
@@ -61,7 +66,6 @@ from repro.core.components import (
 )
 from repro.errors import HealingError, NodeNotFoundError, SimulationError
 from repro.graph.degree_index import DegreeIndex
-from repro.graph.forest import is_forest
 from repro.graph.graph import Graph
 from repro.graph.validation import validate_graph
 from repro.utils.rng import derive_seed, make_rng
@@ -118,6 +122,7 @@ class SelfHealingNetwork:
     graph:
         Initial topology. The network takes ownership and mutates it; pass
         ``graph.copy()`` to keep the original (the stretch metric does).
+        From then on it changes only through the network, which keeps δ.
     healer:
         The healing strategy (see :mod:`repro.core.registry`).
     seed:
@@ -143,15 +148,9 @@ class SelfHealingNetwork:
         self.initial_n = graph.num_nodes
         self.initial_degree: dict[Node, int] = graph.degrees()
         #: δ-bucket index, built by the first δ query (see
-        #: :meth:`_built_delta_index`) and then kept current by tapping the
-        #: graph's degree-mutation stream below
+        #: :meth:`_built_delta_index`) and then kept current by
+        #: :meth:`_settle_deltas`
         self._delta_index: DegreeIndex | None = None
-        if graph.degree_listener is not None:
-            raise SimulationError(
-                "graph already has a degree listener — it is owned by "
-                "another network; pass graph.copy() instead"
-            )
-        graph.degree_listener = self._on_degree_change
         #: the Init-step ID seed — kept so churn insertions can derive
         #: each joiner's random ID deterministically (checkpoint replay
         #: re-executes insertions and must mint identical IDs)
@@ -197,41 +196,46 @@ class SelfHealingNetwork:
     # ------------------------------------------------------------------
     # Per-node state
     # ------------------------------------------------------------------
-    def _delta_of(self, node: Node) -> int | None:
-        """The δ-index's ground-truth oracle (None once deleted)."""
-        d = self.graph.degree_of(node)
-        return None if d is None else d - self.initial_degree[node]
-
-    def _on_degree_change(
-        self, node: Node, old: int | None, new: int | None
-    ) -> None:
-        """Graph mutation-stream tap: mirror each degree change into the
-        δ-bucket index once it exists (removals need no work — stale
-        entries self-invalidate against :meth:`_delta_of`). A node added
-        after Init (never done by the healing model itself, but allowed
-        by the graph API) gets its first-seen degree as baseline, so its
-        δ starts at 0."""
-        if new is None:
-            return
-        base = self.initial_degree.get(node)
-        if base is None:
-            base = self.initial_degree[node] = new
-        if self._delta_index is not None:
-            self._delta_index.push(node, new - base)
+    @staticmethod
+    def _delta_in(
+        graph: Graph, initial_degree: dict[Node, int], node: Node
+    ) -> int | None:
+        """The δ-index's ground-truth oracle (None once deleted). It
+        holds the graph and the baselines, not the network, so a network
+        with a δ index is freed by reference counting."""
+        d = graph.degree_of(node)
+        return None if d is None else d - initial_degree[node]
 
     def _built_delta_index(self) -> DegreeIndex:
-        """The δ-bucket index, built from G and the baselines on first
-        use. Its answers are functions of those two alone, so a late
-        build answers like an index kept since Init would; a campaign
-        that never asks (a fused one) never pays for it."""
+        """The δ-bucket index, built from G and the baselines by the first
+        δ query; :meth:`_settle_deltas` pushes each later heal's touched
+        nodes. Its answers are functions of G and the baselines alone, so
+        a late build answers like an index kept since Init would."""
         idx = self._delta_index
         if idx is None:
-            idx = self._delta_index = DegreeIndex(self._delta_of)
             initial_degree = self.initial_degree
+            idx = self._delta_index = DegreeIndex(
+                partial(self._delta_in, self.graph, initial_degree)
+            )
             push = idx.push
             for u, d in self.graph.degrees().items():
                 push(u, d - initial_degree[u])
         return idx
+
+    def _settle_deltas(self, touched: Iterable[Node]) -> None:
+        """Close a heal's δ bookkeeping: ``touched`` holds every node whose
+        degree or baseline the heal changed, so their δ alone can raise
+        ``peak_delta``, and the δ index (if built) needs them alone."""
+        initial_degree = self.initial_degree
+        idx = self._delta_index
+        peak = self.peak_delta
+        for u, d in self.graph.degrees_of(touched).items():
+            d -= initial_degree[u]
+            if d > peak:
+                peak = d
+            if idx is not None:
+                idx.push(u, d)
+        self.peak_delta = peak
 
     def delta(self, node: Node) -> int:
         """Degree increase of ``node`` relative to its initial degree."""
@@ -255,14 +259,6 @@ class SelfHealingNetwork:
         ``None`` for an empty graph. Indexed — no node scan (the
         δ-seeking adversary's per-round query)."""
         return self._built_delta_index().top_node()
-
-    def release(self) -> None:
-        """Break the two reference cycles through bound methods (the
-        graph's degree listener, the δ index's oracle), so reference
-        counting frees a campaign that did not return its network. Called
-        at campaign end: later graph mutations no longer reach δ."""
-        self.graph.degree_listener = None
-        self._delta_index = None
 
     def check_delta_index(self) -> None:
         """Verify the δ-bucket index against a fresh :meth:`deltas` scan.
@@ -382,6 +378,7 @@ class SelfHealingNetwork:
         self._validate_plan(snapshot, plan)
         participants = tuple(plan.participants)
         added = self._apply_plan(plan.edges, plan.edges)
+        self._settle_deltas(g_nbrs)
 
         # Component-ID propagation + message accounting.
         stats = self.tracker.round(
@@ -426,14 +423,7 @@ class SelfHealingNetwork:
         stats: RoundStats,
         action: str = "delete",
     ) -> HealEvent:
-        """Close a round: probe the running δ peak, then append and
-        return the round's :class:`HealEvent`."""
-        # Running max degree increase: one O(1) probe of the δ-bucket
-        # index, once per round after its edges land. δ only moves at
-        # degree mutations, all of which pass through the index.
-        d = self._built_delta_index().max_key(default=0)
-        if d > self.peak_delta:
-            self.peak_delta = d
+        """Close a round: append and return its :class:`HealEvent`."""
         steps = (
             self.inserted_nodes if action == "insert" else self.deleted_nodes
         )
@@ -581,11 +571,7 @@ class SelfHealingNetwork:
                 initial_degree[other] += 1
                 touched.add(other)
         initial_degree[node] = self.graph.degree(node)
-        if self._delta_index is not None:
-            for u in touched:
-                self._delta_index.push(
-                    u, self.graph.degree(u) - initial_degree[u]
-                )
+        self._settle_deltas(touched)
         # Certificate: a joiner with an edge to a live node keeps G
         # connected; a join with no edges does not.
         if not added:
@@ -730,6 +716,7 @@ class SelfHealingNetwork:
             self._validate_plan(snapshot, plan)
             participants = tuple(plan.participants)
             added = self._apply_plan(plan.edges, plan.edges)
+            self._settle_deltas(g_nbrs)
 
             # Fast-eligible: the plan is component-safe or covers every
             # G′-neighbor (every shattered piece represented), and every
@@ -779,23 +766,24 @@ class SelfHealingNetwork:
     # Paranoid checks
     # ------------------------------------------------------------------
     def _check_invariants(self, *, forest: bool) -> None:
-        """Paranoid mode's checks after a round: graph symmetry, tracker
-        ground truth, the degree and δ indexes, G′ ⊆ G, and with
-        ``forest`` (component-safe single-victim rounds only: wave heals
-        may leave cycles) the Lemma 1 forest invariant."""
+        """Paranoid mode's checks after a round, each raising
+        :class:`~repro.errors.InvariantViolation`: graph symmetry, tracker
+        ground truth, the degree and δ indexes, with ``forest``
+        (component-safe single-victim rounds only: wave heals may leave
+        cycles) the Lemma 1 forest invariant, and G′ ⊆ G."""
+        # Imported here: only paranoid mode runs these checks, and the
+        # analysis package imports this module.
+        from repro.analysis.invariants import (
+            check_component_labels,
+            check_degree_index,
+            check_forest_invariant,
+            check_healing_subset,
+        )
+
         validate_graph(self.graph)
         validate_graph(self.healing_graph)
-        self.tracker.check_consistency()
-        self.graph.check_degree_index()
-        self.check_delta_index()
-        if forest and not is_forest(self.healing_graph):
-            raise SimulationError(
-                "Lemma 1 violated: healing graph has a cycle under a "
-                f"component-safe healer ({self.healer.name})"
-            )
-        for u in self.healing_graph.nodes():
-            if not self.graph.has_node(u):
-                raise SimulationError(f"G' node {u!r} missing from G")
-        for a, b in self.healing_graph.edges():
-            if not self.graph.has_edge(a, b):
-                raise SimulationError(f"E' edge ({a!r},{b!r}) missing from E")
+        check_component_labels(self)
+        check_degree_index(self)
+        if forest:
+            check_forest_invariant(self)
+        check_healing_subset(self)

@@ -35,8 +35,8 @@ Design notes
   extreme-degree queries of the targeted adversaries. It is built on
   the *first* such query (O(n)) and maintained incrementally from then
   on, so graphs whose extremes are never queried pay nothing. The
-  network's δ index taps the same mutation stream through
-  :attr:`Graph.degree_listener`.
+  network keeps its own δ index from the nodes each heal touched
+  (:class:`~repro.core.network.SelfHealingNetwork`).
 * ``backend`` is a kept spelling: generator keywords, spec strings
   (``"pa:n=1000,backend=array"``) and ``repro simulate --backend``
   accept the names in :data:`BACKEND_NAMES`, all meaning this one
@@ -45,9 +45,9 @@ Design notes
 
 from __future__ import annotations
 
-from array import array
 from functools import partial
-from typing import Callable, Iterable, Iterator
+from operator import eq
+from typing import Iterable, Iterator
 
 from repro.errors import (
     ConfigurationError,
@@ -102,9 +102,7 @@ class Graph:
     0
     """
 
-    __slots__ = (
-        "_nbrs", "_n_alive", "_num_edges", "_deg_index", "degree_listener"
-    )
+    __slots__ = ("_nbrs", "_n_alive", "_num_edges", "_deg_index")
 
     def __init__(self, nodes: Iterable[Node] = ()) -> None:
         #: slot store: ``_nbrs[u]`` is u's adjacency set, EDGELESS when
@@ -116,27 +114,22 @@ class Graph:
         #: first extreme-degree query; ``None`` means "never queried" and
         #: the mutators skip all index bookkeeping.
         self._deg_index: DegreeIndex | None = None
-        #: Optional mutation-stream tap, called *after* each degree change
-        #: as ``listener(node, old_degree, new_degree)`` — ``old_degree``
-        #: is ``None`` when the node is created, ``new_degree`` is ``None``
-        #: when it is removed. One listener slot; the owner of the graph
-        #: (the self-healing network) sets it.
-        self.degree_listener: Callable[
-            [Node, int | None, int | None], None
-        ] | None = None
         # The dominant construction is "labels 0..n-1 in order" (every
-        # generator, every healing graph): detect it at C speed — the
-        # array() conversion refuses what is not an int, the comparison
-        # holes, duplicates and negatives — and fill the slot store
-        # directly instead of paying add_node per label.
-        seq = nodes if isinstance(nodes, (list, tuple, range)) else list(nodes)
-        try:
-            arr = array("q", seq)
-        except (TypeError, OverflowError):
-            arr = None
-        if arr is not None and arr == array("q", range(len(arr))):
-            self._nbrs = [EDGELESS] * len(arr)
-            self._n_alive = len(arr)
+        # generator, every healing graph): detect it at C speed and fill
+        # the slot store directly instead of paying add_node per label.
+        # A bool, float or numpy int compares equal to its int, so a
+        # list qualifies only if every label is exactly an int.
+        seq = nodes if isinstance(nodes, (list, range)) else list(nodes)
+        n = len(seq)
+        if type(seq) is range:
+            bulk = seq == range(n)
+        else:
+            bulk = set(map(type, seq)) <= {int} and all(
+                map(eq, seq, range(n))
+            )
+        if bulk:
+            self._nbrs = [EDGELESS] * n
+            self._n_alive = n
         else:
             for node in seq:
                 self.add_node(node)
@@ -158,8 +151,7 @@ class Graph:
         """Deep copy of the topology (the copy owns its sets).
 
         The copy starts with no degree index (one is built lazily if its
-        extremes are ever queried); the listener is *not* carried over
-        (it belongs to the original's owner).
+        extremes are ever queried).
         """
         g = Graph()
         g._nbrs = [
@@ -192,8 +184,8 @@ class Graph:
         return g
 
     # Pickle and copy state. A restored graph owns its sets and, like
-    # copy(), has no degree index or listener; its edgeless slots are the
-    # shared EDGELESS marker again, which writers test by identity.
+    # copy(), has no degree index; its edgeless slots are the shared
+    # EDGELESS marker again, which writers test by identity.
     def __getstate__(self) -> tuple:
         return self._nbrs, self._n_alive, self._num_edges
 
@@ -203,7 +195,6 @@ class Graph:
             None if s is None else set(s) if s else EDGELESS for s in nbrs
         ]
         self._deg_index = None
-        self.degree_listener = None
 
     # ------------------------------------------------------------------
     # Slot access
@@ -299,8 +290,6 @@ class Graph:
         self._n_alive += 1
         if self._deg_index is not None:
             self._deg_index.push(node, 0)
-        if self.degree_listener is not None:
-            self.degree_listener(node, None, 0)
 
     def remove_node(self, node: Node) -> set[Node]:
         """Remove ``node`` and all incident edges; returns its ex-neighbor
@@ -317,23 +306,16 @@ class Graph:
         nbrs[node] = None
         self._n_alive -= 1
         idx = self._deg_index
-        listener = self.degree_listener
-        if idx is None and listener is None:
+        if idx is None:
             for v in s:
                 nbrs[v].discard(node)
         else:
             # The removed node itself needs no index work: its stale
             # entries self-invalidate against the slot store.
-            if listener is not None:
-                listener(node, len(s), None)
             for v in s:
                 t = nbrs[v]
-                d = len(t) - 1
                 t.discard(node)
-                if idx is not None:
-                    idx.push(v, d)
-                if listener is not None:
-                    listener(v, d + 1, d)
+                idx.push(v, len(t))
         self._num_edges -= len(s)
         return s
 
@@ -364,13 +346,14 @@ class Graph:
             raise SelfLoopError(u)
         nbrs = self._nbrs
         try:
-            su = nbrs[u] if u >= 0 else None
-            sv = nbrs[v] if v >= 0 else None
-        except (TypeError, IndexError):
+            su = nbrs[u] if type(u) is int and u >= 0 else None
+            sv = nbrs[v] if type(v) is int and v >= 0 else None
+        except IndexError:
             su = sv = None
         if su is None or sv is None:
-            # A new or dead endpoint, or a bad label: add_node adds the
-            # first kind and raises for the other.
+            # A new or dead endpoint, or anything but a non-negative int
+            # (a bool or a numpy int would index a slot): add_node adds
+            # the first kind and raises for the other.
             self.add_node(u)
             self.add_node(v)
             su = nbrs[u]
@@ -385,16 +368,9 @@ class Graph:
         sv.add(u)
         self._num_edges += 1
         idx = self._deg_index
-        listener = self.degree_listener
-        if idx is not None or listener is not None:
-            du = len(su)
-            dv = len(sv)
-            if idx is not None:
-                idx.push(u, du)
-                idx.push(v, dv)
-            if listener is not None:
-                listener(u, du - 1, du)
-                listener(v, dv - 1, dv)
+        if idx is not None:
+            idx.push(u, len(su))
+            idx.push(v, len(sv))
         return True
 
     def remove_edge(self, u: Node, v: Node) -> None:
@@ -411,16 +387,9 @@ class Graph:
         sv.discard(u)
         self._num_edges -= 1
         idx = self._deg_index
-        listener = self.degree_listener
-        if idx is not None or listener is not None:
-            du = len(su)
-            dv = len(sv)
-            if idx is not None:
-                idx.push(u, du)
-                idx.push(v, dv)
-            if listener is not None:
-                listener(u, du + 1, du)
-                listener(v, dv + 1, dv)
+        if idx is not None:
+            idx.push(u, len(su))
+            idx.push(v, len(sv))
 
     def has_edge(self, u: Node, v: Node) -> bool:
         s = self._slot(u)

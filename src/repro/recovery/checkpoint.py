@@ -936,7 +936,6 @@ def _restore_network(
         )
     # Built by the first δ query, like a fresh network's.
     network._delta_index = None
-    graph.degree_listener = network._on_degree_change
     network.initial_ids = initial_ids
     # Churn-inserted nodes ride the dynamic snapshot as extra IDs; only
     # their count matters downstream (insertion step numbering /

@@ -210,15 +210,13 @@ def run_campaign(
             keep_events=keep_events,
             keep_network=keep_network,
         ):
-            result = fastpath.run_fused(
+            return fastpath.run_fused(
                 network,
                 adversary,
                 stop_alive=stop_alive,
                 max_rounds=max_rounds,
                 max_deletions=max_deletions,
             )
-            network.release()
-            return result
 
     return _drive_campaign(
         network=network,
@@ -369,6 +367,4 @@ def _drive_campaign(
         # is closed.
         if recorder is not None:
             recorder.close()
-    if not keep_network:
-        network.release()
     return result

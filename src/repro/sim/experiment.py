@@ -299,13 +299,17 @@ def run_experiment(
     retries: int = 2,
 ) -> ResultSet:
     """Run the full sweep; ``jobs`` > 1 shards cells over supervised
-    processes (``timeout``/``retries`` forwarded to
-    :func:`repro.sim.parallel.run_tasks`)."""
-    from repro.sim.parallel import run_tasks
+    processes (``timeout`` and a :class:`~repro.sim.parallel.RetryPolicy`
+    with ``retries`` forwarded to :func:`repro.sim.parallel.run_tasks`)."""
+    from repro.sim.parallel import RetryPolicy, run_tasks
 
     tasks = expand_tasks(spec)
     outputs = run_tasks(
-        tasks, jobs=jobs, progress=progress, timeout=timeout, retries=retries
+        tasks,
+        jobs=jobs,
+        progress=progress,
+        timeout=timeout,
+        retry_policy=RetryPolicy(retries=retries),
     )
     results = ResultSet()
     for params, values in outputs:

@@ -3,11 +3,12 @@
 The generic engine pays, every round, for machinery whose output the
 caller has explicitly declined: ``HealEvent`` construction
 (``keep_events=False``), component member lists and message accounting
-(no metrics, no recorder), and per-mutation degree/δ index upkeep (the
-result only reports the *peak* δ, which the kernel can track directly at
-the moments δ changes). When a campaign asks for scalars only — the
-result's ``initial_n``, ``deletions``, ``insertions``, ``final_alive``
-and ``peak_delta`` — all of that work is unobservable.
+(no metrics, no recorder), and degree/δ index upkeep. Peak δ needs no
+index in either engine: δ moves only at the nodes a heal touched, so the
+kernel raises the peak at each edge it adds, as the generic loop does
+from each heal's touched nodes. When a campaign asks for scalars only —
+the result's ``initial_n``, ``deletions``, ``insertions``,
+``final_alive`` and ``peak_delta`` — all of that work is unobservable.
 
 :func:`run_fused` runs such campaigns as one fused loop over the slot
 stores of :class:`~repro.graph.graph.Graph`: G and G′ adjacency are the
@@ -386,8 +387,8 @@ def run_fused(
     healing_graph._deg_index = None
     network.peak_delta = peak_delta
     network.deleted_nodes.extend(victims)
-    # Survivors' δ moved without the mutation stream firing: drop the
-    # δ index, and the network's first δ query rebuilds it.
+    # Survivors' δ moved without the network's settling: drop the δ
+    # index, and the network's first δ query rebuilds it.
     network._delta_index = None
     if random_attack:
         adversary._last = None

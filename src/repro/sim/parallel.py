@@ -146,9 +146,7 @@ def run_tasks(
     progress: bool = False,
     worker: Callable[[tuple], tuple[dict, dict]] | None = None,
     timeout: float | None = None,
-    retries: int | None = None,
-    backoff: float | None = None,
-    retry_policy: RetryPolicy | None = None,
+    retry_policy: RetryPolicy = RetryPolicy(),
 ) -> list[tuple[dict, dict]]:
     """Execute sweep cells, serially or across supervised processes.
 
@@ -168,20 +166,11 @@ def run_tasks(
     timeout:
         Per-cell wall-clock budget in seconds (enforced in-worker on
         POSIX; a timed-out attempt counts as a failure and is retried).
-    retries:
-        Extra attempts after a cell's first failure (so ``retries=2``
-        means at most 3 attempts). Legacy spelling of
-        ``retry_policy.retries``; mutually exclusive with
-        ``retry_policy``.
-    backoff:
-        Base of the exponential backoff between a cell's attempts:
-        attempt *k* retries after ``backoff * 2**(k-1)`` seconds.
-        Legacy spelling of ``retry_policy.backoff``.
     retry_policy:
-        A :class:`RetryPolicy` bundling retries and backoff — the
-        preferred spelling (``RetryPolicy.none()`` for fail-fast,
-        ``RetryPolicy.immediate()`` for sleep-free tests). Default:
-        ``RetryPolicy()`` (2 retries, 0.5 s exponential backoff).
+        How often a failed cell is retried and how long to wait between
+        attempts (``RetryPolicy.none()`` for fail-fast,
+        ``RetryPolicy.immediate()`` for sleep-free tests); the default
+        is 2 retries with 0.5 s exponential backoff.
 
     Raises
     ------
@@ -190,19 +179,6 @@ def run_tasks(
         per-cell :class:`CellFailure` reports *and* the results of every
         completed cell (``completed``, indexed by task position).
     """
-    if retry_policy is not None and (
-        retries is not None or backoff is not None
-    ):
-        raise ValueError(
-            "pass either retry_policy or the legacy retries/backoff "
-            "arguments, not both"
-        )
-    if retry_policy is None:
-        retry_policy = RetryPolicy(
-            retries=2 if retries is None else retries,
-            backoff=0.5 if backoff is None else backoff,
-        )
-    policy = retry_policy
     worker = worker or _run_cell
     total = len(tasks)
     completed: dict[int, tuple[dict, dict]] = {}
@@ -230,7 +206,7 @@ def run_tasks(
             except BaseException as exc:  # noqa: BLE001 - reported per-cell
                 if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                     raise
-                if policy.exhausted(attempts):
+                if retry_policy.exhausted(attempts):
                     failures.append(
                         CellFailure(
                             cell=_cell_id(tasks[index]),
@@ -239,7 +215,7 @@ def run_tasks(
                         )
                     )
                     return
-                time.sleep(policy.delay(attempts))
+                time.sleep(retry_policy.delay(attempts))
 
     if not jobs or jobs <= 1:
         for index in range(total):
@@ -251,7 +227,7 @@ def run_tasks(
             worker=worker,
             jobs=jobs,
             timeout=timeout,
-            policy=policy,
+            policy=retry_policy,
             completed=completed,
             failures=failures,
             attempt_serial=attempt_serial,

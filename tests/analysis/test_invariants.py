@@ -83,6 +83,23 @@ class TestCheckers:
         with pytest.raises(InvariantViolation):
             check_component_labels(net)
 
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [("node", "healing-graph node 99"), ("edge", "healing edge")],
+    )
+    def test_healing_subset_violation_detected(self, corrupt, message):
+        """G′ ⊆ G covers nodes as well as edges."""
+        g = star_graph(6)
+        net = SelfHealingNetwork(g, Dash(), seed=0)
+        net.delete_and_heal(0)
+        check_healing_subset(net)
+        if corrupt == "node":
+            net.healing_graph.add_node(99)
+        else:
+            net.graph.remove_edge(*next(iter(net.healing_graph.edges())))
+        with pytest.raises(InvariantViolation, match=message):
+            check_healing_subset(net)
+
     def test_degree_bound_factor(self):
         g = star_graph(4)
         net = SelfHealingNetwork(g, Dash(), seed=0)

@@ -132,11 +132,19 @@ def _graph(n=300):
 
 def test_delta_index_is_built_by_the_first_query():
     network = SelfHealingNetwork(_graph(), HEALERS.make("dash"), seed=7)
-    assert network._delta_index is None
-    network.insert_and_heal(300, (0, 1))  # its δ-peak probe builds it
-    assert network._delta_index is not None
-    network.delete_and_heal(2)  # and the mutation stream feeds it
-    network.check_delta_index()
+    network.insert_and_heal(300, (0, 1))
+    network.delete_and_heal(2)
+    assert network._delta_index is None  # a heal builds none
+    assert network.max_delta() == max(network.deltas().values())
+    assert network._delta_index is not None  # the first query does
+    # Each later heal pushes the nodes it touched.
+    for heal in (
+        lambda: network.delete_and_heal(3),
+        lambda: network.insert_and_heal(301, (4, 5, 300)),
+        lambda: network.delete_batch_and_heal([6, 7, 8]),
+    ):
+        heal()
+        network.check_delta_index()
 
 
 @settings(max_examples=20, deadline=None)

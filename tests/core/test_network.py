@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.dash import Dash
 from repro.core.naive import NoHeal
 from repro.core.network import SelfHealingNetwork
-from repro.errors import NodeNotFoundError
+from repro.errors import InvariantViolation, NodeNotFoundError
 from repro.graph.generators import (
     path_graph,
     preferential_attachment,
@@ -107,6 +109,31 @@ class TestDeltaTracking:
         with pytest.raises(NodeNotFoundError):
             net.delta(99)
 
+    def test_peak_delta_follows_every_heal_kind_without_an_index(self):
+        """Each heal raises ``peak_delta`` from the nodes it touched (a
+        deletion's ex-neighbours, a wave's surviving boundary, a join's
+        targets), so the peak equals the running maximum of fresh δ
+        scans, and a campaign that asks no δ query builds no δ index."""
+        g = preferential_attachment(60, 2, seed=3)
+        net = SelfHealingNetwork(g, Dash(), seed=3)
+        rng = random.Random(3)
+        peak = 0
+        for step in range(30):
+            alive = sorted(net.graph.nodes())
+            if step % 3 == 0:
+                net.delete_and_heal(rng.choice(alive))
+            elif step % 3 == 1:
+                net.insert_and_heal(100 + step, rng.sample(alive, 3))
+            else:
+                net.delete_batch_and_heal(rng.sample(alive, 3))
+            degrees = net.graph.degrees()
+            peak = max(
+                peak, *(d - net.initial_degree[u] for u, d in degrees.items())
+            )
+            assert net.peak_delta == peak, step
+        assert peak > 0
+        assert net._delta_index is None
+
     def test_max_delta_empty(self):
         g = Graph([0])
         net = SelfHealingNetwork(g, Dash(), seed=0)
@@ -122,11 +149,32 @@ class TestParanoidMode:
             if net.graph.has_node(u):
                 net.delete_and_heal(u)
 
+    def test_violation_raises_invariant_violation(self):
+        """Paranoid mode runs the :mod:`repro.analysis.invariants` checks,
+        so a broken Lemma 1 raises ``InvariantViolation``."""
+        g = preferential_attachment(40, 2, seed=5)
+        net = SelfHealingNetwork(g, Dash(), seed=5, check_invariants=True)
+        net.delete_and_heal(0)
+        members: dict = {}
+        for u, label in net.tracker.labels().items():
+            members.setdefault(label, []).append(u)
+        tree = sorted(max(members.values(), key=len))
+        # A chord inside one G′ tree closes a cycle but joins no
+        # components, so the tracker's labels still hold.
+        chord = next(
+            (a, c)
+            for a in tree
+            for c in tree
+            if a < c and not net.healing_graph.has_edge(a, c)
+        )
+        net.healing_graph.add_edge(*chord)
+        victim = next(u for u in sorted(net.graph.nodes()) if u not in tree)
+        with pytest.raises(InvariantViolation, match="Lemma 1"):
+            net.delete_and_heal(victim)
+
     def test_healing_edges_subset_of_g(self):
         g = preferential_attachment(30, 2, seed=4)
         net = SelfHealingNetwork(g, Dash(), seed=2)
-        import random
-
         rng = random.Random(0)
         while net.num_alive > 5:
             net.delete_and_heal(rng.choice(sorted(net.graph.nodes())))

@@ -12,7 +12,8 @@ class, and the fused kernel's exact-type check keeps it on the generic
 loop. Three things were added since: an ``__eq__`` that compares
 adjacency with the slot store too, the slot store's ``check_label``
 (a churn join runs it), and :func:`reference_copy`; the class was
-renamed and its ``backend`` attribute dropped.
+renamed, its ``backend`` attribute dropped, and its ``degree_listener``
+removed with the library graph's (the network settles δ itself).
 
 Do not "improve" this file otherwise; its value is that it does not
 change.
@@ -45,15 +46,13 @@ Design notes
   built lazily on the *first* such query (O(n)) and maintained
   incrementally from then on, so graphs whose extremes are never queried
   — bulk construction, the healing-edge graph G′, untargeted campaigns —
-  pay nothing. External consumers (the δ-index in
-  :class:`~repro.core.network.SelfHealingNetwork`) can tap the same
-  mutation stream through :attr:`Graph.degree_listener`.
+  pay nothing.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Hashable, Iterable, Iterator
+from typing import Hashable, Iterable, Iterator
 
 from repro.errors import (
     EdgeNotFoundError,
@@ -82,7 +81,7 @@ class ReferenceGraph:
     0
     """
 
-    __slots__ = ("_adj", "_num_edges", "_deg_index", "degree_listener")
+    __slots__ = ("_adj", "_num_edges", "_deg_index")
 
     def __init__(self, nodes: Iterable[Node] = ()) -> None:
         self._adj: dict[Node, set[Node]] = {}
@@ -91,14 +90,6 @@ class ReferenceGraph:
         #: first extreme-degree query; ``None`` means "never queried" and
         #: the mutators skip all index bookkeeping.
         self._deg_index: DegreeIndex | None = None
-        #: Optional mutation-stream tap, called *after* each degree change
-        #: as ``listener(node, old_degree, new_degree)`` — ``old_degree``
-        #: is ``None`` when the node is created, ``new_degree`` is ``None``
-        #: when it is removed. One listener slot; the owner of the graph
-        #: (the self-healing network) sets it.
-        self.degree_listener: Callable[
-            [Node, int | None, int | None], None
-        ] | None = None
         for node in nodes:
             self.add_node(node)
 
@@ -119,8 +110,7 @@ class ReferenceGraph:
         """Deep copy of the topology (node labels are shared, sets are not).
 
         The copy starts with no degree index (one is built lazily if its
-        extremes are ever queried); the listener is *not* carried over
-        (it belongs to the original's owner).
+        extremes are ever queried).
         """
         g = ReferenceGraph()
         g._adj = {u: set(nbrs) for u, nbrs in self._adj.items()}
@@ -179,8 +169,6 @@ class ReferenceGraph:
             self._adj[node] = set()
             if self._deg_index is not None:
                 self._deg_index.push(node, 0)
-            if self.degree_listener is not None:
-                self.degree_listener(node, None, 0)
 
     def remove_node(self, node: Node) -> set[Node]:
         """Remove ``node`` and all incident edges; returns its ex-neighbor
@@ -195,23 +183,16 @@ class ReferenceGraph:
         except KeyError:
             raise NodeNotFoundError(node) from None
         idx = self._deg_index
-        listener = self.degree_listener
-        if idx is None and listener is None:
+        if idx is None:
             for v in nbrs:
                 self._adj[v].discard(node)
         else:
             # The removed node itself needs no index work: its stale
             # entries self-invalidate against the adjacency ground truth.
-            if listener is not None:
-                listener(node, len(nbrs), None)
             for v in nbrs:
                 s = self._adj[v]
-                d = len(s) - 1
                 s.discard(node)
-                if idx is not None:
-                    idx.push(v, d)
-                if listener is not None:
-                    listener(v, d + 1, d)
+                idx.push(v, len(s))
         self._num_edges -= len(nbrs)
         return nbrs
 
@@ -246,16 +227,9 @@ class ReferenceGraph:
         self._adj[v].add(u)
         self._num_edges += 1
         idx = self._deg_index
-        listener = self.degree_listener
-        if idx is not None or listener is not None:
-            du = len(self._adj[u])
-            dv = len(self._adj[v])
-            if idx is not None:
-                idx.push(u, du)
-                idx.push(v, dv)
-            if listener is not None:
-                listener(u, du - 1, du)
-                listener(v, dv - 1, dv)
+        if idx is not None:
+            idx.push(u, len(self._adj[u]))
+            idx.push(v, len(self._adj[v]))
         return True
 
     def remove_edge(self, u: Node, v: Node) -> None:
@@ -270,16 +244,9 @@ class ReferenceGraph:
         self._adj[v].discard(u)
         self._num_edges -= 1
         idx = self._deg_index
-        listener = self.degree_listener
-        if idx is not None or listener is not None:
-            du = len(self._adj[u])
-            dv = len(self._adj[v])
-            if idx is not None:
-                idx.push(u, du)
-                idx.push(v, dv)
-            if listener is not None:
-                listener(u, du + 1, du)
-                listener(v, dv + 1, dv)
+        if idx is not None:
+            idx.push(u, len(self._adj[u]))
+            idx.push(v, len(self._adj[v]))
 
     def has_edge(self, u: Node, v: Node) -> bool:
         nbrs = self._adj.get(u)

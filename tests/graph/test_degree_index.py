@@ -200,21 +200,6 @@ class TestGraphDegreeIndex:
         assert a.max_degree_node() == b.max_degree_node()
         assert a.min_degree_node() == b.min_degree_node()
 
-    def test_listener_sees_every_degree_change(self):
-        changes = []
-        g = Graph()
-        g.degree_listener = lambda node, old, new: changes.append(
-            (node, old, new)
-        )
-        g.add_edge(0, 1)
-        assert (0, None, 0) in changes and (1, None, 0) in changes
-        assert (0, 0, 1) in changes and (1, 0, 1) in changes
-        changes.clear()
-        g.add_edge(0, 2)
-        g.remove_node(0)
-        assert (0, 2, None) in changes
-        assert (1, 1, 0) in changes and (2, 1, 0) in changes
-
 
 @pytest.mark.parametrize("backend", ["object", "array"])
 def test_indexed_graph_is_freed_by_reference_counting(backend):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -50,13 +51,24 @@ class TestNodes:
 
 
 class TestLabels:
-    @pytest.mark.parametrize("bad", ["a", 1.5, 0.0, None, (0, 1), True, -1])
+    @pytest.mark.parametrize(
+        "bad", ["a", 1.5, 0.0, None, (0, 1), True, -1, np.int64(1)]
+    )
     def test_rejects_what_is_not_a_label(self, bad):
         g = Graph(range(3))
-        with pytest.raises(ConfigurationError, match="non-negative ints"):
-            g.add_node(bad)
-        with pytest.raises(ConfigurationError, match="non-negative ints"):
-            Graph([bad])
+        for attempt in (
+            lambda: g.add_node(bad),
+            lambda: Graph([bad]),
+            # either endpoint of an edge between existing slots
+            lambda: g.add_edge(bad, 2),
+            lambda: g.add_edge(2, bad),
+            # sequences that spell 0..n-1 if a bool, float or numpy int
+            # is taken for the int it equals
+            lambda: Graph([bad, 1, 2]),
+            lambda: Graph((0, bad, 2)),
+        ):
+            with pytest.raises(ConfigurationError, match="non-negative ints"):
+                attempt()
         assert g == Graph(range(3))
 
     #: far past any bound, and so large that without the check the

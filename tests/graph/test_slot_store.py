@@ -181,19 +181,6 @@ class TestDegreeMachinery:
             t.check_degree_index()
         assert a.min_degree_node() == g.min_degree_node()
 
-    def test_degree_listener_stream_identical(self):
-        streams = {}
-        for name, t in zip(("reference", "graph"), both(range(4))):
-            calls = []
-            t.degree_listener = lambda *args, calls=calls: calls.append(args)
-            t.add_edge(0, 1)
-            t.add_edge(1, 2)
-            t.remove_edge(0, 1)
-            t.remove_node(2)
-            t.add_node(2)
-            streams[name] = calls
-        assert streams["reference"] == streams["graph"]
-
     def test_grown_gaps_keep_nodes_and_degree_index(self):
         """Amortized-doubling gap growth leaves dead gap and slack
         slots: only genuinely live slots are nodes."""
@@ -369,7 +356,6 @@ class TestPickleAndCopy:
             assert h._nbrs[u] is EDGELESS
         for u in (4, 6, 7):
             assert h._nbrs[u] is None
-        assert h.degree_listener is None
         # A restored edgeless node takes its first edge like any other,
         # and the clone shares no state with the original.
         h.add_edge(5, 8)

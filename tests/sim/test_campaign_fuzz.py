@@ -9,8 +9,8 @@ for factories with required arguments — builds the components exactly
 the way :class:`~repro.sim.experiment.ExperimentSpec` would
 (``Registry.make`` with centralized seed injection), runs a short
 :func:`~repro.sim.engine.run_campaign` on a tiny graph, and asserts the
-``check_component_labels`` and ``check_degree_index`` invariants after
-every round.
+``check_component_labels`` and ``check_degree_index`` invariants, and
+peak δ against fresh δ scans, after every round.
 
 Because the spec pool is derived from the registries at import time, a
 newly registered healer/adversary/generator/schedule is fuzzed
@@ -129,11 +129,32 @@ campaign_specs = st.fixed_dictionaries(
 
 
 class _CheckInvariantsMetric:
-    """Asserts label and index ground truth after every heal event."""
+    """Asserts label and index ground truth after every heal event, and
+    peak δ against the running maximum of fresh δ scans, which shares no
+    bookkeeping with the network's peak."""
+
+    #: churn ops heal one at a time, so a δ can rise and fall inside one
+    #: round and the scan at its end may miss the peak
+    churn = False
+    #: the running maximum of the scans; every δ is 0 at Init
+    peak = 0
+
+    def __init__(self, churn: bool = False) -> None:
+        self.churn = churn
 
     def on_event(self, network, event) -> None:
         check_component_labels(network)
         check_degree_index(network)
+        initial_degree = network.initial_degree
+        degrees = network.graph.degrees()
+        scan = max(
+            (d - initial_degree[u] for u, d in degrees.items()), default=0
+        )
+        self.peak = max(self.peak, scan)
+        if self.churn:
+            assert network.peak_delta >= scan
+        else:
+            assert network.peak_delta == self.peak
 
     def finalize(self, network) -> dict[str, float]:
         return {}
@@ -157,7 +178,9 @@ def run_fuzzed_campaign(spec: dict, *, max_rounds: int = 8):
         healer,
         adversary,
         id_seed=derive_seed(seed, "ids"),
-        metrics=[_CheckInvariantsMetric()],
+        metrics=[
+            _CheckInvariantsMetric(getattr(adversary, "mixed_rounds", False))
+        ],
         max_rounds=max_rounds,
         keep_network=True,
     )

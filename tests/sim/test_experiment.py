@@ -17,7 +17,8 @@ from repro.sim.experiment import (
     run_task,
 )
 from repro.sim.metrics import ConnectivityMetric, default_metrics
-from repro.sim.parallel import run_tasks
+from repro.sim import parallel
+from repro.sim.parallel import RetryPolicy, run_tasks
 from repro.api import run_campaign
 from repro.utils.rng import derive_seed
 
@@ -211,6 +212,24 @@ class TestRunExperiment:
         )
         rs = run_experiment(spec)
         assert all("max_stretch" in r.values for r in rs.rows)
+
+    def test_retries_reach_run_tasks_as_a_policy(self, monkeypatch):
+        """``run_tasks`` takes one retry spelling, a ``RetryPolicy``;
+        ``run_experiment(retries=)`` builds it with the default backoff."""
+        seen = []
+        real = parallel.run_tasks
+
+        def spy(tasks, **kwargs):
+            seen.append(kwargs["retry_policy"])
+            return real(tasks, **kwargs)
+
+        monkeypatch.setattr(parallel, "run_tasks", spy)
+        run_experiment(tiny_spec(sizes=(12,), repetitions=1), retries=3)
+        assert seen == [RetryPolicy(retries=3, backoff=0.5)]
+
+    def test_negative_retries_rejected(self):
+        with pytest.raises(ValueError):
+            run_experiment(tiny_spec(), retries=-1)
 
 
 class TestParallel:

@@ -90,7 +90,7 @@ class TestSerial:
         with pytest.raises(SweepExecutionError) as exc_info:
             run_tasks(
                 _tasks(4), jobs=1, worker=fail_rep1_worker,
-                retries=1, backoff=0.0,
+                retry_policy=RetryPolicy.immediate(retries=1),
             )
         err = exc_info.value
         assert len(err.failures) == 1
@@ -107,7 +107,7 @@ class TestSerial:
         monkeypatch.setenv("FLAKY_DIR", str(tmp_path))
         out = run_tasks(
             _tasks(3), jobs=1, worker=flaky_until_retry_worker,
-            retries=1, backoff=0.0,
+            retry_policy=RetryPolicy.immediate(retries=1),
         )
         assert [p["rep"] for p, _ in out] == [0, 1, 2]
 
@@ -115,13 +115,9 @@ class TestSerial:
         with pytest.raises(SweepExecutionError) as exc_info:
             run_tasks(
                 _tasks(2), jobs=1, worker=fail_rep1_worker,
-                retries=0, backoff=0.0,
+                retry_policy=RetryPolicy.none(),
             )
         assert exc_info.value.failures[0].attempts == 1
-
-    def test_negative_retries_rejected(self):
-        with pytest.raises(ValueError):
-            run_tasks(_tasks(1), jobs=1, retries=-1)
 
 
 class TestRetryPolicy:
@@ -158,13 +154,6 @@ class TestRetryPolicy:
             )
         assert exc_info.value.failures[0].attempts == 2
 
-    def test_policy_conflicts_with_legacy_arguments(self):
-        with pytest.raises(ValueError, match="not both"):
-            run_tasks(
-                _tasks(1), jobs=1, worker=ok_worker,
-                retries=1, retry_policy=RetryPolicy.none(),
-            )
-
 
 class TestParallel:
     def test_results_in_task_order(self):
@@ -175,7 +164,7 @@ class TestParallel:
         with pytest.raises(SweepExecutionError) as exc_info:
             run_tasks(
                 _tasks(4), jobs=2, worker=fail_rep1_worker,
-                retries=1, backoff=0.0,
+                retry_policy=RetryPolicy.immediate(retries=1),
             )
         err = exc_info.value
         assert [f.cell for f in err.failures] == [("toy", 10, "dash", 1)]
@@ -187,7 +176,7 @@ class TestParallel:
         monkeypatch.setenv("FLAKY_DIR", str(tmp_path))
         out = run_tasks(
             _tasks(4), jobs=2, worker=flaky_until_retry_worker,
-            retries=2, backoff=0.0,
+            retry_policy=RetryPolicy.immediate(),
         )
         assert [p["rep"] for p, _ in out] == [0, 1, 2, 3]
 
@@ -199,7 +188,8 @@ class TestParallel:
         # one that was being murdered — without losing results.
         monkeypatch.setenv("KILL_DIR", str(tmp_path))
         out = run_tasks(
-            _tasks(6), jobs=2, worker=sigkill_once_worker, backoff=0.0,
+            _tasks(6), jobs=2, worker=sigkill_once_worker,
+            retry_policy=RetryPolicy.immediate(),
         )
         assert [p["rep"] for p, _ in out] == [0, 1, 2, 3, 4, 5]
 
@@ -236,7 +226,7 @@ class TestParallel:
         with pytest.raises(SweepExecutionError) as exc_info:
             run_tasks(
                 _tasks(3), jobs=2, worker=slow_rep0_worker,
-                timeout=0.3, retries=0, backoff=0.0,
+                timeout=0.3, retry_policy=RetryPolicy.none(),
             )
         err = exc_info.value
         assert err.failures[0].cell == ("toy", 10, "dash", 0)
