@@ -38,7 +38,6 @@ from bisect import bisect_left
 from typing import TYPE_CHECKING, ClassVar, Hashable
 
 from repro.adversary.base import Adversary
-from repro.adversary.survivors import SurvivorSequence
 from repro.utils.rng import make_rng, rng_state_from_json, rng_state_to_json
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -72,11 +71,11 @@ class _SortedNeighborCache:
     The maintained list is always exactly ``sorted(neighbors(focus))``,
     so draws stay byte-identical to the sort-every-round versions.
 
-    As with :class:`RandomAttack`'s survivors, degree-preserving
-    out-of-band churn of the focus's adjacency (an edge added and another
-    removed behind the adversary's back, with no intervening event) is
-    undetectable until a trigger fires; the supported contract is the
-    simulator's reset → choose → delete loop, where the replay is exact.
+    Degree-preserving out-of-band churn of the focus's adjacency (an
+    edge added and another removed behind the adversary's back, with no
+    intervening event) is undetectable until a trigger fires; the
+    supported contract is the simulator's reset → choose → delete loop,
+    where the replay is exact.
     """
 
     __slots__ = ("focus", "nbrs", "events_seen", "last_pick")
@@ -184,21 +183,11 @@ class NeighborOfMaxAttack(Adversary):
 class RandomAttack(Adversary):
     """Delete a uniformly random surviving node (failure, not attack).
 
-    Keeps its survivors in label order in a
-    :class:`~repro.adversary.survivors.SurvivorSequence`, maintained
-    incrementally (the usual case is "the node we chose last round
-    died", dropped at the next draw), so a round costs one block's
-    upkeep instead of an O(n log n) re-sort — with draws identical to
-    sorting from scratch each round. The fused kernel
-    (:mod:`repro.sim.fastpath`) draws from and discards from the same
-    sequence.
-
-    The sequence resyncs when the graph's node count changes or a drawn
-    node turns out dead. Out-of-band churn that preserves the node count
-    with every stale entry still alive (simultaneous add+remove behind
-    the adversary's back) is not detected until one of those triggers
-    fires; the supported contract is the simulator's reset → choose →
-    delete loop, where the sequence is always exact.
+    One ``choice`` per round over the network's survivors in label
+    order (:meth:`~repro.core.network.SelfHealingNetwork.survivors`,
+    which every heal keeps exact, so a heal the adversary did not ask
+    for leaves nothing stale). The only state is the RNG; the fused
+    kernel (:mod:`repro.sim.fastpath`) draws from it the same way.
     """
 
     name: ClassVar[str] = "random"
@@ -206,41 +195,14 @@ class RandomAttack(Adversary):
     def __init__(self, seed: int = 0) -> None:
         self._seed = seed
         self._rng: random.Random = make_rng(seed)
-        self._alive: SurvivorSequence | None = None
-        self._last: Node | None = None
 
     def reset(self, network: "SelfHealingNetwork") -> None:
         super().reset(network)
         self._rng = make_rng(self._seed)
-        self._alive = SurvivorSequence(sorted(network.graph.nodes()))
-        self._last = None
 
     def choose_target(self, network: "SelfHealingNetwork") -> Node | None:
-        g = network.graph
-        alive = self._alive
-        if alive is not None and self._last is not None and not g.has_node(
-            self._last
-        ):
-            alive.discard(self._last)
-        if alive is None or len(alive) != g.num_nodes:
-            # Out-of-band deletions (batch heals, direct graph edits):
-            # fall back to a fresh sort.
-            alive = self._alive = SurvivorSequence(sorted(g.nodes()))
-        if not alive:
-            return None
-        choice = self._rng.choice(alive)
-        if not g.has_node(choice):
-            # Count-preserving out-of-band churn (a node added while
-            # another died) can leave the sequence stale without tripping
-            # the length check; rebuild and redraw. Never taken in the
-            # plain choose→delete loop, so normal draws stay
-            # byte-identical.
-            alive = self._alive = SurvivorSequence(sorted(g.nodes()))
-            if not alive:
-                return None
-            choice = self._rng.choice(alive)
-        self._last = choice
-        return choice
+        alive = network.survivors()
+        return self._rng.choice(alive) if alive else None
 
     def export_state(self) -> dict:
         state = super().export_state()
@@ -250,10 +212,6 @@ class RandomAttack(Adversary):
     def import_state(self, state: dict) -> None:
         super().import_state(state)
         rng_state_from_json(state["rng"], self._rng)
-        # Invalidated survivors → next draw re-sorts from the live graph,
-        # identical to the incrementally maintained sequence.
-        self._alive = None
-        self._last = None
 
 
 class MinDegreeAttack(Adversary):

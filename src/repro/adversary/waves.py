@@ -28,10 +28,9 @@ Schedules are clamped to the surviving population, so every campaign
 terminates (a full kill ends with the last survivors in one wave).
 
 Determinism mirrors the single-victim adversaries: the random strategy
-takes an explicit seed and draws from the sorted survivors, kept in a
-:class:`~repro.adversary.survivors.SurvivorSequence` maintained
-incrementally (removing the previous wave instead of re-sorting, with a
-resync guard for out-of-band churn); the targeted
+takes an explicit seed and samples the network's survivors in label
+order (:meth:`~repro.core.network.SelfHealingNetwork.survivors`, kept
+exact by every heal, so nothing is re-sorted); the targeted
 strategy is fully deterministic — the ``k`` highest-degree survivors,
 smallest label on ties, read from the graph's degree-bucket index by
 walking buckets downward from the O(1) maximum, so no round ever scans
@@ -45,7 +44,6 @@ import random
 from typing import TYPE_CHECKING, Callable, ClassVar, Hashable, Sequence
 
 from repro.adversary.base import Adversary
-from repro.adversary.survivors import SurvivorSequence
 from repro.errors import ConfigurationError
 from repro.registry import Registry
 from repro.utils.rng import make_rng, rng_state_from_json, rng_state_to_json
@@ -252,14 +250,10 @@ class WaveAdversary(Adversary):
 class RandomWaveAttack(WaveAdversary):
     """Kill a uniformly random set of survivors each wave (mass failure).
 
-    Like :class:`~repro.adversary.classic.RandomAttack`, the survivors
-    are a :class:`~repro.adversary.survivors.SurvivorSequence` in label
-    order, maintained incrementally: the previous wave's dead victims
-    are discarded at the next wave instead of re-sorting, with a full
-    resync whenever the sequence's length disagrees with the live node
-    count (out-of-band churn) or a wave names a dead node. In the
-    simulator's choose → delete loop, draws are identical to sorting
-    from scratch every wave.
+    Like :class:`~repro.adversary.classic.RandomAttack`, one draw per
+    wave: a ``sample`` of the network's survivors
+    (:meth:`~repro.core.network.SelfHealingNetwork.survivors`). Beyond
+    the schedule's position the only state is the RNG.
     """
 
     name: ClassVar[str] = "random-wave"
@@ -274,34 +268,13 @@ class RandomWaveAttack(WaveAdversary):
         super().__init__(schedule, size=size)
         self._seed = seed
         self._rng: random.Random = make_rng(seed)
-        self._alive: SurvivorSequence | None = None
-        self._last_wave: list[Node] = []
 
     def reset(self, network: "SelfHealingNetwork") -> None:
         super().reset(network)
         self._rng = make_rng(self._seed)
-        self._alive = SurvivorSequence(sorted(network.graph.nodes()))
-        self._last_wave = []
 
     def _pick(self, network: "SelfHealingNetwork", size: int) -> list[Node]:
-        g = network.graph
-        alive = self._alive
-        if alive is not None:
-            for v in self._last_wave:
-                if not g.has_node(v):
-                    alive.discard(v)
-        if alive is None or len(alive) != g.num_nodes:
-            alive = self._alive = SurvivorSequence(sorted(g.nodes()))
-        self._last_wave = self._rng.sample(alive, size)
-        if not all(g.has_node(v) for v in self._last_wave):
-            # Count-preserving out-of-band churn (a node added while
-            # another died) can leave the sequence stale without tripping
-            # the length check; rebuild and resample, as RandomAttack
-            # redraws. Never taken in the plain choose→delete loop, so
-            # normal waves stay byte-identical.
-            alive = self._alive = SurvivorSequence(sorted(g.nodes()))
-            self._last_wave = self._rng.sample(alive, size)
-        return list(self._last_wave)
+        return self._rng.sample(network.survivors(), size)
 
     def export_state(self) -> dict:
         state = super().export_state()
@@ -311,10 +284,6 @@ class RandomWaveAttack(WaveAdversary):
     def import_state(self, state: dict) -> None:
         super().import_state(state)
         rng_state_from_json(state["rng"], self._rng)
-        # Invalidated survivors resync against the live graph on the
-        # next wave — identical draws to the maintained sequence.
-        self._alive = None
-        self._last_wave = []
 
 
 class TargetedWaveAttack(WaveAdversary):

@@ -32,8 +32,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, ClassVar, Hashable, Iterable
 
 from repro.adversary.base import Adversary
-from repro.adversary.survivors import SurvivorSequence
 from repro.errors import ConfigurationError, SimulationError
+from repro.graph.survivors import SurvivorSequence
 from repro.utils.rng import make_rng, rng_state_from_json, rng_state_to_json
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -84,7 +84,7 @@ class ChurnAdversary(Adversary):
 
     State. The survivors are kept in ``repr`` order of their labels, the
     order joiners draw their attach targets from, as a
-    :class:`~repro.adversary.survivors.SurvivorSequence`: a join or a
+    :class:`~repro.graph.survivors.SurvivorSequence`: a join or a
     death shifts one block of labels, not the whole population. The
     initial population draws its lifetimes in that order at
     :meth:`reset`, and its expiries stay in one flat list, sorted by

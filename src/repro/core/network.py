@@ -25,8 +25,11 @@ index, answers :meth:`SelfHealingNetwork.max_delta` and
 query) without a node scan. The first δ query builds it from G and the
 initial degrees, and every later heal pushes its touched nodes into it;
 a campaign that asks no δ query (a fused one, most observed ones until
-their final metrics) never builds it. So ``network.graph`` changes only
-through the network: a direct mutation would leave δ stale.
+their final metrics) never builds it. The live labels have one owner
+too: :meth:`SelfHealingNetwork.survivors`, which the random adversaries
+and the fused kernel draw from, is built by its first call and then kept
+by every heal. So ``network.graph`` changes only through the network: a
+direct mutation would leave δ and the survivors stale.
 
 Each heal is also checked against a local **connectivity certificate**,
 in O(ex-neighbours): if G was connected before the heal, a certified heal
@@ -67,6 +70,7 @@ from repro.core.components import (
 from repro.errors import HealingError, NodeNotFoundError, SimulationError
 from repro.graph.degree_index import DegreeIndex
 from repro.graph.graph import Graph
+from repro.graph.survivors import SurvivorSequence
 from repro.graph.validation import validate_graph
 from repro.utils.rng import derive_seed, make_rng
 
@@ -151,6 +155,8 @@ class SelfHealingNetwork:
         #: :meth:`_built_delta_index`) and then kept current by
         #: :meth:`_settle_deltas`
         self._delta_index: DegreeIndex | None = None
+        #: the live labels, built by :meth:`survivors`, kept by the heals
+        self._survivors: SurvivorSequence | None = None
         #: the Init-step ID seed — kept so churn insertions can derive
         #: each joiner's random ID deterministically (checkpoint replay
         #: re-executes insertions and must mint identical IDs)
@@ -274,6 +280,15 @@ class SelfHealingNetwork:
     def num_alive(self) -> int:
         return self.graph.num_nodes
 
+    def survivors(self) -> SurvivorSequence:
+        """The live labels in ascending order, which the random
+        adversaries draw from: built from G by the first call, then kept
+        exact by each heal's deaths and joins, whoever asked for them."""
+        if self._survivors is None:
+            # Graph.nodes() runs in ascending label order.
+            self._survivors = SurvivorSequence(list(self.graph.nodes()))
+        return self._survivors
+
     # ------------------------------------------------------------------
     # The round
     # ------------------------------------------------------------------
@@ -365,6 +380,8 @@ class SelfHealingNetwork:
             else frozenset()
         )
         self.deleted_nodes.append(node)
+        if self._survivors is not None:
+            self._survivors.discard(node)
         snapshot = self._build_snapshot(
             node,
             deleted_label,
@@ -561,6 +578,8 @@ class SelfHealingNetwork:
         # post-join degree.
         self.graph.add_node(node)
         self.healing_graph.add_node(node)
+        if self._survivors is not None:
+            self._survivors.add(node)
         self.initial_ids[node] = node_id
         self.inserted_nodes.append(node)
         added = self._apply_plan(plan.edges, plan.heal_edges)
@@ -684,6 +703,7 @@ class SelfHealingNetwork:
         resolved: set[NodeId] = set()
 
         # The adversary strikes: all victims vanish at once.
+        alive = self._survivors
         for v in victim_set:
             lbl = self.tracker.label_of(v)
             self.graph.remove_node(v)
@@ -691,6 +711,8 @@ class SelfHealingNetwork:
                 self.healing_graph.remove_node(v)
             self.tracker.remove_node(v, lbl)
             self.deleted_nodes.append(v)
+            if alive is not None:
+                alive.discard(v)
 
         # Heal each victim component.
         events: list[HealEvent] = []

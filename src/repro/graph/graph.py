@@ -322,10 +322,11 @@ class Graph:
     def has_node(self, node: Node) -> bool:
         return self._slot(node) is not None
 
-    def nodes(self) -> Iterator[Node]:
-        """Iterate over node labels in ascending order."""
+    def nodes(self) -> Iterable[Node]:
+        """The node labels in ascending order: ``range(n)`` itself when
+        every slot is live, else a generator over the live slots."""
         if self._n_alive == len(self._nbrs):  # hole-free: every slot live
-            return iter(range(self._n_alive))
+            return range(self._n_alive)
         return (u for u, s in enumerate(self._nbrs) if s is not None)
 
     @property
@@ -353,9 +354,17 @@ class Graph:
         if su is None or sv is None:
             # A new or dead endpoint, or anything but a non-negative int
             # (a bool or a numpy int would index a slot): add_node adds
-            # the first kind and raises for the other.
+            # the first kind and raises for the other. A refused v takes
+            # back the u just added, so a refused edge leaves no trace.
+            slots, alive = len(nbrs), self._n_alive
             self.add_node(u)
-            self.add_node(v)
+            try:
+                self.add_node(v)
+            except ConfigurationError:
+                if self._n_alive != alive:
+                    self.remove_node(u)
+                    del nbrs[slots:]
+                raise
             su = nbrs[u]
             sv = nbrs[v]
         if v in su:
@@ -511,7 +520,7 @@ class Graph:
         return self._slot(node) is not None
 
     def __iter__(self) -> Iterator[Node]:
-        return self.nodes()
+        return iter(self.nodes())
 
     def __len__(self) -> int:
         return self._n_alive

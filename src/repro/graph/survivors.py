@@ -1,12 +1,13 @@
-"""The survivors an adversary draws from, as an order-statistic sequence.
+"""Surviving node labels as an order-statistic sequence.
 
-:class:`~repro.adversary.classic.RandomAttack` (one ``choice`` per
-round), :class:`~repro.adversary.waves.RandomWaveAttack` (one ``sample``
-per wave) and :class:`~repro.churn.adversaries.ChurnAdversary` (its
-joiners' attach targets) draw uniformly from the sorted survivors, and
-the fused kernel (:mod:`repro.sim.fastpath`) draws for ``RandomAttack``.
-All of them keep the survivors in one :class:`SurvivorSequence`, not a
-sorted list, where each death or join moves every later slot.
+:meth:`~repro.core.network.SelfHealingNetwork.survivors` keeps the live
+labels in ascending order in one :class:`SurvivorSequence`, which its
+heals update: :class:`~repro.adversary.classic.RandomAttack` (one
+``choice`` per round), :class:`~repro.adversary.waves.RandomWaveAttack`
+(one ``sample`` per wave) and the fused kernel (:mod:`repro.sim.fastpath`)
+draw from it. :class:`~repro.churn.adversaries.ChurnAdversary` keeps its
+own, in ``repr`` order, to draw its joiners' attach targets. A sorted
+list would move every later slot at each death or join.
 """
 
 from __future__ import annotations

@@ -212,7 +212,7 @@ def run_batch_waves(
             net = SelfHealingNetwork(graph, Dash(), seed=seed + 1)
             rng = make_rng(seed + 2)
             while net.num_alive > wave:
-                alive = sorted(net.graph.nodes())
+                alive = net.survivors()
                 victims = rng.sample(alive, min(wave, len(alive) - 1))
                 net.delete_batch_and_heal(victims)
                 if not is_connected(net.graph):

@@ -30,9 +30,9 @@ make that possible rather than aspirational:
 * the tracker exports its union-find classes *as-is*, tombstone roots
   and MINID labels of long-dead nodes included, which a relabelling
   from G′ connectivity could not reproduce;
-* adversary survivor-list/neighbor caches are dropped on import — they
-  are exact-resync optimizations whose rebuild from the live graph is
-  byte-identical to the incrementally maintained state.
+* the network's δ index and survivors and the adversaries' neighbor
+  caches stay out of the snapshot: each rebuilds from the live graph at
+  its first use, byte-identical to the incrementally maintained state.
 """
 
 from __future__ import annotations
@@ -934,8 +934,10 @@ def _restore_network(
             f"corrupt checkpoint: live node {min(missing)!r} "
             "has no initial degree"
         )
-    # Built by the first δ query, like a fresh network's.
+    # Built by the first δ query and the first survivors() call, like a
+    # fresh network's.
     network._delta_index = None
+    network._survivors = None
     network.initial_ids = initial_ids
     # Churn-inserted nodes ride the dynamic snapshot as extra IDs; only
     # their count matters downstream (insertion step numbering /

@@ -26,11 +26,11 @@ The loop serves two adversary kinds and differs between them only in
 where a round's ops come from:
 
 * :class:`~repro.adversary.classic.RandomAttack` — exactly one
-  ``random.Random.choice`` per round over the adversary's own survivor
-  sequence (:class:`~repro.adversary.survivors.SurvivorSequence`), like
-  its ``choose_target``, and the victim leaves that sequence at once, so
-  the RNG stream and the survivors stay what the generic engine would
-  leave behind;
+  ``random.Random.choice`` of its RNG per round over the network's
+  survivors (:meth:`~repro.core.network.SelfHealingNetwork.survivors`),
+  like its ``choose_target``, and the victim leaves that sequence at
+  once, as ``delete_and_heal`` would discard it, so the RNG stream and
+  the survivors stay what the generic engine would leave behind;
 * churn adversaries (``churn``, ``trace-churn``) — each round's ops
   from ``choose_round``, in order. A join is DASH's inherited
   :meth:`~repro.core.base.Healer.insertion_plan` — one δ-neutral G edge
@@ -49,8 +49,9 @@ Every campaign the kernel accepts runs to the end inside it. On exit it
 *repairs* what it bypassed: the graphs' cached node/edge counts, the
 degree and δ indexes (both invalidated, so each is rebuilt by its first
 query, if any — a campaign that ends in the kernel never queries
-them), ``network.peak_delta`` and ``network.deleted_nodes``, and the
-random adversary's ``_last`` (its survivors are already exact).
+them), ``network.peak_delta``, ``network.deleted_nodes`` and, after
+churn ops that bypassed them, the network's survivors (dropped if built;
+random draws discard each victim from them).
 It never touches ``network.tracker`` (which the network builds on first
 use), so a fused campaign builds no component tracker at all. It also
 leaves ``network.events`` empty, and a later tracker read would start
@@ -109,10 +110,7 @@ def supports(
     if type(adversary) is RandomAttack:
         # A mixed-round flag on a RandomAttack instance signals a
         # nonstandard protocol the kernel does not speak — refuse.
-        adversary_ok = (
-            not getattr(adversary, "mixed_rounds", False)
-            and adversary._alive is not None
-        )
+        adversary_ok = not getattr(adversary, "mixed_rounds", False)
     else:
         # Churn kernels speak the op protocol, so the flag must be ON.
         adversary_ok = (
@@ -161,14 +159,13 @@ def run_fused(
     initial_ids = network.initial_ids
     initial_degree = network.initial_degree
 
-    # RandomAttack's state IS the kernel's: draws come from its RNG (one
-    # choice() per round, like choose_target) over its survivor
-    # sequence, and each victim leaves the sequence at once
-    # (choose_target would discard it lazily on the next call).
+    # RandomAttack's draws come from its RNG (one choice() per round,
+    # like choose_target) over the network's survivors, and each victim
+    # leaves them at once, as delete_and_heal would discard it.
     random_attack = type(adversary) is RandomAttack
     if random_attack:
         choice = adversary._rng.choice
-        pool = adversary._alive
+        pool = network.survivors()
         kill = pool.discard
 
     # label↔origin bijection: initial_ids[u] == (rand[u], u)
@@ -375,8 +372,8 @@ def run_fused(
                 lab_origin[big] = fo
         rounds += 1
 
-    # Repair what the fused loop bypassed, so the graphs, the network
-    # and the adversary leave this function with accurate state.
+    # Repair what the fused loop bypassed, so the graphs and the network
+    # leave this function with accurate state.
     graph._n_alive = n_alive
     graph._num_edges = sum(len(s) for s in adj if s is not None) // 2
     graph._deg_index = None
@@ -390,8 +387,8 @@ def run_fused(
     # Survivors' δ moved without the network's settling: drop the δ
     # index, and the network's first δ query rebuilds it.
     network._delta_index = None
-    if random_attack:
-        adversary._last = None
+    if not random_attack:  # churn ops bypassed the survivors too
+        network._survivors = None
 
     insertions = len(network.inserted_nodes)
     return SimulationResult(

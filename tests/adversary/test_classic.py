@@ -13,9 +13,15 @@ from repro.adversary.classic import (
     NeighborOfMaxAttack,
     RandomAttack,
 )
+from repro.adversary.waves import RandomWaveAttack
 from repro.core.dash import Dash
 from repro.core.network import SelfHealingNetwork
-from repro.graph.generators import cycle_graph, path_graph, star_graph
+from repro.graph.generators import (
+    cycle_graph,
+    path_graph,
+    preferential_attachment,
+    star_graph,
+)
 from repro.graph.graph import Graph
 
 
@@ -195,6 +201,29 @@ class TestRandomResync:
             assert net.graph.has_node(target)
             net.delete_and_heal(target)
         assert adv.choose_target(net) is None
+
+    @staticmethod
+    def _after_unasked_heals(adversary):
+        """A reset adversary, then one death and one join it did not ask
+        for: the node count is back where it was, the labels are not."""
+        net = net_of(preferential_attachment(10, 2, seed=1))
+        adversary.reset(net)
+        net.delete_and_heal(3)
+        net.insert_and_heal(10, [0, 1])
+        return net, sorted(net.graph.nodes())
+
+    def test_draw_after_unasked_heals_is_from_live_labels(self):
+        for seed in range(200):
+            adv = RandomAttack(seed=seed)
+            net, live = self._after_unasked_heals(adv)
+            assert adv.choose_target(net) == random.Random(seed).choice(live)
+
+    def test_wave_after_unasked_heals_is_from_live_labels(self):
+        for seed in range(200):
+            adv = RandomWaveAttack(size=3, seed=seed)
+            net, live = self._after_unasked_heals(adv)
+            expected = random.Random(seed).sample(live, 3)
+            assert adv.choose_wave(net) == expected
 
 
 class TestMaxDeltaNeighbor:

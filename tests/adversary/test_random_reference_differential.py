@@ -2,15 +2,19 @@
 references.
 
 :class:`~repro.adversary.classic.RandomAttack` and
-:class:`~repro.adversary.waves.RandomWaveAttack` keep their survivors in
-a :class:`~repro.adversary.survivors.SurvivorSequence`;
-``_reference_random`` holds the implementations it replaced (one sorted
-list each, bisect-and-pop). Both must name the same target or wave,
-leave the same RNG state and hold the same survivors after every round:
-across out-of-band batch deletions and count-preserving swaps (the
-resync paths), and across an ``import_state`` mid-campaign. Labels are
-multiples of 7, inserted ascending or descending, and joiners take
-labels between them, so label order is not insertion order.
+:class:`~repro.adversary.waves.RandomWaveAttack` draw from the network's
+survivors (:meth:`~repro.core.network.SelfHealingNetwork.survivors`, a
+:class:`~repro.graph.survivors.SurvivorSequence` the heals keep);
+``_reference_random`` holds the implementations that kept their own
+copy (one sorted list each, bisect-and-pop). Both must name the same
+target or wave and leave the same RNG state after every round, and the
+network's survivors, once built, must be exactly its live labels:
+across out-of-band batch deletions and count-preserving swaps, and
+across an ``import_state`` mid-campaign. A reference copy cannot see an
+out-of-band heal, so each one drops it and it re-sorts from the live
+graph. Labels are multiples of 7, inserted ascending or descending, and
+joiners take labels between them, so label order is not insertion
+order.
 """
 
 from __future__ import annotations
@@ -22,13 +26,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.adversary import survivors
 from repro.adversary.classic import RandomAttack
-from repro.adversary.survivors import SurvivorSequence
 from repro.adversary.waves import RandomWaveAttack
 from repro.core.network import SelfHealingNetwork
 from repro.core.registry import HEALERS
+from repro.graph import survivors
 from repro.graph.graph import Graph
+from repro.graph.survivors import SurvivorSequence
 from tests.adversary._reference_random import (
     SortedListRandomAttack,
     SortedListRandomWaveAttack,
@@ -77,12 +81,10 @@ def _out_of_band(network, kind, k, labels, joined):
     return joined + 1
 
 
-def _assert_same(fast, ref):
+def _assert_same(fast, ref, network):
     assert fast._rng.getstate() == ref._rng.getstate()
-    if ref._alive is None:
-        assert fast._alive is None
-    else:
-        assert list(fast._alive) == ref._alive
+    if network._survivors is not None:
+        assert list(network.survivors()) == sorted(network.graph.nodes())
 
 
 _PARAMS = dict(
@@ -110,22 +112,23 @@ def _replay(make_fast, make_ref, network, labels, restore_at, churn, step):
     fast, ref = make_fast(), make_ref()
     fast.reset(network)
     ref.reset(network)
-    _assert_same(fast, ref)
+    _assert_same(fast, ref, network)
     joined = 0
     played = 0
     while True:
         for at, kind, k in churn:
             if at == played:
                 joined = _out_of_band(network, kind, k, labels, joined)
+                ref._alive = None
         if played == restore_at:
             restored, restored_ref = make_fast(1), make_ref(1)
             restored.import_state(fast.export_state())
             restored_ref.import_state(ref.export_state())
             fast, ref = restored, restored_ref
-            _assert_same(fast, ref)
+            _assert_same(fast, ref, network)
         chosen = step(fast, network)
         assert chosen == step(ref, network)
-        _assert_same(fast, ref)
+        _assert_same(fast, ref, network)
         if chosen is None:
             return
         step(None, network, chosen)
@@ -151,8 +154,6 @@ def _target_step(adversary, network, chosen=None):
 def _wave_step(adversary, network, chosen=None):
     if adversary is not None:
         return adversary.choose_wave(network)
-    # A wave never names a node that died out of band: both sides
-    # resample from the live graph when a stale sequence would.
     network.delete_batch_and_heal(chosen)
 
 
@@ -161,7 +162,7 @@ def _wave_step(adversary, network, chosen=None):
 def test_random_attack_matches_sorted_list_reference(
     n, labels, seed, block, restore_at, churn
 ):
-    """Every round: same target, same RNG state, same survivors. Tiny
+    """Every round: same target, same RNG state, exact survivors. Tiny
     block sizes make the sequence empty and reindex its blocks."""
     network = _network(n, labels, seed)
     with mock.patch.object(survivors, "_BLOCK", block):
@@ -182,7 +183,7 @@ def test_random_attack_matches_sorted_list_reference(
 def test_random_wave_matches_sorted_list_reference(
     size, n, labels, seed, block, restore_at, churn
 ):
-    """Every wave: same victims, same RNG state, same survivors."""
+    """Every wave: same victims, same RNG state, exact survivors."""
     network = _network(n, labels, seed)
     with mock.patch.object(survivors, "_BLOCK", block):
         _replay(

@@ -20,10 +20,10 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.adversary import survivors
 from repro.churn.adversaries import ChurnAdversary
 from repro.core.network import SelfHealingNetwork
 from repro.core.registry import HEALERS
+from repro.graph import survivors
 from repro.graph.generators import preferential_attachment
 from repro.sim import fastpath
 from repro.sim.engine import run_campaign

@@ -62,6 +62,8 @@ class TestLabels:
             # either endpoint of an edge between existing slots
             lambda: g.add_edge(bad, 2),
             lambda: g.add_edge(2, bad),
+            # a new first endpoint, which the refusal takes back
+            lambda: g.add_edge(5, bad),
             # sequences that spell 0..n-1 if a bool, float or numpy int
             # is taken for the int it equals
             lambda: Graph([bad, 1, 2]),
@@ -70,6 +72,7 @@ class TestLabels:
             with pytest.raises(ConfigurationError, match="non-negative ints"):
                 attempt()
         assert g == Graph(range(3))
+        assert g.num_nodes == len(g._nbrs) == 3
 
     #: far past any bound, and so large that without the check the
     #: allocation fails at once (MemoryError) instead of taking memory
@@ -89,6 +92,11 @@ class TestLabels:
             assert str(self.HUGE) in msg
             assert str(2 * 4 + GROWTH_SLACK) in msg  # the bound
             assert "relabel the nodes 0..n-1" in msg
+        # A new first endpoint grows the store before the second is
+        # checked; the refusal takes it back.
+        with pytest.raises(ConfigurationError, match=str(self.HUGE)):
+            g.add_edge(7, self.HUGE)
+        assert g.num_nodes == 4 and not g.has_node(7)
         assert len(g._nbrs) == 4 and g == Graph.from_edges([(0, 1)], [2, 3])
         with pytest.raises(ConfigurationError, match=str(self.HUGE)):
             Graph.from_edges([(0, self.HUGE)])

@@ -1,10 +1,10 @@
 """Differential tests for the fused scalar-only campaign kernel.
 
 The kernel (``repro.sim.fastpath``) may only change *speed*: every
-result scalar, the adversary's RNG stream, and its survivors must be
-exactly what the generic engine produces. The generic array path is
-obtained by forcing an observer (``keep_events=True``), which makes the
-kernel ineligible.
+result scalar, the adversary's RNG stream, and the network's survivors
+must be exactly what the generic engine produces. The generic array
+path is obtained by forcing an observer (``keep_events=True``), which
+makes the kernel ineligible.
 """
 
 from __future__ import annotations
@@ -50,6 +50,32 @@ def run(graph, adversary, **kw):
     )
 
 
+def run_kernel(
+    graph, adversary, *, stop_alive=0, max_rounds=None, max_deletions=None
+):
+    """Run one campaign through :func:`fastpath.run_fused` directly and
+    return (result, network), so the kernel's final state can be
+    inspected; ``run`` keeps no network when it fuses."""
+    network = SelfHealingNetwork(graph, HEALERS.make("dash"), seed=7)
+    adversary.reset(network)
+    assert fastpath.supports(
+        network,
+        adversary,
+        metrics=(),
+        batch_rounds=False,
+        keep_events=False,
+        keep_network=False,
+    )
+    result = fastpath.run_fused(
+        network,
+        adversary,
+        stop_alive=stop_alive,
+        max_rounds=max_rounds,
+        max_deletions=max_deletions,
+    )
+    return result, network
+
+
 CASES = [
     {},
     {"stop_alive": 40},
@@ -62,38 +88,45 @@ CASES = [
 @pytest.mark.parametrize("kw", CASES, ids=[str(c) for c in CASES])
 def test_fused_matches_generic_and_object(kw):
     before = fastpath._fused_campaigns
-    adv_fused = ADVERSARIES.make("random", seed=2)
-    fused = run(make("array"), adv_fused, **kw)
+    fused = run(make("array"), ADVERSARIES.make("random", seed=2), **kw)
     assert fastpath._fused_campaigns == before + 1
 
     adv_gen = ADVERSARIES.make("random", seed=2)
-    generic = run(make("array"), adv_gen, keep_events=True, **kw)
+    generic = run(
+        make("array"), adv_gen, keep_events=True, keep_network=True, **kw
+    )
     obj = run(make("object"), ADVERSARIES.make("random", seed=2), **kw)
 
     expect = scalars(generic)[:5] + (None, None)
     assert scalars(fused) == expect
     assert scalars(obj) == scalars(fused)
 
-    # The adversary must leave the kernel exactly where the generic
-    # engine would have left it: same survivors, same future RNG stream.
+    # The kernel must leave the adversary and the network exactly where
+    # the generic engine leaves them: same future RNG stream, same
+    # survivors.
+    adv_fused = ADVERSARIES.make("random", seed=2)
+    direct, network = run_kernel(make("array"), adv_fused, **kw)
+    assert scalars(direct) == scalars(fused)
     assert adv_fused._rng.getstate() == adv_gen._rng.getstate()
-    # The generic adversary drops its final (now dead) victim lazily on
-    # the next draw; the kernel drops it eagerly. Normalize and compare.
-    expected_alive = [u for u in adv_gen._alive if u != adv_gen._last]
-    assert list(adv_fused._alive) == expected_alive
-    assert adv_fused._last is None
+    assert list(network.survivors()) == list(generic.network.survivors())
 
 
 def test_fused_survivor_list_exact():
-    adv_fused = ADVERSARIES.make("random", seed=5)
-    fused = run(make("array", seed=3), adv_fused, stop_alive=50)
-    adv_gen = ADVERSARIES.make("random", seed=5)
+    fused, network = run_kernel(
+        make("array", seed=3),
+        ADVERSARIES.make("random", seed=5),
+        stop_alive=50,
+    )
     generic = run(
-        make("array", seed=3), adv_gen, stop_alive=50, keep_events=True,
+        make("array", seed=3),
+        ADVERSARIES.make("random", seed=5),
+        stop_alive=50,
+        keep_events=True,
         keep_network=True,
     )
     survivors = sorted(generic.network.graph.nodes())
-    assert list(adv_fused._alive) == survivors
+    assert list(network.survivors()) == survivors
+    assert list(generic.network.survivors()) == survivors
     assert fused.final_alive == len(survivors) == 50
 
 
@@ -145,20 +178,7 @@ def test_fused_engages_only_when_unobserved():
 def test_fused_campaign_builds_no_tracker():
     """The kernel keeps its own union-find and the network builds its
     component tracker on first use, so a fused campaign builds none."""
-    network = SelfHealingNetwork(make("array"), HEALERS.make("dash"), seed=7)
-    adversary = RandomAttack(seed=2)
-    adversary.reset(network)
-    assert fastpath.supports(
-        network,
-        adversary,
-        metrics=(),
-        batch_rounds=False,
-        keep_events=False,
-        keep_network=False,
-    )
-    result = fastpath.run_fused(
-        network, adversary, stop_alive=0, max_rounds=None, max_deletions=None
-    )
+    result, network = run_kernel(make("array"), RandomAttack(seed=2))
     assert result.final_alive == 0
     assert "tracker" not in vars(network)
 
@@ -180,9 +200,10 @@ def test_fused_on_tree_topology():
     "kw", [{}, {"stop_alive": 33}, {"max_deletions": 57}]
 )
 def test_fused_draws_match_generic_with_tiny_blocks(monkeypatch, kw):
-    """With two-label blocks the kernel's survivor sequence empties and
-    reindexes blocks as it kills; its victims, the RNG stream and the
-    survivors it leaves must still be the generic engine's."""
+    """With two-label blocks the network's survivor sequence empties
+    and reindexes blocks as the kernel kills; its victims, the RNG
+    stream and the survivors it leaves must still be the generic
+    engine's."""
     adv_gen = ADVERSARIES.make("random", seed=9)
     generic = run(
         make("array", n=180, seed=4),
@@ -192,27 +213,17 @@ def test_fused_draws_match_generic_with_tiny_blocks(monkeypatch, kw):
         **kw,
     )
 
-    monkeypatch.setattr("repro.adversary.survivors._BLOCK", 2)
-    network = SelfHealingNetwork(
-        make("array", n=180, seed=4), HEALERS.make("dash"), seed=7
-    )
+    monkeypatch.setattr("repro.graph.survivors._BLOCK", 2)
     adv_fused = RandomAttack(seed=9)
-    adv_fused.reset(network)
-    blocks = len(adv_fused._alive._blocks)
-    fused = fastpath.run_fused(
-        network,
-        adv_fused,
-        stop_alive=kw.get("stop_alive", 0),
-        max_rounds=None,
-        max_deletions=kw.get("max_deletions"),
+    fused, network = run_kernel(
+        make("array", n=180, seed=4), adv_fused, **kw
     )
 
     assert network.deleted_nodes == generic.network.deleted_nodes
     assert scalars(fused)[:5] == scalars(generic)[:5]
     assert adv_fused._rng.getstate() == adv_gen._rng.getstate()
-    assert list(adv_fused._alive) == sorted(generic.network.graph.nodes())
-    assert adv_fused._last is None
-    assert len(adv_fused._alive._blocks) < blocks
+    assert list(network.survivors()) == list(generic.network.survivors())
+    assert len(network.survivors()._blocks) < 180 // 2  # built in pairs
 
 
 # ----------------------------------------------------------------------
@@ -314,13 +325,9 @@ def test_fused_churn_delete_prefix_then_joins_in_kernel(tmp_path):
 def _kernel_network(path):
     """Run a trace through :func:`fastpath.run_fused` directly and return
     (result, network) so the kernel's final state can be inspected."""
-    network = SelfHealingNetwork(make("array"), HEALERS.make("dash"), seed=7)
-    adversary = ADVERSARIES.make(f"trace-churn:path={path}")
-    adversary.reset(network)
-    result = fastpath.run_fused(
-        network, adversary, stop_alive=0, max_rounds=None, max_deletions=None
+    return run_kernel(
+        make("array"), ADVERSARIES.make(f"trace-churn:path={path}")
     )
-    return result, network
 
 
 def test_fused_churn_joins_leave_generic_state(tmp_path):
@@ -382,6 +389,26 @@ def test_fused_churn_first_round_insertion_fuses(tmp_path):
     _, network = _kernel_network(path)
     assert network.inserted_nodes == [500]
     assert "tracker" not in vars(network)
+
+
+def test_fused_churn_leaves_survivors_exact(tmp_path):
+    """Churn deaths and joins bypass the network's survivors, so a
+    sequence built before the kernel ran is dropped, and the next
+    ``survivors()`` call rebuilds it from the live graph."""
+    path = _schedule(
+        tmp_path,
+        [[["add", 500, [0]], ["delete", 1]], [["add", 501, [500]]]],
+    )
+    network = SelfHealingNetwork(make("array"), HEALERS.make("dash"), seed=7)
+    built = network.survivors()
+    adversary = ADVERSARIES.make(f"trace-churn:path={path}")
+    adversary.reset(network)
+    fastpath.run_fused(
+        network, adversary, stop_alive=0, max_rounds=None, max_deletions=None
+    )
+    assert network.survivors() is not built
+    assert list(network.survivors()) == sorted(network.graph.nodes())
+    assert 501 in network.survivors() and 1 not in network.survivors()
 
 
 def test_fused_churn_joins_repair_graph_state(tmp_path):
@@ -482,10 +509,11 @@ def test_fused_repairs_graph_counters():
     """After a fused stop_alive campaign the graph's public counters and
     degree machinery must be accurate (the kernel bypasses them live)."""
     g = make("array", n=120, seed=6)
-    adv = ADVERSARIES.make("random", seed=8)
-    run(g, adv, stop_alive=30)
+    _, network = run_kernel(
+        g, ADVERSARIES.make("random", seed=8), stop_alive=30
+    )
     assert g.num_nodes == 30
-    assert sorted(g.nodes()) == list(adv._alive)
+    assert sorted(g.nodes()) == list(network.survivors())
     assert g.num_edges == sum(g.degrees().values()) // 2
     g.check_degree_index()
     from repro.graph.validation import validate_graph
