@@ -65,7 +65,6 @@ ADVERSARIES: Registry = Registry(
         RandomWaveAttack.name: RandomWaveAttack,
         TargetedWaveAttack.name: TargetedWaveAttack,
     },
-    injected=("seed",),
 )
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, ClassVar, Hashable, Sequence
 
 from repro.adversary.base import Adversary
-from repro.errors import AdversaryError
+from repro.errors import AdversaryError, ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.network import SelfHealingNetwork
@@ -34,7 +34,8 @@ class ScriptedAttack(Adversary):
     Parameters
     ----------
     sequence:
-        Victims in deletion order.
+        Victims in deletion order: node labels (non-negative ints, not
+        bools), else :class:`~repro.errors.ConfigurationError`.
     strict:
         When ``True`` (default) a victim missing from the graph raises
         :class:`~repro.errors.AdversaryError` — replays must match
@@ -47,6 +48,12 @@ class ScriptedAttack(Adversary):
 
     def __init__(self, sequence: Sequence[Node], strict: bool = True) -> None:
         self.sequence = tuple(sequence)
+        for victim in self.sequence:
+            if type(victim) is not int or victim < 0:
+                raise ConfigurationError(
+                    f"scripted victims must be node labels (non-negative "
+                    f"ints), got {victim!r}"
+                )
         self.strict = strict
         self._pos = 0
 

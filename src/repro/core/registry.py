@@ -42,7 +42,6 @@ HEALERS: Registry = Registry(
         RandomOrderDash.name: RandomOrderDash,
         DegreeBoundedHealer.name: DegreeBoundedHealer,
     },
-    injected=("seed",),
 )
 
 #: The healers compared in the paper's figures (Section 4.3), in the

@@ -326,7 +326,6 @@ GENERATORS: Registry = Registry(
         "grid": grid_graph,
         "watts_strogatz": watts_strogatz,
     },
-    injected=("n", "seed"),
 )
 #: short alias used throughout the benchmarks and docs ("pa:n=16000,m=3")
 GENERATORS.alias("pa", "preferential_attachment")

@@ -355,7 +355,9 @@ class Graph:
             # A new or dead endpoint, or anything but a non-negative int
             # (a bool or a numpy int would index a slot): add_node adds
             # the first kind and raises for the other. A refused v takes
-            # back the u just added, so a refused edge leaves no trace.
+            # back the u just added, so a refused edge leaves no trace;
+            # v is then checked again so the message gives the bound of
+            # the store the caller holds, not of the one u had grown.
             slots, alive = len(nbrs), self._n_alive
             self.add_node(u)
             try:
@@ -364,6 +366,7 @@ class Graph:
                 if self._n_alive != alive:
                     self.remove_node(u)
                     del nbrs[slots:]
+                    self.check_label(v)
                 raise
             su = nbrs[u]
             sv = nbrs[v]

@@ -22,14 +22,16 @@ each bare token a positional one. Values are coerced with
 as strings otherwise — which is exactly what lets specs nest: the
 ``schedule=geometric:initial=4`` token stays the string
 ``"geometric:initial=4"`` and is parsed again by the wave-schedule
-registry. (Nested specs cannot contain ``","``; pass structured params —
-e.g. ``ExperimentSpec.adversary_params`` — for multi-argument nesting.)
+registry. Brackets must balance, and nested specs cannot contain ``","``:
+pass structured params (e.g. ``ExperimentSpec.adversary_params``) for
+multi-argument nesting or a value with a lone bracket.
 
-**Seed injection.** Stochastic components take an explicit ``seed``
-argument; deterministic ones don't. :meth:`Registry.make` injects a
-caller-derived seed if — and only if — the factory accepts one and the
-spec didn't already pin it, replacing the per-call-site
-``inspect.signature`` probing the experiment runner and CLI used to do.
+**Binding.** :meth:`Registry.bind` turns a spec into its factory's
+arguments — the spec's own, then ``overrides``, runtime-owned ``force``
+values and a caller-derived ``seed`` — and checks that they bind with
+every required parameter filled. :meth:`Registry.make` is ``bind`` plus
+the factory call, so a caller checks a spec by binding it with exactly
+what it will supply to ``make``.
 
 Registries behave as read-only mappings (``"dash" in HEALERS``,
 ``sorted(HEALERS)``, ``HEALERS["dash"]``), so all pre-existing dict-style
@@ -67,11 +69,12 @@ def _coerce(text: str) -> object:
         return t
 
 
-def _split_args(text: str) -> list[str]:
-    """Split a spec's argument list on commas, bracket-aware.
+def _split_args(spec: str, text: str) -> list[str]:
+    """Split ``spec``'s argument list ``text`` on commas, bracket-aware.
 
     Commas inside ``()``/``[]``/``{}`` belong to a literal value
-    (``script=(0, 1)``) and do not separate tokens.
+    (``script=(0, 1)``) and do not separate tokens. A closing bracket
+    with no opener, or an opener never closed, raises.
     """
     tokens: list[str] = []
     depth = 0
@@ -81,9 +84,15 @@ def _split_args(text: str) -> list[str]:
             depth += 1
         elif ch in ")]}":
             depth -= 1
+            if depth < 0:
+                break
         elif ch == "," and depth == 0:
             tokens.append(text[start:i])
             start = i + 1
+    if depth:
+        raise ConfigurationError(
+            f"component spec has unbalanced brackets: {spec!r}"
+        )
     tokens.append(text[start:])
     return tokens
 
@@ -97,7 +106,7 @@ def parse_spec(spec: str) -> tuple[str, tuple[object, ...], dict[str, object]]:
     ``"constant:8"`` → ``("constant", (8,), {})``. Raises
     :class:`~repro.errors.ConfigurationError` on malformed input
     (empty name, empty token, non-identifier key, positional after
-    keyword).
+    keyword, unbalanced brackets).
     """
     if not isinstance(spec, str):
         raise ConfigurationError(
@@ -114,7 +123,7 @@ def parse_spec(spec: str) -> tuple[str, tuple[object, ...], dict[str, object]]:
             f"component spec has a trailing ':': {spec!r}"
         )
     if rest.strip():
-        for token in _split_args(rest):
+        for token in _split_args(spec, rest):
             token = token.strip()
             if not token:
                 raise ConfigurationError(
@@ -156,26 +165,17 @@ class Registry(Mapping):
         (``"healer"``, ``"adversary"``, ...).
     initial:
         Optional ``{name: factory}`` seed content.
-    injected:
-        Parameter names supplied later by the runtime (``seed`` for the
-        seeded families, ``n`` for generators): :meth:`validate_spec`
-        does not count them as missing.
 
     A factory is any callable returning the component — typically the
-    component class itself. Lookup is dict-like; construction goes
-    through :meth:`make`, which understands spec strings and centralizes
-    seed injection.
+    component class itself. Lookup is dict-like; :meth:`bind` checks a
+    spec against what its caller will supply, and :meth:`make` builds
+    from what it binds.
     """
 
     def __init__(
-        self,
-        kind: str,
-        initial: Mapping[str, Callable] | None = None,
-        *,
-        injected: tuple[str, ...] = (),
+        self, kind: str, initial: Mapping[str, Callable] | None = None
     ) -> None:
         self.kind = kind
-        self.injected = frozenset(injected)
         self._factories: dict[str, Callable] = dict(initial or {})
         self._signatures: dict[str, inspect.Signature | None] = {}
 
@@ -271,81 +271,94 @@ class Registry(Mapping):
     def params(self, spec: str) -> dict[str, bool | None]:
         """Each named parameter of ``spec``'s factory: ``None`` where the
         spec sets it, else whether the factory requires it. Raises for
-        arguments that do not bind."""
+        arguments that do not bind. A report, not a check (the CLI routes
+        ``--n``, ``--m`` and ``--backend`` by it)."""
         name, args, kwargs = self.parse(spec)
         sig = self._signature(name)
         if sig is None:
             return {}
-        try:
-            bound = sig.bind_partial(*args, **kwargs).arguments
-        except TypeError as exc:
-            raise ConfigurationError(
-                f"invalid {self.kind} spec {spec!r}: {exc}"
-            ) from None
+        pinned = self._pinned(spec, sig, args, kwargs)
         return {
-            p.name: None if p.name in bound else p.default is p.empty
+            p.name: None if p.name in pinned else p.default is p.empty
             for p in sig.parameters.values()
             if p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
         }
 
-    def validate_spec(
+    def _pinned(
+        self, spec: str, sig: inspect.Signature, args: tuple, kwargs: dict
+    ) -> Mapping[str, object]:
+        """The parameters ``args`` and ``kwargs`` set; raises where they
+        do not bind."""
+        if not (args or kwargs):
+            return {}  # nothing set; bind_partial alone costs 1-2 µs
+        try:
+            return sig.bind_partial(*args, **kwargs).arguments
+        except TypeError as exc:
+            raise ConfigurationError(
+                f"invalid {self.kind} spec {spec!r}: {exc}"
+            ) from None
+
+    def bind(
         self,
         spec: str,
         *,
+        seed: int | None = None,
         overrides: Mapping[str, object] | None = None,
-        reserved: tuple[str, ...] = (),
-    ) -> str:
-        """Fail fast on a bad spec; returns the component name.
+        force: Mapping[str, object] | None = None,
+    ) -> tuple[str, tuple[object, ...], dict[str, object]]:
+        """The factory's ``(name, args, kwargs)`` for ``spec``, as
+        :meth:`make` builds it.
 
-        Checks that the name is registered, that the spec's arguments
-        (merged with ``overrides``) bind to the factory signature, that
-        no required parameter is left unfilled (runtime-``injected``
-        names excluded), and that no ``reserved`` parameter — one the
-        runtime will later ``force``, e.g. a sweep's per-cell ``n`` — is
-        pinned by the spec. So an :class:`ExperimentSpec` typo explodes
-        at construction, not deep inside a worker process.
+        Argument layering, lowest to highest precedence:
+
+        * the spec string's own arguments, updated by ``overrides``
+          (structured params, e.g. ``ExperimentSpec.adversary_params``);
+        * ``force`` — runtime-owned values (a sweep forces ``n`` per
+          cell this way), gated on factory acceptance; a spec that pins
+          a forced parameter raises rather than silently winning or
+          losing;
+        * ``seed`` — injected iff the factory accepts a ``seed``
+          parameter the layers above leave open.
+
+        Raises :class:`~repro.errors.ConfigurationError` unless the name
+        is registered, the arguments bind and every required parameter
+        ends up filled. A caller checks a spec by binding it with exactly
+        what it will supply to :meth:`make`.
         """
         name, args, kwargs = self.parse(spec)
         if overrides:
             kwargs.update(overrides)
         sig = self._signature(name)
-        if sig is not None:
-            try:
-                bound = sig.bind_partial(*args, **kwargs)
-            except TypeError as exc:
-                raise ConfigurationError(
-                    f"invalid {self.kind} spec {spec!r}: {exc}"
-                ) from None
-            clash = [
-                key
-                for key in reserved
-                if self.accepts(name, key) and key in bound.arguments
-            ]
-            if clash:
-                raise ConfigurationError(
-                    f"invalid {self.kind} spec {spec!r}: "
-                    f"{', '.join(clash)} is supplied by the runtime — "
-                    "remove it from the spec"
-                )
-            missing = [
-                p.name
-                for p in sig.parameters.values()
-                if p.default is inspect.Parameter.empty
-                and p.kind
-                in (
-                    inspect.Parameter.POSITIONAL_ONLY,
-                    inspect.Parameter.POSITIONAL_OR_KEYWORD,
-                    inspect.Parameter.KEYWORD_ONLY,
-                )
-                and p.name not in bound.arguments
-                and p.name not in self.injected
-            ]
-            if missing:
-                raise ConfigurationError(
-                    f"invalid {self.kind} spec {spec!r}: missing required "
-                    f"argument(s) {', '.join(missing)}"
-                )
-        return name
+        if sig is None:  # pragma: no cover - C factories
+            return name, args, kwargs
+        pinned = self._pinned(spec, sig, args, kwargs)
+        if force:
+            for key, value in force.items():
+                if not self.accepts(name, key):
+                    continue
+                if key in pinned:
+                    raise ConfigurationError(
+                        f"invalid {self.kind} spec {spec!r}: {key} is "
+                        "supplied by the runtime — remove it from the spec"
+                    )
+                kwargs[key] = value
+        if seed is not None and "seed" not in pinned:
+            if self.accepts(name, "seed"):
+                kwargs.setdefault("seed", seed)
+        missing = [
+            p.name
+            for p in sig.parameters.values()
+            if p.default is p.empty
+            and p.name not in pinned
+            and p.name not in kwargs
+            and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
+        ]
+        if missing:
+            raise ConfigurationError(
+                f"invalid {self.kind} spec {spec!r}: missing required "
+                f"argument(s) {', '.join(missing)}"
+            )
+        return name, args, kwargs
 
     # ------------------------------------------------------------------
     # Construction
@@ -358,49 +371,13 @@ class Registry(Mapping):
         overrides: Mapping[str, object] | None = None,
         force: Mapping[str, object] | None = None,
     ):
-        """Instantiate a component from a name or spec string.
-
-        Argument layering, lowest to highest precedence:
-
-        * the spec string's own arguments, updated by ``overrides``
-          (structured params, e.g. ``ExperimentSpec.adversary_params``);
-        * ``force`` — runtime-owned values (the experiment runner forces
-          ``n`` per sweep cell this way), gated on factory acceptance; a
-          spec that pins a forced parameter raises rather than silently
-          winning or losing;
-        * ``seed`` — injected via ``setdefault`` iff the factory accepts a
-          ``seed`` parameter (the centralized seeding discipline).
-        """
-        name, args, kwargs = self.parse(spec)
-        if overrides:
-            kwargs.update(overrides)
-        # Parameter names already consumed by the spec's positional args:
-        # injection must never collide with them.
-        positional: set[str] = set()
-        sig = self._signature(name)
-        if sig is not None and args:
-            try:
-                positional = set(sig.bind_partial(*args).arguments)
-            except TypeError as exc:
-                raise ConfigurationError(
-                    f"invalid {self.kind} spec {spec!r}: {exc}"
-                ) from None
-        if force:
-            for key, value in force.items():
-                if not self.accepts(name, key):
-                    continue
-                if key in positional or key in kwargs:
-                    raise ConfigurationError(
-                        f"invalid {self.kind} spec {spec!r}: {key} is "
-                        "supplied by the runtime — remove it from the spec"
-                    )
-                kwargs[key] = value
-        if seed is not None and self.accepts(
-            name, "seed"
-        ) and "seed" not in positional:
-            kwargs.setdefault("seed", seed)
+        """Instantiate a component from a name or spec string: the
+        factory called with what :meth:`bind` binds."""
+        name, args, kwargs = self.bind(
+            spec, seed=seed, overrides=overrides, force=force
+        )
         try:
-            component = self.factory(name)(*args, **kwargs)
+            component = self._factories[name](*args, **kwargs)
         except TypeError as exc:
             raise ConfigurationError(
                 f"cannot build {self.kind} {spec!r}: {exc}"

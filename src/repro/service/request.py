@@ -3,13 +3,16 @@
 A :class:`CampaignRequest` is the serializable description of exactly
 one campaign — registry spec strings for the graph generator, healer,
 adversary and extra metrics, plus seeds and stop conditions. Construction
-checks that every spec names a registered component whose arguments
-bind, and builds the extra metrics once. :meth:`CampaignRequest.validate`
-builds the healer and adversary too; the service's ``submit``, sweeps
-and ``repro simulate`` call it, so a bad argument (a nested schedule left
-open, a trace file that is not there) fails at the door, never inside a
-worker process. A stored job reloads through construction alone, so it
-loads even where a component would no longer build.
+binds each spec with the params and seed :func:`run_request` supplies,
+so every spec must name a registered component, balance its brackets
+and bind with no required argument left open (``n`` included); it also
+builds the extra metrics once. :meth:`CampaignRequest.validate` builds
+the healer and adversary too; the service's ``submit``, sweeps and
+``repro simulate`` call it, so a bad argument (a nested schedule left
+open, a trace file that is not there) fails at the door. The generator
+is not built there: ``pa:n=-5`` binds, so it fails in its worker. A
+stored job reloads through construction alone, so it loads even where a
+component would no longer build.
 
 :func:`run_request` is the single definition of what a request *means*,
 and the only path in the package from a campaign description to
@@ -67,8 +70,8 @@ class CampaignRequest:
     """One campaign, fully described (all fields JSON-serializable).
 
     Component fields accept registry names or spec strings; the
-    generator spec must be complete (``"pa:n=1000,m=3"`` — the service
-    has no per-cell ``n`` to force). ``seed`` derives the per-component
+    generator must be complete with its params (``"pa:n=1000,m=3"`` —
+    nothing forces a per-cell ``n``). ``seed`` derives the per-component
     seeds exactly like ``repro simulate --seed``; the explicit
     ``graph_seed``/``id_seed``/``attack_seed`` overrides exist for
     sweep-cell requests, which derive theirs per cell. A metric factory
@@ -95,12 +98,14 @@ class CampaignRequest:
     priority: int = 0
 
     def __post_init__(self) -> None:
+        # Each spec binds with what run_request supplies: its params and
+        # a seed (no binding reads its value), so `n` must be named.
         for registry, spec, params in (
             (GENERATORS, self.generator, self.generator_params),
             (HEALERS, self.healer, self.healer_params),
             (ADVERSARIES, self.adversary, self.adversary_params),
         ):
-            registry.validate_spec(spec, overrides=dict(params))
+            registry.bind(spec, seed=self.seed, overrides=params)
         if self.extra_metrics:
             self._metrics(Graph())
         if self.stop_alive < 0:
@@ -131,12 +136,10 @@ class CampaignRequest:
         """
         _, id_seed, attack_seed = self.seeds()
         healer = HEALERS.make(
-            self.healer, seed=id_seed, overrides=dict(self.healer_params)
+            self.healer, seed=id_seed, overrides=self.healer_params
         )
         adversary = ADVERSARIES.make(
-            self.adversary,
-            seed=attack_seed,
-            overrides=dict(self.adversary_params),
+            self.adversary, seed=attack_seed, overrides=self.adversary_params
         )
         return healer, adversary, self._metrics(graph)
 
@@ -248,7 +251,7 @@ def run_request(
     graph = GENERATORS.make(
         request.generator,
         seed=graph_seed,
-        overrides=dict(request.generator_params),
+        overrides=request.generator_params,
     )
     healer, adversary, metrics = request.components(graph)
     return run_campaign(

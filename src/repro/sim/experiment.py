@@ -149,15 +149,15 @@ class ExperimentSpec:
                 )
         # `n` is the sweep's, one value per cell: a spec pinning it would
         # mislabel every result row.
-        GENERATORS.validate_spec(
+        GENERATORS.bind(
             self.generator,
             overrides=self.generator_params,
-            reserved=("n",),
+            force={"n": self.sizes[0]},
         )
-        # A sweep asks for stretch through measure_stretch; the registry
-        # check reports the `original` a bare "stretch" leaves open.
+        # A sweep asks for stretch through measure_stretch; binding bare
+        # reports the `original` a "stretch" leaves open.
         for metric in self.extra_metrics:
-            METRICS.validate_spec(metric)
+            METRICS.bind(metric)
         # Component, metric and bound checks: one cell request per healer
         # (a healer's cells differ only in seeds and n), each built once.
         for healer in self.healers:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.adversary.levelattack import LevelAttack, prune_order
@@ -18,6 +19,7 @@ from repro.graph.generators import (
     path_graph,
 )
 from repro.graph.traversal import is_connected
+from repro.service.request import CampaignRequest
 from repro.api import run_campaign
 
 
@@ -154,3 +156,19 @@ class TestScripted:
         adv = ScriptedAttack([])
         adv.reset(net)
         assert adv.choose_target(net) is None
+
+    @pytest.mark.parametrize(
+        "victims", ([0, True], [1, -2], [0, 1.0], "abc", [np.int64(3)])
+    )
+    def test_refuses_victims_that_are_not_labels(self, victims):
+        # A bool would delete the node it equals and be recorded as
+        # itself; a string spec's characters would fail at round 1.
+        with pytest.raises(ConfigurationError, match="node labels"):
+            ScriptedAttack(victims)
+
+    def test_spec_with_non_label_victims_fails_at_the_door(self):
+        request = CampaignRequest(
+            generator="path:5", adversary="scripted:abc"
+        )
+        with pytest.raises(ConfigurationError, match="node labels"):
+            request.validate()

@@ -93,9 +93,11 @@ class TestLabels:
             assert str(2 * 4 + GROWTH_SLACK) in msg  # the bound
             assert "relabel the nodes 0..n-1" in msg
         # A new first endpoint grows the store before the second is
-        # checked; the refusal takes it back.
-        with pytest.raises(ConfigurationError, match=str(self.HUGE)):
+        # checked; the refusal takes it back and names the bound of the
+        # store the caller holds.
+        with pytest.raises(ConfigurationError, match=str(self.HUGE)) as exc:
             g.add_edge(7, self.HUGE)
+        assert str(2 * 4 + GROWTH_SLACK) in str(exc.value)
         assert g.num_nodes == 4 and not g.has_node(7)
         assert len(g._nbrs) == 4 and g == Graph.from_edges([(0, 1)], [2, 3])
         with pytest.raises(ConfigurationError, match=str(self.HUGE)):

@@ -83,6 +83,18 @@ class TestPersistence:
         (torn / "job.json").write_text('{"version": 1, "job_id"')
         assert [j.job_id for j in store.load_all()] == [job.job_id]
 
+    def test_load_all_skips_records_that_no_longer_bind(self, tmp_path):
+        # A job stored with a generator that leaves `n` open could never
+        # run; its record no longer loads, and is skipped like a torn one.
+        store = JobStore(tmp_path)
+        kept = store.create(tiny_request(), seq=1)
+        stale = store.create(tiny_request(seed=2), seq=2)
+        path = stale.directory / "job.json"
+        payload = json.loads(path.read_text())
+        payload["request"]["generator_params"] = {}
+        path.write_text(json.dumps(payload))
+        assert [j.job_id for j in store.load_all()] == [kept.job_id]
+
     def test_load_all_does_not_build_components(self, tmp_path):
         # A stored job loads by its binding checks alone: a trace file
         # moved after the job ran, or an adversary argument its

@@ -33,6 +33,17 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             tiny_request(adversary="no-such-adversary")
 
+    def test_generator_without_n_fails_at_construction(self):
+        # run_request supplies no `n`: the spec or its params must.
+        with pytest.raises(
+            ConfigurationError, match=r"missing required argument\(s\) n"
+        ):
+            CampaignRequest(generator="pa:m=3")
+        request = CampaignRequest(
+            generator="pa:m=3", generator_params={"n": 50}
+        )
+        request.validate()
+
     def test_unknown_generator_param_fails(self):
         with pytest.raises(ConfigurationError):
             tiny_request(generator_params={"n": 40, "bogus": 1})

@@ -69,14 +69,24 @@ class TestDispatcher:
         assert response["metrics"]["queue_depth"] == 0
         assert "rounds_per_s" in response["metrics"]
 
-    def test_invalid_submission_is_an_error_response(self, service):
+    @pytest.mark.parametrize(
+        "request_json, named",
+        [
+            ({"generator": "no-such"}, "no-such"),
+            # Nothing supplies a request's `n`: refused at the door, not
+            # by three runs of its worker.
+            ({"generator": "pa:m=3"}, "missing required argument(s) n"),
+        ],
+        ids=("unknown-generator", "generator-without-n"),
+    )
+    def test_invalid_submission_is_an_error_response(
+        self, service, request_json, named
+    ):
         protocol = ServiceProtocol(service)
-        [response] = ask(
-            protocol,
-            {"op": "submit", "request": {"generator": "no-such"}},
-        )
+        [response] = ask(protocol, {"op": "submit", "request": request_json})
         assert not response["ok"]
-        assert "no-such" in response["error"]
+        assert named in response["error"]
+        assert not service.jobs
 
     def test_request_that_cannot_be_built_is_an_error_response(
         self, service

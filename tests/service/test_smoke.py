@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.errors import ServiceError
 from repro.service.client import ServiceClient
 from repro.service.request import CampaignRequest, run_request
 from repro.service.stream import ResultStream
@@ -93,6 +94,16 @@ def serve(tmp_path):
 def test_concurrent_campaigns_survive_a_worker_kill(serve, tmp_path):
     root, client = serve
     assert client.ping()
+
+    # The door: a generator that leaves `n` open is refused at submit.
+    with pytest.raises(ServiceError, match=r"argument\(s\) n"):
+        client._one(
+            {
+                "op": "submit",
+                "request": {"generator": "pa:m=3", "adversary": "random"},
+            }
+        )
+    assert client.list_jobs() == []
 
     requests = {seed: pa1000(seed) for seed in (1, 2, 3, 4)}
     job_ids = {}

@@ -35,13 +35,18 @@ from repro.sim.engine import run_campaign
 from repro.utils.rng import derive_seed
 
 
+#: what a sweep supplies beyond the spec (a factory that does not take
+#: ``n`` is not given one)
+SWEEP_N = {"n": 8}
+
+
 def _bare_valid(registry) -> list[str]:
     """Registry names that are valid specs as-is (required args are all
-    runtime-injected or defaulted)."""
+    defaulted or the sweep's ``n``)."""
     names = []
     for name in sorted(registry):
         try:
-            registry.validate_spec(name)
+            registry.bind(name, force=SWEEP_N)
             names.append(name)
         except ConfigurationError:
             pass
@@ -204,12 +209,13 @@ def test_fuzzed_campaigns_hold_invariants(spec):
 )
 @settings(max_examples=40, deadline=None)
 def test_strategies_draw_valid_specs(healer, adversary, generator, schedule):
-    """Every drawn spec validates against its live registry — the
-    fail-fast contract ``ExperimentSpec`` relies on."""
-    HEALERS.validate_spec(healer)
-    ADVERSARIES.validate_spec(adversary)
-    GENERATORS.validate_spec(generator)
-    WAVE_SCHEDULES.validate_spec(schedule)
+    """Every drawn spec binds against its live registry with what a
+    sweep supplies — the fail-fast contract ``ExperimentSpec`` relies
+    on."""
+    HEALERS.bind(healer, seed=1)
+    ADVERSARIES.bind(adversary, seed=1)
+    GENERATORS.bind(generator, seed=1, force=SWEEP_N)
+    WAVE_SCHEDULES.bind(schedule)
 
 
 def test_registry_pools_are_live_and_nonempty():

@@ -76,11 +76,20 @@ class TestParseSpec:
             "name:1 2=3",
             "name:x=1,x=2",
             "name:x=1,2",
+            "pa:n=(100,m=3",
+            "pa:n=100],m=3",
+            "scripted:(0, 1",
+            "name:s=a)b(",
         ],
     )
     def test_malformed_specs_raise(self, bad):
         with pytest.raises(ConfigurationError):
             parse_spec(bad)
+
+    def test_unbalanced_brackets_name_the_spec(self):
+        with pytest.raises(ConfigurationError, match="unbalanced") as exc:
+            parse_spec("pa:n=100],m=3")
+        assert "'pa:n=100],m=3'" in str(exc.value)
 
     def test_non_string_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -130,22 +139,36 @@ class TestRegistryCore:
         )
         assert g.num_nodes == 10
 
-    def test_validate_spec_rejects_unknown_kwarg(self):
+    def test_bind_rejects_unknown_kwarg(self):
         with pytest.raises(ConfigurationError, match="invalid healer spec"):
-            HEALERS.validate_spec("dash:bogus=1")
+            HEALERS.bind("dash:bogus=1")
 
-    def test_validate_spec_rejects_missing_required_argument(self):
+    def test_bind_rejects_missing_required_argument(self):
         with pytest.raises(ConfigurationError, match="missing required"):
-            ADVERSARIES.validate_spec("scripted")
+            ADVERSARIES.bind("scripted")
         with pytest.raises(ConfigurationError, match="missing required"):
-            ADVERSARIES.validate_spec("level-attack")
+            ADVERSARIES.bind("level-attack")
         with pytest.raises(ConfigurationError, match="missing required"):
-            GENERATORS.validate_spec("grid")
+            GENERATORS.bind("grid")
         with pytest.raises(ConfigurationError, match="missing required"):
-            METRICS.validate_spec("stretch")
-        ADVERSARIES.validate_spec("scripted:(0, 1)")
-        ADVERSARIES.validate_spec("level-attack:3")
-        GENERATORS.validate_spec("grid:3,4")
+            METRICS.bind("stretch")
+        ADVERSARIES.bind("scripted:(0, 1)")
+        ADVERSARIES.bind("level-attack:3")
+        GENERATORS.bind("grid:3,4")
+
+    def test_bind_returns_what_make_builds_from(self):
+        # Overrides beat the spec, force fills what the factory takes,
+        # and a seed goes only where the factory takes one left open.
+        bound = GENERATORS.bind(
+            "pa:m=3,n=5", seed=7, overrides={"m": 2}, force={"rows": 9}
+        )
+        assert bound == ("pa", (), {"m": 2, "n": 5, "seed": 7})
+        bound = GENERATORS.bind("erdos_renyi:p=0.5", force={"n": 6})
+        assert bound == ("erdos_renyi", (), {"p": 0.5, "n": 6})
+        assert ADVERSARIES.bind("random:seed=3", seed=7)[2] == {"seed": 3}
+        assert HEALERS.bind("dash", seed=7) == ("dash", (), {})
+        bound = ADVERSARIES.bind("level-attack:3", seed=7)
+        assert bound == ("level-attack", (3,), {})
 
     def test_force_conflicts_with_spec_pinned_param(self):
         # A spec must not pin a runtime-owned (forced) parameter —
@@ -165,10 +188,10 @@ class TestRegistryCore:
         with pytest.raises(ConfigurationError, match="invalid healer spec"):
             HEALERS.params("dash:bogus=1")
 
-    def test_validate_spec_reserved_params(self):
+    def test_bind_refuses_a_pinned_forced_param(self):
         with pytest.raises(ConfigurationError, match="supplied by the runtime"):
-            GENERATORS.validate_spec("erdos_renyi:n=50,p=0.2", reserved=("n",))
-        GENERATORS.validate_spec("erdos_renyi:p=0.2", reserved=("n",))
+            GENERATORS.bind("erdos_renyi:n=50,p=0.2", force={"n": 10})
+        GENERATORS.bind("erdos_renyi:p=0.2", force={"n": 10})
 
     def test_empty_value_rejected(self):
         from repro.registry import parse_spec as ps
@@ -176,19 +199,26 @@ class TestRegistryCore:
         with pytest.raises(ConfigurationError, match="empty value"):
             ps("degree-bounded:max_increase=")
 
-    def test_validate_spec_ignores_runtime_injected_params(self):
-        # `seed` and (for generators) `n` arrive at make() time.
-        ADVERSARIES.validate_spec("random")
-        GENERATORS.validate_spec("preferential_attachment")
-        GENERATORS.validate_spec("erdos_renyi:p=0.1")
+    def test_bind_counts_only_what_the_caller_supplies(self):
+        # No seeded factory requires its seed; a generator's `n` counts
+        # as filled only where the caller supplies it.
+        ADVERSARIES.bind("random")
+        for spec in ("preferential_attachment", "erdos_renyi:p=0.1"):
+            GENERATORS.bind(spec, force={"n": 10})
+            GENERATORS.bind(spec, overrides={"n": 10})
+            with pytest.raises(
+                ConfigurationError, match=r"missing required argument\(s\) n"
+            ):
+                GENERATORS.bind(spec, seed=1)
 
-    def test_validate_spec_rejects_bad_override(self):
+    def test_bind_rejects_bad_override(self):
         with pytest.raises(ConfigurationError, match="invalid adversary spec"):
-            ADVERSARIES.validate_spec("random", overrides={"bogus": 1})
+            ADVERSARIES.bind("random", overrides={"bogus": 1})
 
     def test_make_wraps_constructor_type_errors(self):
+        # The arguments bind; the constructor's comparison raises.
         with pytest.raises(ConfigurationError, match="cannot build"):
-            ADVERSARIES.make("scripted")  # missing required script
+            HEALERS.make("degree-bounded:max_increase=abc")
 
 
 #: minimal constructor arguments for components whose factories require
