@@ -3,9 +3,9 @@
 PR 1 made the healing core O(α) per round; the targeted adversaries
 (max-node, NMS, min-degree, max-δ-neighbor) then dominated full-kill
 campaigns with their per-round O(n) victim scans. This file measures the
-indexed rewrite — degree-bucket index on :class:`~repro.graph.graph.Graph`,
-δ-bucket index on :class:`~repro.core.network.SelfHealingNetwork`, and
-the incremental sorted-neighbor cache in the sampling attacks — as
+indexed rewrite — the degree- and δ-bucket indexes on
+:class:`~repro.core.network.SelfHealingNetwork`, and the incremental
+sorted-neighbor cache in the sampling attacks — as
 **full-kill campaign wall time** per adversary × n, against the recorded
 pre-rewrite scan baselines (same machine, commit c16ab12: the
 ``seed_baseline_seconds`` extras). Those frozen constants make the

@@ -22,8 +22,9 @@ strategies take explicit seeds.
 Performance: the targeted strategies used to scan every surviving node
 per round — an O(n²) attack side that dominated full-kill campaigns once
 the healing core went O(α) — and now issue O(1)-ish queries against the
-graph's degree-bucket index (:meth:`~repro.graph.graph.Graph.max_degree_node`,
-:meth:`~repro.graph.graph.Graph.min_degree_node`) and the network's
+network's degree-bucket index
+(:meth:`~repro.core.network.SelfHealingNetwork.max_degree_node`,
+:meth:`~repro.core.network.SelfHealingNetwork.min_degree_node`) and its
 δ-bucket index (:meth:`~repro.core.network.SelfHealingNetwork.max_delta_node`).
 Both indexes break ties by smallest label, exactly the old scans'
 ``(key, label)`` ordering, so target sequences are byte-identical to the
@@ -135,7 +136,7 @@ class MaxNodeAttack(Adversary):
     name: ClassVar[str] = "max-node"
 
     def choose_target(self, network: "SelfHealingNetwork") -> Node | None:
-        return network.graph.max_degree_node()
+        return network.max_degree_node()
 
 
 class NeighborOfMaxAttack(Adversary):
@@ -158,7 +159,7 @@ class NeighborOfMaxAttack(Adversary):
         self._cache.reset()
 
     def choose_target(self, network: "SelfHealingNetwork") -> Node | None:
-        hub = network.graph.max_degree_node()
+        hub = network.max_degree_node()
         if hub is None:
             return None
         nbrs = self._cache.sorted_neighbors(network, hub)
@@ -224,7 +225,7 @@ class MinDegreeAttack(Adversary):
     name: ClassVar[str] = "min-degree"
 
     def choose_target(self, network: "SelfHealingNetwork") -> Node | None:
-        return network.graph.min_degree_node()
+        return network.min_degree_node()
 
 
 class MaxDeltaNeighborAttack(Adversary):

@@ -32,7 +32,7 @@ takes an explicit seed and samples the network's survivors in label
 order (:meth:`~repro.core.network.SelfHealingNetwork.survivors`, kept
 exact by every heal, so nothing is re-sorted); the targeted
 strategy is fully deterministic — the ``k`` highest-degree survivors,
-smallest label on ties, read from the graph's degree-bucket index by
+smallest label on ties, read from the network's degree-bucket index by
 walking buckets downward from the O(1) maximum, so no round ever scans
 all nodes.
 """
@@ -291,7 +291,7 @@ class TargetedWaveAttack(WaveAdversary):
 
     The wave analogue of MaxNode: every wave removes the current top-k
     hubs simultaneously — ties broken by smallest label, so campaigns
-    are fully deterministic. Victims are read from the graph's
+    are fully deterministic. Victims are read from the network's
     degree-bucket index by walking buckets downward from the O(1)
     maximum degree, so the per-wave cost is O(Δ_max + k log k), never a
     full node scan.
@@ -300,11 +300,10 @@ class TargetedWaveAttack(WaveAdversary):
     name: ClassVar[str] = "targeted-wave"
 
     def _pick(self, network: "SelfHealingNetwork", size: int) -> list[Node]:
-        g = network.graph
         picked: list[Node] = []
-        degree = g.max_degree()
+        degree = network.max_degree()
         while len(picked) < size and degree >= 0:
-            bucket = g.degree_bucket(degree)
+            bucket = network.degree_bucket(degree)
             if bucket:
                 take = size - len(picked)
                 picked.extend(sorted(bucket)[:take])

@@ -64,19 +64,23 @@ def check_component_labels(network: SelfHealingNetwork) -> None:
 
 
 def check_degree_index(network: SelfHealingNetwork) -> None:
-    """The degree-bucket and δ-bucket indexes agree with fresh scans.
+    """The network's degree-bucket and δ-bucket indexes agree with fresh
+    scans.
 
     The targeted adversaries pick victims through
-    :meth:`~repro.graph.graph.Graph.max_degree_node` /
-    :meth:`~repro.graph.graph.Graph.min_degree_node` /
+    :meth:`~repro.core.network.SelfHealingNetwork.max_degree_node` /
+    :meth:`~repro.core.network.SelfHealingNetwork.min_degree_node` /
     :meth:`~repro.core.network.SelfHealingNetwork.max_delta_node` instead
-    of scanning every node, so the incremental bucket indexes behind
-    those queries must track :meth:`~repro.graph.graph.Graph.degrees`
-    and :meth:`~repro.core.network.SelfHealingNetwork.deltas` exactly —
-    including cursors and smallest-label tie-breaks. O(n) per call.
+    of scanning every node, so the bucket indexes behind those queries,
+    which each heal feeds from the nodes it touched, must track
+    :meth:`~repro.graph.graph.Graph.degrees` and
+    :meth:`~repro.core.network.SelfHealingNetwork.deltas` exactly —
+    including cursors and smallest-label tie-breaks. An index never
+    built is built here, so the check compares it with the scan. O(n)
+    per call.
     """
     try:
-        network.graph.check_degree_index()
+        network.check_degree_index()
         network.check_delta_index()
     except SimulationError as exc:
         raise InvariantViolation(

@@ -12,24 +12,24 @@ drives one *round* per adversarial deletion:
    deleted node) and apply the edges to both G and G′;
 5. run the component tracker's MINID propagation and cost accounting.
 
-The network is the one owner of δ, the degree increase over the initial
-degree. A heal changes the degree of the nodes it touched alone — a
-deletion's ex-neighbours (plan edges stay among them), each victim
-component's surviving boundary in a wave, a join's targets and the
-joiner — so after a heal's edges land the network reads δ at those nodes
-only: they raise the running maximum ``peak_delta`` (Figure 8's
+The network is the one owner of degree and δ, the degree increase over
+the initial degree. A heal changes the degree of the nodes it touched
+alone — a deletion's ex-neighbours (plan edges stay among them), each
+victim component's surviving boundary in a wave, a join's targets and
+the joiner — so after a heal's edges land the network reads those nodes
+only. They raise the running maximum ``peak_delta`` (Figure 8's
 statistic, Theorem 1's bound), as the fused kernel raises it at each
-edge it adds. A **δ-bucket index**, bucketed like the graph's own degree
-index, answers :meth:`SelfHealingNetwork.max_delta` and
-:meth:`SelfHealingNetwork.max_delta_node` (the δ-seeking adversary's
-query) without a node scan. The first δ query builds it from G and the
-initial degrees, and every later heal pushes its touched nodes into it;
-a campaign that asks no δ query (a fused one, most observed ones until
-their final metrics) never builds it. The live labels have one owner
-too: :meth:`SelfHealingNetwork.survivors`, which the random adversaries
-and the fused kernel draw from, is built by its first call and then kept
-by every heal. So ``network.graph`` changes only through the network: a
-direct mutation would leave δ and the survivors stale.
+edge it adds, and feed two **bucket indexes** that answer the targeted
+adversaries without a node scan: degree
+(:meth:`SelfHealingNetwork.max_degree_node`, the MaxNode and NMS query)
+and δ (:meth:`SelfHealingNetwork.max_delta_node`). Each is built from G
+by its first query; a campaign that asks none (a fused one, most
+observed ones until their final metrics) builds neither. The live labels
+have one owner too: :meth:`SelfHealingNetwork.survivors`, which the
+random adversaries and the fused kernel draw from, is built by its first
+call and then kept by every heal. So ``network.graph`` changes only
+through the network: a direct mutation would leave the degree extremes,
+δ and the survivors stale.
 
 Each heal is also checked against a local **connectivity certificate**,
 in O(ex-neighbours): if G was connected before the heal, a certified heal
@@ -116,17 +116,18 @@ class SelfHealingNetwork:
 
     Construction costs what Init needs: the random IDs, the initial
     degrees and an edgeless G′ (one shared marker per slot, each set
-    created at its node's first heal edge). The
-    component tracker and the δ index are built on first use — the
-    tracker at the first round, the δ index at the first δ query — so a
-    campaign that never asks (a fused one) builds neither.
+    created at its node's first heal edge). The component tracker and
+    the bucket indexes are built on first use — the tracker at the first
+    round, each index at its first query — so a campaign that never asks
+    (a fused one) builds none of them.
 
     Parameters
     ----------
     graph:
         Initial topology. The network takes ownership and mutates it; pass
         ``graph.copy()`` to keep the original (the stretch metric does).
-        From then on it changes only through the network, which keeps δ.
+        From then on it changes only through the network, which keeps
+        the degree and δ indexes.
     healer:
         The healing strategy (see :mod:`repro.core.registry`).
     seed:
@@ -151,9 +152,10 @@ class SelfHealingNetwork:
         self.check_invariants = check_invariants
         self.initial_n = graph.num_nodes
         self.initial_degree: dict[Node, int] = graph.degrees()
-        #: δ-bucket index, built by the first δ query (see
-        #: :meth:`_built_delta_index`) and then kept current by
+        #: degree- and δ-bucket indexes, each built by its first query
+        #: (see :meth:`_built_index`) and then kept current by
         #: :meth:`_settle_deltas`
+        self._degree_index: DegreeIndex | None = None
         self._delta_index: DegreeIndex | None = None
         #: the live labels, built by :meth:`survivors`, kept by the heals
         self._survivors: SurvivorSequence | None = None
@@ -165,9 +167,7 @@ class SelfHealingNetwork:
         self.initial_ids: dict[Node, NodeId] = make_node_ids(
             graph.nodes(), rng
         )
-        # G′ never pays degree-index bookkeeping: nothing queries its
-        # degree extremes, so its lazy index is simply never built. It
-        # has G's class, whose slot store fills every slot with one
+        # G′ has G's class, whose slot store fills every slot with one
         # shared edgeless marker; the component tracker is built on
         # first use (see tracker).
         self.healing_graph = type(graph)(graph.nodes())
@@ -206,41 +206,46 @@ class SelfHealingNetwork:
     def _delta_in(
         graph: Graph, initial_degree: dict[Node, int], node: Node
     ) -> int | None:
-        """The δ-index's ground-truth oracle (None once deleted). It
-        holds the graph and the baselines, not the network, so a network
-        with a δ index is freed by reference counting."""
+        """The δ index's ground-truth oracle (None once deleted)."""
         d = graph.degree_of(node)
         return None if d is None else d - initial_degree[node]
 
-    def _built_delta_index(self) -> DegreeIndex:
-        """The δ-bucket index, built from G and the baselines by the first
-        δ query; :meth:`_settle_deltas` pushes each later heal's touched
-        nodes. Its answers are functions of G and the baselines alone, so
-        a late build answers like an index kept since Init would."""
-        idx = self._delta_index
+    def _built_index(self, delta: bool) -> DegreeIndex:
+        """The δ-bucket index if ``delta``, else the degree-bucket index,
+        built from G by its first query and then kept by
+        :meth:`_settle_deltas`. A late build answers like one kept since
+        Init. Each oracle holds the graph, not the network, so a network
+        with an index is freed by reference counting."""
+        idx = self._delta_index if delta else self._degree_index
         if idx is None:
-            initial_degree = self.initial_degree
-            idx = self._delta_index = DegreeIndex(
-                partial(self._delta_in, self.graph, initial_degree)
-            )
+            graph, base = self.graph, self.initial_degree
+            if delta:
+                idx = self._delta_index = DegreeIndex(
+                    partial(self._delta_in, graph, base)
+                )
+            else:
+                idx = self._degree_index = DegreeIndex(graph.degree_of)
             push = idx.push
-            for u, d in self.graph.degrees().items():
-                push(u, d - initial_degree[u])
+            for u, d in graph.degrees().items():
+                push(u, d - base[u] if delta else d)
         return idx
 
     def _settle_deltas(self, touched: Iterable[Node]) -> None:
-        """Close a heal's δ bookkeeping: ``touched`` holds every node whose
-        degree or baseline the heal changed, so their δ alone can raise
-        ``peak_delta``, and the δ index (if built) needs them alone."""
+        """Close a heal's degree bookkeeping: ``touched`` holds every node
+        whose degree or baseline the heal changed, so their δ alone can
+        raise ``peak_delta``, and each built index needs them alone."""
         initial_degree = self.initial_degree
-        idx = self._delta_index
+        degree_idx = self._degree_index
+        delta_idx = self._delta_index
         peak = self.peak_delta
         for u, d in self.graph.degrees_of(touched).items():
+            if degree_idx is not None:
+                degree_idx.push(u, d)
             d -= initial_degree[u]
             if d > peak:
                 peak = d
-            if idx is not None:
-                idx.push(u, d)
+            if delta_idx is not None:
+                delta_idx.push(u, d)
         self.peak_delta = peak
 
     def delta(self, node: Node) -> int:
@@ -258,20 +263,44 @@ class SelfHealingNetwork:
 
     def max_delta(self) -> int:
         """Maximum δ among *surviving* nodes (0 for an empty graph). O(1)."""
-        return self._built_delta_index().max_key(default=0)
+        return self._built_index(delta=True).max_key(default=0)
 
     def max_delta_node(self) -> Node | None:
         """The surviving node with the largest δ, smallest label on ties;
         ``None`` for an empty graph. Indexed — no node scan (the
         δ-seeking adversary's per-round query)."""
-        return self._built_delta_index().top_node()
+        return self._built_index(delta=True).top_node()
 
     def check_delta_index(self) -> None:
         """Verify the δ-bucket index against a fresh :meth:`deltas` scan.
 
         O(n); raises :class:`~repro.errors.SimulationError` on mismatch.
         """
-        self._built_delta_index().check(self.deltas())
+        self._built_index(delta=True).check(self.deltas())
+
+    def max_degree(self) -> int:
+        """Largest surviving degree (0 for an empty graph). O(1)."""
+        return self._built_index(delta=False).max_key(default=0)
+
+    def max_degree_node(self) -> Node | None:
+        """The surviving node with the largest degree, smallest label on
+        ties; ``None`` for an empty graph. Indexed (MaxNode's and NMS's
+        per-round query)."""
+        return self._built_index(delta=False).top_node()
+
+    def min_degree_node(self) -> Node | None:
+        """The surviving node with the smallest degree, smallest label on
+        ties; ``None`` for an empty graph. Indexed."""
+        return self._built_index(delta=False).bottom_node()
+
+    def degree_bucket(self, degree: int) -> frozenset[Node]:
+        """Snapshot of the surviving nodes at exactly ``degree``."""
+        return self._built_index(delta=False).bucket(degree)
+
+    def check_degree_index(self) -> None:
+        """Verify the degree-bucket index against a fresh degree scan, as
+        :meth:`check_delta_index` does the δ index."""
+        self._built_index(delta=False).check(self.graph.degrees())
 
     def label_of(self, node: Node) -> NodeId:
         return self.tracker.label_of(node)

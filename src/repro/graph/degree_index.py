@@ -1,26 +1,25 @@
 """Incremental bucket index over an integer node statistic.
 
 :class:`DegreeIndex` maintains, fully incrementally, a bucketing of a
-node set by an integer key — degree for :class:`~repro.graph.graph.Graph`'s
-built-in index, degree increase δ for the index
-:class:`~repro.core.network.SelfHealingNetwork` feeds from the nodes each
-heal touched. It exists to kill the O(n) per-round full-node scans the
-targeted adversaries (max-node, NMS, min-degree, max-δ-neighbor) used to
-perform: with it, "the extreme-key node, smallest label on ties" is an
-amortized-O(1)-style indexed query instead of a sweep, which is what
-turns an O(n²) full-kill targeted campaign into a near-linear one.
+node set by an integer key. :class:`~repro.core.network.SelfHealingNetwork`
+keeps two, both fed from the nodes each heal touched: one keyed by
+degree, one by degree increase δ. It exists to kill the O(n) per-round
+full-node scans the targeted adversaries (max-node, NMS, min-degree,
+max-δ-neighbor) used to perform: with it, "the extreme-key node,
+smallest label on ties" is an amortized-O(1)-style indexed query instead
+of a sweep, which is what turns an O(n²) full-kill targeted campaign
+into a near-linear one.
 
 Design: push-only lazy heaps over a ground-truth oracle
 -------------------------------------------------------
 The index never stores authoritative membership — the caller already has
-it (a graph knows every node's degree; the network knows every δ). The
-caller provides ``key_fn(node) -> int | None`` returning the node's
-*current* key (``None`` once the node is gone), and must :meth:`push`
-each node whose key changed, with its new key, before the next query —
-the graph at every degree change, the network once per heal for the
-nodes that heal touched. That makes the mutation path — the hottest code
-in a full-kill campaign — one list append plus a cursor comparison, with
-**zero** removal bookkeeping:
+it (the graph knows every node's degree, and with the baselines every
+δ). The caller provides ``key_fn(node) -> int | None`` returning the
+node's *current* key (``None`` once the node is gone), and must
+:meth:`push` each node whose key changed, with its new key, before the
+next query — the network does so once per heal for the nodes that heal
+touched. That makes the update path one list append plus a cursor
+comparison per touched node, with **zero** removal bookkeeping:
 
 * ``push(node, key)`` appends to the bucket's staging list and raises the
   max/min cursors if needed. Entries are never proactively removed; an

@@ -31,12 +31,10 @@ Design notes
   returns an immutable snapshot; ``neighbors_view()`` is the live
   no-copy alternative for hot loops. No attribute dictionaries:
   per-node algorithm state lives in the healing context.
-* A :class:`~repro.graph.degree_index.DegreeIndex` answers the
-  extreme-degree queries of the targeted adversaries. It is built on
-  the *first* such query (O(n)) and maintained incrementally from then
-  on, so graphs whose extremes are never queried pay nothing. The
-  network keeps its own δ index from the nodes each heal touched
-  (:class:`~repro.core.network.SelfHealingNetwork`).
+* The graph keeps adjacency and counts only, no derived state: the
+  degree and δ indexes the targeted adversaries query live in
+  :class:`~repro.core.network.SelfHealingNetwork`, fed from the nodes
+  each heal touched.
 * ``backend`` is a kept spelling: generator keywords, spec strings
   (``"pa:n=1000,backend=array"``) and ``repro simulate --backend``
   accept the names in :data:`BACKEND_NAMES`, all meaning this one
@@ -45,7 +43,6 @@ Design notes
 
 from __future__ import annotations
 
-from functools import partial
 from operator import eq
 from typing import Iterable, Iterator
 
@@ -55,7 +52,6 @@ from repro.errors import (
     NodeNotFoundError,
     SelfLoopError,
 )
-from repro.graph.degree_index import DegreeIndex
 
 __all__ = [
     "Graph",
@@ -102,7 +98,7 @@ class Graph:
     0
     """
 
-    __slots__ = ("_nbrs", "_n_alive", "_num_edges", "_deg_index")
+    __slots__ = ("_nbrs", "_n_alive", "_num_edges")
 
     def __init__(self, nodes: Iterable[Node] = ()) -> None:
         #: slot store: ``_nbrs[u]`` is u's adjacency set, EDGELESS when
@@ -110,10 +106,6 @@ class Graph:
         self._nbrs: list[set[int] | frozenset | None] = []
         self._n_alive: int = 0
         self._num_edges: int = 0
-        #: degree-bucket index, built lazily by :meth:`_index` on the
-        #: first extreme-degree query; ``None`` means "never queried" and
-        #: the mutators skip all index bookkeeping.
-        self._deg_index: DegreeIndex | None = None
         # The dominant construction is "labels 0..n-1 in order" (every
         # generator, every healing graph): detect it at C speed and fill
         # the slot store directly instead of paying add_node per label.
@@ -148,11 +140,7 @@ class Graph:
         return g
 
     def copy(self) -> "Graph":
-        """Deep copy of the topology (the copy owns its sets).
-
-        The copy starts with no degree index (one is built lazily if its
-        extremes are ever queried).
-        """
+        """Deep copy of the topology (the copy owns its sets)."""
         g = Graph()
         g._nbrs = [
             s if s is None or s is EDGELESS else set(s) for s in self._nbrs
@@ -183,9 +171,9 @@ class Graph:
         g._num_edges = edges // 2
         return g
 
-    # Pickle and copy state. A restored graph owns its sets and, like
-    # copy(), has no degree index; its edgeless slots are the shared
-    # EDGELESS marker again, which writers test by identity.
+    # Pickle and copy state. A restored graph owns its sets, and its
+    # edgeless slots are the shared EDGELESS marker again, which writers
+    # test by identity.
     def __getstate__(self) -> tuple:
         return self._nbrs, self._n_alive, self._num_edges
 
@@ -194,7 +182,6 @@ class Graph:
         self._nbrs = [
             None if s is None else set(s) if s else EDGELESS for s in nbrs
         ]
-        self._deg_index = None
 
     # ------------------------------------------------------------------
     # Slot access
@@ -209,38 +196,17 @@ class Graph:
         return s if node >= 0 else None
 
     def degree_of(self, node: Node) -> int | None:
-        """Degree of ``node``, or ``None`` when absent (no exception).
+        """Degree of ``node``, or ``None`` when :meth:`_slot` finds no
+        live slot (no exception).
 
-        The non-raising sibling of :meth:`degree`; also the cheapest
-        building block for the network's δ oracle.
+        The non-raising sibling of :meth:`degree`, and the ground-truth
+        oracle of the network's degree and δ indexes.
         """
-        return self._degree_in(self._nbrs, node)
-
-    @staticmethod
-    def _degree_in(nbrs: list, node: Node) -> int | None:
-        """:meth:`degree_of` over the slot store ``nbrs`` (see
-        :meth:`_slot`)."""
         try:
-            s = nbrs[node]
+            s = self._nbrs[node]
         except (IndexError, TypeError):
             return None
         return None if s is None or node < 0 else len(s)
-
-    def _index(self) -> DegreeIndex:
-        """The degree index, built on first demand (O(n) scan, then
-        maintained incrementally by the mutators). Its ground-truth
-        oracle reads the slot store, not the graph, so an indexed graph
-        is freed by reference counting like any other."""
-        idx = self._deg_index
-        if idx is None:
-            idx = self._deg_index = DegreeIndex(
-                partial(self._degree_in, self._nbrs)
-            )
-            push = idx.push
-            for u, s in enumerate(self._nbrs):
-                if s is not None:
-                    push(u, len(s))
-        return idx
 
     # ------------------------------------------------------------------
     # Nodes
@@ -288,8 +254,6 @@ class Graph:
             else:
                 nbrs.append(EDGELESS)
         self._n_alive += 1
-        if self._deg_index is not None:
-            self._deg_index.push(node, 0)
 
     def remove_node(self, node: Node) -> set[Node]:
         """Remove ``node`` and all incident edges; returns its ex-neighbor
@@ -305,17 +269,8 @@ class Graph:
             raise NodeNotFoundError(node)
         nbrs[node] = None
         self._n_alive -= 1
-        idx = self._deg_index
-        if idx is None:
-            for v in s:
-                nbrs[v].discard(node)
-        else:
-            # The removed node itself needs no index work: its stale
-            # entries self-invalidate against the slot store.
-            for v in s:
-                t = nbrs[v]
-                t.discard(node)
-                idx.push(v, len(t))
+        for v in s:
+            nbrs[v].discard(node)
         self._num_edges -= len(s)
         return s
 
@@ -379,10 +334,6 @@ class Graph:
         su.add(v)
         sv.add(u)
         self._num_edges += 1
-        idx = self._deg_index
-        if idx is not None:
-            idx.push(u, len(su))
-            idx.push(v, len(sv))
         return True
 
     def remove_edge(self, u: Node, v: Node) -> None:
@@ -398,10 +349,6 @@ class Graph:
         su.discard(v)
         sv.discard(u)
         self._num_edges -= 1
-        idx = self._deg_index
-        if idx is not None:
-            idx.push(u, len(su))
-            idx.push(v, len(sv))
 
     def has_edge(self, u: Node, v: Node) -> bool:
         s = self._slot(u)
@@ -481,40 +428,6 @@ class Graph:
                 raise NodeNotFoundError(u)
             out[u] = len(s) + offset
         return out
-
-    def max_degree(self) -> int:
-        """Largest degree in the graph; 0 for an empty graph. O(1)
-        amortized (first call builds the degree index)."""
-        return self._index().max_key(default=0)
-
-    def min_degree(self) -> int:
-        """Smallest degree in the graph; 0 for an empty graph. O(1)
-        amortized (first call builds the degree index)."""
-        return self._index().min_key(default=0)
-
-    def max_degree_node(self) -> Node | None:
-        """The maximum-degree node, smallest label on ties; ``None`` when
-        empty. Indexed — no per-call node scan (see
-        :mod:`repro.graph.degree_index`)."""
-        return self._index().top_node()
-
-    def min_degree_node(self) -> Node | None:
-        """The minimum-degree node, smallest label on ties; ``None`` when
-        empty. Indexed — no per-call node scan."""
-        return self._index().bottom_node()
-
-    def degree_bucket(self, degree: int) -> frozenset[Node]:
-        """Snapshot of all nodes currently at exactly ``degree``."""
-        return self._index().bucket(degree)
-
-    def check_degree_index(self) -> None:
-        """Verify the degree index against a fresh :meth:`degrees` scan
-        (O(n); :class:`~repro.errors.SimulationError` on mismatch). A
-        never-built index is vacuously consistent and stays unbuilt:
-        building it here would prove nothing and switch on per-mutation
-        bookkeeping. Used by paranoid mode and the invariant checks."""
-        if self._deg_index is not None:
-            self._deg_index.check(self.degrees())
 
     # ------------------------------------------------------------------
     # Dunder protocol

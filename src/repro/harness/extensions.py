@@ -29,7 +29,6 @@ from repro.adversary import (
 )
 from repro.analysis.theory import dash_degree_bound
 from repro.core.dash import Dash
-from repro.core.network import SelfHealingNetwork
 from repro.core.registry import make_healer
 from repro.graph.generators import (
     complete_kary_tree,
@@ -43,7 +42,7 @@ from repro.graph.traversal import is_connected
 from repro.harness.common import DEFAULT_SEED, FigureResult
 from repro.sim.metrics import CapacityMetric, ConnectivityMetric
 from repro.sim.engine import run_campaign
-from repro.utils.rng import derive_seed, make_rng
+from repro.utils.rng import derive_seed
 from repro.utils.stats import summarize
 from repro.utils.tables import format_table, write_csv
 
@@ -208,16 +207,16 @@ def run_batch_waves(
         always_connected = True
         for rep in range(repetitions):
             seed = derive_seed(master_seed, "batch", wave, rep)
-            graph = preferential_attachment(n, 2, seed=seed)
-            net = SelfHealingNetwork(graph, Dash(), seed=seed + 1)
-            rng = make_rng(seed + 2)
-            while net.num_alive > wave:
-                alive = net.survivors()
-                victims = rng.sample(alive, min(wave, len(alive) - 1))
-                net.delete_batch_and_heal(victims)
-                if not is_connected(net.graph):
-                    always_connected = False
-            deltas.append(net.peak_delta)
+            res = run_campaign(
+                preferential_attachment(n, 2, seed=seed),
+                Dash(),
+                RandomWaveAttack(size=wave, seed=seed + 2),
+                id_seed=seed + 1,
+                metrics=[ConnectivityMetric()],
+                stop_alive=wave,
+            )
+            always_connected &= bool(res.values["always_connected"])
+            deltas.append(res.peak_delta)
         worst = max(deltas)
         rows.append(
             [wave, worst, summarize(deltas).mean,

@@ -73,7 +73,7 @@ def run_theorem1(
     # Message envelope uses the max initial degree of each instance family;
     # regenerate the graphs (cheap) to get a representative d_max.
     d_max = [
-        preferential_attachment(n, 2, seed=master_seed).max_degree()
+        max(preferential_attachment(n, 2, seed=master_seed).degrees().values())
         for n in xs
     ]
 

@@ -648,6 +648,12 @@ class CampaignRecorder:
             raise ConfigurationError(
                 f"checkpoint_every must be >= 1, got {every}"
             )
+        if network.id_seed is None:
+            raise CheckpointError(
+                "cannot checkpoint a campaign with id_seed=None: its node "
+                "IDs come from OS entropy, which a restore cannot draw "
+                "again — pass an int id_seed"
+            )
         # Fail at campaign start, not at the first checkpoint N rounds
         # in: every participating component must support the protocol.
         if not getattr(adversary, "checkpointable", False) or not hasattr(
@@ -934,9 +940,9 @@ def _restore_network(
             f"corrupt checkpoint: live node {min(missing)!r} "
             "has no initial degree"
         )
-    # Built by the first δ query and the first survivors() call, like a
-    # fresh network's.
-    network._delta_index = None
+    # Built by their first queries and the first survivors() call, like
+    # a fresh network's.
+    network._degree_index = network._delta_index = None
     network._survivors = None
     network.initial_ids = initial_ids
     # Churn-inserted nodes ride the dynamic snapshot as extra IDs; only

@@ -202,14 +202,7 @@ def run_campaign(
         # :mod:`repro.sim.fastpath`.
         from repro.sim import fastpath
 
-        if fastpath.supports(
-            network,
-            adversary,
-            metrics=metrics,
-            batch_rounds=batch_rounds,
-            keep_events=keep_events,
-            keep_network=keep_network,
-        ):
+        if fastpath.supports(network, adversary):
             return fastpath.run_fused(
                 network,
                 adversary,

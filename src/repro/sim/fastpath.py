@@ -3,12 +3,13 @@
 The generic engine pays, every round, for machinery whose output the
 caller has explicitly declined: ``HealEvent`` construction
 (``keep_events=False``), component member lists and message accounting
-(no metrics, no recorder), and degree/δ index upkeep. Peak δ needs no
-index in either engine: δ moves only at the nodes a heal touched, so the
-kernel raises the peak at each edge it adds, as the generic loop does
-from each heal's touched nodes. When a campaign asks for scalars only —
-the result's ``initial_n``, ``deletions``, ``insertions``,
-``final_alive`` and ``peak_delta`` — all of that work is unobservable.
+(no metrics, no recorder), and the network's degree and δ bookkeeping.
+Peak δ needs no index in either engine: δ moves only at the nodes a heal
+touched, so the kernel raises the peak at each edge it adds, as the
+generic loop does from each heal's touched nodes. When a campaign asks
+for scalars only — the result's ``initial_n``, ``deletions``,
+``insertions``, ``final_alive`` and ``peak_delta`` — all of that work
+is unobservable.
 
 :func:`run_fused` runs such campaigns as one fused loop over the slot
 stores of :class:`~repro.graph.graph.Graph`: G and G′ adjacency are the
@@ -38,30 +39,31 @@ where a round's ops come from:
   kernel runs it on the slot lists too, after the join checks
   :meth:`~repro.core.network.SelfHealingNetwork.insert_and_heal` runs.
 
-Eligibility (:func:`supports`) is deliberately narrow — exactly DASH ×
-those adversaries × :class:`~repro.graph.graph.Graph` itself (not a
-subclass or another graph class) with nothing observing intermediate
-state. ``keep_events=True`` forces the generic path, which is how the
-differential tests (``tests/sim/test_fused_kernel.py``) obtain the
-reference side.
+Eligibility is deliberately narrow. The engine asks only for campaigns
+that nothing observes (no metrics, recorder, ``keep_events`` or
+``keep_network``; ``keep_events=True`` is how the differential tests,
+``tests/sim/test_fused_kernel.py``, obtain the reference side), and
+:func:`supports` then admits exactly DASH × those adversaries ×
+:class:`~repro.graph.graph.Graph` itself (not a subclass or another
+graph class).
 
 Every campaign the kernel accepts runs to the end inside it. On exit it
 *repairs* what it bypassed: the graphs' cached node/edge counts, the
-degree and δ indexes (both invalidated, so each is rebuilt by its first
-query, if any — a campaign that ends in the kernel never queries
+network's degree and δ indexes (both dropped, so each is rebuilt by its
+first query, if any — a campaign that ends in the kernel never queries
 them), ``network.peak_delta``, ``network.deleted_nodes`` and, after
 churn ops that bypassed them, the network's survivors (dropped if built;
 random draws discard each victim from them).
 It never touches ``network.tracker`` (which the network builds on first
 use), so a fused campaign builds no component tracker at all. It also
 leaves ``network.events`` empty, and a later tracker read would start
-from Init-step labels, which is why eligibility requires
+from Init-step labels, which is why the engine fuses only with
 ``keep_network=False``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from repro.adversary.classic import RandomAttack
 from repro.churn.adversaries import ChurnAdversary, TraceChurnAdversary
@@ -73,7 +75,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.adversary.base import Adversary
     from repro.core.network import SelfHealingNetwork
     from repro.sim.engine import SimulationResult
-    from repro.sim.metrics import Metric
 
 __all__ = ["supports", "run_fused"]
 
@@ -88,20 +89,14 @@ class _Join(tuple):
     __slots__ = ()
 
 
-def supports(
-    network: "SelfHealingNetwork",
-    adversary: "Adversary",
-    *,
-    metrics: Sequence["Metric"],
-    batch_rounds: bool,
-    keep_events: bool,
-    keep_network: bool,
-) -> bool:
-    """True iff this campaign is safely fusable.
+def supports(network: "SelfHealingNetwork", adversary: "Adversary") -> bool:
+    """True iff a campaign of these two components, which nothing
+    observes, is safely fusable.
 
     Exact-type checks (not ``isinstance``): a subclass may override any
-    hook the kernel inlines, so only the verbatim classes qualify.
-    Churn adversaries qualify too — their rounds dictate victims (no RNG
+    hook the kernel inlines, so only the verbatim classes qualify, and a
+    wave flag (``batch_rounds``) on an instance is refused. Churn
+    adversaries qualify too — their rounds dictate victims (no RNG
     draw), their ``choose_round`` never consults the network (which the
     kernel passes with stale public counters), and :func:`run_fused`
     executes their joins itself.
@@ -121,10 +116,7 @@ def supports(
         adversary_ok
         and type(graph) is Graph
         and type(network.healer) is Dash
-        and not metrics
-        and not batch_rounds
-        and not keep_events
-        and not keep_network
+        and not getattr(adversary, "batch_rounds", False)
         and not network.check_invariants
         and not network.deleted_nodes
         and not network.events
@@ -376,17 +368,15 @@ def run_fused(
     # leave this function with accurate state.
     graph._n_alive = n_alive
     graph._num_edges = sum(len(s) for s in adj if s is not None) // 2
-    graph._deg_index = None
     healing_graph._n_alive = n_alive
     healing_graph._num_edges = (
         sum(len(s) for s in padj if s is not None) // 2
     )
-    healing_graph._deg_index = None
     network.peak_delta = peak_delta
     network.deleted_nodes.extend(victims)
-    # Survivors' δ moved without the network's settling: drop the δ
-    # index, and the network's first δ query rebuilds it.
-    network._delta_index = None
+    # Survivors' degrees moved without the network's settling: drop both
+    # indexes, and each one's first query rebuilds it.
+    network._degree_index = network._delta_index = None
     if not random_attack:  # churn ops bypassed the survivors too
         network._survivors = None
 

@@ -303,33 +303,36 @@ def test_fast_path_eligibility_for_mixed_round_adversaries():
 
     adversary = RandomAttack(seed=1)
     adversary.reset(network)
-    kwargs = dict(
-        metrics=[], batch_rounds=False, keep_events=False,
-        keep_network=False,
-    )
-    assert fastpath.supports(network, adversary, **kwargs)
+    assert fastpath.supports(network, adversary)
 
     # Same verbatim type, but flagged as mixed-round: instantly refused
     # (it would yield victim lists, not op lists, to the churn kernel).
     adversary.mixed_rounds = True
-    assert not fastpath.supports(network, adversary, **kwargs)
+    assert not fastpath.supports(network, adversary)
+
+    # Or flagged as a wave adversary: its rounds are victim sets, which
+    # the kernel does not heal.
+    waves = RandomAttack(seed=1)
+    waves.batch_rounds = True
+    waves.reset(network)
+    assert not fastpath.supports(network, waves)
 
     # The genuine churn classes qualify...
     churn = ChurnAdversary(rate=1.0, rounds=4, seed=1)
     churn.reset(network)
-    assert fastpath.supports(network, churn, **kwargs)
+    assert fastpath.supports(network, churn)
 
     # ...but not with the flag stripped, and not as a subclass (either
     # may override hooks the kernel inlines).
     churn.mixed_rounds = False
-    assert not fastpath.supports(network, churn, **kwargs)
+    assert not fastpath.supports(network, churn)
 
     class TweakedChurn(ChurnAdversary):
         pass
 
     sub = TweakedChurn(rate=1.0, rounds=4, seed=1)
     sub.reset(network)
-    assert not fastpath.supports(network, sub, **kwargs)
+    assert not fastpath.supports(network, sub)
 
 
 def test_scripted_churn_on_two_disjoint_edges_keeps_graph_consistent():

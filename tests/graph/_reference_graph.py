@@ -13,7 +13,9 @@ loop. Three things were added since: an ``__eq__`` that compares
 adjacency with the slot store too, the slot store's ``check_label``
 (a churn join runs it), and :func:`reference_copy`; the class was
 renamed, its ``backend`` attribute dropped, and its ``degree_listener``
-removed with the library graph's (the network settles δ itself).
+and degree index (with the extreme-degree queries and the original
+docstring's note on them) removed with the library graph's: the network
+keeps the degree and δ indexes itself.
 
 Do not "improve" this file otherwise; its value is that it does not
 change.
@@ -40,18 +42,10 @@ Design notes
 * No edge/node attribute dictionaries: per-node algorithm state (IDs,
   degree deltas, weights) lives in the healing context, not the graph,
   which keeps this structure lean and the healers explicit about state.
-* A :class:`~repro.graph.degree_index.DegreeIndex` makes ``max_degree``/
-  ``min_degree`` and the extreme-degree-node queries the targeted
-  adversaries issue each round O(1)-ish instead of full-node scans. It is
-  built lazily on the *first* such query (O(n)) and maintained
-  incrementally from then on, so graphs whose extremes are never queried
-  — bulk construction, the healing-edge graph G′, untargeted campaigns —
-  pay nothing.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Hashable, Iterable, Iterator
 
 from repro.errors import (
@@ -59,7 +53,6 @@ from repro.errors import (
     NodeNotFoundError,
     SelfLoopError,
 )
-from repro.graph.degree_index import DegreeIndex
 from repro.graph.graph import Graph
 
 __all__ = ["ReferenceGraph", "reference_copy"]
@@ -81,15 +74,11 @@ class ReferenceGraph:
     0
     """
 
-    __slots__ = ("_adj", "_num_edges", "_deg_index")
+    __slots__ = ("_adj", "_num_edges")
 
     def __init__(self, nodes: Iterable[Node] = ()) -> None:
         self._adj: dict[Node, set[Node]] = {}
         self._num_edges: int = 0
-        #: degree-bucket index, built lazily by :meth:`_index` on the
-        #: first extreme-degree query; ``None`` means "never queried" and
-        #: the mutators skip all index bookkeeping.
-        self._deg_index: DegreeIndex | None = None
         for node in nodes:
             self.add_node(node)
 
@@ -107,11 +96,7 @@ class ReferenceGraph:
         return g
 
     def copy(self) -> "ReferenceGraph":
-        """Deep copy of the topology (node labels are shared, sets are not).
-
-        The copy starts with no degree index (one is built lazily if its
-        extremes are ever queried).
-        """
+        """Deep copy of the topology (node labels are shared, sets are not)."""
         g = ReferenceGraph()
         g._adj = {u: set(nbrs) for u, nbrs in self._adj.items()}
         g._num_edges = self._num_edges
@@ -140,26 +125,6 @@ class ReferenceGraph:
         nbrs = self._adj.get(node)
         return None if nbrs is None else len(nbrs)
 
-    @staticmethod
-    def _degree_in(adj: dict[Node, set[Node]], node: Node) -> int | None:
-        """:meth:`degree_of` over the adjacency container ``adj``."""
-        nbrs = adj.get(node)
-        return None if nbrs is None else len(nbrs)
-
-    def _index(self) -> DegreeIndex:
-        """The degree index, built on first demand (O(n) scan, then
-        maintained incrementally by the mutators). Its ground-truth
-        oracle reads the adjacency container, not the graph, so an
-        indexed graph is freed by reference counting like any other."""
-        idx = self._deg_index
-        if idx is None:
-            idx = self._deg_index = DegreeIndex(
-                partial(self._degree_in, self._adj)
-            )
-            for u, nbrs in self._adj.items():
-                idx.push(u, len(nbrs))
-        return idx
-
     # ------------------------------------------------------------------
     # Nodes
     # ------------------------------------------------------------------
@@ -167,8 +132,6 @@ class ReferenceGraph:
         """Add ``node`` (idempotent)."""
         if node not in self._adj:
             self._adj[node] = set()
-            if self._deg_index is not None:
-                self._deg_index.push(node, 0)
 
     def remove_node(self, node: Node) -> set[Node]:
         """Remove ``node`` and all incident edges; returns its ex-neighbor
@@ -182,17 +145,8 @@ class ReferenceGraph:
             nbrs = self._adj.pop(node)
         except KeyError:
             raise NodeNotFoundError(node) from None
-        idx = self._deg_index
-        if idx is None:
-            for v in nbrs:
-                self._adj[v].discard(node)
-        else:
-            # The removed node itself needs no index work: its stale
-            # entries self-invalidate against the adjacency ground truth.
-            for v in nbrs:
-                s = self._adj[v]
-                s.discard(node)
-                idx.push(v, len(s))
+        for v in nbrs:
+            self._adj[v].discard(node)
         self._num_edges -= len(nbrs)
         return nbrs
 
@@ -226,10 +180,6 @@ class ReferenceGraph:
         self._adj[u].add(v)
         self._adj[v].add(u)
         self._num_edges += 1
-        idx = self._deg_index
-        if idx is not None:
-            idx.push(u, len(self._adj[u]))
-            idx.push(v, len(self._adj[v]))
         return True
 
     def remove_edge(self, u: Node, v: Node) -> None:
@@ -243,10 +193,6 @@ class ReferenceGraph:
         self._adj[u].discard(v)
         self._adj[v].discard(u)
         self._num_edges -= 1
-        idx = self._deg_index
-        if idx is not None:
-            idx.push(u, len(self._adj[u]))
-            idx.push(v, len(self._adj[v]))
 
     def has_edge(self, u: Node, v: Node) -> bool:
         nbrs = self._adj.get(u)
@@ -322,46 +268,6 @@ class ReferenceGraph:
             return {u: len(adj[u]) + offset for u in nodes}
         except KeyError as exc:
             raise NodeNotFoundError(exc.args[0]) from None
-
-    def max_degree(self) -> int:
-        """Largest degree in the graph; 0 for an empty graph. O(1)
-        amortized (first call builds the degree index)."""
-        return self._index().max_key(default=0)
-
-    def min_degree(self) -> int:
-        """Smallest degree in the graph; 0 for an empty graph. O(1)
-        amortized (first call builds the degree index)."""
-        return self._index().min_key(default=0)
-
-    def max_degree_node(self) -> Node | None:
-        """The maximum-degree node, smallest label on ties; ``None`` when
-        empty. Indexed — no per-call node scan (see
-        :mod:`repro.graph.degree_index`)."""
-        return self._index().top_node()
-
-    def min_degree_node(self) -> Node | None:
-        """The minimum-degree node, smallest label on ties; ``None`` when
-        empty. Indexed — no per-call node scan."""
-        return self._index().bottom_node()
-
-    def degree_bucket(self, degree: int) -> frozenset[Node]:
-        """Snapshot of all nodes currently at exactly ``degree``."""
-        return self._index().bucket(degree)
-
-    def check_degree_index(self) -> None:
-        """Verify the degree index against a fresh :meth:`degrees` scan.
-
-        A never-built lazy index is vacuously consistent and is left
-        unbuilt — building it here would both prove nothing (it would be
-        constructed from the very adjacency it is checked against) and
-        silently activate per-mutation bookkeeping on graphs that never
-        query their extremes.
-
-        O(n); raises :class:`~repro.errors.SimulationError` on mismatch.
-        Used by paranoid mode and the ``check_degree_index`` invariant.
-        """
-        if self._deg_index is not None:
-            self._deg_index.check(self.degrees())
 
     # ------------------------------------------------------------------
     # Dunder protocol

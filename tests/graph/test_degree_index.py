@@ -1,9 +1,17 @@
-"""Unit tests for the push-only lazy bucket index and Graph's use of it."""
+"""Unit tests for the push-only lazy bucket index and the network's use of
+it: :class:`~repro.core.network.SelfHealingNetwork` keeps a degree index
+beside its δ index, fed from the nodes each heal touched."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from repro.adversary import ADVERSARIES
+from repro.core.dash import Dash
+from repro.core.network import SelfHealingNetwork
+from repro.core.registry import HEALERS
 from repro.errors import SimulationError
 from repro.graph.degree_index import DegreeIndex
 from repro.graph.generators import (
@@ -13,6 +21,7 @@ from repro.graph.generators import (
     star_graph,
 )
 from repro.graph.graph import Graph
+from repro.sim import fastpath
 
 
 class TestDegreeIndexCore:
@@ -106,137 +115,151 @@ class TestDegreeIndexCore:
         assert idx.max_key() == 500
 
 
-class TestGraphDegreeIndex:
-    def test_max_min_degree_track_mutations(self):
-        g = star_graph(6)  # hub 0 with 5 leaves
-        assert g.max_degree() == 5
-        assert g.min_degree() == 1
-        assert g.max_degree_node() == 0
-        assert g.min_degree_node() == 1  # smallest-label leaf
-        g.remove_node(0)
-        assert g.max_degree() == 0
-        assert g.min_degree() == 0
-        assert g.max_degree_node() == 1
-        g.add_edge(3, 4)
-        assert g.max_degree() == 1
-        assert g.max_degree_node() == 3
-        g.remove_edge(3, 4)
-        assert g.max_degree() == 0
+def scan(network: SelfHealingNetwork) -> tuple:
+    """The degree queries' answers from a fresh scan of G: the extreme
+    degrees, and the smallest label at each."""
+    degrees = network.graph.degrees()
+    top = max(degrees.values(), default=0)
+    low = min(degrees.values(), default=0)
+    return (
+        top,
+        min((u for u, d in degrees.items() if d == top), default=None),
+        min((u for u, d in degrees.items() if d == low), default=None),
+    )
 
-    def test_empty_graph(self):
-        g = Graph()
-        assert g.max_degree() == 0
-        assert g.min_degree() == 0
-        assert g.max_degree_node() is None
-        assert g.min_degree_node() is None
 
-    def test_degree_bucket(self):
-        g = cycle_graph(4)
-        assert g.degree_bucket(2) == {0, 1, 2, 3}
-        assert g.degree_bucket(1) == frozenset()
+def answers(network: SelfHealingNetwork) -> tuple:
+    return (
+        network.max_degree(),
+        network.max_degree_node(),
+        network.min_degree_node(),
+    )
 
-    def test_matches_scan_through_random_churn(self):
-        import random
 
+def assert_matches_scan(network: SelfHealingNetwork) -> None:
+    assert answers(network) == scan(network)
+    degrees = network.graph.degrees()
+    for d in set(degrees.values()):
+        expected = {u for u, du in degrees.items() if du == d}
+        assert network.degree_bucket(d) == expected
+    network.check_degree_index()
+
+
+def unused_label(network: SelfHealingNetwork) -> int:
+    return max(network.initial_ids) + 1
+
+
+class TestNetworkDegreeIndex:
+    def test_queries_at_init(self):
+        net = SelfHealingNetwork(star_graph(6), Dash())  # hub 0, 5 leaves
+        assert answers(net) == (5, 0, 1)  # smallest-label leaf
+        assert net.degree_bucket(1) == {1, 2, 3, 4, 5}
+        assert net.degree_bucket(7) == frozenset()
+        assert_matches_scan(net)
+
+    def test_empty_network(self):
+        net = SelfHealingNetwork(Graph(), Dash())
+        assert answers(net) == (0, None, None)
+        assert net.degree_bucket(0) == frozenset()
+        net.check_degree_index()
+
+    def test_matches_scan_after_deletion_join_and_wave(self):
+        net = SelfHealingNetwork(
+            preferential_attachment(40, 2, seed=4), Dash(), seed=4
+        )
+        assert_matches_scan(net)
+        net.delete_and_heal(net.max_degree_node())
+        assert_matches_scan(net)
+        joiner = unused_label(net)
+        net.insert_and_heal(joiner, [net.max_degree_node(), 7, 9])
+        assert_matches_scan(net)
+        assert net.degree_bucket(net.graph.degree(joiner)) >= {joiner}
+        net.delete_batch_and_heal([joiner, 7, 11, 12])
+        assert_matches_scan(net)
+        net.delete_and_heal(net.min_degree_node())
+        assert_matches_scan(net)
+
+    def test_cycle_heal_moves_the_extremes(self):
+        net = SelfHealingNetwork(cycle_graph(6), Dash(), seed=1)
+        assert answers(net) == (2, 0, 0)
+        net.delete_and_heal(0)  # DASH joins 1 and 5: the ring closes
+        assert answers(net) == scan(net) == (2, 1, 1)
+        net.delete_batch_and_heal([2, 3])  # 1 and 4 lose a neighbour
+        assert_matches_scan(net)
+
+    @pytest.mark.parametrize("healer", ["dash", "sdash", "graph-heal"])
+    def test_matches_scan_through_random_churn(self, healer):
         rng = random.Random(0)
-        g = erdos_renyi(40, 0.15, seed=2)
-        for _ in range(300):
+        net = SelfHealingNetwork(
+            erdos_renyi(40, 0.15, seed=2), HEALERS.make(healer), seed=2
+        )
+        net.max_degree()  # built from the start, kept by every heal
+        for _ in range(60):
+            alive = sorted(net.graph.nodes())
             op = rng.random()
-            nodes = sorted(g.nodes())
-            if op < 0.3 and len(nodes) > 2:
-                g.remove_node(rng.choice(nodes))
-            elif op < 0.7:
-                u, v = rng.sample(range(60), 2)
-                g.add_edge(u, v)
-            else:
-                edges = sorted(g.edges())
-                if edges:
-                    g.remove_edge(*rng.choice(edges))
-            g.check_degree_index()
-            degrees = g.degrees()
-            if degrees:
-                assert g.max_degree() == max(degrees.values())
-                assert g.min_degree() == min(degrees.values())
+            if op < 0.5 and len(alive) > 2:
+                net.delete_and_heal(rng.choice(alive))
+            elif op < 0.8:
+                targets = rng.sample(alive, min(3, len(alive)))
+                net.insert_and_heal(unused_label(net), targets)
+            elif len(alive) > 4:
+                net.delete_batch_and_heal(rng.sample(alive, 3))
+            assert_matches_scan(net)
 
-    def test_copy_and_subgraph_reindex(self):
-        g = preferential_attachment(30, 2, seed=1)
-        c = g.copy()
-        c.check_degree_index()
-        assert c.max_degree() == g.max_degree()
-        c.remove_node(c.max_degree_node())
-        c.check_degree_index()
-        s = g.subgraph(range(15))
-        s.check_degree_index()
-        degs = s.degrees()
-        assert s.max_degree() == max(degs.values())
+    def test_no_heal_builds_an_index(self):
+        net = SelfHealingNetwork(
+            preferential_attachment(30, 2, seed=5), Dash(), seed=5
+        )
+        net.delete_and_heal(3)
+        net.insert_and_heal(unused_label(net), [0, 1])
+        net.delete_batch_and_heal([4, 5, 6])
+        assert net._degree_index is None and net._delta_index is None
+        assert net.max_degree_node() == scan(net)[1]  # first query builds…
+        assert net._degree_index is not None
+        assert net._delta_index is None  # …the degree index alone
+        net.delete_and_heal(net.max_degree_node())  # …heals keep it
+        assert_matches_scan(net)
 
-    def test_index_is_lazy_until_first_query(self):
-        g = Graph()
-        for u, v in [(0, 1), (0, 2), (0, 3), (2, 3)]:
-            g.add_edge(u, v)
-        assert g._deg_index is None  # mutations alone never build it
-        assert g.max_degree() == 3  # first query builds…
-        assert g._deg_index is not None
-        g.add_edge(1, 3)  # …and mutations maintain it from then on
-        assert g.min_degree_node() == 1
-        assert g.degree_bucket(2) == {1, 2}
-        g.check_degree_index()
-        assert g.copy()._deg_index is None  # copies start lazy again
-        assert g.subgraph([0, 1])._deg_index is None
+    def test_check_builds_an_unbuilt_index(self):
+        net = SelfHealingNetwork(star_graph(5), Dash())
+        net.check_degree_index()
+        assert net._degree_index is not None
+        # A mutation behind the network's back leaves the index stale,
+        # and the check says so.
+        net.graph.add_edge(1, 2)
+        with pytest.raises(SimulationError):
+            net.check_degree_index()
 
     def test_lazy_build_matches_incremental(self):
-        # Same churn, one graph queried from the start (incremental
-        # maintenance) vs one queried only at the end (fresh build).
-        a = preferential_attachment(25, 2, seed=8)
-        b = a.copy()
-        a.max_degree()  # force early build on a; b stays lazy
-        for g in (a, b):
-            g.remove_node(3)
-            g.add_edge(5, 9)
-            if g.has_edge(0, 1):
-                g.remove_edge(0, 1)
-        assert b._deg_index is None
-        assert a.max_degree() == b.max_degree()
-        assert a.max_degree_node() == b.max_degree_node()
-        assert a.min_degree_node() == b.min_degree_node()
+        # The same heals on two networks: one queried from the start
+        # (incremental upkeep), one only at the end (a fresh build).
+        a, b = (
+            SelfHealingNetwork(
+                preferential_attachment(25, 2, seed=8), Dash(), seed=8
+            )
+            for _ in range(2)
+        )
+        a.max_degree()
+        for net in (a, b):
+            net.delete_and_heal(3)
+            net.insert_and_heal(30, [5, 9])
+            net.delete_batch_and_heal([0, 1])
+        assert b._degree_index is None
+        assert answers(a) == answers(b) == scan(a)
 
-
-@pytest.mark.parametrize("backend", ["object", "array"])
-def test_indexed_graph_is_freed_by_reference_counting(backend):
-    """The degree index's oracle reads the adjacency container, not the
-    graph, so a graph whose index was built (by a query, or by a
-    targeted campaign) leaves no more for the cyclic GC than one whose
-    index never was."""
-    import gc
-
-    from repro.adversary import ADVERSARIES
-    from repro.core.registry import HEALERS
-    from repro.sim.engine import run_campaign
-
-    def graph():
-        return preferential_attachment(2000, 3, seed=1, backend=backend)
-
-    def never_indexed():
-        graph()
-
-    def queried():
-        graph().max_degree()
-
-    healer = HEALERS.make("dash")
-    adversary = ADVERSARIES.make("neighbor-of-max", seed=2)
-
-    def campaign():
-        run_campaign(graph(), healer, adversary, id_seed=3, max_deletions=100)
-
-    def left_for_gc(body):
-        gc.collect()
-        gc.disable()
-        try:
-            body()
-            return gc.collect()
-        finally:
-            gc.enable()
-
-    baseline = left_for_gc(never_indexed)
-    assert left_for_gc(queried) <= baseline
-    assert left_for_gc(campaign) <= baseline
+    def test_fused_campaign_leaves_both_indexes_unbuilt(self):
+        net = SelfHealingNetwork(
+            preferential_attachment(200, 3, seed=1), Dash(), seed=1
+        )
+        net.max_degree()
+        net.max_delta()
+        adversary = ADVERSARIES.make("random", seed=2)
+        adversary.reset(net)
+        assert fastpath.supports(net, adversary)
+        fastpath.run_fused(
+            net, adversary, stop_alive=50, max_rounds=None,
+            max_deletions=None,
+        )
+        assert net._degree_index is None and net._delta_index is None
+        assert_matches_scan(net)
+        net.check_delta_index()

@@ -18,6 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.dash import Dash
+from repro.core.network import SelfHealingNetwork
 from repro.errors import (
     ConfigurationError,
     EdgeNotFoundError,
@@ -171,15 +173,20 @@ class TestDegreeMachinery:
             a.degrees_of([2, 9])
 
     def test_degree_index_parity(self):
+        """The network's degree index answers alike over either graph:
+        its oracle is the graph's ``degree_of``."""
         edges = [(0, 1), (0, 2), (0, 3), (2, 3), (3, 4)]
-        g = ReferenceGraph.from_edges(edges)
-        a = Graph.from_edges(edges)
-        for t in (g, a):
-            assert t.max_degree_node() == 0
-            t.remove_node(0)
-            assert t.max_degree_node() == 3
-            t.check_degree_index()
-        assert a.min_degree_node() == g.min_degree_node()
+        answers = []
+        for t in (ReferenceGraph.from_edges(edges), Graph.from_edges(edges)):
+            net = SelfHealingNetwork(t, Dash(), seed=1)
+            assert net.max_degree_node() == 0
+            net.delete_and_heal(0)
+            net.check_degree_index()
+            answers.append(
+                (net.max_degree(), net.max_degree_node(),
+                 net.min_degree_node(), net.degree_bucket(2))
+            )
+        assert answers[0] == answers[1]
 
     def test_grown_gaps_keep_nodes_and_degree_index(self):
         """Amortized-doubling gap growth leaves dead gap and slack
@@ -196,7 +203,10 @@ class TestDegreeMachinery:
         assert a.degrees() == expected_live
         assert sorted(a.nodes()) == sorted(expected_live)
         assert a.num_nodes == 4
-        a.check_degree_index()
+        # A degree index built over the store skips its dead slots.
+        net = SelfHealingNetwork(a, Dash(), seed=1)
+        net.check_degree_index()
+        assert net.degree_bucket(0) == {9, 40}
 
 
 _OPS = st.lists(

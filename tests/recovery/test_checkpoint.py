@@ -338,6 +338,26 @@ class TestCheckpointValidation:
                 checkpoint_every=4, checkpoint_dir=tmp_path / "ck",
             )
 
+    def test_unseeded_campaign_rejected_up_front(self, tmp_path):
+        # id_seed=None draws the node IDs from OS entropy, which a
+        # restore cannot draw again; an audit-only ledger never restores.
+        graph, healer, adversary, metrics = _components(
+            "dash", "max-node", 30, 5
+        )
+        with pytest.raises(CheckpointError, match="id_seed"):
+            run_campaign(
+                graph, healer, adversary, id_seed=None, metrics=metrics,
+                checkpoint_every=4, checkpoint_dir=tmp_path / "ck",
+            )
+        assert not (tmp_path / "ck").exists()
+        graph, healer, adversary, metrics = _components(
+            "dash", "max-node", 30, 5
+        )
+        run_campaign(
+            graph, healer, adversary, id_seed=None, metrics=metrics,
+            ledger=tmp_path / "audit.jsonl",
+        )
+
     def test_checkpoint_every_requires_dir(self):
         graph, healer, adversary, metrics = _components(
             "dash", "max-node", 30, 5

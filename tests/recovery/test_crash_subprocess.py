@@ -59,6 +59,11 @@ MATRIX = [
     # perfbench's service-job campaign: a resume rebuilds RandomAttack's
     # survivors from the live graph
     ("dash", "random"),
+    # the paper's NeighborOfMax attack (the network's degree index and
+    # the sorted-neighbour cache) and the δ-seeking attack (its δ
+    # index): a resume rebuilds both indexes from the live graph
+    ("dash", "neighbor-of-max"),
+    ("sdash", "neighbor-of-max-delta"),
 ]
 
 

@@ -283,6 +283,30 @@ class TestFinishedCampaignIsFreed:
         del healer, graph, result
         assert alive() is None
 
+    @pytest.mark.parametrize("backend", ["object", "array"])
+    def test_network_with_built_indexes_is_freed(self, gc_disabled, backend):
+        """A kept network whose degree index a targeted campaign built,
+        and whose δ index a query built, dies with the caller's last
+        reference: each index's oracle holds the graph, not the
+        network."""
+        import weakref
+
+        from repro.graph.generators import GENERATORS
+
+        result = run_campaign(
+            GENERATORS.make(f"pa:n=120,backend={backend}", seed=3),
+            make_healer("dash"),
+            ADVERSARIES.make("neighbor-of-max", seed=4),
+            max_rounds=40,
+            keep_network=True,
+        )
+        network = result.network
+        assert network._degree_index is not None
+        network.max_delta()
+        alive = weakref.ref(network)
+        del network, result
+        assert alive() is None
+
     def test_resumed_campaign_is_freed(self, gc_disabled, tmp_path):
         import weakref
 

@@ -58,14 +58,7 @@ def run_kernel(
     inspected; ``run`` keeps no network when it fuses."""
     network = SelfHealingNetwork(graph, HEALERS.make("dash"), seed=7)
     adversary.reset(network)
-    assert fastpath.supports(
-        network,
-        adversary,
-        metrics=(),
-        batch_rounds=False,
-        keep_events=False,
-        keep_network=False,
-    )
+    assert fastpath.supports(network, adversary)
     result = fastpath.run_fused(
         network,
         adversary,
@@ -372,7 +365,7 @@ def test_fused_churn_joins_leave_generic_state(tmp_path):
     assert network.deleted_nodes == reference.deleted_nodes
     assert network.deltas() == reference.deltas()
     network.check_delta_index()
-    network.graph.check_degree_index()
+    network.check_degree_index()
     assert "tracker" not in vars(network)
 
 
@@ -412,18 +405,18 @@ def test_fused_churn_leaves_survivors_exact(tmp_path):
 
 
 def test_fused_churn_joins_repair_graph_state(tmp_path):
-    """After joins the graph must have accurate public counters, a
-    consistent degree index, and a valid adjacency — the kernel
-    bypassed all of them live."""
+    """After joins the graph must have accurate public counters and a
+    valid adjacency, and the network a consistent degree index — the
+    kernel bypassed all of them live."""
     rounds = [[["delete", u]] for u in range(30)]
     rounds.append([["add", 900, [50, 51]]])
     path = _schedule(tmp_path, rounds)
     g = make("array")
-    run(g, ADVERSARIES.make(f"trace-churn:path={path}"))
+    _, network = run_kernel(g, ADVERSARIES.make(f"trace-churn:path={path}"))
     assert g.has_node(900)
     assert g.num_nodes == 160 - 30 + 1
     assert g.num_edges == sum(g.degrees().values()) // 2
-    g.check_degree_index()
+    network.check_degree_index()
     from repro.graph.validation import validate_graph
 
     validate_graph(g)
@@ -507,7 +500,8 @@ def test_fused_churn_dead_victim_error_parity(tmp_path):
 
 def test_fused_repairs_graph_counters():
     """After a fused stop_alive campaign the graph's public counters and
-    degree machinery must be accurate (the kernel bypasses them live)."""
+    the network's degree machinery must be accurate (the kernel bypasses
+    them live)."""
     g = make("array", n=120, seed=6)
     _, network = run_kernel(
         g, ADVERSARIES.make("random", seed=8), stop_alive=30
@@ -515,7 +509,7 @@ def test_fused_repairs_graph_counters():
     assert g.num_nodes == 30
     assert sorted(g.nodes()) == list(network.survivors())
     assert g.num_edges == sum(g.degrees().values()) // 2
-    g.check_degree_index()
+    network.check_degree_index()
     from repro.graph.validation import validate_graph
 
     validate_graph(g)

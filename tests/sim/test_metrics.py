@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from types import SimpleNamespace
+
 import pytest
 
 from repro.adversary import RandomAttack, ScriptedAttack
@@ -66,6 +69,46 @@ class TestLatencyMetric:
         assert res["total_propagation"] == 3.0
         assert res["amortized_propagation"] == 3.0  # one round
         assert res["max_round_propagation"] == 3.0
+
+    @staticmethod
+    def fed(changes):
+        metric = LatencyMetric()
+        for c in changes:
+            metric.on_event(None, SimpleNamespace(id_changes=c))
+        return metric
+
+    def test_state_does_not_grow_with_the_campaign(self):
+        changes = [(7 * i) % 13 for i in range(1000)]
+        short = self.fed(changes[:10]).export_state()
+        long = self.fed(changes).export_state()
+        assert short.keys() == long.keys()
+        assert all(type(v) is int for v in long.values())
+        # Only the counters' digits differ.
+        assert len(json.dumps(long)) - len(json.dumps(short)) < 8
+
+    def test_values_match_the_per_round_list(self):
+        changes = [(7 * i) % 13 for i in range(1000)]
+        expected = {
+            "amortized_propagation": sum(changes) / len(changes),
+            "max_round_propagation": float(max(changes)),
+            "total_propagation": float(sum(changes)),
+        }
+        assert self.fed(changes).finalize(None) == expected
+        assert self.fed([]).finalize(None) == {
+            "amortized_propagation": 0.0,
+            "max_round_propagation": 0.0,
+            "total_propagation": 0.0,
+        }
+
+    def test_old_per_round_state_imports(self):
+        """A snapshot written when the metric kept one count per heal
+        restores to the same values, and keeps counting from there."""
+        changes = [(7 * i) % 13 for i in range(200)]
+        old = LatencyMetric.__new__(LatencyMetric)
+        old.import_state(json.loads(json.dumps({"_per_round": changes})))
+        assert old.finalize(None) == self.fed(changes).finalize(None)
+        old.on_event(None, SimpleNamespace(id_changes=40))
+        assert old.finalize(None) == self.fed(changes + [40]).finalize(None)
 
 
 class TestConnectivityMetric:
